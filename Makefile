@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test chaos bench perf perf-check perf-smoke serve lint install
+.PHONY: test chaos bench perf perf-check perf-smoke e2e-smoke serve lint install
 
 test:  ## tier-1 suite: unit tests + benchmark reproductions
 	$(PYTHON) -m pytest -x -q
@@ -24,6 +24,12 @@ perf-check:  ## CI gate: latest perf entry vs checked-in baseline (>2x fails)
 
 perf-smoke:  ## CI guard: warm SCL load + single search under ceilings
 	$(PYTHON) -m pytest benchmarks/perf -q
+
+e2e-smoke:  ## every e2ebench workload for 5 s; fails unless the result line says "correct": true
+	@mkdir -p .bench_tmp
+	$(PYTHON) e2ebench/run.py --workload all --seconds 5 --trace 0 | tee .bench_tmp/e2e-smoke.log
+	@tail -n 1 .bench_tmp/e2e-smoke.log | grep -q '"correct": true' || \
+		{ echo 'e2e-smoke: the result line does not report "correct": true' >&2; exit 1; }
 
 SERVE_ARGS ?= --port 8841 --workers 2 -j 2
 

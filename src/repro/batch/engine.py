@@ -15,8 +15,14 @@ Scheduling notes
   in this process — no pool, easier debugging, identical results.
   Watchdog timeouts, retries and fault injection are pool features;
   inline mode trades them for debuggability.
-* The parent resolves the subcircuit library (persistent disk cache,
-  falling back to one characterization) before spawning workers; a
+* Pooled jobs go through a :class:`JobExecutor`: one process pool,
+  spawned on the first dispatch and kept until it breaks or the
+  watchdog kills it, behind a sliding-window dispatch loop that also
+  runs the watchdog and the retry loop.  :meth:`BatchCompiler.run_jobs`
+  uses one executor per call; the compile service
+  (:class:`repro.service.queue.JobQueue`) uses one for its lifetime.
+* Every pool spawn first resolves the subcircuit library in the parent
+  (persistent disk cache, falling back to one characterization); a
   pool initializer then warms every child from the same artifact, so
   no worker ever re-runs the characterization — under ``fork`` *and*
   ``spawn`` alike.
@@ -31,8 +37,8 @@ Resilience (see :mod:`repro.batch.resilience` and
 ----------------------------------------------------------------------
 * ``job_timeout_s`` arms a watchdog: jobs are dispatched in a sliding
   window (never more in flight than workers, so dispatch ≈ start),
-  each future carries a deadline, and an overdue future gets its pool
-  killed and recycled rather than hanging the sweep forever.
+  each carries a deadline, and an overdue job gets its pool killed
+  and recycled rather than hanging the sweep forever.
 * Transient failures — a broken pool, a watchdog kill, a future that
   raised with the pool alive — are retried under a
   :class:`~repro.batch.resilience.RetryPolicy` with exponential
@@ -51,14 +57,21 @@ Resilience (see :mod:`repro.batch.resilience` and
 from __future__ import annotations
 
 import copy
+import heapq
+import itertools
 import os
 import pathlib
+import signal
+import threading
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Callable,
+    Deque,
     Dict,
     Iterable,
     List,
@@ -74,9 +87,9 @@ from ..options import CompileOptions
 from ..spec import MacroSpec
 from ..verify.harness import DEFAULT_VECTORS
 from .cache import ResultCache, ResultStore, default_cache_dir
-from .faults import FaultPlan, active_plan
+from .faults import active_plan
 from .jobs import CompileJob, ImplementJob
-from .resilience import PoolOutcome, RetryPolicy, SweepJournal, new_run_id
+from .resilience import RetryPolicy, SweepJournal, new_run_id
 
 Job = Union[CompileJob, ImplementJob]
 Record = Dict[str, object]
@@ -100,6 +113,9 @@ class BatchStats:
     retried: int = 0
     #: Jobs restored from a previous run's write-ahead journal.
     resumed: int = 0
+    #: Process pools spawned: one for a pooled run, plus one per pool
+    #: break or watchdog kill that left work to do; 0 when inline.
+    pool_spawns: int = 0
     elapsed_s: float = 0.0
     #: Journal identity of this run (``--resume`` takes it); ``None``
     #: when journaling was off.
@@ -214,9 +230,8 @@ class BatchCompiler:
         An explicit :class:`~repro.batch.cache.ResultStore` backend to
         consult and populate instead of constructing a
         :class:`~repro.batch.cache.ResultCache` from
-        ``cache_dir``/``use_cache`` — how the compile service shares
-        one store across many engine runs.  Journaling follows the
-        store's filesystem ``root`` when it has one.
+        ``cache_dir``/``use_cache``.  Journaling follows the store's
+        filesystem ``root`` when it has one.
     options:
         A :class:`~repro.options.CompileOptions` bundle supplying
         ``seed``/``corners``/``verify``/``verify_vectors``/``vt``/
@@ -288,7 +303,7 @@ class BatchCompiler:
             else (new_run_id() if self._journal_root is not None else None)
         )
         #: Shared-memory segments published by this engine (SCL tensors
-        #: from :meth:`_prewarm`, net views from
+        #: from every pool spawn, net views from
         #: :meth:`publish_net_view`); every pool worker receives this
         #: list through its initializer and attaches zero-copy.
         self._shm_segments: List[str] = []
@@ -371,11 +386,7 @@ class BatchCompiler:
     def run_jobs(self, jobs: Sequence[Job]) -> BatchResult:
         """Dedup, consult journal + cache, execute the rest (with
         watchdog/retry when pooled), reassemble."""
-        from ..compiler.syndcim import (
-            CACHEABLE_STATUSES,
-            _failure_record,
-            execute_job,
-        )
+        from ..compiler.syndcim import CACHEABLE_STATUSES, execute_job
 
         started = time.monotonic()
         stats = BatchStats(total=len(jobs), run_id=self.run_id)
@@ -412,27 +423,20 @@ class BatchCompiler:
 
         done = stats.cache_hits + stats.resumed
 
-        #: Transient-failure bookkeeping, keyed by job key: attempts
-        #: consumed so far, and one history entry per failed attempt.
-        attempts: Dict[str, int] = {}
-        history: Dict[str, List[Dict[str, object]]] = {}
-
-        def finish(
-            key: str,
-            record: Record,
-            compiled: bool = True,
-            cacheable: Optional[Record] = None,
-        ) -> None:
-            """Account one terminal record.  ``cacheable`` is the pure
-            (bookkeeping-free) record to persist, when it differs from
-            ``record`` — cached entries must stay bit-identical to a
-            fault-free run's output."""
+        def finish(key: str, record: Record, executed: Optional[Record]) -> None:
+            """Account one terminal record.  ``executed`` is the record
+            an execution returned (``None`` when a retry budget ran out
+            first): it counts as compiled and is what the cache stores
+            — bit-identical to a fault-free run's output, without the
+            retry bookkeeping ``record`` may carry."""
             nonlocal done
-            if compiled:
+            if executed is not None:
                 stats.compiled += 1
-            store = record if cacheable is None else cacheable
-            if self.cache is not None and store.get("status") in CACHEABLE_STATUSES:
-                self.cache.put(key, store)
+                if (
+                    self.cache is not None
+                    and executed.get("status") in CACHEABLE_STATUSES
+                ):
+                    self.cache.put(key, executed)
             if journal is not None:
                 journal.done(key, record)
             record = dict(record, cached=False, job_key=key)
@@ -440,21 +444,6 @@ class BatchCompiler:
             done += 1
             if self.progress is not None:
                 self.progress(done, stats.unique, record)
-
-        def finish_executed(key: str, record: Record) -> None:
-            """A record that came back from an execution: annotate the
-            retry bookkeeping (if any) without contaminating the
-            cached copy."""
-            past = history.get(key)
-            if past:
-                annotated = dict(
-                    record,
-                    attempts=attempts.get(key, 0) + 1,
-                    retry_history=list(past),
-                )
-                finish(key, annotated, cacheable=record)
-            else:
-                finish(key, record)
 
         if self.progress is not None:
             for i, record in enumerate(resolved.values(), start=1):
@@ -464,29 +453,48 @@ class BatchCompiler:
             if journal is not None:
                 journal.begin(total=stats.total, unique=stats.unique)
                 journal.submit(pending.keys())
-            if pending:
-                use_pool = self.jobs > 1 and (
-                    len(pending) > 1 or self.job_timeout_s is not None
-                )
-                if use_pool:
-                    self._prewarm()
-                    self._prewarm_corners(pending.values())
-                    self._run_resilient(
-                        pending,
-                        finish,
-                        finish_executed,
-                        attempts,
-                        history,
-                        _failure_record,
+            use_pool = self.jobs > 1 and (
+                len(pending) > 1 or self.job_timeout_s is not None
+            )
+            if pending and use_pool:
+                self._prewarm_corners(pending.values())
+                queued = iter(pending.items())
+
+                def feed() -> Optional[Ticket]:
+                    # One ticket per dispatch: a 1,200-point sweep
+                    # holds only the jobs in flight or awaiting retry.
+                    item = next(queued, None)
+                    if item is None:
+                        return None
+                    return Ticket(
+                        *item,
+                        landed,
+                        timeout_s=self.job_timeout_s,
+                        retry=self.retry,
                     )
-                else:
-                    for key, job in pending.items():
-                        finish_executed(key, execute_job(job.payload()))
+
+                def landed(t: Ticket) -> None:
+                    stats.retried += t.attempts > 0
+                    finish(t.key, t.record, t.result)
+
+                executor = JobExecutor(
+                    min(self.jobs, len(pending)),
+                    feed=feed,
+                    shm_segments=self._shm_segments,
+                )
+                try:
+                    executor.drain()
+                finally:
+                    executor.close()
+                    stats.pool_spawns = executor.pool_spawns
+            else:
+                for key, job in pending.items():
+                    record = execute_job(job.payload())
+                    finish(key, record, record)
         finally:
             if journal is not None:
                 journal.close()
 
-        stats.retried = sum(1 for n in attempts.values() if n > 0)
         # Deep copies so duplicate input specs don't alias nested dicts,
         # and status tallies over the *returned* records (cache hits
         # included — finish() never sees them).
@@ -498,259 +506,13 @@ class BatchCompiler:
         stats.elapsed_s = time.monotonic() - started
         return BatchResult(records=records, stats=stats)
 
-    def _run_resilient(
-        self,
-        pending: Dict[str, Job],
-        finish: Callable[..., None],
-        finish_executed: Callable[[str, Record], None],
-        attempts: Dict[str, int],
-        history: Dict[str, List[Dict[str, object]]],
-        _failure_record: Callable[..., Record],
-    ) -> None:
-        """Pool passes until every pending job is terminal.
-
-        Each pass runs :meth:`_run_pool`; its casualties — watchdog
-        timeouts, single-future raises, pool-break victims — are
-        *transient* (see :mod:`repro.batch.resilience`) and re-enter
-        the next pass until :class:`RetryPolicy` says otherwise, at
-        which point they become terminal ``timeout``/``error`` records
-        carrying their full retry history.  Watchdog *collateral*
-        (jobs killed alongside an overdue one, or never started) re-runs
-        without being charged an attempt.
-        """
-        policy = self.retry
-        plan = active_plan()
-        remaining = dict(pending)
-        while remaining:
-            outcome = self._run_pool(
-                remaining, finish_executed, attempts, plan
-            )
-            if outcome.broken and plan is not None:
-                # The fault plan is deterministic on both sides of the
-                # pool: the parent knows exactly which in-flight job
-                # was scheduled to crash, so it alone is charged and
-                # its pool-mates re-run free.  Without a plan (a real
-                # OOM/segfault) the whole suspect set stays charged —
-                # the parent genuinely cannot tell.
-                culprits = {
-                    key: reason
-                    for key, reason in outcome.broken.items()
-                    if plan.planned(key, attempts.get(key, 0) + 1) == "crash"
-                }
-                if culprits:
-                    for key in outcome.broken:
-                        if key not in culprits:
-                            outcome.unfinished[key] = pending[key]
-                    outcome.broken = culprits
-            casualties: List[Tuple[str, str, str]] = []
-            for key, reason in outcome.timed_out.items():
-                casualties.append((key, "timeout", reason))
-            for key, reason in outcome.raised.items():
-                casualties.append((key, "error", f"worker died: {reason}"))
-            for key, reason in outcome.broken.items():
-                casualties.append((key, "error", f"worker died: {reason}"))
-            if outcome.fatal is not None and not outcome.broken:
-                # The pool broke before anything was in flight (e.g. a
-                # dying initializer): no identifiable suspects, so
-                # charge everything — the guard against retrying a
-                # pool that can never start, forever.
-                for key in outcome.unfinished:
-                    casualties.append(
-                        (key, "error", f"worker died: {outcome.fatal}")
-                    )
-            next_round: Dict[str, Job] = {}
-            delay = 0.0
-            for key, status, reason in casualties:
-                n = attempts.get(key, 0) + 1
-                attempts[key] = n
-                fault = None if plan is None else plan.planned(key, n)
-                entry: Dict[str, object] = {
-                    "attempt": n,
-                    "outcome": status,
-                    "reason": reason,
-                }
-                if fault is not None:
-                    entry["fault"] = fault
-                history.setdefault(key, []).append(entry)
-                if n < policy.max_attempts:
-                    next_round[key] = pending[key]
-                    delay = max(delay, policy.delay(n))
-                else:
-                    record = dict(
-                        _failure_record(pending[key].spec, status, reason),
-                        elapsed_s=0.0,
-                        attempts=n,
-                        retry_history=list(history[key]),
-                    )
-                    if fault is not None:
-                        record["fault"] = fault
-                    finish(key, record, compiled=False)
-            if outcome.fatal is None or outcome.broken:
-                # Uncharged survivors (never dispatched, or watchdog /
-                # pool-break collateral) re-run without spending their
-                # retry budget on somebody else's failure.
-                for key, job in outcome.unfinished.items():
-                    next_round.setdefault(key, job)
-            remaining = next_round
-            if remaining and delay > 0:
-                time.sleep(delay)
-
-    def _run_pool(
-        self,
-        jobs_map: Dict[str, Job],
-        finish_executed: Callable[[str, Record], None],
-        attempts: Dict[str, int],
-        plan: Optional[FaultPlan],
-    ) -> PoolOutcome:
-        """One process-pool pass over ``jobs_map``.
-
-        Jobs are dispatched in a sliding window (in-flight count never
-        exceeds the worker count), so a future's submit time is its
-        start time for watchdog purposes.  Three exits:
-
-        * clean — every job finished (or individually raised);
-        * watchdog — an overdue future was detected: the pool is
-          killed, the overdue jobs land in ``timed_out``, everything
-          else unfinished returns for an uncharged re-run;
-        * pool break — a worker died: ``fatal`` is set, the jobs in
-          flight at the break (the only possible culprits, at most one
-          per worker) land in ``broken``, and the never-dispatched
-          remainder returns for an uncharged re-run.
-
-        If the caller's ``finish`` raises (e.g. the CLI aborting on a
-        closed output pipe), unstarted futures are cancelled so the
-        grid does not keep compiling into the void.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        from ..compiler.syndcim import execute_job
-
-        outcome = PoolOutcome(unfinished=dict(jobs_map))
-        workers = min(self.jobs, len(jobs_map))
-        deadline_s = self.job_timeout_s
-        poll = (
-            None
-            if deadline_s is None
-            else max(0.02, min(0.25, deadline_s / 20))
-        )
-        queue = list(jobs_map.items())
-        next_i = 0
-        in_flight: Dict[object, Tuple[str, Optional[float]]] = {}
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_initializer,
-            initargs=(tuple(self._shm_segments),),
-        ) as pool:
-
-            def submit_window() -> None:
-                nonlocal next_i
-                while next_i < len(queue) and len(in_flight) < workers:
-                    key, job = queue[next_i]
-                    next_i += 1
-                    payload = job.payload()
-                    if plan is not None:
-                        # Ephemeral context (never part of the job
-                        # key): lets workers compute the same fault
-                        # draws as the parent.
-                        payload["fault_ctx"] = {
-                            "key": key,
-                            "attempt": attempts.get(key, 0) + 1,
-                        }
-                    try:
-                        future = pool.submit(execute_job, payload)
-                    except (BrokenProcessPool, RuntimeError) as exc:
-                        outcome.fatal = f"{type(exc).__name__}: {exc}"
-                        return
-                    in_flight[future] = (
-                        key,
-                        None
-                        if deadline_s is None
-                        else time.monotonic() + deadline_s,
-                    )
-
-            submit_window()
-            try:
-                while in_flight and outcome.fatal is None:
-                    ready, _ = wait(
-                        list(in_flight),
-                        timeout=poll,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in ready:
-                        key, _deadline = in_flight.pop(future)
-                        try:
-                            record = future.result()
-                        except BrokenProcessPool as exc:
-                            outcome.fatal = f"{type(exc).__name__}: {exc}"
-                            outcome.broken[key] = outcome.fatal
-                            outcome.unfinished.pop(key, None)
-                            break
-                        except Exception as exc:
-                            # A single-future failure with the pool
-                            # still alive (cancellation, an injected
-                            # raise): transient — the caller decides
-                            # whether to retry.
-                            outcome.raised[key] = (
-                                f"{type(exc).__name__}: {exc}"
-                            )
-                            outcome.unfinished.pop(key, None)
-                            continue
-                        finish_executed(key, record)
-                        outcome.unfinished.pop(key, None)
-                    if outcome.fatal is not None:
-                        break
-                    if deadline_s is not None:
-                        now = time.monotonic()
-                        overdue = [
-                            (future, key)
-                            for future, (key, deadline) in in_flight.items()
-                            if deadline is not None and now >= deadline
-                        ]
-                        if overdue:
-                            for future, key in overdue:
-                                outcome.timed_out[key] = (
-                                    "watchdog: exceeded job timeout "
-                                    f"{deadline_s:g}s"
-                                )
-                                outcome.unfinished.pop(key, None)
-                                in_flight.pop(future, None)
-                            # Running futures cannot be cancelled:
-                            # kill the pool, recycle on the next pass.
-                            self._kill_pool(pool)
-                            break
-                    submit_window()
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            if outcome.fatal is not None:
-                # Everything still in flight shared the broken pool:
-                # they are the suspect set the retry loop charges.
-                for future, (key, _deadline) in in_flight.items():
-                    outcome.broken.setdefault(key, outcome.fatal)
-                    outcome.unfinished.pop(key, None)
-                pool.shutdown(wait=False, cancel_futures=True)
-        return outcome
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Terminate every worker, then tear the executor down without
-        waiting on futures that will never complete.  Reaches into the
-        executor's process table — there is no public kill switch, and
-        a missing table (API drift) degrades to a plain shutdown."""
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except Exception:
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-
     def map(self, fn: Callable, items: Iterable) -> List[object]:
         """Order-preserving parallel map over picklable ``fn``/``items``
         using this engine's worker budget; serial when ``jobs=1``."""
         items = list(items)
         if self.jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
-        self._prewarm()
+        _publish_scl(self._shm_segments)
         workers = min(self.jobs, len(items))
         with ProcessPoolExecutor(
             max_workers=workers,
@@ -758,31 +520,6 @@ class BatchCompiler:
             initargs=(tuple(self._shm_segments),),
         ) as pool:
             return list(pool.map(fn, items))
-
-    def _prewarm(self) -> None:
-        """Resolve the subcircuit library once in the parent before any
-        worker spawns, then publish its tensors over shared memory.
-        Fork-started children inherit the live object; spawn/forkserver
-        children attach the published segment zero-copy through
-        :func:`_worker_initializer` (falling back to the persistent
-        disk artifact, then to a characterization) — either way no
-        worker re-runs the characterization.  The one combination where
-        a parent build helps nobody — disk cache disabled *and*
-        children that cannot inherit memory — still builds when shared
-        memory can carry the result across.
-
-        Publishing is best-effort: a shm-less platform degrades to the
-        pre-shm behaviour.  The published segment names accumulate in
-        ``_shm_segments`` and ride to every worker via the pool
-        initializer (alongside any net views published with
-        :meth:`publish_net_view`)."""
-        from ..scl.library import default_scl
-        from ..shm.scl import publish_default_scl
-
-        default_scl()
-        name = publish_default_scl()
-        if name is not None and name not in self._shm_segments:
-            self._shm_segments.append(name)
 
     def publish_net_view(self, module, library=None) -> Optional[str]:
         """Publish one compiled netlist view's integer tables so pool
@@ -839,6 +576,421 @@ class BatchCompiler:
 _PREWARM_WARNED = False
 
 
+@dataclass(eq=False)
+class Ticket:
+    """One job's passage through a :class:`JobExecutor`.
+
+    The caller fills in the job and its execution policy; the executor
+    keeps the retry bookkeeping and, once the job is terminal, sets
+    ``record`` and calls ``done(ticket)`` on its dispatching thread.
+    ``result`` is the record an execution returned — ``None`` when the
+    retry budget ran out first — without the ``attempts`` /
+    ``retry_history`` annotation ``record`` carries.
+    """
+
+    key: str
+    job: Job
+    done: Callable[["Ticket"], None]
+    timeout_s: Optional[float] = None
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    #: Transient failures charged so far, one ``history`` entry each.
+    attempts: int = 0
+    history: List[Dict[str, object]] = field(default_factory=list)
+    record: Optional[Record] = None
+    result: Optional[Record] = None
+    #: Watchdog deadline of the current dispatch (monotonic seconds).
+    deadline: Optional[float] = None
+
+
+class JobExecutor:
+    """Sliding-window dispatch, watchdog and retry loop over one
+    persistent process pool.
+
+    The pool is spawned on the first dispatch (after the parent has
+    resolved the subcircuit library, once per spawn) and kept until it
+    breaks or the watchdog kills it; the next dispatch then spawns a
+    fresh one.  At most ``workers`` jobs are in flight, so a job's
+    dispatch time is its start time — the moment its ticket's
+    ``timeout_s`` deadline is measured from.
+
+    Casualties follow :mod:`repro.batch.resilience`: an overdue job, a
+    future that raised with the pool alive, or a job in flight when the
+    pool broke is charged one attempt of its ticket's
+    :class:`RetryPolicy` and re-queued (after the policy's backoff)
+    until the budget runs out, when it lands as a terminal
+    ``timeout``/``error`` record carrying its ``retry_history``.  Jobs
+    killed alongside an overdue one — whoever submitted them — re-run
+    without being charged.
+
+    Work arrives through ``feed``, called whenever a worker is free
+    (and no retry is due) for the next ticket, or ``None``.  Two ways
+    to drive it:
+
+    * :meth:`drain` dispatches on the calling thread until ``feed`` is
+      exhausted and every ticket is terminal (the batch engine);
+    * :meth:`start` dispatches on a background thread until
+      :meth:`close`; a producer calls :meth:`wake` after queueing work
+      for ``feed`` (the compile service).
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        feed: Callable[[], Optional[Ticket]],
+        shm_segments: Optional[List[str]] = None,
+    ) -> None:
+        self.workers = max(1, workers)
+        self._feed = feed
+        #: Shared-memory segments every worker attaches at start (the
+        #: batch engine passes its own list, net views included).
+        self._segments = shm_segments if shm_segments is not None else []
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._in_flight: Dict[Future, Ticket] = {}
+        self._ready: Deque[Ticket] = deque()
+        #: Tickets in retry backoff: (not before, sequence, ticket).
+        self._delayed: List[Tuple[float, int, Ticket]] = []
+        self._seq = itertools.count()
+        #: Completed by :meth:`wake` to end a dispatch wait early; the
+        #: dispatching thread swaps in a fresh one after each wait.
+        self._wakeup: Future = Future()
+        self._wake_lock = threading.Lock()
+        self._thread: Optional[threading.Thread] = None
+        self._close_by: Optional[float] = None
+        #: Pools spawned so far (a deterministic work counter).
+        self.pool_spawns = 0
+
+    # -- driving ------------------------------------------------------------
+
+    def drain(self) -> None:
+        """Dispatch on this thread until ``feed`` is exhausted and
+        every ticket is terminal."""
+        self._loop(lambda idle: idle)
+
+    def start(self) -> None:
+        """Dispatch on a background thread until :meth:`close`."""
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._serve, name="repro-dispatch", daemon=True
+            )
+            self._thread.start()
+
+    def wake(self) -> None:
+        """End the dispatch wait now (thread-safe): ``feed`` may have
+        work, or :meth:`close` was called."""
+        with self._wake_lock:
+            if not self._wakeup.done():
+                self._wakeup.set_result(None)
+
+    def close(self, timeout: float = 0.0) -> None:
+        """Stop taking work from ``feed``, give what is in flight or
+        awaiting retry up to ``timeout`` seconds to land (background
+        mode), then shut the pool down — killing whatever still runs —
+        and reap its workers."""
+        thread, self._thread = self._thread, None
+        if thread is None:
+            self._retire(kill=bool(self._in_flight))
+            return
+        self._close_by = time.monotonic() + timeout
+        self.wake()
+        thread.join()
+
+    def stats(self) -> Dict[str, int]:
+        return {
+            "workers": self.workers,
+            "in_flight": len(self._in_flight),
+            "pool_spawns": self.pool_spawns,
+        }
+
+    def _serve(self) -> None:
+        def closed(idle: bool) -> bool:
+            close_by = self._close_by
+            return close_by is not None and (
+                idle or time.monotonic() >= close_by
+            )
+
+        try:
+            self._loop(closed)
+        finally:
+            self._retire(kill=bool(self._in_flight))
+
+    def _loop(self, stop: Callable[[bool], bool]) -> None:
+        self._launch()
+        while not stop(self._idle()):
+            ready, _ = wait(
+                [*self._in_flight, self._wakeup],
+                timeout=self._next_timer(),
+                return_when=FIRST_COMPLETED,
+            )
+            with self._wake_lock:
+                if self._wakeup.done():
+                    self._wakeup = Future()
+            landed = self._collect(ready)
+            # Refill the window before the callbacks run, so no worker
+            # waits on the parent's cache writes, journal or progress.
+            self._launch()
+            for ticket, record in landed:
+                self._land(ticket, record)
+
+    def _idle(self) -> bool:
+        return not (self._in_flight or self._ready or self._delayed)
+
+    def _next_timer(self) -> Optional[float]:
+        """Seconds until the loop must look again although nothing
+        completed: the earliest watchdog check, backoff expiry or
+        close deadline (``None``: wait for a completion or a wake).
+
+        The watchdog looks 5 % of a job's timeout (20-250 ms) past its
+        deadline, so jobs dispatched together and overdue together are
+        settled by one pool kill, not killed as each other's
+        collateral a millisecond before their own deadlines."""
+        times = [
+            t.deadline + max(0.02, min(0.25, t.timeout_s / 20))
+            for t in self._in_flight.values()
+            if t.deadline is not None and t.timeout_s is not None
+        ]
+        if self._delayed:
+            times.append(self._delayed[0][0])
+        if self._close_by is not None:
+            times.append(self._close_by)
+        if not times:
+            return None
+        # A hair past the earliest, so it has passed when checked.
+        return max(0.0, min(times) - time.monotonic()) + 1e-3
+
+    # -- dispatch -----------------------------------------------------------
+
+    def _launch(self) -> None:
+        """Fill the window: tickets due for (re-)dispatch first, then
+        the feed."""
+        now = time.monotonic()
+        while self._delayed and self._delayed[0][0] <= now:
+            self._ready.append(heapq.heappop(self._delayed)[2])
+        while len(self._in_flight) < self.workers:
+            if self._ready:
+                ticket = self._ready.popleft()
+            elif self._close_by is None:
+                ticket = self._feed()
+                if ticket is None:
+                    return
+            else:
+                return
+            self._dispatch(ticket)
+
+    def _dispatch(self, ticket: Ticket) -> None:
+        # Imported per dispatch, not at start: a service must not pay
+        # for the compiler's import before its first miss.
+        from ..compiler.syndcim import execute_job
+
+        payload = ticket.job.payload()
+        if active_plan() is not None:
+            # Ephemeral context (never part of the job key): lets
+            # workers compute the same fault draws as the parent.
+            payload["fault_ctx"] = {
+                "key": ticket.key,
+                "attempt": ticket.attempts + 1,
+            }
+        try:
+            if self._pool is None:
+                self._spawn()
+            future = self._pool.submit(execute_job, payload)
+        except (RuntimeError, OSError) as exc:
+            # BrokenProcessPool is a RuntimeError: the pool broke under
+            # us, or a new one could not start (fork failed).
+            self._break(f"{type(exc).__name__}: {exc}", launching=ticket)
+            return
+        ticket.deadline = (
+            None
+            if ticket.timeout_s is None
+            else time.monotonic() + ticket.timeout_s
+        )
+        self._in_flight[future] = ticket
+
+    def _spawn(self) -> None:
+        _publish_scl(self._segments)
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_worker_initializer,
+            initargs=(tuple(self._segments),),
+        )
+        self.pool_spawns += 1
+
+    def _retire(self, kill: bool = False) -> None:
+        """Shut the current pool down and reap its workers; ``kill``
+        terminates them first, for work that must not finish.  Reaches
+        into the executor's process table — there is no public kill
+        switch, and a missing table (API drift) degrades to a plain
+        shutdown."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if kill:
+            for proc in list((getattr(pool, "_processes", None) or {}).values()):
+                try:
+                    proc.terminate()
+                except (OSError, ValueError):
+                    pass
+        pool.shutdown(wait=True, cancel_futures=True)
+
+    # -- verdicts -----------------------------------------------------------
+
+    def _collect(self, ready) -> List[Tuple[Ticket, Record]]:
+        """Settle completed futures; returns the records that came
+        back.  A future that raised with the pool alive is charged
+        here; a pool break and overdue jobs are settled across
+        everything in flight."""
+        landed: List[Tuple[Ticket, Record]] = []
+        broken: Optional[str] = None
+        for future in ready:
+            ticket = self._in_flight.get(future)
+            if ticket is None:
+                continue  # the wakeup
+            try:
+                record = future.result()
+            except BrokenProcessPool as exc:
+                broken = f"{type(exc).__name__}: {exc}"
+                continue  # still in flight: a suspect of the break
+            except Exception as exc:
+                # A single-future failure with the pool still alive
+                # (cancellation, an injected raise): transient.
+                del self._in_flight[future]
+                self._charge(
+                    ticket, "error",
+                    f"worker died: {type(exc).__name__}: {exc}",
+                )
+                continue
+            del self._in_flight[future]
+            landed.append((ticket, record))
+        if broken is not None:
+            self._break(broken)
+        self._watchdog()
+        return landed
+
+    def _break(self, reason: str, launching: Optional[Ticket] = None) -> None:
+        """The pool broke: retire it and settle the jobs in flight —
+        the only possible culprits, at most one per worker."""
+        suspects = list(self._in_flight.values())
+        self._in_flight.clear()
+        self._retire(kill=True)
+        if launching is not None:
+            if suspects:
+                self._ready.appendleft(launching)  # never started
+            else:
+                # Nothing in flight (the pool could not start): charge
+                # the job being launched — the guard against retrying
+                # a pool that can never start, forever.
+                suspects = [launching]
+        culprits = suspects
+        plan = active_plan()
+        if plan is not None:
+            # The fault plan is deterministic on both sides of the
+            # pool: the parent knows exactly which in-flight job was
+            # scheduled to crash, so it alone is charged and its
+            # pool-mates re-run free.  Without a plan (a real OOM or
+            # segfault) the whole suspect set stays charged — the
+            # parent genuinely cannot tell.
+            culprits = [
+                t for t in suspects
+                if plan.planned(t.key, t.attempts + 1) == "crash"
+            ] or suspects
+        for ticket in suspects:
+            if ticket in culprits:
+                self._charge(ticket, "error", f"worker died: {reason}")
+            else:
+                self._ready.appendleft(ticket)
+
+    def _watchdog(self) -> None:
+        """Running futures cannot be cancelled: when a job is overdue,
+        kill the pool (the next dispatch spawns a fresh one), charge
+        the overdue jobs and re-run the rest uncharged."""
+        now = time.monotonic()
+        overdue = [
+            t for t in self._in_flight.values()
+            if t.deadline is not None and now >= t.deadline
+        ]
+        if not overdue:
+            return
+        collateral = [t for t in self._in_flight.values() if t not in overdue]
+        self._in_flight.clear()
+        self._retire(kill=True)
+        self._ready.extendleft(collateral)
+        for ticket in overdue:
+            self._charge(
+                ticket, "timeout",
+                f"watchdog: exceeded job timeout {ticket.timeout_s:g}s",
+            )
+
+    def _charge(self, ticket: Ticket, status: str, reason: str) -> None:
+        """Spend one attempt of the ticket's budget on a transient
+        failure: re-queue it after the policy's backoff or, with the
+        budget spent, land a terminal ``status`` record."""
+        ticket.attempts += 1
+        n = ticket.attempts
+        plan = active_plan()
+        fault = None if plan is None else plan.planned(ticket.key, n)
+        entry: Dict[str, object] = {
+            "attempt": n,
+            "outcome": status,
+            "reason": reason,
+        }
+        if fault is not None:
+            entry["fault"] = fault
+        ticket.history.append(entry)
+        if n < ticket.retry.max_attempts:
+            delay = ticket.retry.delay(n)
+            if delay > 0:
+                heapq.heappush(
+                    self._delayed,
+                    (time.monotonic() + delay, next(self._seq), ticket),
+                )
+            else:
+                self._ready.append(ticket)
+            return
+        from ..compiler.syndcim import _failure_record
+
+        ticket.record = dict(
+            _failure_record(ticket.job.spec, status, reason),
+            elapsed_s=0.0,
+            attempts=n,
+            retry_history=list(ticket.history),
+        )
+        if fault is not None:
+            ticket.record["fault"] = fault
+        ticket.done(ticket)
+
+    def _land(self, ticket: Ticket, record: Record) -> None:
+        """A record came back from an execution: annotate the retry
+        bookkeeping (if any) on ``record``, never on ``result``."""
+        ticket.result = record
+        ticket.record = (
+            dict(
+                record,
+                attempts=ticket.attempts + 1,
+                retry_history=list(ticket.history),
+            )
+            if ticket.history
+            else record
+        )
+        ticket.done(ticket)
+
+
+def _publish_scl(segments: List[str]) -> None:
+    """Resolve the subcircuit library once in the parent before a pool
+    spawns, then publish its tensors over shared memory and add the
+    segment to ``segments``.  Fork-started children inherit the live
+    object; spawn/forkserver children attach the published segment
+    zero-copy through :func:`_worker_initializer` (falling back to the
+    persistent disk artifact, then to a characterization) — either way
+    no worker re-runs the characterization.  Publishing is best-effort:
+    a shm-less platform degrades to the pre-shm behaviour."""
+    from ..scl.library import default_scl
+    from ..shm.scl import publish_default_scl
+
+    default_scl()
+    name = publish_default_scl()
+    if name is not None and name not in segments:
+        segments.append(name)
+
+
 def _worker_initializer(shm_segments: Sequence[str] = ()) -> None:
     """Pool-worker startup hook: attach the parent's published
     shared-memory tensors, then make sure an SCL is resolved before the
@@ -853,7 +1005,13 @@ def _worker_initializer(shm_segments: Sequence[str] = ()) -> None:
     on demand.  A worker that cannot preload still works, but says so
     once (this hook runs once per process), because a misconfigured
     cache dir showing up as a uniform slowdown is the kind of mystery
-    that eats an afternoon."""
+    that eats an afternoon.
+
+    A forked worker also inherits its parent's Python-level SIGTERM
+    handler (``repro serve`` installs one to shut down cleanly); the
+    default action is restored so the watchdog's terminate still kills
+    a hung worker."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         from ..shm.netview import install_attachments
 

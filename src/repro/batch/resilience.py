@@ -53,7 +53,7 @@ import pathlib
 import random
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, TextIO
 
 from ..errors import BatchError
@@ -96,28 +96,6 @@ class RetryPolicy:
         if base and self.jitter:
             base *= 1.0 + random.random() * self.jitter
         return base
-
-
-@dataclass
-class PoolOutcome:
-    """What one process-pool pass left behind.
-
-    ``unfinished`` jobs never produced a verdict (never dispatched, or
-    watchdog collateral) and re-run without being charged an attempt;
-    ``timed_out``, ``raised`` and ``broken`` map job keys to reason
-    strings for jobs charged a transient failure — watchdog-overdue,
-    raised with the pool alive, and in flight when the pool broke
-    (the sliding-window dispatch keeps the suspect set at most one
-    per worker, so a crash cannot burn the whole queue's retry
-    budget); ``fatal`` carries the pool-break reason when the pass
-    ended early.
-    """
-
-    unfinished: Dict[str, object] = field(default_factory=dict)
-    timed_out: Dict[str, str] = field(default_factory=dict)
-    raised: Dict[str, str] = field(default_factory=dict)
-    broken: Dict[str, str] = field(default_factory=dict)
-    fatal: Optional[str] = None
 
 
 def new_run_id() -> str:

@@ -35,7 +35,7 @@ Examples::
     python -m repro sweep --height 32:128:x2 --frequency 400 800 -j 4
     python -m repro sweep ... --job-timeout 300 --retries 2
     python -m repro sweep ... --resume 20260807-101500-ab12cd
-    python -m repro serve --port 8841 -j 2 --workers 4
+    python -m repro serve --port 8841 --workers 2
     python -m repro sweep --height 32 64 --server http://127.0.0.1:8841
     python -m repro journal --prune --keep 8
 
@@ -215,10 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the compile service (job queue + HTTP/JSON API)",
         description=(
             "Start a long-running compile service: a deduplicating "
-            "priority job queue over the batch engine, exposed as an "
-            "HTTP/JSON API (POST /v1/jobs, POST /v1/sweeps, "
-            "GET /v1/results/<hash>, ...).  Clients share one result "
-            "store, so no content hash is ever compiled twice.  "
+            "priority job queue over one persistent pool of compile "
+            "worker processes, exposed as an HTTP/JSON API "
+            "(POST /v1/jobs, POST /v1/sweeps, GET /v1/results/<hash>, "
+            "...).  Every job compiles in a worker process under its "
+            "own watchdog and retry budget; the pool starts with the "
+            "first job that misses the store.  Clients share one "
+            "result store, so no content hash is ever compiled twice.  "
             "See docs/service.md."
         ),
     )
@@ -229,12 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=None,
-        help="concurrent queue workers (default: min(4, CPU count))",
+        help="compile worker processes in the one pool, i.e. jobs "
+        "compiling at once (default: min(4, CPU count))",
     )
     p_serve.add_argument(
-        "-j", "--jobs", type=int, default=2,
-        help="engine processes per running job (default 2 — pool "
-        "mode, so the watchdog and fault isolation apply)",
+        "-j", "--jobs", type=int, default=None,
+        help="alias of --workers",
     )
     p_serve.add_argument(
         "--cache-dir",
@@ -540,9 +543,16 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
+    import signal
+
     from .service.queue import JobQueue
     from .service.server import create_server
 
+    if None not in (args.workers, args.jobs) and args.workers != args.jobs:
+        print(f"error: --workers {args.workers} and its alias -j "
+              f"{args.jobs} disagree", file=sys.stderr)
+        return 2
+    workers = args.workers if args.workers is not None else args.jobs
     options = CompileOptions(
         job_timeout_s=args.job_timeout,
         retries=max(0, args.retries),
@@ -551,8 +561,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         options=options,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        workers=args.workers,
-        engine_jobs=args.jobs,
+        workers=workers,
         journal_keep=max(0, args.journal_keep),
     )
     try:
@@ -569,6 +578,14 @@ def _run_serve(args: argparse.Namespace) -> int:
     store_text = str(store_root) if store_root else "in-memory"
     print(f"run {queue.run_id} ({queue.workers} workers, "
           f"store: {store_text})", flush=True)
+
+    def _stop(signum, frame):
+        raise KeyboardInterrupt
+
+    # SIGTERM (a service manager's stop) takes the same clean path as
+    # Ctrl-C: the pool is shut down, its workers reaped and the shared
+    # memory unlinked at exit, none of which the default action does.
+    signal.signal(signal.SIGTERM, _stop)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

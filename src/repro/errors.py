@@ -50,3 +50,11 @@ class ServiceError(SynDCIMError):
     rejected or could not reach the server, a poll timed out, or the
     queue refused an operation.  Job *failures* are data (terminal
     ``error``/``timeout`` statuses), never exceptions."""
+
+
+class UnknownJobError(ServiceError):
+    """The queue holds no job under the requested id (HTTP 404)."""
+
+
+class ShuttingDownError(ServiceError):
+    """The queue is closing and accepts no new work (HTTP 503)."""

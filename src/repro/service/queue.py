@@ -1,15 +1,16 @@
-"""The service's scheduler: a thread-based priority job queue over the
-batch engine.
+"""The service's scheduler: a priority job queue over one persistent
+worker pool.
 
 One :class:`JobQueue` owns one :class:`~repro.batch.cache.ResultStore`
-and a pool of worker threads.  Each accepted job is executed through a
-single-job :class:`~repro.batch.engine.BatchCompiler` run sharing that
-store, so every resilience feature the batch engine grew — watchdog
-timeouts, transient-failure retries, deterministic fault injection —
-applies per service job unchanged.  With ``options.job_timeout_s`` set
-(and ``engine_jobs > 1``, the default) jobs run in a worker *process*
-under the watchdog, so a crashing compilation surfaces as a terminal
-``error``/``timeout`` record instead of taking the service down.
+and one :class:`~repro.batch.engine.JobExecutor` — the batch engine's
+dispatch loop, kept for the service's lifetime.  Whenever a pool worker
+is free the executor takes the most urgent queued job, so every service
+job compiles in a worker *process* under its own ``job_timeout_s``
+watchdog and retry budget, with the engine's deterministic fault
+injection: a crashing compilation surfaces as a terminal
+``error``/``timeout`` record instead of taking the service down.  The
+server process itself only parses requests, deduplicates, and writes
+the store and the journal.
 
 Deduplication
 -------------
@@ -35,6 +36,7 @@ long-lived service does not accumulate one JSONL per historical run.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import os
@@ -45,11 +47,16 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
-from ..errors import ServiceError, SpecificationError
+from ..errors import (
+    ServiceError,
+    ShuttingDownError,
+    SpecificationError,
+    UnknownJobError,
+)
 from ..options import PPA_PRESETS, CompileOptions
 from ..spec import MacroSpec
 from ..batch.cache import MemoryResultStore, ResultCache, ResultStore
-from ..batch.engine import BatchCompiler
+from ..batch.engine import JobExecutor, Ticket
 from ..batch.jobs import CompileJob
 from ..batch.resilience import SweepJournal, new_run_id, prune_journals
 
@@ -156,12 +163,9 @@ class JobQueue:
         :class:`MemoryResultStore` (dedup and fetches still work, but
         nothing survives restarts).
     workers:
-        Scheduler threads (= jobs compiling concurrently).  Default
-        ``min(4, cpu)``.
-    engine_jobs:
-        Worker-process budget of each per-job engine run.  Values > 1
-        enable the pooled (process-isolated, watchdog-capable) path
-        whenever the job carries a ``job_timeout_s``.
+        Processes in the one compile pool (= jobs compiling
+        concurrently).  Default ``min(4, cpu)``.  The pool is spawned
+        on the first job that misses the store, not at construction.
     journal / journal_keep:
         The service journals terminal records under its run id
         (``journal=False`` disables); completed sweeps prune the
@@ -175,7 +179,6 @@ class JobQueue:
         cache_dir: Optional[os.PathLike] = None,
         use_cache: bool = True,
         workers: Optional[int] = None,
-        engine_jobs: int = 2,
         journal: bool = True,
         journal_keep: int = 32,
         start: bool = True,
@@ -190,7 +193,6 @@ class JobQueue:
         self.workers = max(
             1, workers if workers is not None else min(4, os.cpu_count() or 1)
         )
-        self.engine_jobs = max(1, engine_jobs)
         self.journal_keep = max(0, journal_keep)
         self.run_id = new_run_id()
         #: Wall-clock start (display only; see :meth:`stats`).
@@ -207,14 +209,13 @@ class JobQueue:
             else None
         )
         self._lock = threading.RLock()
-        self._wakeup = threading.Condition(self._lock)
         self._heap: List[tuple] = []
         self._tick = itertools.count()
         self._jobs: Dict[str, _JobEntry] = {}
         self._by_key: Dict[str, _JobEntry] = {}
         self._sweeps: Dict[str, _SweepEntry] = {}
-        self._threads: List[threading.Thread] = []
         self._stopping = False
+        self._executor = JobExecutor(self.workers, feed=self._next_ticket)
         #: Service-lifetime work accounting (see :meth:`stats`).
         self._counters = {
             "submitted": 0,
@@ -230,30 +231,23 @@ class JobQueue:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
+        """Start dispatching queued jobs to the pool."""
         with self._lock:
-            if self._threads or self._stopping:
+            if self._stopping:
                 return
-            for i in range(self.workers):
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"repro-service-worker-{i}",
-                    daemon=True,
-                )
-                thread.start()
-                self._threads.append(thread)
+        self._executor.start()
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop accepting work, cancel everything still queued, wait
-        for running jobs to land, close the journal."""
+        """Stop accepting work, cancel everything still queued, give
+        running jobs up to ``timeout`` seconds to land, then shut the
+        pool down (killing what still runs), reap its workers and close
+        the journal."""
         with self._lock:
             self._stopping = True
             for entry in self._jobs.values():
                 if entry.status == QUEUED:
                     self._finish(entry, CANCELLED, record=None)
-            self._wakeup.notify_all()
-        deadline = time.monotonic() + timeout
-        for thread in self._threads:
-            thread.join(max(0.0, deadline - time.monotonic()))
+        self._executor.close(timeout)
         if self._journal is not None:
             self._journal.close()
 
@@ -279,7 +273,7 @@ class JobQueue:
         key = job.key()
         with self._lock:
             if self._stopping:
-                raise ServiceError("service is shutting down")
+                raise ShuttingDownError("service is shutting down")
             self._counters["submitted"] += 1
             existing = self._by_key.get(key)
             if existing is not None and existing.status in (QUEUED, RUNNING):
@@ -328,7 +322,7 @@ class JobQueue:
             )
             if self._journal is not None:
                 self._journal.submit([key])
-            self._wakeup.notify()
+            self._executor.wake()
             return entry.snapshot()
 
     def submit_sweep(
@@ -409,11 +403,12 @@ class JobQueue:
         self, job_id: str, timeout: Optional[float] = None
     ) -> Dict[str, object]:
         """Block until the job is terminal; raises
-        :class:`~repro.errors.ServiceError` on timeout/unknown id."""
+        :class:`~repro.errors.ServiceError` on timeout
+        (:class:`~repro.errors.UnknownJobError` on an unknown id)."""
         with self._lock:
             entry = self._jobs.get(job_id)
         if entry is None:
-            raise ServiceError(f"unknown job id {job_id!r}")
+            raise UnknownJobError(f"unknown job id {job_id!r}")
         if not entry.done.wait(timeout):
             raise ServiceError(
                 f"job {job_id} not terminal after {timeout:g}s"
@@ -431,8 +426,9 @@ class JobQueue:
             return None if sweep is None else self._sweep_snapshot(sweep)
 
     def stats(self) -> Dict[str, object]:
-        """Queue depths, lifetime work counters and store occupancy —
-        the body of ``GET /v1/stats``."""
+        """Queue depths, lifetime work counters, the pool's
+        ``executor`` counters and store occupancy — the body of
+        ``GET /v1/stats``."""
         with self._lock:
             by_status: Dict[str, int] = {}
             for entry in self._jobs.values():
@@ -451,6 +447,7 @@ class JobQueue:
             "jobs": by_status,
             "sweeps": sweeps,
             **counters,
+            "executor": self._executor.stats(),
             "store": self.store.occupancy(),
         }
 
@@ -464,7 +461,7 @@ class JobQueue:
         with self._lock:
             entry = self._jobs.get(job_id)
             if entry is None:
-                raise ServiceError(f"unknown job id {job_id!r}")
+                raise UnknownJobError(f"unknown job id {job_id!r}")
             if entry.status != QUEUED:
                 return {"cancelled": False, **entry.snapshot()}
             self._finish(entry, CANCELLED, record=None)
@@ -472,24 +469,6 @@ class JobQueue:
             return {"cancelled": True, **entry.snapshot()}
 
     # -- execution ----------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            with self._lock:
-                entry = self._pop_locked()
-                if entry is None:
-                    if self._stopping:
-                        return
-                    self._wakeup.wait(timeout=0.5)
-                    continue
-                entry.status = RUNNING
-                entry.mark_started()
-            record = self._execute(entry)
-            with self._lock:
-                if entry.status == RUNNING:
-                    self._finish(
-                        entry, str(record.get("status", "error")), record
-                    )
 
     def _pop_locked(self) -> Optional[_JobEntry]:
         while self._heap:
@@ -501,35 +480,37 @@ class JobQueue:
                 return entry
         return None
 
-    def _execute(self, entry: _JobEntry) -> Dict[str, object]:
-        """One job through a fresh single-run engine sharing the
-        service store.  The engine never raises for job failures (they
-        are records); anything else is a service bug mapped onto an
-        ``error`` record so the worker thread survives."""
-        try:
-            engine = BatchCompiler(
-                jobs=self.engine_jobs,
-                store=self.store,
-                options=entry.options,
-                journal=False,
-            )
-            result = engine.run_jobs([entry.job])
-            with self._lock:
-                self._counters["compiled"] += result.stats.compiled
-                self._counters["retried"] += result.stats.retried
-            return result.records[0]
-        except Exception as exc:  # pragma: no cover - defensive
-            from ..compiler.syndcim import _failure_record
+    def _next_ticket(self) -> Optional[Ticket]:
+        """The executor's feed, called when a pool worker is free: the
+        most urgent queued job starts now."""
+        with self._lock:
+            entry = self._pop_locked()
+            if entry is None:
+                return None
+            entry.status = RUNNING
+            entry.mark_started()
+        return Ticket(
+            entry.key,
+            entry.job,
+            functools.partial(self._landed, entry),
+            timeout_s=entry.options.job_timeout_s,
+            retry=entry.options.retry_policy(),
+        )
 
-            return dict(
-                _failure_record(
-                    entry.job.spec,
-                    "error",
-                    f"service execution failed: "
-                    f"{type(exc).__name__}: {exc}",
-                ),
-                elapsed_s=0.0,
-            )
+    def _landed(self, entry: _JobEntry, ticket: Ticket) -> None:
+        """The executor's verdict on ``entry``: store what is
+        cacheable, count the work, land the terminal record."""
+        from ..compiler.syndcim import CACHEABLE_STATUSES
+
+        executed = ticket.result
+        if executed is not None and executed.get("status") in CACHEABLE_STATUSES:
+            self.store.put(entry.key, executed)
+        record = dict(ticket.record, cached=False, job_key=entry.key)
+        with self._lock:
+            self._counters["compiled"] += executed is not None
+            self._counters["retried"] += ticket.attempts > 0
+            if entry.status == RUNNING:
+                self._finish(entry, str(record.get("status", "error")), record)
 
     def _finish(
         self,

@@ -19,9 +19,10 @@ GET       ``/v1/health``          liveness + version
 
 Built on ``http.server.ThreadingHTTPServer`` — no third-party
 dependencies — with one daemon thread per connection; the queue does
-the locking.  Malformed JSON and unknown options are 400s, unknown ids
-404s, a cancel that lost its race 409, shutdown 503.  The server binds
-loopback by default: it is a compile service, not an internet face.
+the locking.  Malformed JSON, a malformed ``Content-Length`` and
+unknown options are 400s, unknown ids 404s, a cancel that lost its
+race 409, shutdown 503.  The server binds loopback by default: it is a
+compile service, not an internet face.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from .. import __version__
-from ..errors import ServiceError, SynDCIMError
+from ..errors import ServiceError, SynDCIMError, UnknownJobError
 from ..options import CompileOptions
 from ..spec import MacroSpec, parse_format
 from .queue import QUEUED, JobQueue
@@ -124,7 +125,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, {"error": message})
 
     def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        # Digits only: int() would also take "-1" (and rfile.read(-1)
+        # blocks until the client hangs up), "+1" and "1_0".
+        if not (header.isascii() and header.isdigit()):
+            raise _BadRequest(
+                f"Content-Length {header!r} is not a non-negative integer"
+            )
+        length = int(header)
         if length > MAX_BODY_BYTES:
             raise _BadRequest(
                 f"request body of {length} bytes exceeds the "
@@ -151,11 +159,12 @@ class _Handler(BaseHTTPRequestHandler):
             handler()
         except _BadRequest as exc:
             self._error(400, str(exc))
+        except UnknownJobError as exc:
+            self._error(404, str(exc))
         except ServiceError as exc:
-            # Queue refusals: shutdown → 503, unknown ids → 404.
-            message = str(exc)
-            status = 404 if "unknown job id" in message else 503
-            self._error(status, message)
+            # Every other queue refusal (ShuttingDownError) is the
+            # service's state, not the request's fault.
+            self._error(503, str(exc))
         except SynDCIMError as exc:
             # Library validation (bad spec, bad options, bad corners):
             # the client's fault, with the library's message.

@@ -275,6 +275,27 @@ class TestResultCache:
         assert cache.get("ab" * 32) == {"v": 2}
         assert cache.entry_count() == 2
 
+    @pytest.mark.parametrize("implement", [False, True])
+    def test_stored_bytes_match_the_streaming_encoder(self, tmp_path, implement):
+        """``put`` encodes with one ``json.dumps`` call (the C encoder);
+        the file must be byte-identical to what the streaming
+        ``json.dump`` (pure-Python encoder) wrote for the same entry,
+        for a search-only and an implemented record alike."""
+        import io
+
+        from repro.compiler.syndcim import execute_job
+
+        job = CompileJob(spec=_small_spec(), implement=implement)
+        record = execute_job(job.payload())
+        assert record["status"] == "ok"
+        assert (record["implementation"] is not None) == implement
+        cache = ResultCache(tmp_path)
+        cache.put(job.key(), record)
+        written = cache._path(job.key()).read_text(encoding="utf-8")
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed)
+        assert written == streamed.getvalue()
+
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "cd" * 32
@@ -345,6 +366,7 @@ class TestBatchEngine:
         batch = engine.compile_specs(specs, implement=True)
         assert len(batch) == 4
         assert [r["status"] for r in batch] == ["ok"] * 4
+        assert batch.stats.pool_spawns == 1
 
         compiler = SynDCIM(scl=scl)
         for spec, record in zip(specs, batch.records):
@@ -425,6 +447,7 @@ class TestBatchEngine:
         engine = BatchCompiler(jobs=1, use_cache=False)
         batch = engine.compile_specs([_small_spec()], implement=False)
         assert batch.stats.compiled == 1
+        assert batch.stats.pool_spawns == 0  # jobs=1 runs inline
         assert engine.cache is None
 
     def test_worker_death_becomes_error_record(self, tmp_path, monkeypatch):

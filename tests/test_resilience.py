@@ -344,6 +344,8 @@ class TestWatchdog:
             assert "watchdog" in entry["reason"]
         assert batch.stats.retried == 2
         assert batch.stats.timeouts == 0  # retries recovered them all
+        # Overdue together, killed together: one kill, one respawn.
+        assert batch.stats.pool_spawns == 2
 
     def test_persistent_hang_becomes_timeout_record(
         self, tmp_path, monkeypatch
@@ -397,6 +399,7 @@ class TestPoolBreakRecovery:
             assert entry["fault"] == "crash"
         assert batch.stats.retried == 2
         assert "retried 2" in batch.stats.cache_line()
+        assert batch.stats.pool_spawns == 2  # the crash recycled the pool
 
     def test_repeated_break_exhausts_budget(self, tmp_path, monkeypatch):
         """(b) A job that kills its worker on every attempt becomes a

@@ -1,17 +1,23 @@
 """Compile service end-to-end: CompileOptions canonicalization, the
 ResultStore backends (budgeted LRU eviction, quarantine accounting),
 the JobQueue scheduler (dedup, priorities, cancellation) and the live
-HTTP API — including the acceptance criteria of the service PR: two
+HTTP API — including the acceptance criteria of the service: two
 concurrent clients submitting the same sweep compile each content hash
-exactly once, a cache-hit fetch is byte-identical to the engine's
-record, and an injected worker crash lands as a terminal status
-instead of a hung client.
+exactly once, in the one worker pool and never in the server process;
+a cache-hit fetch is byte-identical to the engine's record; injected
+crashes, raises and hangs land as terminal statuses instead of hung
+clients; and malformed requests are 4xx, never a wedged handler.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import os
+import random
+import socket
+import sys
 import threading
 import time
 
@@ -23,6 +29,7 @@ from repro.batch.cache import (
     ResultCache,
 )
 from repro.batch.engine import BatchCompiler
+from repro.batch.faults import FaultPlan
 from repro.batch.resilience import list_journals, prune_journals
 from repro.errors import ServiceError, SpecificationError
 from repro.options import (
@@ -52,6 +59,21 @@ def fast_spec(**overrides) -> MacroSpec:
 
 #: Search-only: the working options for every compute-bearing test.
 FAST = CompileOptions(implement=False)
+
+
+@contextlib.contextmanager
+def serving(queue: JobQueue):
+    """A live HTTP server over ``queue`` on an ephemeral port; the
+    queue is closed on exit."""
+    server = create_server(queue)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield ServiceClient(server.base_url)
+    finally:
+        server.shutdown()
+        server.server_close()
+        queue.close()
 
 
 # -- CompileOptions: one canonical spelling ----------------------------------
@@ -296,7 +318,7 @@ class TestResultCacheBudget:
 
 class TestJobQueue:
     def test_submit_compiles_and_resubmit_hits_store(self):
-        with JobQueue(use_cache=False, workers=1, engine_jobs=1) as q:
+        with JobQueue(use_cache=False, workers=1) as q:
             snap = q.submit(fast_spec(), options=FAST)
             assert snap["status"] == "queued"
             final = q.wait(snap["id"], timeout=120)
@@ -309,7 +331,7 @@ class TestJobQueue:
             assert stats["cache_hits"] == 1
 
     def test_coalescing_attaches_to_inflight_job(self):
-        q = JobQueue(use_cache=False, workers=1, engine_jobs=1, start=False)
+        q = JobQueue(use_cache=False, workers=1, start=False)
         try:
             first = q.submit(fast_spec(), options=FAST)
             second = q.submit(fast_spec(), options=FAST)
@@ -400,6 +422,49 @@ class TestJobQueue:
         with pytest.raises(ServiceError, match="shutting down"):
             q.submit(fast_spec(), options=FAST)
 
+    def test_racing_submitters_lose_no_wakeup_and_no_count(self, tmp_path):
+        """Eight threads race the same eight specs, each in its own
+        order, into a three-process pool (more workers than cores) with
+        a tiny switch interval.  Dispatch has no poll tick, so a lost
+        wakeup leaves a job queued past its wait timeout, and a lost
+        counter update breaks the sum."""
+        specs = [
+            fast_spec(height=h, width=w, mac_frequency_mhz=f)
+            for h in (8, 16)
+            for w in (8, 16)
+            for f in (400.0, 500.0)
+        ]
+        statuses = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JobQueue(cache_dir=tmp_path, workers=3) as q:
+
+                def submitter(seed: int) -> None:
+                    order = random.Random(seed).sample(specs, len(specs))
+                    ids = [q.submit(spec, options=FAST)["id"] for spec in order]
+                    for job_id in ids:
+                        statuses.append(q.wait(job_id, timeout=60)["status"])
+
+                threads = [
+                    threading.Thread(target=submitter, args=(seed,))
+                    for seed in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+                stats = q.stats()
+        finally:
+            sys.setswitchinterval(previous)
+        assert statuses == ["ok"] * 64
+        assert stats["compiled"] == 8
+        assert stats["submitted"] == 64 == (
+            stats["compiled"] + stats["coalesced"] + stats["cache_hits"]
+        )
+        assert stats["executor"]["pool_spawns"] == 1
+
 
 # -- live HTTP API ------------------------------------------------------------
 
@@ -408,7 +473,7 @@ class TestJobQueue:
 def service(tmp_path_factory):
     """One live server on an ephemeral port for the whole module."""
     cache_dir = tmp_path_factory.mktemp("service-cache")
-    queue = JobQueue(cache_dir=cache_dir, workers=2, engine_jobs=1)
+    queue = JobQueue(cache_dir=cache_dir, workers=2)
     server = create_server(queue)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -453,6 +518,34 @@ class TestServiceHTTP:
             service["client"].job("job-nope")
         with pytest.raises(ServiceError, match="404"):
             service["client"].sweep("sweep-nope")
+        with pytest.raises(ServiceError, match="404"):
+            service["client"].cancel("job-nope")
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1e3", "+12"])
+    def test_malformed_content_length_is_400(self, service, length):
+        """Sent over a raw socket, with no body: ``-1`` must not reach
+        ``rfile.read(-1)``, which holds the handler until the client
+        hangs up, nor ``+12`` a read of 12 bytes that never come, and
+        ``abc`` must not be a 500.  The socket timeout turns a hang
+        into a failure."""
+        host, port = service["base_url"].rsplit("/", 1)[1].split(":")
+        request = (
+            f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode()
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(request)
+            reply = sock.makefile("rb").read()
+        status_line, _, body = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        assert b"Content-Length" in body
+
+    def test_closed_queue_is_503(self, tmp_path):
+        queue = JobQueue(cache_dir=tmp_path, workers=1)
+        with serving(queue) as client:
+            queue.close()
+            with pytest.raises(ServiceError, match="503.*shutting down"):
+                client.submit(SPEC_PAYLOAD, options=FAST)
 
     def test_malformed_requests_are_400(self, service):
         import urllib.error
@@ -515,10 +608,27 @@ SWEEP_16 = {
 
 
 class TestAcceptance:
-    def test_concurrent_clients_compile_each_hash_once(self, tmp_path):
+    def test_concurrent_clients_compile_each_hash_once(
+        self, tmp_path, monkeypatch
+    ):
         """Two clients race the same 16-point sweep; the service must
-        compile each content hash exactly once."""
-        queue = JobQueue(cache_dir=tmp_path, workers=4, engine_jobs=1)
+        compile each content hash exactly once — all of them in the one
+        pool, spawned once, and none in the server process."""
+        import repro.compiler.syndcim as syndcim
+
+        in_server = []
+        execute_job = syndcim.execute_job
+
+        # Pool workers fork with this wrapper in place, but record into
+        # their own copy of the list: only a compile run by the server
+        # process itself lands in this one.
+        @functools.wraps(execute_job)
+        def counted(payload):
+            in_server.append(os.getpid())
+            return execute_job(payload)
+
+        monkeypatch.setattr(syndcim, "execute_job", counted)
+        queue = JobQueue(cache_dir=tmp_path, workers=4)
         server = create_server(queue)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -548,6 +658,10 @@ class TestAcceptance:
             stats = queue.stats()
             assert stats["compiled"] == 16, stats
             assert stats["store"]["entries"] == 16
+            assert stats["executor"] == {
+                "workers": 4, "in_flight": 0, "pool_spawns": 1,
+            }
+            assert in_server == []
         finally:
             server.shutdown()
             server.server_close()
@@ -560,7 +674,7 @@ class TestAcceptance:
         BatchCompiler stores for the same job — same store, same
         bytes."""
         spec = fast_spec(height=16, width=8)
-        with JobQueue(cache_dir=tmp_path, workers=1, engine_jobs=1) as q:
+        with JobQueue(cache_dir=tmp_path, workers=1) as q:
             server = create_server(q)
             thread = threading.Thread(
                 target=server.serve_forever, daemon=True
@@ -603,10 +717,9 @@ class TestChaos:
         keep serving clean jobs afterwards."""
         monkeypatch.setenv("REPRO_FAULTS", "crash:1.0")
         monkeypatch.setenv("REPRO_FAULT_SEED", "0")
-        # job_timeout_s arms the pooled (process-isolated) path even
-        # for a single job; retries=0 keeps the test to one attempt.
+        # retries=0 keeps the test to one attempt.
         chaotic = FAST.replace(job_timeout_s=120.0, retries=0)
-        queue = JobQueue(cache_dir=tmp_path, workers=1, engine_jobs=2)
+        queue = JobQueue(cache_dir=tmp_path, workers=1)
         server = create_server(queue)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -623,10 +736,129 @@ class TestChaos:
             assert client.health()["ok"]
             clean = client.submit(SPEC_PAYLOAD, options=FAST)
             assert client.wait(clean["id"], timeout=300)["status"] == "ok"
+            # The crash broke the first pool; the clean job spawned the
+            # second.
+            assert client.stats()["executor"]["pool_spawns"] == 2
         finally:
             server.shutdown()
             server.server_close()
             queue.close()
+
+    def test_chaos_sweep_over_http_is_terminal_and_matches_clean_run(
+        self, tmp_path, monkeypatch
+    ):
+        """An 8-point ``POST /v1/sweeps`` under seeded crash, raise and
+        hang faults: every point ends terminal, each one retried
+        exactly through the faults the plan scheduled for it, and every
+        record equals a fault-free engine run's minus bookkeeping."""
+        axes = {"height": ["8", "16"], "width": ["8", "16"], "mcr": ["1"],
+                "formats": ["INT4"], "frequency": ["400", "500"]}
+        chaotic = FAST.replace(job_timeout_s=1.0, retries=4)
+        max_attempts = chaotic.retry_policy().max_attempts
+        planner = JobQueue(use_cache=False, journal=False, start=False)
+        keys = planner.submit_sweep(axes, options=chaotic)["keys"]
+        planner.close()
+
+        def faults_met(plan, key):
+            """The faults ``key`` runs into, one per charged attempt,
+            before its first clean attempt (None: budget exhausted)."""
+            met = []
+            for attempt in range(1, max_attempts + 1):
+                fault = plan.planned(key, attempt)
+                if fault is None:
+                    return met
+                met.append(fault)
+            return None
+
+        faults = "crash:0.2,raise:0.2,hang:0.15"
+        for seed in range(1000):
+            plan = FaultPlan.parse(faults, seed=seed)
+            met = {key: faults_met(plan, key) for key in keys}
+            kinds = [f for m in met.values() if m is not None for f in m]
+            # Every kind fires, every point gets a clean attempt within
+            # its budget, and backoff and hangs keep the test short.
+            if (
+                None not in met.values()
+                and {"crash", "raise", "hang"} <= set(kinds)
+                and max(len(m) for m in met.values()) <= 2
+                and kinds.count("hang") <= 2
+            ):
+                break
+        else:
+            pytest.fail("no seed schedules every fault kind")
+        monkeypatch.setenv("REPRO_FAULTS", faults)
+        monkeypatch.setenv("REPRO_FAULT_SEED", str(seed))
+        monkeypatch.setenv("REPRO_FAULT_HANG_S", "5")
+        with serving(JobQueue(cache_dir=tmp_path, workers=2)) as client:
+            sweep = client.submit_sweep(axes, options=chaotic)
+            done = client.wait_sweep(sweep["id"], timeout=120, poll_s=0.05)
+            records = [client.job(job_id)["record"] for job_id in sweep["jobs"]]
+            stats = client.stats()
+        assert done["counts"] == {"ok": 8}, done["counts"]
+        assert stats["retried"] == sum(1 for m in met.values() if m)
+
+        monkeypatch.delenv("REPRO_FAULTS")
+        specs = [MacroSpec.from_dict(r["spec"]) for r in records]
+        clean = BatchCompiler(
+            jobs=2, use_cache=False, journal=False, options=FAST
+        ).compile_specs(specs, implement=False)
+        for key, record, clean_record in zip(keys, records, clean.records):
+            assert record["job_key"] == clean_record["job_key"] == key
+            history = record.get("retry_history", [])
+            assert [e["fault"] for e in history] == met[key]
+            assert record.get("attempts", 1) == len(met[key]) + 1
+            assert _strip_bookkeeping(record) == _strip_bookkeeping(
+                clean_record
+            )
+
+    def test_watchdog_collateral_is_never_charged(
+        self, tmp_path, monkeypatch
+    ):
+        """Two service jobs share the pool: one hangs past its 0.3 s
+        timeout on every attempt, the other (30 s budget) is still
+        running each time the watchdog kills the pool.  The hung job
+        ends ``timeout`` after its two attempts; the other ends ``ok``
+        with no retry bookkeeping, although the pool was killed under
+        it twice."""
+        monkeypatch.setenv("REPRO_FAULTS", "hang:1.0")
+        monkeypatch.setenv("REPRO_FAULT_HANG_S", "3")
+        with serving(JobQueue(cache_dir=tmp_path, workers=2)) as client:
+            hung = client.submit(
+                SPEC_PAYLOAD,
+                options=FAST.replace(job_timeout_s=0.3, retries=1),
+            )
+            busy = client.submit(
+                dict(SPEC_PAYLOAD, width=16),
+                options=FAST.replace(job_timeout_s=30.0),
+            )
+            hung = client.wait(hung["id"], timeout=60, poll_s=0.05)
+            busy = client.wait(busy["id"], timeout=60, poll_s=0.05)
+            stats = client.stats()
+        assert hung["status"] == "timeout"
+        record = hung["record"]
+        assert record["attempts"] == 2
+        assert [e["outcome"] for e in record["retry_history"]] == [
+            "timeout", "timeout",
+        ]
+        assert busy["status"] == "ok"
+        assert "attempts" not in busy["record"]
+        assert "retry_history" not in busy["record"]
+        # One spawn, one after each kill: the second respawn only
+        # happens because the busy job was re-queued uncharged.
+        assert stats["executor"]["pool_spawns"] == 3
+        assert stats["retried"] == 1
+
+
+def _strip_bookkeeping(record: dict) -> dict:
+    """Everything that may legitimately differ between a chaos run and
+    a fault-free run of the same job."""
+    return {
+        k: v
+        for k, v in record.items()
+        if k not in (
+            "cached", "job_key", "elapsed_s", "attempts", "retry_history",
+        )
+    }
 
 
 # -- journals: service pruning and the CLI ------------------------------------
@@ -671,7 +903,7 @@ class TestJournals:
         for i in range(5):
             _make_journal(tmp_path, f"old-{i}", age_s=5000 + i)
         with JobQueue(
-            cache_dir=tmp_path, workers=1, engine_jobs=1, journal_keep=2
+            cache_dir=tmp_path, workers=1, journal_keep=2
         ) as q:
             sweep = q.submit_sweep(
                 {"height": ["8"], "width": ["8"], "mcr": ["1"],
@@ -702,6 +934,16 @@ class TestJournals:
              "--keep", "1"]
         ) == 0
         assert [p.stem for p in list_journals(tmp_path)] == ["run-2"]
+
+
+class TestServeCLI:
+    def test_disagreeing_workers_alias_is_refused(self, capsys):
+        """``-j`` is an alias of ``--workers``: two different pool sizes
+        are refused before anything binds or spawns."""
+        from repro.cli import main
+
+        assert main(["serve", "--port", "0", "--workers", "2", "-j", "3"]) == 2
+        assert "disagree" in capsys.readouterr().err
 
 
 # -- blessed surface ----------------------------------------------------------
