@@ -5,10 +5,13 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test chaos bench perf perf-check perf-smoke e2e-smoke serve lint install
+.PHONY: test golden chaos bench perf perf-check perf-smoke e2e-smoke serve lint install
 
 test:  ## tier-1 suite: unit tests + benchmark reproductions
 	$(PYTHON) -m pytest -x -q
+
+golden:  ## regenerate tests/data/golden_search.jsonl; every regeneration needs a CHANGES.md line saying why
+	$(PYTHON) tests/golden_search.py
 
 chaos:  ## fault-injection suite: watchdog, retry, resume, quarantine
 	$(PYTHON) -m pytest tests/test_resilience.py -q

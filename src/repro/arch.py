@@ -139,7 +139,22 @@ class MacroArchitecture:
         return max(1, levels)
 
     def replace(self, **changes: object) -> "MacroArchitecture":
-        return dataclasses.replace(self, **changes)
+        """A copy with ``changes`` applied, validated like any new
+        instance.  Built directly rather than through
+        ``dataclasses.replace``, which re-walks the field list on every
+        call: the searcher's moves call this for each candidate."""
+        unknown = changes.keys() - _ARCH_FIELDS
+        if unknown:
+            raise TypeError(
+                f"MacroArchitecture has no field(s) {', '.join(sorted(unknown))}"
+            )
+        state = self.__dict__
+        new = object.__new__(type(self))
+        new.__dict__.update(
+            {k: changes[k] if k in changes else state[k] for k in _ARCH_FIELDS}
+        )
+        new.__post_init__()
+        return new
 
     def to_dict(self) -> dict:
         """JSON-serializable description (inverse of :meth:`from_dict`);
@@ -168,6 +183,9 @@ class MacroArchitecture:
         if self.vt != "svt":
             parts.append(self.vt)
         return "/".join(parts)
+
+
+_ARCH_FIELDS = tuple(f.name for f in dataclasses.fields(MacroArchitecture))
 
 
 def default_architecture(spec: MacroSpec) -> MacroArchitecture:

@@ -171,8 +171,10 @@ class ResultStore:
     ``get(key) -> record | None``, ``put(key, record)``, membership,
     and the occupancy accounting a ``/v1/stats`` endpoint reports.
     Implementations must make ``get`` after ``put`` return an equal
-    record and must never let a storage failure raise into the run
-    that produced the record.
+    record that shares no mutable part with the one ``put`` was given
+    or with any other ``get`` result (the batch engine hands hits to
+    its caller uncopied), and must never let a storage failure raise
+    into the run that produced the record.
     """
 
     #: Hit/miss accounting every backend keeps.

@@ -495,10 +495,19 @@ class BatchCompiler:
             if journal is not None:
                 journal.close()
 
-        # Deep copies so duplicate input specs don't alias nested dicts,
-        # and status tallies over the *returned* records (cache hits
+        # Resumed, cached and executed records are fresh objects, so
+        # only a key's second and later occurrences (duplicate input
+        # specs) are copied, to keep them from aliasing nested dicts.
+        # Status tallies run over the *returned* records (cache hits
         # included — finish() never sees them).
-        records = [copy.deepcopy(resolved[key]) for key in keys]
+        records = []
+        returned = set()
+        for key in keys:
+            record = resolved[key]
+            if key in returned:
+                record = copy.deepcopy(record)
+            returned.add(key)
+            records.append(record)
         statuses = [r.get("status") for r in records]
         stats.infeasible = statuses.count("infeasible")
         stats.failed = statuses.count("error")

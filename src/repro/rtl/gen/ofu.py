@@ -29,19 +29,23 @@ Pipelining knobs (searcher-controlled):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from ...errors import SynthesisError
 from ..ir import Module, NetlistBuilder
 
 
+@lru_cache(maxsize=None)
 def ofu_boundaries(
     n_stages: int, retimed: bool, pipeline: int
 ) -> Tuple[int, ...]:
     """Register-boundary positions (after stage i) shared by the RTL
     generator and the searcher's estimator, so both price the same
     structure.  The retiming register sits after stage 1; extra pipeline
-    registers spread evenly across the remaining stages."""
+    registers spread evenly across the remaining stages.  Memoized: the
+    estimator asks for every candidate, over a handful of distinct
+    arguments."""
     bounds = {1} if retimed else set()
     avail = [i for i in range(1, n_stages) if i not in bounds]
     for j in range(pipeline):

@@ -14,11 +14,12 @@ from typing import Dict, List, Set, Tuple
 from .ir import Module
 
 _BUS_RE = re.compile(r"^(?P<base>[A-Za-z_][\w/]*)\[(?P<idx>\d+)\]$")
+_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 def _escape(name: str) -> str:
     """Escape identifiers Verilog would reject (hierarchy slashes etc.)."""
-    if re.fullmatch(r"[A-Za-z_]\w*", name):
+    if _IDENT_RE.fullmatch(name):
         return name
     return f"\\{name} "
 
@@ -48,7 +49,15 @@ def _group_buses(names: List[str]) -> Tuple[Dict[str, int], List[str]]:
 def emit_verilog(module: Module) -> str:
     """Render one (typically flat) module as structural Verilog."""
     ports = list(module.ports.values())
-    port_names = [p.name for p in ports]
+    # Every net is named once per pin it touches: escape each name once.
+    escaped: Dict[str, str] = {}
+
+    def esc(name: str) -> str:
+        text = escaped.get(name)
+        if text is None:
+            text = escaped[name] = _escape(name)
+        return text
+
     in_buses, in_scalars = _group_buses(
         [p.name for p in ports if p.direction == "input"]
     )
@@ -58,37 +67,38 @@ def emit_verilog(module: Module) -> str:
 
     header_ports: List[str] = []
     for base in sorted(in_buses) + sorted(out_buses):
-        header_ports.append(_escape(base))
+        header_ports.append(esc(base))
     for s in in_scalars + out_scalars:
-        header_ports.append(_escape(s))
+        header_ports.append(esc(s))
 
     lines: List[str] = []
-    lines.append(f"module {_escape(module.name)} (")
+    lines.append(f"module {esc(module.name)} (")
     lines.append("  " + ",\n  ".join(header_ports))
     lines.append(");")
     for base in sorted(in_buses):
-        lines.append(f"  input [{in_buses[base]}:0] {_escape(base)};")
+        lines.append(f"  input [{in_buses[base]}:0] {esc(base)};")
     for s in in_scalars:
-        lines.append(f"  input {_escape(s)};")
+        lines.append(f"  input {esc(s)};")
     for base in sorted(out_buses):
-        lines.append(f"  output [{out_buses[base]}:0] {_escape(base)};")
+        lines.append(f"  output [{out_buses[base]}:0] {esc(base)};")
     for s in out_scalars:
-        lines.append(f"  output {_escape(s)};")
+        lines.append(f"  output {esc(s)};")
 
-    internal = [n for n in module.nets if n not in set(port_names)]
+    port_names = {p.name for p in ports}
+    internal = [n for n in module.nets if n not in port_names]
     wire_buses, wire_scalars = _group_buses(internal)
     for base in sorted(wire_buses):
-        lines.append(f"  wire [{wire_buses[base]}:0] {_escape(base)};")
+        lines.append(f"  wire [{wire_buses[base]}:0] {esc(base)};")
     for s in wire_scalars:
-        lines.append(f"  wire {_escape(s)};")
+        lines.append(f"  wire {esc(s)};")
     lines.append("")
 
     for inst in module.instances:
         ref = inst.cell_name if inst.is_leaf else inst.module.name
         conns = ", ".join(
-            f".{pin}({_escape(net)})" for pin, net in sorted(inst.conn.items())
+            f".{pin}({esc(net)})" for pin, net in sorted(inst.conn.items())
         )
-        lines.append(f"  {_escape(ref)} {_escape(inst.name)} ({conns});")
+        lines.append(f"  {esc(ref)} {esc(inst.name)} ({conns});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..arch import MacroArchitecture
 from ..errors import SearchError
@@ -36,6 +36,10 @@ from .pareto import pareto_front
 
 #: Safety cap on repair iterations per seed.
 MAX_REPAIR_STEPS = 24
+
+#: Estimates of one search by (library, architecture).  The spec is fixed
+#: for the search, and the library tells nominal from signoff pricing.
+Memo = Dict[Tuple[SubcircuitLibrary, MacroArchitecture], MacroEstimate]
 
 
 @dataclass(frozen=True)
@@ -229,10 +233,6 @@ class MSOSearcher:
         #: but additionally priced here, and the searcher escalates
         #: toward non-negative slack at this corner.
         self.signoff_scl = signoff_scl
-        # Per-search memo for corner estimates: repair, merge, tune and
-        # candidate recording all price the same architectures.
-        self._signoff_memo: Dict[Tuple[MacroSpec, MacroArchitecture],
-                                 MacroEstimate] = {}
 
     @property
     def scl(self) -> SubcircuitLibrary:
@@ -243,38 +243,40 @@ class MSOSearcher:
     # -- public API -----------------------------------------------------------
 
     def search(self, spec: MacroSpec) -> SearchResult:
-        self._signoff_memo.clear()
         result = SearchResult(spec=spec, candidates=[], frontier=[])
+        # Seeds, repair, merge, tuning and candidate recording revisit
+        # architectures (about 1 in 7 prices is a repeat), so each is
+        # priced once per search.  The memo is local to this call: a
+        # searcher may run searches for other specs on other threads.
+        memo: Memo = {}
         if self.signoff_scl is not None:
             corner = self.signoff_scl.corner
             result.signoff_corner = corner.name if corner else "signoff"
-        seen: Dict[str, MacroEstimate] = {}
+        seen: Set[MacroArchitecture] = set()
 
         def record(seed: str, move: str, est: MacroEstimate) -> None:
             result.trace.append(SearchTraceEntry(seed, move, est))
             if move not in ("seed", "reject"):
                 result.fix_counts[move] = result.fix_counts.get(move, 0) + 1
-            if est.met:
-                key = est.arch.knob_summary()
-                if key not in seen:
-                    seen[key] = est
-                    result.candidates.append(est)
-                    if self.signoff_scl is not None:
-                        result.signoff_slacks[key] = self._signoff_slack(
-                            spec, est.arch
-                        )
+            if est.met and est.arch not in seen:
+                seen.add(est.arch)
+                result.candidates.append(est)
+                if self.signoff_scl is not None:
+                    result.signoff_slacks[est.arch.knob_summary()] = (
+                        self._signoff_slack(spec, est.arch, memo)
+                    )
 
         for seed_name, seed_arch in seed_architectures(spec, self.seed):
             if self.vt not in ("auto", "svt"):
                 seed_arch = seed_arch.replace(vt=self.vt)
-            est = self._estimate(spec, seed_arch)
+            est = self._estimate(spec, seed_arch, memo)
             record(seed_name, "seed", est)
-            est = self._repair_timing(spec, est, seed_name, record)
+            est = self._repair_timing(spec, est, seed_name, record, memo)
             if est is None or not est.met:
                 continue
-            est = self._repair_signoff(spec, est, seed_name, record)
-            est = self._merge_registers(spec, est, seed_name, record)
-            self._fine_tune(spec, est, seed_name, record)
+            est = self._repair_signoff(spec, est, seed_name, record, memo)
+            est = self._merge_registers(spec, est, seed_name, record, memo)
+            self._fine_tune(spec, est, seed_name, record, memo)
 
         result.frontier = pareto_front(
             result.candidates, lambda e: (e.power_mw, e.area_um2)
@@ -284,33 +286,34 @@ class MSOSearcher:
 
     # -- phases ---------------------------------------------------------------
 
+    # The phases take the running search's memo; called on their own
+    # (memo=None) they price every architecture afresh.
+
     def _estimate(
-        self, spec: MacroSpec, arch: MacroArchitecture
+        self, spec: MacroSpec, arch: MacroArchitecture, memo: Optional[Memo] = None
     ) -> MacroEstimate:
-        return estimate_macro(spec, arch, self.scl)
+        return _price(spec, arch, self.scl, memo)
 
     def _signoff_estimate(
-        self, spec: MacroSpec, arch: MacroArchitecture
+        self, spec: MacroSpec, arch: MacroArchitecture, memo: Optional[Memo] = None
     ) -> MacroEstimate:
-        key = (spec, arch)
-        est = self._signoff_memo.get(key)
-        if est is None:
-            est = self._signoff_memo[key] = estimate_macro(
-                spec, arch, self.signoff_scl
-            )
-        return est
+        return _price(spec, arch, self.signoff_scl, memo)
 
-    def _signoff_slack(self, spec: MacroSpec, arch: MacroArchitecture) -> float:
-        return self._signoff_estimate(spec, arch).slack_ns
+    def _signoff_slack(
+        self, spec: MacroSpec, arch: MacroArchitecture, memo: Optional[Memo] = None
+    ) -> float:
+        return self._signoff_estimate(spec, arch, memo).slack_ns
 
-    def _signoff_ok(self, spec: MacroSpec, est: MacroEstimate) -> bool:
+    def _signoff_ok(
+        self, spec: MacroSpec, est: MacroEstimate, memo: Optional[Memo] = None
+    ) -> bool:
         """Timing at the signoff corner, when one is configured."""
         if self.signoff_scl is None:
             return True
-        return self._signoff_estimate(spec, est.arch).met
+        return self._signoff_estimate(spec, est.arch, memo).met
 
     def _repair_timing(
-        self, spec, est, seed_name, record
+        self, spec, est, seed_name, record, memo=None
     ) -> Optional[MacroEstimate]:
         """Escalating MAC-path then OFU-path repair (paper Fig. 5)."""
         for _ in range(MAX_REPAIR_STEPS):
@@ -324,7 +327,7 @@ class MSOSearcher:
                 if candidate_arch is None:
                     continue
                 try:
-                    candidate = self._estimate(spec, candidate_arch)
+                    candidate = self._estimate(spec, candidate_arch, memo)
                 except Exception:
                     continue
                 if candidate.critical_path_ns < est.critical_path_ns - 1e-6:
@@ -340,7 +343,7 @@ class MSOSearcher:
                     if candidate_arch is None:
                         continue
                     try:
-                        candidate = self._estimate(spec, candidate_arch)
+                        candidate = self._estimate(spec, candidate_arch, memo)
                     except Exception:
                         # Same tolerance as the primary loop: one invalid
                         # cross-path candidate must not kill the search.
@@ -356,7 +359,7 @@ class MSOSearcher:
         return est if est.met else None
 
     def _repair_signoff(
-        self, spec, est, seed_name, record
+        self, spec, est, seed_name, record, memo=None
     ) -> MacroEstimate:
         """Escalate on signoff-corner slack (paper loop, worst corner).
 
@@ -371,7 +374,7 @@ class MSOSearcher:
         """
         if self.signoff_scl is None:
             return est
-        s_est = self._signoff_estimate(spec, est.arch)
+        s_est = self._signoff_estimate(spec, est.arch, memo)
         for _ in range(MAX_REPAIR_STEPS):
             if s_est.met:
                 return est
@@ -388,10 +391,12 @@ class MSOSearcher:
                 if candidate_arch is None:
                     continue
                 try:
-                    candidate = self._estimate(spec, candidate_arch)
+                    candidate = self._estimate(spec, candidate_arch, memo)
                     if not candidate.met:
                         continue
-                    candidate_s = self._signoff_estimate(spec, candidate_arch)
+                    candidate_s = self._signoff_estimate(
+                        spec, candidate_arch, memo
+                    )
                 except Exception:
                     continue
                 if candidate_s.critical_path_ns < s_est.critical_path_ns - 1e-6:
@@ -403,11 +408,13 @@ class MSOSearcher:
             record(seed_name, name, est)
         return est
 
-    def _merge_registers(self, spec, est, seed_name, record) -> MacroEstimate:
+    def _merge_registers(
+        self, spec, est, seed_name, record, memo=None
+    ) -> MacroEstimate:
         """Remove boundary registers while the merged path meets timing
         (and, when a signoff corner is configured, does not fall out of
         a corner-met state the escalation just reached)."""
-        hold_signoff = self._signoff_ok(spec, est)
+        hold_signoff = self._signoff_ok(spec, est, memo)
         changed = True
         while changed:
             changed = False
@@ -415,23 +422,25 @@ class MSOSearcher:
                 candidate_arch = move(spec, est.arch)
                 if candidate_arch is None:
                     continue
-                candidate = self._estimate(spec, candidate_arch)
+                candidate = self._estimate(spec, candidate_arch, memo)
                 if candidate.met and (
-                    not hold_signoff or self._signoff_ok(spec, candidate)
+                    not hold_signoff or self._signoff_ok(spec, candidate, memo)
                 ):
                     est = candidate
                     record(seed_name, name, est)
                     changed = True
         return est
 
-    def _fine_tune(self, spec, est, seed_name, record) -> MacroEstimate:
+    def _fine_tune(
+        self, spec, est, seed_name, record, memo=None
+    ) -> MacroEstimate:
         """Greedy power/area substitutions holding timing; records every
         feasible intermediate as a candidate for the frontier.  A
         corner-met starting point only accepts substitutions that stay
         corner-met (tuning must not spend the signoff slack escalation
         just bought)."""
         weights = spec.ppa
-        hold_signoff = self._signoff_ok(spec, est)
+        hold_signoff = self._signoff_ok(spec, est, memo)
         improved = True
         steps = 0
         while improved and steps < MAX_REPAIR_STEPS:
@@ -445,12 +454,12 @@ class MSOSearcher:
                 if candidate_arch is None:
                     continue
                 try:
-                    candidate = self._estimate(spec, candidate_arch)
+                    candidate = self._estimate(spec, candidate_arch, memo)
                 except Exception:
                     continue
                 if not candidate.met:
                     continue
-                if hold_signoff and not self._signoff_ok(spec, candidate):
+                if hold_signoff and not self._signoff_ok(spec, candidate, memo):
                     continue
                 record(seed_name, name, candidate)
                 score = weights.score(
@@ -463,6 +472,23 @@ class MSOSearcher:
                     improved = True
                     break
         return est
+
+
+def _price(
+    spec: MacroSpec,
+    arch: MacroArchitecture,
+    scl: SubcircuitLibrary,
+    memo: Optional[Memo],
+) -> MacroEstimate:
+    """``estimate_macro`` of ``arch``, at most once per memo.  A pricing
+    that raises is not stored, so the next visit raises again."""
+    if memo is None:
+        return estimate_macro(spec, arch, scl)
+    key = (scl, arch)
+    est = memo.get(key)
+    if est is None:
+        est = memo[key] = estimate_macro(spec, arch, scl)
+    return est
 
 
 def search(

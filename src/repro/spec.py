@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import SpecificationError
@@ -194,13 +195,16 @@ class PPAWeights:
         )
 
     def score(self, power_mw: float, delay_ns: float, area_um2: float) -> float:
-        """Lower-is-better scalar cost: weighted geometric mean of PPA."""
-        n = self.normalized()
+        """Lower-is-better scalar cost: weighted geometric mean of PPA.
+
+        The weights are normalized inline, exactly as :meth:`normalized`
+        does, without building a new instance per call."""
+        total = self.power + self.performance + self.area
         eps = 1e-12
         return math.exp(
-            n.power * math.log(max(power_mw, eps))
-            + n.performance * math.log(max(delay_ns, eps))
-            + n.area * math.log(max(area_um2, eps))
+            self.power / total * math.log(max(power_mw, eps))
+            + self.performance / total * math.log(max(delay_ns, eps))
+            + self.area / total * math.log(max(area_um2, eps))
         )
 
 
@@ -262,14 +266,32 @@ class MacroSpec:
         if not 0.5 <= self.vdd <= 1.3:
             raise SpecificationError(f"vdd {self.vdd} outside supported 0.5..1.3 V")
 
-    # -- derived datapath dimensions -------------------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickle the fields only, as before any derived value was
+        # cached: a copy recomputes what it needs.
+        return {name: self.__dict__[name] for name in _SPEC_FIELDS}
 
-    @property
+    # -- derived datapath dimensions -------------------------------------
+    # The ones the searcher's estimator reads for every candidate are
+    # cached_property: cached per instance in __dict__ beside the fields,
+    # outside the dataclass's equality, hash, repr and to_dict.
+
+    @cached_property
     def input_width(self) -> int:
         """Serial input bit-width: widest operand among the inputs."""
         return max(f.serial_bits for f in self.input_formats)
 
-    @property
+    @cached_property
+    def widest_formats(self) -> Tuple[DataFormat, DataFormat]:
+        """The default (input, weight) precision mode: the input format
+        with the most serial bits and the weight format with the most
+        storage bits (the first such, on ties)."""
+        return (
+            max(self.input_formats, key=lambda f: f.serial_bits),
+            max(self.weight_formats, key=lambda f: f.storage_bits),
+        )
+
+    @cached_property
     def max_weight_bits(self) -> int:
         """Widest weight precision rounded up to a power of two (the OFU
         fuses columns pairwise, stage by stage)."""
@@ -296,7 +318,7 @@ class MacroSpec:
         """Bit-width of one column's adder-tree output (unsigned count)."""
         return int(math.floor(math.log2(self.height))) + 1
 
-    @property
+    @cached_property
     def accumulator_width(self) -> int:
         """Bit-width of the per-column S&A accumulator: the tree sum
         grows by one position per serial input bit."""
@@ -390,6 +412,9 @@ class MacroSpec:
         ``PYTHONHASHSEED`` randomization and process restarts.
         """
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(MacroSpec))
 
 
 def spec_from_strings(

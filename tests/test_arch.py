@@ -53,6 +53,30 @@ def test_replace_is_functional():
     assert a == MacroArchitecture()
 
 
+def test_replace_matches_dataclasses_replace():
+    import dataclasses
+    import pickle
+
+    a = MacroArchitecture(tree_style="cmp42", column_split=2)
+    for changes in ({}, {"driver_strength": 8, "vt": "lvt"}, {"ofu_pipeline": 2}):
+        b, ref = a.replace(**changes), dataclasses.replace(a, **changes)
+        assert b == ref and hash(b) == hash(ref) and repr(b) == repr(ref)
+        assert b.to_dict() == ref.to_dict()
+        assert pickle.dumps(b) == pickle.dumps(ref)
+
+
+def test_replace_validates_like_the_constructor():
+    a = MacroArchitecture()
+    with pytest.raises(SpecificationError):
+        a.replace(column_split=3)
+    with pytest.raises(SpecificationError):
+        a.replace(vt="xvt")
+    with pytest.raises(SpecificationError):
+        a.replace(tree_style="rca", tree_fa_levels=1)
+    with pytest.raises(TypeError):
+        a.replace(no_such_knob=1)
+
+
 def test_knob_summary_distinguishes_points():
     a = MacroArchitecture()
     b = a.replace(tree_fa_levels=2)

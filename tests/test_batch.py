@@ -8,6 +8,7 @@ must produce exactly the records that N sequential
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import pathlib
@@ -17,7 +18,7 @@ import sys
 import pytest
 
 from repro.arch import MacroArchitecture
-from repro.batch.cache import ResultCache
+from repro.batch.cache import MemoryResultStore, ResultCache
 from repro.batch.engine import BatchCompiler, BatchResult, BatchStats
 from repro.batch.jobs import CompileJob, ImplementJob
 from repro.batch.sweep import (
@@ -350,6 +351,27 @@ def _strip_markers(record: dict) -> dict:
     }
 
 
+def _mutate(record: dict) -> None:
+    """Change a record at every depth a caller could reach."""
+    record["status"] = "mutated"
+    record["selected"]["power_mw"] = -1.0
+    record["selected"]["arch"]["memcell"] = "mutated"
+    record["search"]["frontier"].clear()
+    record["search"]["fix_counts"]["mutated"] = 1
+    record["spec"]["input_formats"][0]["bits"] = -1
+
+
+def _assert_unaliased(records: list) -> None:
+    """Equal records for duplicate specs that share no mutable part:
+    mutating each one in turn leaves every other as it was."""
+    pristine = copy.deepcopy(records)
+    for i, record in enumerate(records):
+        _mutate(record)
+        for j, other in enumerate(records):
+            if j > i:
+                assert other == pristine[j]
+
+
 class TestBatchEngine:
     def test_batch_equals_sequential_compiles(self, tmp_path, scl):
         """A 4-spec batch (pooled, jobs=2) must reproduce 4 sequential
@@ -407,10 +429,30 @@ class TestBatchEngine:
         assert (
             batch.records[0]["selected"] == batch.records[2]["selected"]
         )
-        # Equal but not aliased: mutating one record must not corrupt
-        # its duplicates.
-        batch.records[0]["selected"]["power_mw"] = -1.0
-        assert batch.records[2]["selected"]["power_mw"] != -1.0
+        _assert_unaliased(batch.records)
+        # The same again when every occurrence is a cache hit.
+        hits = BatchCompiler(jobs=1, cache_dir=tmp_path).compile_specs(
+            [spec, spec, spec], implement=False
+        )
+        assert hits.stats.cache_hits == 1
+        _assert_unaliased(hits.records)
+
+    def test_memory_store_hit_survives_caller_mutation(self):
+        """A record the caller mutates must not leak into the store: a
+        later hit comes back as it was computed."""
+        store = MemoryResultStore()
+        spec = _small_spec()
+        engine = BatchCompiler(jobs=1, store=store)
+        first = engine.compile_specs([spec, spec], implement=False)
+        pristine = [_strip_markers(r) for r in copy.deepcopy(first.records)]
+        for record in first.records:
+            _mutate(record)
+        again = engine.compile_specs([spec], implement=False)
+        assert again.stats.cache_hits == 1
+        assert _strip_markers(again.records[0]) == pristine[0]
+        _mutate(again.records[0])
+        third = engine.compile_specs([spec], implement=False)
+        assert _strip_markers(third.records[0]) == pristine[0]
 
     def test_infeasible_spec_is_a_record_not_a_crash(self, tmp_path):
         specs = [

@@ -54,3 +54,37 @@ def test_generated_tree_verilog_is_consistent():
     v = emit_verilog(flat)
     assert v.count("CMP42_X1") == stats.compressors
     assert v.count("FA_X1") == stats.full_adders
+
+
+def test_implemented_macro_bytes_are_pinned():
+    """The writer's output for two implemented macros, byte for byte
+    (sha256): an 8x8 INT4 macro with the default architecture, and a
+    16x8 INT4/FP4 x INT8/FP4 macro with a split column, a merged tree
+    register and a retimed, pipelined carry-select OFU."""
+    import hashlib
+
+    from repro.arch import MacroArchitecture
+    from repro.compiler.flow import implement
+    from repro.spec import FP4, INT4, INT8, MacroSpec
+
+    small = MacroSpec(
+        height=8, width=8, mcr=2, input_formats=(INT4,),
+        weight_formats=(INT4,), mac_frequency_mhz=400.0,
+    )
+    mixed = MacroSpec(
+        height=16, width=8, mcr=1, input_formats=(INT4, FP4),
+        weight_formats=(INT8, FP4), mac_frequency_mhz=600.0,
+    )
+    knobs = MacroArchitecture(
+        tree_style="cmp42", mult_style="oai22", column_split=2,
+        reg_after_tree=False, ofu_pipeline=1, ofu_retimed=True, ofu_csel=True,
+    )
+    pinned = {
+        (small, MacroArchitecture()):
+            "131ef84e32dc4980052c6e4e40b3caea426822a963cd9cd42c71df79afeca668",
+        (mixed, knobs):
+            "18068f5b73fb092b790236014d636f45cdf0f0ea61f1c68c57f8dfa4c9ed2875",
+    }
+    for (spec, arch), digest in pinned.items():
+        text = implement(spec, arch).verilog()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

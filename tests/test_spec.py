@@ -79,6 +79,17 @@ class TestPPAWeights:
         n = PPAWeights(2.0, 3.0, 5.0).normalized()
         assert n.power + n.performance + n.area == pytest.approx(1.0)
 
+    def test_score_uses_the_normalized_weights_exactly(self):
+        for w in (PPAWeights(), PPAWeights(2.0, 3.0, 5.0), PPAWeights(0.0, 1.0, 0.7)):
+            n = w.normalized()
+            for point in ((12.5, 1.37, 4.2e5), (0.3, 9.0, 77.0)):
+                expected = math.exp(
+                    n.power * math.log(point[0])
+                    + n.performance * math.log(point[1])
+                    + n.area * math.log(point[2])
+                )
+                assert repr(w.score(*point)) == repr(expected)
+
     def test_rejects_all_zero(self):
         with pytest.raises(SpecificationError):
             PPAWeights(0.0, 0.0, 0.0)
@@ -157,3 +168,46 @@ class TestMacroSpec:
         spec = spec_from_strings(32, 32, 2, ["INT4", "FP8"])
         assert spec.height == 32
         assert FP8 in spec.input_formats
+
+
+class TestCachedDerivedValues:
+    """Derived widths are cached on the instance, outside its identity."""
+
+    DERIVED = ("input_width", "widest_formats", "max_weight_bits", "accumulator_width")
+
+    def _spec(self):
+        return MacroSpec(
+            height=64, width=32, input_formats=(INT4, FP8),
+            weight_formats=(INT8, FP8), mac_frequency_mhz=700.0,
+        )
+
+    def test_values_match_a_fresh_computation(self):
+        spec = self._spec()
+        assert spec.input_width == 5  # FP8 streams 5 serial bits
+        assert spec.widest_formats == (FP8, INT8)
+        assert spec.max_weight_bits == 8
+        assert spec.needs_fp
+        assert (spec.tree_sum_width, spec.accumulator_width) == (7, 12)
+
+    def test_identity_ignores_the_cache(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        used, fresh = self._spec(), self._spec()
+        for name in self.DERIVED:
+            getattr(used, name)
+        assert set(self.DERIVED) <= set(vars(used))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert used.to_dict() == fresh.to_dict()
+        assert used.canonical_json() == fresh.canonical_json()
+        assert used.content_hash() == fresh.content_hash()
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(used, protocol) == pickle.dumps(fresh, protocol)
+        clone = pickle.loads(pickle.dumps(used))
+        assert clone == used and not set(self.DERIVED) & set(vars(clone))
+        assert clone.accumulator_width == used.accumulator_width
+        assert copy.deepcopy(used) == used
+        narrower = dataclasses.replace(used, input_formats=(INT4,))
+        assert narrower.input_width == 4
