@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test golden chaos bench perf perf-check perf-smoke e2e-smoke serve lint install
+.PHONY: test golden chaos bench perf perf-check perf-smoke e2e-smoke e2e-trace-smoke serve lint install
 
 test:  ## tier-1 suite: unit tests + benchmark reproductions
 	$(PYTHON) -m pytest -x -q
@@ -33,6 +33,20 @@ e2e-smoke:  ## every e2ebench workload for 5 s; fails unless the result line say
 	$(PYTHON) e2ebench/run.py --workload all --seconds 5 --trace 0 | tee .bench_tmp/e2e-smoke.log
 	@tail -n 1 .bench_tmp/e2e-smoke.log | grep -q '"correct": true' || \
 		{ echo 'e2e-smoke: the result line does not report "correct": true' >&2; exit 1; }
+
+# Spans of engine names that e2ebench/spans.py wraps: if the engine
+# stops calling one of them by that name, its span reads zero.
+TRACE_GUARDS := batch.wait_s batch.worker_init_s batch.job_s
+
+e2e-trace-smoke:  ## traced dse-sweep for 5 s; fails unless correct with non-zero $(TRACE_GUARDS)
+	@mkdir -p .bench_tmp
+	$(PYTHON) e2ebench/run.py --workload dse-sweep --seconds 5 --trace 1 | tee .bench_tmp/e2e-trace-smoke.log
+	@tail -n 1 .bench_tmp/e2e-trace-smoke.log | $(PYTHON) -c 'import json, sys; \
+		r = json.load(sys.stdin); m = r["metrics"]; \
+		zero = [k for k in sys.argv[1:] if not m.get(k, {}).get("value")]; \
+		ok = r["correct"] is True and not zero; \
+		ok or print("e2e-trace-smoke: correct=%s, zero or missing: %s" % (r["correct"], zero), file=sys.stderr); \
+		sys.exit(0 if ok else 1)' $(TRACE_GUARDS)
 
 SERVE_ARGS ?= --port 8841 --workers 2 -j 2
 

@@ -9,7 +9,7 @@ facade into a design-space instrument:
 * :mod:`repro.batch.cache` — the on-disk JSON result store
   (``~/.cache/repro`` by default) that makes repeated sweeps free;
 * :mod:`repro.batch.engine` — :class:`BatchCompiler`: dedup, cache
-  lookup, ``concurrent.futures`` process pool, progress reporting;
+  lookup, worker processes behind one pipe each, progress reporting;
 * :mod:`repro.batch.sweep` — the range grammar (``32:256:x2``)
   expanding CLI axes into spec grids;
 * :mod:`repro.batch.summarize` — Pareto/scaling reports over a sweep's

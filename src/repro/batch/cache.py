@@ -10,11 +10,12 @@ Layout: one JSON file per result under ``<root>/v1/<kk>/<key>.json``
 where ``key`` is the job's content hash (see
 :meth:`repro.batch.jobs.CompileJob.key`) and ``kk`` its first two hex
 digits (keeps directories small on big sweeps).  Files are written
-atomically (tempfile + ``os.replace``) so a killed sweep never leaves a
-truncated record behind.  A corrupt record file reads as a miss *and*
-is quarantined (renamed to ``.corrupt-<key>.json``) with one warning
-per artifact, so a bad entry is recompiled once instead of being
-re-read — and re-missed — by every later lookup;
+atomically (a fresh ``.tmp-`` file, then ``os.replace``) so a killed
+sweep never leaves a truncated record behind.  A corrupt record file
+reads as a miss *and* is quarantined (renamed to
+``.corrupt-<key>.json``) with one warning per artifact, so a bad entry
+is recompiled once instead of being re-read — and re-missed — by every
+later lookup;
 :func:`cache_corruption_count` makes the churn visible to CI, mirroring
 the SCL cache's corruption accounting.
 
@@ -37,10 +38,10 @@ so an operator decides when the evidence has served its purpose.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import os
 import pathlib
-import tempfile
 import threading
 import time
 import warnings
@@ -62,6 +63,10 @@ from typing import Dict, List, Optional, Set, Tuple
 #: crash-safe resume.
 CACHE_SCHEMA_VERSION = 5
 
+
+#: How :meth:`ResultCache.put` opens its temporary file: a new file,
+#: never one another writer already holds (Python adds ``O_CLOEXEC``).
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 
 #: Record files found corrupt since process start — one warning each,
 #: mirroring the SCL cache's per-artifact corruption accounting.
@@ -277,6 +282,13 @@ class ResultCache(ResultStore):
         #: read-only store makes hot records look *oldest* and the LRU
         #: sweep evicts them first.  Consulted by :meth:`_scan`.
         self._recency_fallback: Dict[str, float] = {}
+        #: Shard directories this instance has created (or found), so a
+        #: put pays for no ``mkdir`` after the first into each shard.
+        self._shards: Set[str] = set()
+        #: Temporary names unique to this instance: a random tag plus a
+        #: counter (the writer's pid is added per put, for forks).
+        self._tmp_tag = os.urandom(4).hex()
+        self._tmp_seq = itertools.count()
 
     def _path(self, key: str) -> pathlib.Path:
         return self.root / f"v{CACHE_SCHEMA_VERSION}" / key[:2] / f"{key}.json"
@@ -344,21 +356,28 @@ class ResultCache(ResultStore):
             "record": record,
         }
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
+            # One dumps() call: json.dump() streams through the
+            # pure-Python encoder, ~4x slower for the same bytes.
+            data = json.dumps(entry).encode("utf-8")
+        except (TypeError, ValueError):
+            return  # not JSON-serializable: "not cached", never an abort
+        shard = str(path.parent)
+        tmp = os.path.join(
+            shard,
+            f".tmp-{self._tmp_tag}-{os.getpid()}-{next(self._tmp_seq)}.json",
+        )
+        try:
+            fd = self._create(shard, tmp)
         except OSError:
             return
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # One dumps() call: json.dump() streams through the
-                # pure-Python encoder, ~4x slower for the same bytes.
-                fh.write(json.dumps(entry))
+            try:
+                if os.write(fd, data) != len(data):
+                    raise OSError("short write")
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
-        except (OSError, TypeError, ValueError):
-            # TypeError/ValueError: record not JSON-serializable —
-            # still "not cached", never a batch abort.
+        except OSError:
             _unlink_quietly(tmp)
             return
         except BaseException:
@@ -367,6 +386,19 @@ class ResultCache(ResultStore):
         self.stats.stores += 1
         _maybe_inject_corruption(path, key)
         self._note_written(path)
+
+    def _create(self, shard: str, tmp: str) -> int:
+        """Open ``tmp`` (a new 0600 file) in ``shard``, creating the
+        shard the first time this instance writes there — and once
+        more if it has been removed since."""
+        if shard not in self._shards:
+            os.makedirs(shard, exist_ok=True)
+            self._shards.add(shard)
+        try:
+            return os.open(tmp, _TMP_FLAGS, 0o600)
+        except FileNotFoundError:
+            os.makedirs(shard, exist_ok=True)
+            return os.open(tmp, _TMP_FLAGS, 0o600)
 
     def __contains__(self, key: str) -> bool:
         return self.enabled and self._path(key).is_file()

@@ -4,28 +4,31 @@
 specs, or implement-only runs of explicit architectures), deduplicates
 identical ones by content hash, satisfies what it can from the
 persistent :class:`~repro.batch.cache.ResultCache`, and schedules the
-remainder across a ``concurrent.futures`` process pool.  Workers
-receive plain-dict payloads and return plain-dict records (see
+remainder across worker processes.  Workers receive plain-dict
+payloads and return plain-dict records (see
 :func:`repro.compiler.syndcim.execute_job`), so no live compiler
 objects ever cross a process boundary.
 
 Scheduling notes
 ----------------
 * ``jobs=1`` (or a single pending job without a watchdog) runs inline
-  in this process — no pool, easier debugging, identical results.
-  Watchdog timeouts, retries and fault injection are pool features;
+  in this process — no workers, easier debugging, identical results.
+  Watchdog timeouts, retries and fault injection are worker features;
   inline mode trades them for debuggability.
-* Pooled jobs go through a :class:`JobExecutor`: one process pool,
-  spawned on the first dispatch and kept until it breaks or the
-  watchdog kills it, behind a sliding-window dispatch loop that also
-  runs the watchdog and the retry loop.  :meth:`BatchCompiler.run_jobs`
-  uses one executor per call; the compile service
-  (:class:`repro.service.queue.JobQueue`) uses one for its lifetime.
-* Every pool spawn first resolves the subcircuit library in the parent
-  (persistent disk cache, falling back to one characterization); a
-  pool initializer then warms every child from the same artifact, so
-  no worker ever re-runs the characterization — under ``fork`` *and*
-  ``spawn`` alike.
+* Pooled jobs go through a :class:`JobExecutor`: worker processes it
+  owns, each behind its own duplex pipe, and a dispatch loop that also
+  runs the watchdog and the retry loop.  The dispatching thread sends
+  each payload straight to an idle worker and reads the record
+  straight back; no helper thread relays either.
+  :meth:`BatchCompiler.run_jobs` uses one executor per call; the
+  compile service (:class:`repro.service.queue.JobQueue`) uses one for
+  its lifetime; :meth:`BatchCompiler.map` runs on the same worker
+  processes.
+* Before its first worker starts, an executor resolves the subcircuit
+  library in the parent (persistent disk cache, falling back to one
+  characterization); every worker then warms itself from the same
+  artifact (:func:`_worker_initializer`), so no worker ever re-runs
+  the characterization — under ``fork`` *and* ``spawn`` alike.
 * Job failures are *data*: infeasible specs come back as
   ``status="infeasible"`` records (and are cached — they are
   deterministic), unexpected compiler errors as ``status="error"``
@@ -35,16 +38,17 @@ Scheduling notes
 Resilience (see :mod:`repro.batch.resilience` and
 ``docs/robustness.md``)
 ----------------------------------------------------------------------
-* ``job_timeout_s`` arms a watchdog: jobs are dispatched in a sliding
-  window (never more in flight than workers, so dispatch ≈ start),
-  each carries a deadline, and an overdue job gets its pool killed
-  and recycled rather than hanging the sweep forever.
-* Transient failures — a broken pool, a watchdog kill, a future that
-  raised with the pool alive — are retried under a
+* ``job_timeout_s`` arms a watchdog: each worker holds at most one
+  job (so dispatch = start), each job carries a deadline, and an
+  overdue job's worker — that worker alone — is killed and replaced
+  rather than hanging the sweep forever.
+* Transient failures — a worker that died, a watchdog kill, a job
+  function that raised — are charged to exactly the job that worker
+  held and retried under a
   :class:`~repro.batch.resilience.RetryPolicy` with exponential
   backoff; only an exhausted budget yields terminal
   ``error``/``timeout`` records, annotated with ``attempts`` and
-  ``retry_history``.
+  ``retry_history``.  No other job is ever re-run on its account.
 * Every run with a cache root keeps a write-ahead
   :class:`~repro.batch.resilience.SweepJournal`;
   ``BatchCompiler(resume=<run id>)`` restores finished records from it
@@ -59,6 +63,7 @@ from __future__ import annotations
 import copy
 import heapq
 import itertools
+import multiprocessing
 import os
 import pathlib
 import signal
@@ -66,9 +71,8 @@ import threading
 import time
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import (
     Callable,
     Deque,
@@ -113,9 +117,10 @@ class BatchStats:
     retried: int = 0
     #: Jobs restored from a previous run's write-ahead journal.
     resumed: int = 0
-    #: Process pools spawned: one for a pooled run, plus one per pool
-    #: break or watchdog kill that left work to do; 0 when inline.
-    pool_spawns: int = 0
+    #: Worker processes started: ``min(jobs, pending)`` for a pooled
+    #: run, plus one per worker death or watchdog kill that left work
+    #: to do; 0 when inline.
+    worker_spawns: int = 0
     elapsed_s: float = 0.0
     #: Journal identity of this run (``--resume`` takes it); ``None``
     #: when journaling was off.
@@ -207,8 +212,8 @@ class BatchCompiler:
         stimuli against the golden model and the record carries the
         report — functional verification as a batch workload.
     job_timeout_s:
-        Per-job watchdog deadline (pool mode only): an overdue worker
-        is killed with its pool and the job retried; after the retry
+        Per-job watchdog deadline (pool mode only): an overdue job's
+        worker is killed and the job retried; after the retry
         budget it records ``status="timeout"``.  ``None`` (default)
         disables the watchdog.
     retry:
@@ -303,9 +308,9 @@ class BatchCompiler:
             else (new_run_id() if self._journal_root is not None else None)
         )
         #: Shared-memory segments published by this engine (SCL tensors
-        #: from every pool spawn, net views from
-        #: :meth:`publish_net_view`); every pool worker receives this
-        #: list through its initializer and attaches zero-copy.
+        #: before its workers start, net views from
+        #: :meth:`publish_net_view`); every worker receives this list
+        #: at start and attaches zero-copy.
         self._shm_segments: List[str] = []
 
     def _resolve_journal_root(
@@ -486,7 +491,7 @@ class BatchCompiler:
                     executor.drain()
                 finally:
                     executor.close()
-                    stats.pool_spawns = executor.pool_spawns
+                    stats.worker_spawns = executor.worker_spawns
             else:
                 for key, job in pending.items():
                     record = execute_job(job.payload())
@@ -517,18 +522,46 @@ class BatchCompiler:
 
     def map(self, fn: Callable, items: Iterable) -> List[object]:
         """Order-preserving parallel map over picklable ``fn``/``items``
-        using this engine's worker budget; serial when ``jobs=1``."""
+        on this engine's worker budget; serial when ``jobs=1``.  An
+        exception ``fn`` raises in a worker is raised here, and a
+        worker that dies raises :class:`~repro.errors.BatchError`."""
         items = list(items)
         if self.jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         _publish_scl(self._shm_segments)
-        workers = min(self.jobs, len(items))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_initializer,
-            initargs=(tuple(self._shm_segments),),
-        ) as pool:
-            return list(pool.map(fn, items))
+        results: List[object] = [None] * len(items)
+        todo = iter(enumerate(items))
+        workers: List[_Worker] = []
+        try:
+            for _ in range(min(self.jobs, len(items))):
+                workers.append(_Worker(self._shm_segments, workers))
+            idle = list(workers)
+            while True:
+                for worker, (index, item) in zip(idle, todo):
+                    worker.run(fn, item, index)
+                busy = [w for w in workers if w.task is not None]
+                if not busy:
+                    return results
+                handles = [w.conn for w in busy] + [w.sentinel for w in busy]
+                ready = set(wait(handles))
+                idle = []
+                for worker in busy:
+                    readable = worker.conn in ready
+                    if not readable and worker.sentinel not in ready:
+                        continue
+                    index, reply = worker.task, worker.reply(readable)
+                    if reply is None:
+                        worker.reap()
+                        raise BatchError(
+                            f"map worker died ({worker.exit_reason()})"
+                        )
+                    ok, value = reply
+                    if not ok:
+                        raise value
+                    results[index] = value
+                    idle.append(worker)
+        finally:
+            _stop_workers(workers)
 
     def publish_net_view(self, module, library=None) -> Optional[str]:
         """Publish one compiled netlist view's integer tables so pool
@@ -612,24 +645,34 @@ class Ticket:
 
 
 class JobExecutor:
-    """Sliding-window dispatch, watchdog and retry loop over one
-    persistent process pool.
+    """Dispatch, watchdog and retry loop over worker processes it owns.
 
-    The pool is spawned on the first dispatch (after the parent has
-    resolved the subcircuit library, once per spawn) and kept until it
-    breaks or the watchdog kills it; the next dispatch then spawns a
-    fresh one.  At most ``workers`` jobs are in flight, so a job's
-    dispatch time is its start time — the moment its ticket's
-    ``timeout_s`` deadline is measured from.
+    Each worker is a process with its own duplex pipe
+    (:class:`_Worker`).  The dispatching thread sends a job straight to
+    an idle worker, blocks in :func:`multiprocessing.connection.wait`
+    on the busy workers' pipes, every worker's process sentinel and a
+    self-pipe that :meth:`wake` writes to, and reads each record
+    straight back — no helper thread relays either way.  A worker
+    holds at most one job, so a job's dispatch time is its start time,
+    the moment its ticket's ``timeout_s`` deadline is measured from.
 
-    Casualties follow :mod:`repro.batch.resilience`: an overdue job, a
-    future that raised with the pool alive, or a job in flight when the
-    pool broke is charged one attempt of its ticket's
-    :class:`RetryPolicy` and re-queued (after the policy's backoff)
-    until the budget runs out, when it lands as a terminal
-    ``timeout``/``error`` record carrying its ``retry_history``.  Jobs
-    killed alongside an overdue one — whoever submitted them — re-run
-    without being charged.
+    Workers start when the first job is dispatched (after the parent
+    has resolved the subcircuit library, once per executor) and live
+    until :meth:`close`; after every dispatch the pool is topped up to
+    ``workers`` processes, so a worker lost to a crash or a watchdog
+    kill is replaced when work remains.  ``worker_spawns`` counts the
+    processes started: ``workers`` for a clean run, plus one per loss
+    that left work to do.
+
+    The parent knows which job each worker holds, so a failure is
+    charged to exactly that job: an overdue job (its worker alone is
+    killed), a worker that died (EOF on its pipe, or its sentinel), or
+    a job function that raised.  The charge spends one attempt of the
+    ticket's :class:`RetryPolicy` and re-queues the job (after the
+    policy's backoff) until the budget runs out, when it lands as a
+    terminal ``timeout``/``error`` record carrying its
+    ``retry_history``.  No other job is ever killed or re-run on its
+    account.
 
     Work arrives through ``feed``, called whenever a worker is free
     (and no retry is due) for the next ticket, or ``None``.  Two ways
@@ -653,20 +696,20 @@ class JobExecutor:
         #: Shared-memory segments every worker attaches at start (the
         #: batch engine passes its own list, net views included).
         self._segments = shm_segments if shm_segments is not None else []
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._in_flight: Dict[Future, Ticket] = {}
+        #: Live workers; ``task`` is the ticket a busy one holds.
+        self._pool: List[_Worker] = []
         self._ready: Deque[Ticket] = deque()
         #: Tickets in retry backoff: (not before, sequence, ticket).
         self._delayed: List[Tuple[float, int, Ticket]] = []
         self._seq = itertools.count()
-        #: Completed by :meth:`wake` to end a dispatch wait early; the
-        #: dispatching thread swaps in a fresh one after each wait.
-        self._wakeup: Future = Future()
+        #: Self-pipe: :meth:`wake` writes a byte to end a dispatch wait.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
         self._wake_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._close_by: Optional[float] = None
-        #: Pools spawned so far (a deterministic work counter).
-        self.pool_spawns = 0
+        #: Worker processes started so far (a deterministic work counter).
+        self.worker_spawns = 0
 
     # -- driving ------------------------------------------------------------
 
@@ -687,27 +730,35 @@ class JobExecutor:
         """End the dispatch wait now (thread-safe): ``feed`` may have
         work, or :meth:`close` was called."""
         with self._wake_lock:
-            if not self._wakeup.done():
-                self._wakeup.set_result(None)
+            if self._wake_w is not None:
+                try:
+                    os.write(self._wake_w, b"\0")
+                except BlockingIOError:
+                    pass  # the pipe is full: a wakeup is pending anyway
 
     def close(self, timeout: float = 0.0) -> None:
         """Stop taking work from ``feed``, give what is in flight or
         awaiting retry up to ``timeout`` seconds to land (background
-        mode), then shut the pool down — killing whatever still runs —
-        and reap its workers."""
+        mode), then stop the workers — killing whatever still runs —
+        and reap them."""
         thread, self._thread = self._thread, None
         if thread is None:
-            self._retire(kill=bool(self._in_flight))
-            return
-        self._close_by = time.monotonic() + timeout
-        self.wake()
-        thread.join()
+            self._shutdown()
+        else:
+            self._close_by = time.monotonic() + timeout
+            self.wake()
+            thread.join()
+        with self._wake_lock:
+            if self._wake_w is not None:
+                os.close(self._wake_w)
+                os.close(self._wake_r)
+                self._wake_w = None
 
     def stats(self) -> Dict[str, int]:
         return {
             "workers": self.workers,
-            "in_flight": len(self._in_flight),
-            "pool_spawns": self.pool_spawns,
+            "in_flight": sum(w.task is not None for w in list(self._pool)),
+            "worker_spawns": self.worker_spawns,
         }
 
     def _serve(self) -> None:
@@ -720,19 +771,19 @@ class JobExecutor:
         try:
             self._loop(closed)
         finally:
-            self._retire(kill=bool(self._in_flight))
+            self._shutdown()
 
     def _loop(self, stop: Callable[[bool], bool]) -> None:
         self._launch()
         while not stop(self._idle()):
-            ready, _ = wait(
-                [*self._in_flight, self._wakeup],
-                timeout=self._next_timer(),
-                return_when=FIRST_COMPLETED,
-            )
-            with self._wake_lock:
-                if self._wakeup.done():
-                    self._wakeup = Future()
+            handles = [self._wake_r]
+            for worker in self._pool:
+                handles.append(worker.sentinel)
+                if worker.task is not None:
+                    handles.append(worker.conn)
+            ready = set(wait(handles, timeout=self._next_timer()))
+            if self._wake_r in ready:
+                os.read(self._wake_r, 4096)
             landed = self._collect(ready)
             # Refill the window before the callbacks run, so no worker
             # waits on the parent's cache writes, journal or progress.
@@ -741,22 +792,18 @@ class JobExecutor:
                 self._land(ticket, record)
 
     def _idle(self) -> bool:
-        return not (self._in_flight or self._ready or self._delayed)
+        return not (self._busy() or self._ready or self._delayed)
+
+    def _busy(self) -> List["_Worker"]:
+        return [w for w in self._pool if w.task is not None]
 
     def _next_timer(self) -> Optional[float]:
         """Seconds until the loop must look again although nothing
-        completed: the earliest watchdog check, backoff expiry or
-        close deadline (``None``: wait for a completion or a wake).
-
-        The watchdog looks 5 % of a job's timeout (20-250 ms) past its
-        deadline, so jobs dispatched together and overdue together are
-        settled by one pool kill, not killed as each other's
-        collateral a millisecond before their own deadlines."""
-        times = [
-            t.deadline + max(0.02, min(0.25, t.timeout_s / 20))
-            for t in self._in_flight.values()
-            if t.deadline is not None and t.timeout_s is not None
-        ]
+        completed: the earliest watchdog deadline, backoff expiry or
+        close deadline (``None``: wait for a reply, a death or a
+        wake)."""
+        deadlines = (w.task.deadline for w in self._busy())
+        times = [d for d in deadlines if d is not None]
         if self._delayed:
             times.append(self._delayed[0][0])
         if self._close_by is not None:
@@ -770,20 +817,30 @@ class JobExecutor:
 
     def _launch(self) -> None:
         """Fill the window: tickets due for (re-)dispatch first, then
-        the feed."""
+        the feed; then top the pool up to ``workers`` processes."""
         now = time.monotonic()
         while self._delayed and self._delayed[0][0] <= now:
             self._ready.append(heapq.heappop(self._delayed)[2])
-        while len(self._in_flight) < self.workers:
+        dispatched = False
+        while len(self._busy()) < self.workers:
             if self._ready:
                 ticket = self._ready.popleft()
             elif self._close_by is None:
                 ticket = self._feed()
                 if ticket is None:
-                    return
+                    break
             else:
-                return
+                break
             self._dispatch(ticket)
+            dispatched = True
+        # Topping up after the window is full lets the first job start
+        # before the other workers fork, and keeps the spawn count
+        # independent of how fast the first jobs finish.
+        while dispatched and len(self._pool) < self.workers:
+            try:
+                self._spawn()
+            except OSError:
+                break  # retried at the next dispatch
 
     def _dispatch(self, ticket: Ticket) -> None:
         # Imported per dispatch, not at start: a service must not pay
@@ -798,135 +855,99 @@ class JobExecutor:
                 "key": ticket.key,
                 "attempt": ticket.attempts + 1,
             }
+        worker = next((w for w in self._pool if w.task is None), None)
         try:
-            if self._pool is None:
-                self._spawn()
-            future = self._pool.submit(execute_job, payload)
-        except (RuntimeError, OSError) as exc:
-            # BrokenProcessPool is a RuntimeError: the pool broke under
-            # us, or a new one could not start (fork failed).
-            self._break(f"{type(exc).__name__}: {exc}", launching=ticket)
+            if worker is None:
+                worker = self._spawn()
+        except OSError as exc:
+            # A worker could not start (fork failed): charged, so a
+            # pool that can never start cannot retry forever.
+            self._charge(
+                ticket, "error",
+                f"worker could not start: {type(exc).__name__}: {exc}",
+            )
             return
         ticket.deadline = (
             None
             if ticket.timeout_s is None
             else time.monotonic() + ticket.timeout_s
         )
-        self._in_flight[future] = ticket
+        try:
+            worker.run(execute_job, payload, ticket)
+        except OSError:
+            # The worker died between its last job and this one.
+            self._lost(worker)
 
-    def _spawn(self) -> None:
-        _publish_scl(self._segments)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_worker_initializer,
-            initargs=(tuple(self._segments),),
-        )
-        self.pool_spawns += 1
+    def _spawn(self) -> "_Worker":
+        if self.worker_spawns == 0:
+            _publish_scl(self._segments)
+        worker = _Worker(self._segments, self._pool)
+        self._pool.append(worker)
+        self.worker_spawns += 1
+        return worker
 
-    def _retire(self, kill: bool = False) -> None:
-        """Shut the current pool down and reap its workers; ``kill``
-        terminates them first, for work that must not finish.  Reaches
-        into the executor's process table — there is no public kill
-        switch, and a missing table (API drift) degrades to a plain
-        shutdown."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if kill:
-            for proc in list((getattr(pool, "_processes", None) or {}).values()):
-                try:
-                    proc.terminate()
-                except (OSError, ValueError):
-                    pass
-        pool.shutdown(wait=True, cancel_futures=True)
+    def _shutdown(self) -> None:
+        """Stop every worker (killing busy ones) and reap them."""
+        pool, self._pool = self._pool, []
+        _stop_workers(pool)
 
     # -- verdicts -----------------------------------------------------------
 
-    def _collect(self, ready) -> List[Tuple[Ticket, Record]]:
-        """Settle completed futures; returns the records that came
-        back.  A future that raised with the pool alive is charged
-        here; a pool break and overdue jobs are settled across
-        everything in flight."""
+    def _collect(self, ready: set) -> List[Tuple[Ticket, Record]]:
+        """Read the replies of the workers in ``ready``; returns the
+        records that came back.  A job function that raised, a worker
+        that died and an overdue job are each charged to the one
+        ticket involved."""
         landed: List[Tuple[Ticket, Record]] = []
-        broken: Optional[str] = None
-        for future in ready:
-            ticket = self._in_flight.get(future)
-            if ticket is None:
-                continue  # the wakeup
-            try:
-                record = future.result()
-            except BrokenProcessPool as exc:
-                broken = f"{type(exc).__name__}: {exc}"
-                continue  # still in flight: a suspect of the break
-            except Exception as exc:
-                # A single-future failure with the pool still alive
-                # (cancellation, an injected raise): transient.
-                del self._in_flight[future]
+        for worker in list(self._pool):
+            readable = worker.conn in ready
+            if not readable and worker.sentinel not in ready:
+                continue
+            ticket = worker.task
+            reply = None if ticket is None else worker.reply(readable)
+            if reply is None or worker.sentinel in ready:
+                self._lost(worker)  # charges its job if it did not reply
+            if reply is None:
+                continue
+            ok, value = reply
+            if ok:
+                landed.append((ticket, value))
+            else:
                 self._charge(
                     ticket, "error",
-                    f"worker died: {type(exc).__name__}: {exc}",
+                    f"job raised {type(value).__name__}: {value}",
                 )
-                continue
-            del self._in_flight[future]
-            landed.append((ticket, record))
-        if broken is not None:
-            self._break(broken)
         self._watchdog()
         return landed
 
-    def _break(self, reason: str, launching: Optional[Ticket] = None) -> None:
-        """The pool broke: retire it and settle the jobs in flight —
-        the only possible culprits, at most one per worker."""
-        suspects = list(self._in_flight.values())
-        self._in_flight.clear()
-        self._retire(kill=True)
-        if launching is not None:
-            if suspects:
-                self._ready.appendleft(launching)  # never started
-            else:
-                # Nothing in flight (the pool could not start): charge
-                # the job being launched — the guard against retrying
-                # a pool that can never start, forever.
-                suspects = [launching]
-        culprits = suspects
-        plan = active_plan()
-        if plan is not None:
-            # The fault plan is deterministic on both sides of the
-            # pool: the parent knows exactly which in-flight job was
-            # scheduled to crash, so it alone is charged and its
-            # pool-mates re-run free.  Without a plan (a real OOM or
-            # segfault) the whole suspect set stays charged — the
-            # parent genuinely cannot tell.
-            culprits = [
-                t for t in suspects
-                if plan.planned(t.key, t.attempts + 1) == "crash"
-            ] or suspects
-        for ticket in suspects:
-            if ticket in culprits:
-                self._charge(ticket, "error", f"worker died: {reason}")
-            else:
-                self._ready.appendleft(ticket)
+    def _lost(self, worker: "_Worker") -> None:
+        """``worker`` died: reap it and charge the job it still held,
+        if any."""
+        self._pool.remove(worker)
+        worker.reap()
+        if worker.task is not None:
+            self._charge(
+                worker.task, "error", f"worker died ({worker.exit_reason()})"
+            )
+
+    def _retire(self, worker: "_Worker") -> None:
+        """Stop ``worker`` (killing it if busy) and reap it."""
+        self._pool.remove(worker)
+        _stop_workers([worker])
 
     def _watchdog(self) -> None:
-        """Running futures cannot be cancelled: when a job is overdue,
-        kill the pool (the next dispatch spawns a fresh one), charge
-        the overdue jobs and re-run the rest uncharged."""
+        """A running job cannot be interrupted: kill the worker of each
+        overdue job (the next dispatch starts a replacement) and charge
+        that job alone."""
         now = time.monotonic()
-        overdue = [
-            t for t in self._in_flight.values()
-            if t.deadline is not None and now >= t.deadline
-        ]
-        if not overdue:
-            return
-        collateral = [t for t in self._in_flight.values() if t not in overdue]
-        self._in_flight.clear()
-        self._retire(kill=True)
-        self._ready.extendleft(collateral)
-        for ticket in overdue:
-            self._charge(
-                ticket, "timeout",
-                f"watchdog: exceeded job timeout {ticket.timeout_s:g}s",
-            )
+        for worker in self._busy():
+            ticket = worker.task
+            if ticket.deadline is not None and now >= ticket.deadline:
+                self._retire(worker)
+                self._charge(
+                    ticket, "timeout",
+                    f"watchdog: exceeded job timeout {ticket.timeout_s:g}s",
+                )
 
     def _charge(self, ticket: Ticket, status: str, reason: str) -> None:
         """Spend one attempt of the ticket's budget on a transient
@@ -983,14 +1004,15 @@ class JobExecutor:
 
 
 def _publish_scl(segments: List[str]) -> None:
-    """Resolve the subcircuit library once in the parent before a pool
-    spawns, then publish its tensors over shared memory and add the
-    segment to ``segments``.  Fork-started children inherit the live
-    object; spawn/forkserver children attach the published segment
-    zero-copy through :func:`_worker_initializer` (falling back to the
-    persistent disk artifact, then to a characterization) — either way
-    no worker re-runs the characterization.  Publishing is best-effort:
-    a shm-less platform degrades to the pre-shm behaviour."""
+    """Resolve the subcircuit library once in the parent before its
+    first worker starts, then publish its tensors over shared memory
+    and add the segment to ``segments``.  Fork-started children inherit
+    the live object; spawn/forkserver children attach the published
+    segment zero-copy through :func:`_worker_initializer` (falling back
+    to the persistent disk artifact, then to a characterization) —
+    either way no worker re-runs the characterization.  Publishing is
+    best-effort: a shm-less platform degrades to the pre-shm
+    behaviour."""
     from ..scl.library import default_scl
     from ..shm.scl import publish_default_scl
 
@@ -1000,8 +1022,140 @@ def _publish_scl(segments: List[str]) -> None:
         segments.append(name)
 
 
+class _Worker:
+    """One worker process and the parent's end of its duplex pipe.
+
+    The process runs :func:`_worker_main`: it receives ``(fn, arg)``,
+    answers ``(True, fn(arg))`` or ``(False, exception)``, and exits on
+    ``None``.  The parent closes its copy of the child's end at once, so
+    the child's death reads as EOF here (and fires ``sentinel``)."""
+
+    def __init__(
+        self, segments: Sequence[str], siblings: Iterable["_Worker"]
+    ) -> None:
+        ctx = multiprocessing.get_context()
+        self.conn, child = ctx.Pipe()
+        # A forked child inherits every pipe end the parent holds; it
+        # closes the parent's ends so that they stay the parent's alone.
+        inherited = (
+            [self.conn, *(w.conn for w in siblings)]
+            if ctx.get_start_method() == "fork"
+            else []
+        )
+        self.proc = ctx.Process(
+            target=_worker_main,
+            args=(child, tuple(segments), inherited),
+            name="repro-worker",
+            daemon=True,
+        )
+        try:
+            self.proc.start()
+        except BaseException:
+            self.conn.close()
+            raise
+        finally:
+            child.close()
+        self.sentinel = self.proc.sentinel
+        #: What the worker is running (its caller's handle), or None.
+        self.task: object = None
+        #: The process's exit code, once reaped.
+        self.exitcode: Optional[int] = None
+
+    def run(self, fn: Callable, arg: object, task: object) -> None:
+        self.task = task
+        self.conn.send((fn, arg))
+
+    def reply(self, readable: bool) -> Optional[Tuple[bool, object]]:
+        """The answer to the running task, or ``None`` if the worker
+        died without one.  ``readable``: the pipe is known ready."""
+        try:
+            if readable or self.conn.poll():
+                answer = self.conn.recv()
+                self.task = None
+                return answer
+        except (EOFError, OSError):
+            pass
+        return None
+
+    def stop(self) -> None:
+        """Ask an idle worker to exit; kill a busy one."""
+        if self.conn.closed:
+            return
+        if self.task is None:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # already gone
+        else:
+            self.proc.kill()
+
+    def reap(self) -> None:
+        """Wait for the process to end, then release its pipe and
+        sentinel (idempotent)."""
+        if self.conn.closed:
+            return
+        self.proc.join(5.0)
+        if self.proc.exitcode is None:
+            self.proc.kill()
+            self.proc.join()
+        self.exitcode = self.proc.exitcode
+        self.proc.close()
+        self.conn.close()
+
+    def exit_reason(self) -> str:
+        """How a reaped worker ended."""
+        if self.exitcode is not None and self.exitcode < 0:
+            try:
+                return f"killed by {signal.Signals(-self.exitcode).name}"
+            except ValueError:
+                return f"killed by signal {-self.exitcode}"
+        return f"exit code {self.exitcode}"
+
+
+def _stop_workers(workers: Sequence[_Worker]) -> None:
+    """Ask idle workers to exit and kill busy ones, then reap them all."""
+    for worker in workers:
+        worker.stop()
+    for worker in workers:
+        worker.reap()
+
+
+def _worker_main(conn, shm_segments: Sequence[str], inherited) -> None:
+    """A worker process: run ``(fn, arg)`` tasks from ``conn`` until
+    the parent sends ``None`` or its end closes.
+
+    A forked worker inherits the parent's Python-level signal handlers
+    (``repro serve`` installs its own for SIGINT and SIGTERM): the
+    default SIGTERM action is restored so a terminate still kills it,
+    and SIGINT is ignored — a Ctrl-C reaches the whole process group,
+    and the parent decides what happens to running jobs."""
+    for other in inherited:
+        other.close()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_initializer(shm_segments)
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        fn, arg = task
+        try:
+            answer = (True, fn(arg))
+        except Exception as exc:
+            answer = (False, exc)
+        try:
+            conn.send(answer)
+        except Exception as exc:  # an unpicklable result or exception
+            conn.send((False, BatchError(
+                f"cannot return the result: {type(exc).__name__}: {exc}"
+            )))
+
+
 def _worker_initializer(shm_segments: Sequence[str] = ()) -> None:
-    """Pool-worker startup hook: attach the parent's published
+    """Worker startup hook: attach the parent's published
     shared-memory tensors, then make sure an SCL is resolved before the
     first job lands, so per-job latencies measure compilation, not
     characterization.
@@ -1014,13 +1168,7 @@ def _worker_initializer(shm_segments: Sequence[str] = ()) -> None:
     on demand.  A worker that cannot preload still works, but says so
     once (this hook runs once per process), because a misconfigured
     cache dir showing up as a uniform slowdown is the kind of mystery
-    that eats an afternoon.
-
-    A forked worker also inherits its parent's Python-level SIGTERM
-    handler (``repro serve`` installs one to shut down cleanly); the
-    default action is restored so the watchdog's terminate still kills
-    a hung worker."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    that eats an afternoon."""
     try:
         from ..shm.netview import install_attachments
 
@@ -1041,3 +1189,15 @@ def _worker_initializer(shm_segments: Sequence[str] = ()) -> None:
             RuntimeWarning,
             stacklevel=2,
         )
+
+
+def __getattr__(name: str):
+    # The engine ran on the standard library's process pool before it
+    # owned its workers; ``e2ebench/spans.py`` still subclasses that
+    # class under this name to time pool construction.  Nothing here
+    # constructs it.
+    if name == "ProcessPoolExecutor":
+        from concurrent import futures
+
+        return futures.ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,16 +13,18 @@ Fault kinds
 ``crash``
     The worker calls ``os._exit(70)`` before running its job — the
     process dies without cleanup, exactly like an OOM kill or a
-    segfault.  The parent sees ``BrokenProcessPool`` (transient →
-    retried).
+    segfault.  The parent reads EOF on that worker's pipe and charges
+    the job it held, and only that job (transient → retried in a fresh
+    worker).
 ``hang``
     The worker sleeps ``$REPRO_FAULT_HANG_S`` seconds (default 60)
     before running — long enough to trip any sane ``--job-timeout``,
-    driving the watchdog's kill/recycle path.
+    driving the watchdog's path: that worker alone is killed and
+    replaced.
 ``raise``
     The worker raises :class:`FaultInjected` from the job function
-    itself, with the pool still alive — the single-future failure
-    branch (transient → retried).
+    itself and stays alive — the job-raised branch (transient →
+    retried).
 ``corrupt_cache``
     :meth:`repro.batch.cache.ResultCache.put` truncates the record it
     just wrote, so the *next* lookup exercises the quarantine path.

@@ -15,9 +15,11 @@ to a record.  Re-running them reproduces them, so they are **never
 retried** (and ``infeasible`` is even cached).
 
 *Transient* failures are properties of the environment: a worker
-process dying (``BrokenProcessPool`` — OOM kill, segfault, injected
-crash), a watchdog timeout, a future that raised with the pool still
-alive.  The job itself might be fine, so these are **retried** under a
+process dying (OOM kill, segfault, injected crash — the parent reads
+EOF on that worker's pipe), a watchdog timeout, a job function that
+raised with its worker still alive.  The parent knows which job each
+worker holds, so every such failure is charged to exactly that job.
+The job itself might be fine, so these are **retried** under a
 :class:`RetryPolicy` with exponential backoff, and only after the
 budget is exhausted do they become terminal ``error``/``timeout``
 records carrying ``attempts`` and ``retry_history``.

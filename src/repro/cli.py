@@ -544,6 +544,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     import signal
+    import threading
 
     from .service.queue import JobQueue
     from .service.server import create_server
@@ -580,18 +581,20 @@ def _run_serve(args: argparse.Namespace) -> int:
           f"store: {store_text})", flush=True)
 
     def _stop(signum, frame):
-        raise KeyboardInterrupt
+        # Never raise from here: a KeyboardInterrupt that lands inside a
+        # weakref callback or a __del__ is printed and swallowed, and the
+        # server would keep running.  shutdown() blocks until
+        # serve_forever() returns, so it cannot run on this thread.
+        threading.Thread(target=server.shutdown, daemon=True).start()
 
-    # SIGTERM (a service manager's stop) takes the same clean path as
-    # Ctrl-C: the pool is shut down, its workers reaped and the shared
-    # memory unlinked at exit, none of which the default action does.
+    # Ctrl-C and SIGTERM (a service manager's stop) take the same clean
+    # path: the pool is shut down, its workers reaped and the shared
+    # memory unlinked at exit, none of which the default actions do.
+    signal.signal(signal.SIGINT, _stop)
     signal.signal(signal.SIGTERM, _stop)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:
-        pass
     finally:
-        server.shutdown()
         server.server_close()
         queue.close()
     return 0

@@ -491,8 +491,8 @@ def execute_job(payload: Dict[str, object]) -> Dict[str, object]:
     Takes a plain-dict payload (built by :mod:`repro.batch.jobs`),
     rebuilds the spec, runs the requested flow and returns a plain-dict
     record — no live objects cross the process boundary in either
-    direction, so this function is safe to hand to a
-    ``ProcessPoolExecutor`` regardless of start method.
+    direction, so this function is safe to hand to a worker process
+    regardless of start method.
 
     Payload types:
 

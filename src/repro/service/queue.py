@@ -164,8 +164,8 @@ class JobQueue:
         nothing survives restarts).
     workers:
         Processes in the one compile pool (= jobs compiling
-        concurrently).  Default ``min(4, cpu)``.  The pool is spawned
-        on the first job that misses the store, not at construction.
+        concurrently).  Default ``min(4, cpu)``.  The workers start
+        with the first job that misses the store, not at construction.
     journal / journal_keep:
         The service journals terminal records under its run id
         (``journal=False`` disables); completed sweeps prune the

@@ -9,17 +9,27 @@ must produce exactly the records that N sequential
 from __future__ import annotations
 
 import copy
+import gc
 import json
+import multiprocessing
 import os
 import pathlib
+import shutil
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from repro.arch import MacroArchitecture
 from repro.batch.cache import MemoryResultStore, ResultCache
-from repro.batch.engine import BatchCompiler, BatchResult, BatchStats
+from repro.batch.engine import (
+    BatchCompiler,
+    BatchResult,
+    BatchStats,
+    JobExecutor,
+)
 from repro.batch.jobs import CompileJob, ImplementJob
 from repro.batch.sweep import (
     expand_grid,
@@ -335,6 +345,28 @@ class TestResultCache:
         assert cache.stats.stores == 0
         assert cache.get("34" * 32) is None
 
+    def test_put_lands_after_its_shard_directory_is_removed(self, tmp_path):
+        """A put skips the ``mkdir`` of a shard it made before; when the
+        shard has been removed since, the put makes it again and lands."""
+        cache = ResultCache(tmp_path)
+        first, second = "ab" + "0" * 62, "ab" + "1" * 62
+        cache.put(first, {"v": 1})
+        shutil.rmtree(cache._path(first).parent)
+        cache.put(second, {"v": 2})
+        assert cache.get(second) == {"v": 2}
+        assert cache.get(first) is None
+        assert cache.stats.stores == 2
+
+    def test_records_are_private_and_no_temporary_is_left(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        keys = [f"{i:02d}" * 32 for i in range(3)] + ["00" + "1" * 62]
+        for i, key in enumerate(keys):
+            cache.put(key, {"v": i})
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert sorted(files) == sorted(cache._path(key) for key in keys)
+        for path in files:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
 
 # -- batch engine -----------------------------------------------------------
 
@@ -388,7 +420,7 @@ class TestBatchEngine:
         batch = engine.compile_specs(specs, implement=True)
         assert len(batch) == 4
         assert [r["status"] for r in batch] == ["ok"] * 4
-        assert batch.stats.pool_spawns == 1
+        assert batch.stats.worker_spawns == 2
 
         compiler = SynDCIM(scl=scl)
         for spec, record in zip(specs, batch.records):
@@ -489,12 +521,12 @@ class TestBatchEngine:
         engine = BatchCompiler(jobs=1, use_cache=False)
         batch = engine.compile_specs([_small_spec()], implement=False)
         assert batch.stats.compiled == 1
-        assert batch.stats.pool_spawns == 0  # jobs=1 runs inline
+        assert batch.stats.worker_spawns == 0  # jobs=1 runs inline
         assert engine.cache is None
 
     def test_worker_death_becomes_error_record(self, tmp_path, monkeypatch):
         """A worker killed outright (OOM/segfault) must surface as an
-        error record, not abort the batch with BrokenProcessPool."""
+        error record, not abort the batch."""
         import multiprocessing
 
         if multiprocessing.get_start_method() != "fork":
@@ -513,6 +545,12 @@ class TestBatchEngine:
     def test_map_preserves_order(self):
         engine = BatchCompiler(jobs=2, use_cache=False)
         assert engine.map(abs, [-3, 2, -1]) == [3, 2, 1]
+
+    def test_map_raises_what_fn_raised(self):
+        engine = BatchCompiler(jobs=2, use_cache=False)
+        with pytest.raises(ValueError, match="invalid literal"):
+            engine.map(int, ["1", "2", "x", "4"])
+        assert multiprocessing.active_children() == []
 
     def test_seed_in_cache_key_and_determinism(self, tmp_path, scl):
         """Seeded searches are reproducible and keyed separately."""
@@ -627,6 +665,87 @@ class TestBatchEngine:
 
 
 # -- summarize --------------------------------------------------------------
+
+
+class TestWorkerTransport:
+    """The executor talks to each worker over its own pipe from the
+    dispatching thread: no helper threads, and nothing left behind."""
+
+    def _run(self, progress=None, **kwargs):
+        return BatchCompiler(
+            jobs=2, use_cache=False, journal=False, progress=progress,
+            **kwargs,
+        ).compile_specs(
+            [_small_spec(), _small_spec(height=16)], implement=False
+        )
+
+    def test_progress_runs_on_the_caller_with_no_helper_thread(self):
+        caller = threading.current_thread()
+        before = set(threading.enumerate())
+        seen = []
+
+        def progress(done, total, record):
+            extra = set(threading.enumerate()) - before
+            seen.append((threading.current_thread(), extra))
+
+        self._run(progress)
+        assert seen == [(caller, set())] * 2
+
+    def test_no_worker_outlives_its_run_or_queue(self):
+        from repro.service.queue import JobQueue
+
+        self._run()
+        assert multiprocessing.active_children() == []
+        with JobQueue(use_cache=False, journal=False, workers=2) as queue:
+            job = queue.submit(_small_spec())
+            assert queue.wait(job["id"], timeout=60)["status"] == "ok"
+            assert multiprocessing.active_children() != []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("faults", ["crash:1.0:first", "hang:1.0:first"])
+    def test_crashed_and_killed_workers_are_reaped(self, faults, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", faults)
+        monkeypatch.setenv("REPRO_FAULT_HANG_S", "30")
+        batch = self._run(job_timeout_s=0.5)
+        assert [r["status"] for r in batch] == ["ok", "ok"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    @pytest.mark.parametrize("faults", ["", "crash:1.0:first"])
+    def test_repeated_runs_leak_no_descriptor(self, faults, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", faults)
+        self._run()  # one-time state: shared SCL segment, tracker pipe
+
+        def open_fds() -> int:
+            gc.collect()
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        for _ in range(20):
+            self._run()
+        assert open_fds() == before
+
+    def test_wake_from_another_thread_ends_an_idle_wait(self):
+        calls = []
+        fed, fed_again = threading.Event(), threading.Event()
+
+        def feed():
+            calls.append(threading.current_thread())
+            (fed_again if fed.is_set() else fed).set()
+
+        executor = JobExecutor(1, feed=feed)
+        executor.start()
+        try:
+            # Idle: fed once at start, then waiting with no timer armed.
+            assert fed.wait(5.0)
+            assert not fed_again.wait(0.3)
+            threading.Thread(target=executor.wake).start()
+            assert fed_again.wait(5.0)
+        finally:
+            executor.close()
+        assert [t.name for t in calls] == ["repro-dispatch"] * 2
 
 
 class TestSummarize:

@@ -17,6 +17,7 @@ import json
 import os
 import random
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -463,7 +464,8 @@ class TestJobQueue:
         assert stats["submitted"] == 64 == (
             stats["compiled"] + stats["coalesced"] + stats["cache_hits"]
         )
-        assert stats["executor"]["pool_spawns"] == 1
+        # All three workers start with the first job, whatever the race.
+        assert stats["executor"]["worker_spawns"] == 3
 
 
 # -- live HTTP API ------------------------------------------------------------
@@ -612,8 +614,9 @@ class TestAcceptance:
         self, tmp_path, monkeypatch
     ):
         """Two clients race the same 16-point sweep; the service must
-        compile each content hash exactly once — all of them in the one
-        pool, spawned once, and none in the server process."""
+        compile each content hash exactly once — all of them in the
+        pool's four workers, started once, and none in the server
+        process."""
         import repro.compiler.syndcim as syndcim
 
         in_server = []
@@ -659,7 +662,7 @@ class TestAcceptance:
             assert stats["compiled"] == 16, stats
             assert stats["store"]["entries"] == 16
             assert stats["executor"] == {
-                "workers": 4, "in_flight": 0, "pool_spawns": 1,
+                "workers": 4, "in_flight": 0, "worker_spawns": 4,
             }
             assert in_server == []
         finally:
@@ -736,9 +739,9 @@ class TestChaos:
             assert client.health()["ok"]
             clean = client.submit(SPEC_PAYLOAD, options=FAST)
             assert client.wait(clean["id"], timeout=300)["status"] == "ok"
-            # The crash broke the first pool; the clean job spawned the
-            # second.
-            assert client.stats()["executor"]["pool_spawns"] == 2
+            # The crash killed the only worker; the clean job started
+            # its replacement.
+            assert client.stats()["executor"]["worker_spawns"] == 2
         finally:
             server.shutdown()
             server.server_close()
@@ -816,10 +819,10 @@ class TestChaos:
     ):
         """Two service jobs share the pool: one hangs past its 0.3 s
         timeout on every attempt, the other (30 s budget) is still
-        running each time the watchdog kills the pool.  The hung job
-        ends ``timeout`` after its two attempts; the other ends ``ok``
-        with no retry bookkeeping, although the pool was killed under
-        it twice."""
+        running each time the watchdog fires.  The watchdog kills only
+        the hung job's worker: the hung job ends ``timeout`` after its
+        two attempts, the other ends ``ok`` in the worker it started in,
+        with no retry bookkeeping."""
         monkeypatch.setenv("REPRO_FAULTS", "hang:1.0")
         monkeypatch.setenv("REPRO_FAULT_HANG_S", "3")
         with serving(JobQueue(cache_dir=tmp_path, workers=2)) as client:
@@ -843,9 +846,9 @@ class TestChaos:
         assert busy["status"] == "ok"
         assert "attempts" not in busy["record"]
         assert "retry_history" not in busy["record"]
-        # One spawn, one after each kill: the second respawn only
-        # happens because the busy job was re-queued uncharged.
-        assert stats["executor"]["pool_spawns"] == 3
+        # Two workers start with the first job; the first kill's retry
+        # needs a third; the second kill leaves no work, so no fourth.
+        assert stats["executor"]["worker_spawns"] == 3
         assert stats["retried"] == 1
 
 
@@ -944,6 +947,58 @@ class TestServeCLI:
 
         assert main(["serve", "--port", "0", "--workers", "2", "-j", "3"]) == 2
         assert "disagree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+    def test_signal_inside_a_finalizer_still_stops_the_server(self, signame):
+        """A stop signal whose handler runs inside a weakref callback on
+        the main thread (where a raised KeyboardInterrupt would be
+        printed and swallowed) must still shut the server down."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SIGNAL_IN_FINALIZER.format(signame)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            _out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            _out, err = proc.communicate()
+            pytest.fail(f"the server ignored {signame}:\n{err}")
+        assert proc.returncode == 0, err
+
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+
+#: ``repro serve`` with a finalizer that sends the process a signal as
+#: soon as the serve loop drops the last reference to its object, so
+#: the signal handler runs inside the weakref callback.
+_SIGNAL_IN_FINALIZER = """
+import os, signal, sys, weakref
+from repro.cli import main
+from repro.service.server import ServiceServer
+
+class Token:
+    pass
+
+held = [Token()]
+weakref.finalize(held[0], os.kill, os.getpid(), signal.{0})
+service_actions = ServiceServer.service_actions
+
+def drop_then_serve(self):
+    held.clear()
+    service_actions(self)
+
+ServiceServer.service_actions = drop_then_serve
+sys.exit(main(["serve", "--port", "0", "--workers", "1", "--no-cache"]))
+"""
 
 
 # -- blessed surface ----------------------------------------------------------
