@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test golden chaos bench perf perf-check perf-smoke e2e-smoke e2e-trace-smoke serve lint install
+.PHONY: test golden chaos examples bench perf perf-check perf-smoke e2e-smoke e2e-trace-smoke serve lint install
 
 test:  ## tier-1 suite: unit tests + benchmark reproductions
 	$(PYTHON) -m pytest -x -q
@@ -15,6 +15,18 @@ golden:  ## regenerate tests/data/golden_search.jsonl; every regeneration needs 
 
 chaos:  ## fault-injection suite: watchdog, retry, resume, quarantine
 	$(PYTHON) -m pytest tests/test_resilience.py -q
+
+# The library examples (service_smoke.py boots a server and runs in
+# the CI service job on its own).
+EXAMPLES := quickstart design_space_exploration edge_vision_macro cloud_fp_macro weight_double_buffering
+
+examples:  ## run every library example against a throwaway REPRO_CACHE_DIR; each must exit 0
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for ex in $(EXAMPLES); do \
+		REPRO_CACHE_DIR="$$tmp" $(PYTHON) examples/$$ex.py > /dev/null || \
+			{ echo "examples: examples/$$ex.py failed" >&2; exit 1; }; \
+		echo "examples/$$ex.py: ok"; \
+	done
 
 bench:  ## benchmark suite only, with timing columns
 	$(PYTHON) -m pytest benchmarks -q --benchmark-columns=mean,stddev,ops

@@ -5,9 +5,9 @@ Expands a (height, frequency) grid with the sweep grammar, pushes it
 through :class:`repro.batch.BatchCompiler` — deduplicated, cached under
 ``~/.cache/repro`` (so the second run is instant), parallel when
 ``--jobs`` > 1 — and renders the aggregate Pareto/scaling report.  The
-sweep runs search-only (``implement=False``), so even a cold run over
-dozens of points finishes in seconds; pass ``--implement`` for full
-layouts.  A template-compiler comparison and frontier hypervolume close
+sweep runs search-only (``CompileOptions(implement=False)``), so even a
+cold run over dozens of points finishes in seconds; pass
+``--implement`` for full layouts.  A template-compiler comparison and frontier hypervolume close
 the loop against the AutoDCIM baseline.
 
 Run:  python examples/design_space_exploration.py [--jobs N] [--implement]
@@ -15,6 +15,7 @@ Run:  python examples/design_space_exploration.py [--jobs N] [--implement]
 
 import argparse
 
+from repro import CompileOptions
 from repro.baselines.autodcim import AutoDCIMCompiler
 from repro.batch import BatchCompiler
 from repro.batch.summarize import summarize
@@ -55,8 +56,9 @@ def main() -> None:
             f"  [{done}/{total}] {rec['spec_summary']} — {rec['status']}"
             f" ({'cached' if rec.get('cached') else 'compiled'})"
         ),
+        options=CompileOptions(implement=args.implement),
     )
-    result = engine.compile_specs(specs, implement=args.implement)
+    result = engine.compile_specs(specs)
     print(result.stats.cache_line())
     print()
     print(summarize(result.records))

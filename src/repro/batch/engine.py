@@ -35,18 +35,22 @@ Scheduling notes
   (not cached).  A sweep never dies half way because one grid corner
   cannot meet timing.
 
+Every option a job runs under travels in its
+:class:`~repro.options.CompileOptions` (``BatchCompiler(options=...)``):
+the flow options go into the job key, the execution policy
+(``job_timeout_s``, ``retries``) steers the executor.
+
 Resilience (see :mod:`repro.batch.resilience` and
 ``docs/robustness.md``)
 ----------------------------------------------------------------------
-* ``job_timeout_s`` arms a watchdog: each worker holds at most one
-  job (so dispatch = start), each job carries a deadline, and an
+* ``options.job_timeout_s`` arms a watchdog: each worker holds at most
+  one job (so dispatch = start), each job carries a deadline, and an
   overdue job's worker — that worker alone — is killed and replaced
   rather than hanging the sweep forever.
 * Transient failures — a worker that died, a watchdog kill, a job
   function that raised — are charged to exactly the job that worker
-  held and retried under a
-  :class:`~repro.batch.resilience.RetryPolicy` with exponential
-  backoff; only an exhausted budget yields terminal
+  held and retried under ``options.retry_policy()`` (exponential
+  backoff); only an exhausted budget yields terminal
   ``error``/``timeout`` records, annotated with ``attempts`` and
   ``retry_history``.  No other job is ever re-run on its account.
 * Every run with a cache root keeps a write-ahead
@@ -89,11 +93,10 @@ from ..arch import MacroArchitecture
 from ..errors import BatchError
 from ..options import CompileOptions
 from ..spec import MacroSpec
-from ..verify.harness import DEFAULT_VECTORS
-from .cache import ResultCache, ResultStore, default_cache_dir
+from .cache import ResultCache, ResultStore
 from .faults import active_plan
 from .jobs import CompileJob, ImplementJob
-from .resilience import RetryPolicy, SweepJournal, new_run_id
+from .resilience import SweepJournal, new_run_id
 
 Job = Union[CompileJob, ImplementJob]
 Record = Dict[str, object]
@@ -198,52 +201,28 @@ class BatchCompiler:
         Where the persistent result store lives (default
         ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``); ``use_cache=False``
         disables both lookup and store.
-    seed:
-        Search-order seed forwarded to every compile job (part of the
-        cache key).
-    corners:
-        Signoff-corner names forwarded to every job (part of the cache
-        key); each worker then evaluates its design at every corner, so
-        a corner sweep fans out over the same pool as the spec grid.
-    verify / verify_vectors:
-        Post-synthesis functional verification forwarded to every
-        compile job (part of the cache key): each worker drives its
-        implemented netlist with that many randomized + directed MAC
-        stimuli against the golden model and the record carries the
-        report — functional verification as a batch workload.
-    job_timeout_s:
-        Per-job watchdog deadline (pool mode only): an overdue job's
-        worker is killed and the job retried; after the retry
-        budget it records ``status="timeout"``.  ``None`` (default)
-        disables the watchdog.
-    retry:
-        :class:`~repro.batch.resilience.RetryPolicy` for transient
-        failures; the default (two attempts, no backoff) matches the
-        engine's historical single-retry behaviour.
+    progress:
+        Optional callback invoked after each job resolves.
     resume:
         A previous run's id (``BatchStats.run_id``): finished records
         are restored from its write-ahead journal and only the
         remainder executes.  Raises
         :class:`~repro.errors.BatchError` for an unknown id.
     journal:
-        Force journaling on/off; the default (``None``) journals
-        whenever a cache root exists (``use_cache=True`` or an
-        explicit ``cache_dir``).
-    progress:
-        Optional callback invoked after each job resolves.
+        ``False`` turns the write-ahead journal off; otherwise a run
+        journals whenever a cache root exists (the store's filesystem
+        root, else an explicit ``cache_dir``).
     store:
         An explicit :class:`~repro.batch.cache.ResultStore` backend to
         consult and populate instead of constructing a
         :class:`~repro.batch.cache.ResultCache` from
-        ``cache_dir``/``use_cache``.  Journaling follows the store's
-        filesystem ``root`` when it has one.
+        ``cache_dir``/``use_cache``.
     options:
-        A :class:`~repro.options.CompileOptions` bundle supplying
-        ``seed``/``corners``/``verify``/``verify_vectors``/``vt``/
-        ``job_timeout_s`` (and, via :meth:`~repro.options.
-        CompileOptions.retry_policy`, ``retry``) in one validated
-        object; the individual keyword arguments for those fields are
-        ignored when ``options`` is given.
+        The :class:`~repro.options.CompileOptions` every job built here
+        runs under (default ``CompileOptions()``): flow options such as
+        ``corners``, ``vt``, ``verify``, ``seed``, ``implement`` and the
+        sparsities go into each job's key; ``job_timeout_s`` arms the
+        watchdog and ``retries`` sets the retry budget.
     """
 
     def __init__(
@@ -251,28 +230,13 @@ class BatchCompiler:
         jobs: Optional[int] = None,
         cache_dir: Optional[os.PathLike] = None,
         use_cache: bool = True,
-        seed: Optional[int] = None,
         progress: Optional[ProgressFn] = None,
-        corners: Optional[Sequence[str]] = None,
-        verify: bool = False,
-        verify_vectors: int = DEFAULT_VECTORS,
-        vt: str = "svt",
-        job_timeout_s: Optional[float] = None,
-        retry: Optional[RetryPolicy] = None,
         resume: Optional[str] = None,
-        journal: Optional[bool] = None,
+        journal: bool = True,
         store: Optional[ResultStore] = None,
         options: Optional[CompileOptions] = None,
     ) -> None:
-        self.options = options
-        if options is not None:
-            seed = options.seed
-            corners = options.corners
-            verify = options.verify
-            verify_vectors = options.verify_vectors
-            vt = options.vt
-            job_timeout_s = options.job_timeout_s
-            retry = options.retry_policy() if retry is None else retry
+        self.options = options if options is not None else CompileOptions()
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
         if store is not None:
             self.cache: Optional[ResultStore] = store if use_cache else None
@@ -280,20 +244,8 @@ class BatchCompiler:
             self.cache = ResultCache(cache_dir) if cache_dir else ResultCache()
         else:
             self.cache = None
-        self.seed = seed
-        self.corners = None if corners is None else tuple(corners)
-        self.verify = verify
-        self.verify_vectors = verify_vectors
-        #: Threshold-flavor policy forwarded to every compile job.
-        self.vt = vt
         self.progress = progress
-        if job_timeout_s is not None and job_timeout_s <= 0:
-            raise BatchError("job_timeout_s must be positive")
-        self.job_timeout_s = job_timeout_s
-        self.retry = retry if retry is not None else RetryPolicy()
-        self._journal_root = self._resolve_journal_root(
-            journal, cache_dir, use_cache
-        )
+        self._journal_root = self._resolve_journal_root(journal, cache_dir)
         self._resume = resume
         if resume is not None and self._journal_root is None:
             raise BatchError(
@@ -314,83 +266,47 @@ class BatchCompiler:
         self._shm_segments: List[str] = []
 
     def _resolve_journal_root(
-        self,
-        journal: Optional[bool],
-        cache_dir: Optional[os.PathLike],
-        use_cache: bool,
+        self, journal: bool, cache_dir: Optional[os.PathLike]
     ) -> Optional[pathlib.Path]:
-        if journal is False:
+        if not journal:
             return None
-        if self.cache is not None:
-            # Memory-backed stores have no filesystem root to journal
-            # under; they fall through to cache_dir / explicit opt-in.
-            root = getattr(self.cache, "root", None)
-            if root is not None:
-                return pathlib.Path(root)
+        # Memory-backed stores have no filesystem root to journal under.
+        root = getattr(self.cache, "root", None)
+        if root is not None:
+            return pathlib.Path(root)
         if cache_dir is not None:
             return pathlib.Path(cache_dir).expanduser()
-        if journal is True:
-            return default_cache_dir()
-        # No cache root and journaling not requested: stay off rather
-        # than surprise-writing under the user's home directory.
+        # No cache root: stay off rather than surprise-writing under
+        # the user's home directory.
         return None
 
     # -- job construction ---------------------------------------------------
 
     def compile_specs(
-        self,
-        specs: Sequence[MacroSpec],
-        implement: bool = True,
-        input_sparsity: float = 0.0,
-        weight_sparsity: float = 0.0,
+        self, specs: Sequence[MacroSpec], implement: Optional[bool] = None
     ) -> BatchResult:
-        """Full compile of every spec (the sweep entry point)."""
-        return self.run_jobs(
-            [
-                CompileJob(
-                    spec=spec,
-                    implement=implement,
-                    input_sparsity=input_sparsity,
-                    weight_sparsity=weight_sparsity,
-                    seed=self.seed,
-                    corners=self.corners,
-                    verify=self.verify,
-                    verify_vectors=self.verify_vectors,
-                    vt=self.vt,
-                )
-                for spec in specs
-            ]
-        )
+        """Full compile of every spec (the sweep entry point);
+        ``implement`` overrides ``options.implement`` for this call."""
+        options = self.options
+        if implement is not None:
+            options = options.replace(implement=implement)
+        return self.run_jobs([options.compile_job(spec) for spec in specs])
 
     def implement_archs(
-        self,
-        spec: MacroSpec,
-        archs: Sequence[MacroArchitecture],
-        input_sparsity: float = 0.0,
-        weight_sparsity: float = 0.0,
+        self, spec: MacroSpec, archs: Sequence[MacroArchitecture]
     ) -> BatchResult:
         """Implementation-only jobs for explicit architectures (used by
         benchmarks that already ran the search and picked points)."""
         return self.run_jobs(
-            [
-                ImplementJob(
-                    spec=spec,
-                    arch=arch,
-                    input_sparsity=input_sparsity,
-                    weight_sparsity=weight_sparsity,
-                    corners=self.corners,
-                    verify=self.verify,
-                    verify_vectors=self.verify_vectors,
-                )
-                for arch in archs
-            ]
+            [ImplementJob(spec, arch, self.options) for arch in archs]
         )
 
     # -- execution ----------------------------------------------------------
 
     def run_jobs(self, jobs: Sequence[Job]) -> BatchResult:
         """Dedup, consult journal + cache, execute the rest (with
-        watchdog/retry when pooled), reassemble."""
+        watchdog/retry when pooled), reassemble.  Each job runs under
+        its own ``options``; of duplicate jobs, the first one's."""
         from ..compiler.syndcim import CACHEABLE_STATUSES, execute_job
 
         started = time.monotonic()
@@ -459,7 +375,11 @@ class BatchCompiler:
                 journal.begin(total=stats.total, unique=stats.unique)
                 journal.submit(pending.keys())
             use_pool = self.jobs > 1 and (
-                len(pending) > 1 or self.job_timeout_s is not None
+                len(pending) > 1
+                or any(
+                    job.options.job_timeout_s is not None
+                    for job in pending.values()
+                )
             )
             if pending and use_pool:
                 self._prewarm_corners(pending.values())
@@ -469,14 +389,7 @@ class BatchCompiler:
                     # One ticket per dispatch: a 1,200-point sweep
                     # holds only the jobs in flight or awaiting retry.
                     item = next(queued, None)
-                    if item is None:
-                        return None
-                    return Ticket(
-                        *item,
-                        landed,
-                        timeout_s=self.job_timeout_s,
-                        retry=self.retry,
-                    )
+                    return None if item is None else Ticket(*item, landed)
 
                 def landed(t: Ticket) -> None:
                     stats.retried += t.attempts > 0
@@ -591,15 +504,16 @@ class BatchCompiler:
         silent: a one-per-process warning names the cause, so a
         misconfigured cache dir reads as a warning, not a mystery
         slowdown."""
-        if not self.corners:
+        wanted = {job.options for job in jobs if job.options.corners}
+        if not wanted:
             return
         try:
-            from ..signoff.corners import CornerSet, worst_corner_scl
-            from ..tech.process import process_by_name
+            from ..signoff.corners import worst_corner_scl
 
-            corner_set = CornerSet.from_names(self.corners, name="prewarm")
-            for name in {job.process_name for job in jobs}:
-                worst_corner_scl(process_by_name(name), corner_set)
+            for options in wanted:
+                worst_corner_scl(
+                    options.resolve_process(), options.corner_set()
+                )
         except Exception as exc:
             global _PREWARM_WARNED
             if not _PREWARM_WARNED:
@@ -622,9 +536,10 @@ _PREWARM_WARNED = False
 class Ticket:
     """One job's passage through a :class:`JobExecutor`.
 
-    The caller fills in the job and its execution policy; the executor
-    keeps the retry bookkeeping and, once the job is terminal, sets
-    ``record`` and calls ``done(ticket)`` on its dispatching thread.
+    The caller fills in the job, whose ``options`` carry its execution
+    policy (``job_timeout_s``, ``retries``); the executor keeps the
+    retry bookkeeping and, once the job is terminal, sets ``record``
+    and calls ``done(ticket)`` on its dispatching thread.
     ``result`` is the record an execution returned — ``None`` when the
     retry budget ran out first — without the ``attempts`` /
     ``retry_history`` annotation ``record`` carries.
@@ -633,8 +548,6 @@ class Ticket:
     key: str
     job: Job
     done: Callable[["Ticket"], None]
-    timeout_s: Optional[float] = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Transient failures charged so far, one ``history`` entry each.
     attempts: int = 0
     history: List[Dict[str, object]] = field(default_factory=list)
@@ -654,7 +567,7 @@ class JobExecutor:
     self-pipe that :meth:`wake` writes to, and reads each record
     straight back — no helper thread relays either way.  A worker
     holds at most one job, so a job's dispatch time is its start time,
-    the moment its ticket's ``timeout_s`` deadline is measured from.
+    the moment its ``options.job_timeout_s`` deadline is measured from.
 
     Workers start when the first job is dispatched (after the parent
     has resolved the subcircuit library, once per executor) and live
@@ -668,7 +581,7 @@ class JobExecutor:
     charged to exactly that job: an overdue job (its worker alone is
     killed), a worker that died (EOF on its pipe, or its sentinel), or
     a job function that raised.  The charge spends one attempt of the
-    ticket's :class:`RetryPolicy` and re-queues the job (after the
+    job's ``options.retry_policy()`` and re-queues it (after the
     policy's backoff) until the budget runs out, when it lands as a
     terminal ``timeout``/``error`` record carrying its
     ``retry_history``.  No other job is ever killed or re-run on its
@@ -867,10 +780,9 @@ class JobExecutor:
                 f"worker could not start: {type(exc).__name__}: {exc}",
             )
             return
+        timeout_s = ticket.job.options.job_timeout_s
         ticket.deadline = (
-            None
-            if ticket.timeout_s is None
-            else time.monotonic() + ticket.timeout_s
+            None if timeout_s is None else time.monotonic() + timeout_s
         )
         try:
             worker.run(execute_job, payload, ticket)
@@ -946,7 +858,8 @@ class JobExecutor:
                 self._retire(worker)
                 self._charge(
                     ticket, "timeout",
-                    f"watchdog: exceeded job timeout {ticket.timeout_s:g}s",
+                    "watchdog: exceeded job timeout "
+                    f"{ticket.job.options.job_timeout_s:g}s",
                 )
 
     def _charge(self, ticket: Ticket, status: str, reason: str) -> None:
@@ -965,8 +878,9 @@ class JobExecutor:
         if fault is not None:
             entry["fault"] = fault
         ticket.history.append(entry)
-        if n < ticket.retry.max_attempts:
-            delay = ticket.retry.delay(n)
+        retry = ticket.job.options.retry_policy()
+        if n < retry.max_attempts:
+            delay = retry.delay(n)
             if delay > 0:
                 heapq.heappush(
                     self._delayed,

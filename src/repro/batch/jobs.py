@@ -23,12 +23,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from ..arch import MacroArchitecture
+from ..options import CompileOptions
 from ..spec import MacroSpec
-from ..tech.process import GENERIC_40NM
-from ..verify.harness import DEFAULT_VECTORS
 from .cache import CACHE_SCHEMA_VERSION
 
 #: Keys the engine may add to a payload *after* hashing: ephemeral
@@ -40,43 +39,30 @@ EPHEMERAL_PAYLOAD_KEYS = ("fault_ctx",)
 
 @dataclass(frozen=True)
 class CompileJob:
-    """One full search(+implementation) run of a single spec."""
+    """One full search(+implementation) run of a single spec.
+
+    The payload carries every option that steers the flow; the
+    execution policy (``job_timeout_s``, ``retries``) stays out of it
+    and so out of the key."""
 
     spec: MacroSpec
-    implement: bool = True
-    input_sparsity: float = 0.0
-    weight_sparsity: float = 0.0
-    seed: Optional[int] = None
-    process_name: str = GENERIC_40NM.name
-    #: Signoff-corner *names* (resolved by the worker against the
-    #: registered corners, like the process name); ``None`` = nominal.
-    corners: Optional[Tuple[str, ...]] = None
-    #: Post-synthesis functional verification of the implemented
-    #: netlist (see :mod:`repro.verify`); the vector count steers the
-    #: stimulus schedule and so is part of the key.
-    verify: bool = False
-    verify_vectors: int = DEFAULT_VECTORS
-    #: Threshold-flavor policy (``svt``/``hvt``/``lvt``/``ulvt`` or
-    #: ``auto``); steers the search moves and leakage recovery, so it
-    #: is part of the key.
-    vt: str = "svt"
+    options: CompileOptions = CompileOptions()
 
     def payload(self) -> Dict[str, object]:
+        o = self.options
         return {
             "type": "compile",
             "spec": self.spec.to_dict(),
-            "process": self.process_name,
+            "process": o.process,
             "options": {
-                "implement": self.implement,
-                "input_sparsity": self.input_sparsity,
-                "weight_sparsity": self.weight_sparsity,
-                "seed": self.seed,
-                "corners": (
-                    None if self.corners is None else list(self.corners)
-                ),
-                "verify": self.verify,
-                "verify_vectors": self.verify_vectors,
-                "vt": self.vt,
+                "implement": o.implement,
+                "input_sparsity": o.input_sparsity,
+                "weight_sparsity": o.weight_sparsity,
+                "seed": o.seed,
+                "corners": None if o.corners is None else list(o.corners),
+                "verify": o.verify,
+                "verify_vectors": o.verify_vectors,
+                "vt": o.vt,
             },
         }
 
@@ -86,36 +72,31 @@ class CompileJob:
 
 @dataclass(frozen=True)
 class ImplementJob:
-    """Implementation flow only, for an explicit architecture choice."""
+    """Implementation flow only, for an explicit architecture choice.
+
+    The architecture carries its own ``vt`` knob; ``options.vt ==
+    "auto"`` adds netlist-level hvt leakage recovery, as in a full
+    compile.  The search-only options (``seed``, ``implement``) do not
+    apply and stay out of the payload."""
 
     spec: MacroSpec
     arch: MacroArchitecture
-    input_sparsity: float = 0.0
-    weight_sparsity: float = 0.0
-    process_name: str = GENERIC_40NM.name
-    corners: Optional[Tuple[str, ...]] = None
-    verify: bool = False
-    verify_vectors: int = DEFAULT_VECTORS
-    #: Netlist-level hvt leakage recovery during implementation (the
-    #: implement-only face of ``--vt auto``).  The architecture's own
-    #: ``vt`` knob travels in ``arch``.
-    vt_recovery: bool = False
+    options: CompileOptions = CompileOptions()
 
     def payload(self) -> Dict[str, object]:
+        o = self.options
         return {
             "type": "implement",
             "spec": self.spec.to_dict(),
             "arch": self.arch.to_dict(),
-            "process": self.process_name,
+            "process": o.process,
             "options": {
-                "input_sparsity": self.input_sparsity,
-                "weight_sparsity": self.weight_sparsity,
-                "corners": (
-                    None if self.corners is None else list(self.corners)
-                ),
-                "verify": self.verify,
-                "verify_vectors": self.verify_vectors,
-                "vt_recovery": self.vt_recovery,
+                "input_sparsity": o.input_sparsity,
+                "weight_sparsity": o.weight_sparsity,
+                "corners": None if o.corners is None else list(o.corners),
+                "verify": o.verify,
+                "verify_vectors": o.verify_vectors,
+                "vt_recovery": o.vt == "auto",
             },
         }
 

@@ -19,8 +19,8 @@ process dying (OOM kill, segfault, injected crash — the parent reads
 EOF on that worker's pipe), a watchdog timeout, a job function that
 raised with its worker still alive.  The parent knows which job each
 worker holds, so every such failure is charged to exactly that job.
-The job itself might be fine, so these are **retried** under a
-:class:`RetryPolicy` with exponential backoff, and only after the
+The job itself might be fine, so these are **retried** under its
+options' :class:`RetryPolicy` (exponential backoff), and only after the
 budget is exhausted do they become terminal ``error``/``timeout``
 records carrying ``attempts`` and ``retry_history``.
 
@@ -78,8 +78,9 @@ TERMINAL_STATUSES = ("ok", "infeasible", "error", "timeout")
 class RetryPolicy:
     """Transient-failure budget: at most ``max_attempts`` tries per
     job, sleeping ``backoff_s * 2**(attempt-1)`` (scaled up to
-    ``1 + jitter`` at random) between rounds.  The default matches the
-    engine's historical behaviour — one retry, no sleep."""
+    ``1 + jitter`` at random) between rounds.  Jobs run under
+    :meth:`repro.options.CompileOptions.retry_policy`; this class's own
+    defaults (one retry, no sleep) are used by no job."""
 
     max_attempts: int = 2
     backoff_s: float = 0.0

@@ -787,18 +787,22 @@ def _execute_batch(specs: List[MacroSpec], args: argparse.Namespace) -> int:
         except BrokenPipeError:
             muted = True
 
-    # Open the sink before any compilation so a bad --output path fails
-    # in milliseconds, not after an hours-long grid.
-    sink = None
-    if to_stdout:
-        sink = sys.stdout
-    elif args.output:
+    from .batch.faults import ENV_FAULTS, FaultPlan, active_plan
+
+    # A typo'd chaos spec must fail loudly at arm time, not run a
+    # clean sweep that "passes" (the library itself only warns and
+    # disarms, because workers must never die to a bad environment).
+    # Like every check that can refuse the run, it comes before
+    # --output is opened, which truncates the file.
+    fault_text = os.environ.get(ENV_FAULTS)
+    if fault_text:
         try:
-            sink = open(args.output, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            FaultPlan.parse(fault_text)
+        except SynDCIMError as exc:
+            print(f"error: {ENV_FAULTS}: {exc}", file=sys.stderr)
             return 1
 
+    sink = None
     write_failed = False
     streamed: set = set()
 
@@ -829,31 +833,29 @@ def _execute_batch(specs: List[MacroSpec], args: argparse.Namespace) -> int:
         emit(record)
         streamed.add(record.get("job_key"))
 
-    options = _options_from_args(args)
-    from .batch.faults import ENV_FAULTS, FaultPlan, active_plan
-
-    # A typo'd chaos spec must fail loudly at arm time, not run a
-    # clean sweep that "passes" (the library itself only warns and
-    # disarms, because workers must never die to a bad environment).
-    fault_text = os.environ.get(ENV_FAULTS)
-    if fault_text:
-        try:
-            FaultPlan.parse(fault_text)
-        except SynDCIMError as exc:
-            print(f"error: {ENV_FAULTS}: {exc}", file=sys.stderr)
-            return 1
-        plan = active_plan()
-        if plan is not None:
-            say(plan.describe())
-
     engine = BatchCompiler(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         progress=progress,
-        options=options,
+        options=_options_from_args(args),
         resume=args.resume,
     )
+
+    # Open the sink before any compilation so a bad --output path fails
+    # in milliseconds, not after an hours-long grid.
+    if to_stdout:
+        sink = sys.stdout
+    elif args.output:
+        try:
+            sink = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return 1
+
+    plan = active_plan()
+    if plan is not None:
+        say(plan.describe())
     # The run id prints *before* compilation: a sweep killed mid-grid
     # must already have told the user how to come back for it.
     if engine.run_id:
@@ -865,9 +867,7 @@ def _execute_batch(specs: List[MacroSpec], args: argparse.Namespace) -> int:
                 f"--resume {engine.run_id})"
             )
     try:
-        result = engine.compile_specs(
-            specs, implement=not args.no_implement
-        )
+        result = engine.compile_specs(specs)
         # Duplicate input specs fold onto one executed job, which was
         # streamed once; append their copies so the JSONL holds one
         # line per requested point.

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from ..arch import MacroArchitecture
 from ..errors import SearchError
 from ..options import CompileOptions
-from ..scl.library import SubcircuitLibrary, cached_default_scl, default_scl
+from ..scl.library import SubcircuitLibrary, default_scl
 from ..search.algorithm import MSOSearcher, SearchResult
 from ..search.estimate import MacroEstimate
 from ..signoff.corners import CornerSet
@@ -113,9 +113,10 @@ class SynDCIM:
         library: Optional[StdCellLibrary] = None,
     ) -> "SynDCIM":
         """Build the facade from the canonical
-        :class:`~repro.options.CompileOptions` bundle — the same
-        normalization the batch engine, CLI and service use, so a
-        facade built this way prices and keys exactly like they do."""
+        :class:`~repro.options.CompileOptions` bundle — how every batch
+        and service worker builds its compiler (see
+        :func:`execute_job`), so a facade built this way prices exactly
+        like they do."""
         return cls(
             scl=scl,
             library=library,
@@ -282,82 +283,6 @@ class SynDCIM:
             session.verify_implementation(impl, vectors=verify_vectors)
         return impl
 
-    def compile_cached(
-        self,
-        spec: MacroSpec,
-        cache: Optional["ResultCache"] = None,
-        implement_design: bool = True,
-        input_sparsity: float = 0.0,
-        weight_sparsity: float = 0.0,
-        verify: bool = False,
-        verify_vectors: int = DEFAULT_VERIFY_VECTORS,
-    ) -> Dict[str, object]:
-        """Compile to a JSON-serializable *record*, consulting a cache.
-
-        This is the single-spec counterpart of the batch engine: the
-        spec is hashed, the on-disk :class:`~repro.batch.cache.ResultCache`
-        is consulted, and only on a miss does a real compilation run
-        (whose record is then stored).  Returns the record either way.
-
-        Unlike :func:`execute_job` (which always builds a default
-        compiler in its worker process), this runs on *this* instance —
-        its SCL, cell library and process — and keys the cache with
-        this instance's process name.
-        """
-        from ..batch.cache import ResultCache
-        from ..batch.jobs import CompileJob
-
-        job = CompileJob(
-            spec=spec,
-            implement=implement_design,
-            input_sparsity=input_sparsity,
-            weight_sparsity=weight_sparsity,
-            seed=self.seed,
-            process_name=self.process.name,
-            corners=None if self.corners is None else self.corners.names,
-            verify=verify,
-            verify_vectors=verify_vectors,
-            vt=self.vt,
-        )
-        cache = cache or ResultCache()
-        # The job key covers the spec, options and process name — not a
-        # custom cell library, a pre-built SCL, or a Process whose
-        # *parameters* differ from the registered node of that name.
-        # Any such toolchain bypasses the cache entirely: always
-        # recompile rather than ever return (or store) another
-        # toolchain's numbers under this key.  The SCL probe must not
-        # *build* the default SCL just to compare identities.
-        from ..tech.process import PROCESSES
-
-        use_cache = (
-            self.library is default_library()
-            and PROCESSES.get(self.process.name) == self.process
-            and (
-                self._scl is None
-                or self._scl is cached_default_scl(self.process)
-            )
-        )
-        if use_cache:
-            cached = cache.get(job.key())
-            if cached is not None:
-                return cached
-        record = _run_to_record(
-            spec,
-            lambda: result_to_record(
-                self.compile(
-                    spec,
-                    implement_design=implement_design,
-                    input_sparsity=input_sparsity,
-                    weight_sparsity=weight_sparsity,
-                    verify=verify,
-                    verify_vectors=verify_vectors,
-                )
-            ),
-        )
-        if use_cache and record.get("status") in CACHEABLE_STATUSES:
-            cache.put(job.key(), record)
-        return record
-
 
 # ---------------------------------------------------------------------------
 # Serializable result records and the pure batch-job entry point.
@@ -437,7 +362,7 @@ def result_to_record(result: CompileResult) -> Dict[str, object]:
 
 #: Statuses whose records are deterministic and therefore cacheable;
 #: "error" is excluded (a crash may be environmental).  Shared by the
-#: batch engine and compile_cached so the policy lives in one place.
+#: batch engine and the service so the policy lives in one place.
 CACHEABLE_STATUSES = ("ok", "infeasible")
 
 
@@ -524,34 +449,13 @@ def execute_job(payload: Dict[str, object]) -> Dict[str, object]:
             int(fault_ctx.get("attempt", 1)),  # type: ignore[union-attr]
         )
     spec = MacroSpec.from_dict(payload["spec"])  # type: ignore[arg-type]
-    options: Dict[str, object] = dict(payload.get("options", {}))  # type: ignore[arg-type]
-    job_type = payload.get("type", "compile")
 
     def runner() -> Dict[str, object]:
-        from ..tech.process import process_by_name
-
-        # The payload names the process; resolving it (or failing for
-        # an unregistered name) keeps the computation consistent with
-        # the cache key, which also covers the process name.
-        process = process_by_name(
-            str(payload.get("process", GENERIC_40NM.name))
-        )
-        # Corners travel as names (like the process) so only registered
-        # signoff corners can run through the pool — and the resolution
-        # failure for an unknown name lands in this record, not in a
-        # dead worker.
-        corner_names = options.get("corners")
-        corners = None
-        if corner_names:
-            corners = CornerSet.from_names(
-                [str(n) for n in corner_names], name="batch"  # type: ignore[union-attr]
-            )
-        compiler = SynDCIM(
-            seed=options.get("seed"),  # type: ignore[arg-type]
-            process=process,
-            corners=corners,
-            vt=str(options.get("vt", "svt")),
-        )
+        # Rebuilt here, not before: an unknown process or corner name
+        # lands in this job's record, not in a dead worker.
+        options = _payload_options(payload)
+        compiler = SynDCIM.from_options(options)
+        job_type = payload.get("type", "compile")
         if job_type == "implement":
             arch = MacroArchitecture.from_dict(payload["arch"])  # type: ignore[arg-type]
             impl = implement(
@@ -559,14 +463,12 @@ def execute_job(payload: Dict[str, object]) -> Dict[str, object]:
                 arch,
                 library=compiler.library,
                 process=compiler.process,
-                input_sparsity=float(options.get("input_sparsity", 0.0)),  # type: ignore[arg-type]
-                weight_sparsity=float(options.get("weight_sparsity", 0.0)),  # type: ignore[arg-type]
-                corners=corners,
-                verify=bool(options.get("verify", False)),
-                verify_vectors=int(
-                    options.get("verify_vectors", DEFAULT_VERIFY_VECTORS)
-                ),
-                vt_recovery=bool(options.get("vt_recovery", False)),
+                input_sparsity=options.input_sparsity,
+                weight_sparsity=options.weight_sparsity,
+                corners=compiler.corners,
+                verify=options.verify,
+                verify_vectors=options.verify_vectors,
+                vt_recovery=options.vt == "auto",
             )
             return dict(
                 _base_record(spec), implementation=implementation_record(impl)
@@ -574,15 +476,24 @@ def execute_job(payload: Dict[str, object]) -> Dict[str, object]:
         if job_type == "compile":
             result = compiler.compile(
                 spec,
-                implement_design=bool(options.get("implement", True)),
-                input_sparsity=float(options.get("input_sparsity", 0.0)),  # type: ignore[arg-type]
-                weight_sparsity=float(options.get("weight_sparsity", 0.0)),  # type: ignore[arg-type]
-                verify=bool(options.get("verify", False)),
-                verify_vectors=int(
-                    options.get("verify_vectors", DEFAULT_VERIFY_VECTORS)
-                ),  # type: ignore[arg-type]
+                implement_design=options.implement,
+                input_sparsity=options.input_sparsity,
+                weight_sparsity=options.weight_sparsity,
+                verify=options.verify,
+                verify_vectors=options.verify_vectors,
             )
             return result_to_record(result)
         raise ValueError(f"unknown job type {job_type!r}")
 
     return _run_to_record(spec, runner)
+
+
+def _payload_options(payload: Dict[str, object]) -> CompileOptions:
+    """The :class:`CompileOptions` a job payload was built from (the
+    inverse of :meth:`repro.batch.jobs.CompileJob.payload`; an implement
+    payload's ``vt_recovery`` is ``vt="auto"``)."""
+    options = dict(payload.get("options") or {})  # type: ignore[call-overload]
+    if options.pop("vt_recovery", False):
+        options["vt"] = "auto"
+    options["process"] = payload.get("process", GENERIC_40NM.name)
+    return CompileOptions.from_dict(options)

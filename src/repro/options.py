@@ -123,21 +123,32 @@ class CompileOptions:
                 f"unknown vt policy {self.vt!r}; "
                 f"choose one of {', '.join(VT_CHOICES)}"
             )
-        if not isinstance(self.verify_vectors, int) or isinstance(
-            self.verify_vectors, bool
-        ):
-            raise SpecificationError("verify_vectors must be an integer")
+        # Types are checked, not coerced: the key hashes the value as
+        # given, so "false" must not stand in for False.
+        for name in ("implement", "verify"):
+            if not isinstance(getattr(self, name), bool):
+                raise SpecificationError(f"{name} must be true or false")
+        for name in ("verify_vectors", "retries"):
+            if not _is_int(getattr(self, name)):
+                raise SpecificationError(f"{name} must be an integer")
         if self.verify_vectors < 1:
             raise SpecificationError("verify_vectors must be >= 1")
-        if self.seed is not None and not isinstance(self.seed, int):
+        if self.seed is not None and not _is_int(self.seed):
             raise SpecificationError("seed must be an integer or None")
         for name in ("input_sparsity", "weight_sparsity"):
             value = getattr(self, name)
             if not 0.0 <= float(value) <= 1.0:
                 raise SpecificationError(f"{name} must be in [0, 1]")
             object.__setattr__(self, name, float(value))
-        if self.job_timeout_s is not None and self.job_timeout_s <= 0:
-            raise SpecificationError("job_timeout_s must be positive")
+        timeout = self.job_timeout_s
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or timeout <= 0
+        ):
+            raise SpecificationError(
+                "job_timeout_s must be a positive number or None"
+            )
         if self.retries < 0:
             raise SpecificationError("retries must be >= 0")
         if not self.process or not isinstance(self.process, str):
@@ -151,12 +162,13 @@ class CompileOptions:
 
     def corner_set(self):
         """The resolved :class:`~repro.signoff.corners.CornerSet`, or
-        ``None`` when running nominal-only."""
-        if self.corners is None:
+        ``None`` when running nominal-only.  Named ``"batch"``, the
+        ``signoff.corner_set`` every engine and service record carries."""
+        if not self.corners:
             return None
         from .signoff.corners import CornerSet
 
-        return CornerSet.from_names(self.corners, name="options")
+        return CornerSet.from_names(self.corners, name="batch")
 
     def resolve_process(self):
         """The registered :class:`~repro.tech.process.Process`; raises
@@ -174,33 +186,22 @@ class CompileOptions:
         return self
 
     def retry_policy(self):
-        """The engine's :class:`~repro.batch.resilience.RetryPolicy`
-        for this retry budget (matching the CLI's historical backoff)."""
+        """The executor's :class:`~repro.batch.resilience.RetryPolicy`
+        for this retry budget: exponential backoff from 0.5 s, with 10 %
+        jitter, for batch and service jobs alike."""
         from .batch.resilience import RetryPolicy
 
         return RetryPolicy(
             max_attempts=self.retries + 1, backoff_s=0.5, jitter=0.1
         )
 
-    def compile_job(self, spec, implement: Optional[bool] = None):
+    def compile_job(self, spec):
         """The :class:`~repro.batch.jobs.CompileJob` for ``spec`` under
         these options — the single place a (spec, options) pair becomes
-        a content hash, shared by the batch engine path and the
-        service."""
+        a content hash, shared by the batch engine and the service."""
         from .batch.jobs import CompileJob
 
-        return CompileJob(
-            spec=spec,
-            implement=self.implement if implement is None else implement,
-            input_sparsity=self.input_sparsity,
-            weight_sparsity=self.weight_sparsity,
-            seed=self.seed,
-            process_name=self.process,
-            corners=self.corners,
-            verify=self.verify,
-            verify_vectors=self.verify_vectors,
-            vt=self.vt,
-        )
+        return CompileJob(spec, self)
 
     # -- serialization ------------------------------------------------------
 
@@ -242,6 +243,10 @@ class CompileOptions:
             return cls(**kwargs)  # type: ignore[arg-type]
         except TypeError as exc:
             raise SpecificationError(f"bad options: {exc}") from None
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _normalize_corners(value: CornersLike) -> Optional[Tuple[str, ...]]:

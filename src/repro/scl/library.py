@@ -184,15 +184,3 @@ def default_scl_source(
     from a legitimately cold cache."""
     return _SOURCE.get(_cache_key(process or GENERIC_40NM, corner))
 
-
-def cached_default_scl(
-    process: Optional[Process] = None,
-    corner: Optional["Corner"] = None,
-) -> Optional[SubcircuitLibrary]:
-    """The already-built default SCL for ``(process, corner)``, or
-    ``None``.
-
-    Identity probe that never triggers the multi-second
-    characterization — for callers that only need to know whether an
-    SCL *is* the shared default (e.g. cache-eligibility checks)."""
-    return _CACHE.get(_cache_key(process or GENERIC_40NM, corner))

@@ -85,7 +85,6 @@ class _JobEntry:
     id: str
     key: str
     job: CompileJob
-    options: CompileOptions
     priority: int
     status: str = QUEUED
     record: Optional[Dict[str, object]] = None
@@ -293,7 +292,6 @@ class JobQueue:
                     id=_new_id("job"),
                     key=key,
                     job=job,
-                    options=opts,
                     priority=priority,
                     status=str(cached.get("status", "ok")),
                     record=dict(cached, cached=True, job_key=key),
@@ -312,7 +310,6 @@ class JobQueue:
                 id=_new_id("job"),
                 key=key,
                 job=job,
-                options=opts,
                 priority=priority,
             )
             self._jobs[entry.id] = entry
@@ -489,13 +486,7 @@ class JobQueue:
                 return None
             entry.status = RUNNING
             entry.mark_started()
-        return Ticket(
-            entry.key,
-            entry.job,
-            functools.partial(self._landed, entry),
-            timeout_s=entry.options.job_timeout_s,
-            retry=entry.options.retry_policy(),
-        )
+        return Ticket(entry.key, entry.job, functools.partial(self._landed, entry))
 
     def _landed(self, entry: _JobEntry, ticket: Ticket) -> None:
         """The executor's verdict on ``entry``: store what is

@@ -110,7 +110,7 @@ def golden_line(case: str, spec: MacroSpec, options: Dict[str, object]) -> str:
     """The pinned line of one case, computed in this process."""
     from repro.compiler.syndcim import execute_job
 
-    job = CompileOptions(**options).compile_job(spec, implement=False)
+    job = CompileOptions(implement=False, **options).compile_job(spec)
     record = canonical_record(execute_job(job.payload()))
     return json.dumps(
         {"case": case, "options": options, "record": record},

@@ -40,6 +40,7 @@ from repro.batch.sweep import (
 )
 from repro.cli import main as cli_main
 from repro.errors import SpecificationError
+from repro.options import CompileOptions
 from repro.spec import FP8, INT4, INT8, MacroSpec, PPAWeights
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -131,11 +132,12 @@ class TestJobKeys:
     def test_options_change_key(self):
         spec = _small_spec()
         base = CompileJob(spec=spec)
-        assert CompileJob(spec=spec, implement=False).key() != base.key()
-        assert CompileJob(spec=spec, seed=7).key() != base.key()
-        assert (
-            CompileJob(spec=spec, input_sparsity=0.5).key() != base.key()
-        )
+        for changed in (
+            CompileOptions(implement=False),
+            CompileOptions(seed=7),
+            CompileOptions(input_sparsity=0.5),
+        ):
+            assert CompileJob(spec, changed).key() != base.key()
 
     def test_process_name_in_key_and_payload(self):
         """The process must reach the worker, not just the hash —
@@ -143,7 +145,7 @@ class TestJobKeys:
         another process's key."""
         spec = _small_spec()
         a = CompileJob(spec=spec)
-        b = CompileJob(spec=spec, process_name="other40")
+        b = CompileJob(spec, CompileOptions(process="other40"))
         assert a.key() != b.key()
         assert a.payload()["process"] != b.payload()["process"]
 
@@ -152,7 +154,7 @@ class TestJobKeys:
 
         record = execute_job(
             CompileJob(
-                spec=_small_spec(), implement=False, process_name="bogus"
+                _small_spec(), CompileOptions(implement=False, process="bogus")
             ).payload()
         )
         assert record["status"] == "error"
@@ -296,7 +298,7 @@ class TestResultCache:
 
         from repro.compiler.syndcim import execute_job
 
-        job = CompileJob(spec=_small_spec(), implement=implement)
+        job = CompileJob(_small_spec(), CompileOptions(implement=implement))
         record = execute_job(job.payload())
         assert record["status"] == "ok"
         assert (record["implementation"] is not None) == implement
@@ -567,91 +569,6 @@ class TestBatchEngine:
             e.arch.knob_summary() for e in unseeded.frontier
         }
 
-    def test_compile_cached_single_spec(self, tmp_path):
-        from repro.compiler.syndcim import SynDCIM
-
-        cache = ResultCache(tmp_path)
-        first = SynDCIM().compile_cached(
-            _small_spec(), cache=cache, implement_design=False
-        )
-        assert first["status"] == "ok"
-        assert cache.stats.stores == 1
-        second = SynDCIM().compile_cached(
-            _small_spec(), cache=cache, implement_design=False
-        )
-        assert second == first
-        assert cache.stats.hits == 1
-
-    def test_compile_cached_bypasses_unregistered_process(self, tmp_path):
-        """A process that isn't the registered node of its name — by
-        name or by parameters — must never share cache entries with it
-        (a hit would hand back the wrong node's numbers)."""
-        from repro.compiler.syndcim import SynDCIM
-        from repro.tech.process import Process
-
-        cache = ResultCache(tmp_path)
-        spec = _small_spec()
-        SynDCIM().compile_cached(spec, cache=cache, implement_design=False)
-        assert cache.stats.stores == 1
-        # Different name: not registered → bypass.
-        alt = SynDCIM(process=Process(name="alt40"))
-        alt.compile_cached(spec, cache=cache, implement_design=False)
-        # Default name but altered parameters: also bypass.
-        tweaked = SynDCIM(process=Process(alpha=2.0))
-        tweaked.compile_cached(spec, cache=cache, implement_design=False)
-        assert cache.stats.stores == 1
-        assert cache.stats.hits == 0
-
-    def test_compile_cached_bypasses_cache_for_custom_toolchain(
-        self, tmp_path
-    ):
-        """A custom cell library has no fingerprint in the cache key,
-        so it must never read or write shared entries."""
-        from repro.compiler.syndcim import SynDCIM
-        from repro.tech.stdcells import StdCellLibrary
-
-        cache = ResultCache(tmp_path)
-        spec = _small_spec()
-        default_rec = SynDCIM().compile_cached(
-            spec, cache=cache, implement_design=False
-        )
-        assert cache.stats.stores == 1
-        custom = SynDCIM(library=StdCellLibrary())
-        custom_rec = custom.compile_cached(
-            spec, cache=cache, implement_design=False
-        )
-        assert custom_rec["status"] == "ok"
-        assert cache.stats.hits == 0  # neither read nor wrote
-        assert cache.stats.stores == 1
-        assert default_rec["selected"] == custom_rec["selected"]
-
-    def test_compile_cached_custom_scl_probe_does_not_build(
-        self, tmp_path, scl
-    ):
-        """Deciding that a custom SCL bypasses the cache must not build
-        the multi-second default SCL as a side effect; an SCL obtained
-        from default_scl() keeps full cache eligibility."""
-        from repro.compiler.syndcim import SynDCIM
-        from repro.scl.library import _CACHE, cached_default_scl
-        from repro.tech.process import Process
-
-        alt = Process(name="probe40")
-        assert cached_default_scl(alt) is None
-        compiler = SynDCIM(scl=scl, process=alt)
-        # scl fixture is the generic40 default, not probe40's → bypass.
-        record = compiler.compile_cached(
-            _small_spec(), cache=ResultCache(tmp_path), implement_design=False
-        )
-        assert record["status"] == "ok"
-        assert "probe40" not in _CACHE  # probe alone did not build it
-
-        shared = SynDCIM(scl=scl)  # generic40 default: cache-eligible
-        cache = ResultCache(tmp_path / "shared")
-        shared.compile_cached(
-            _small_spec(), cache=cache, implement_design=False
-        )
-        assert cache.stats.stores == 1
-
     def test_execute_job_turns_any_crash_into_error_record(self):
         """A worker bug must become a status='error' record, never an
         exception that aborts the pool and discards the sweep."""
@@ -706,7 +623,7 @@ class TestWorkerTransport:
     def test_crashed_and_killed_workers_are_reaped(self, faults, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", faults)
         monkeypatch.setenv("REPRO_FAULT_HANG_S", "30")
-        batch = self._run(job_timeout_s=0.5)
+        batch = self._run(options=CompileOptions(job_timeout_s=0.5))
         assert [r["status"] for r in batch] == ["ok", "ok"]
         assert multiprocessing.active_children() == []
 

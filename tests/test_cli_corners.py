@@ -95,11 +95,11 @@ class TestPropagation:
             ]
         )
         assert rc == 0
-        assert captured["engine"].corners == ("SS", "TT", "FF")
+        assert captured["engine"].options.corners == ("SS", "TT", "FF")
         jobs = captured["jobs"]
         assert jobs
         for job in jobs:
-            assert job.corners == ("SS", "TT", "FF")
+            assert job.options.corners == ("SS", "TT", "FF")
             assert job.payload()["options"]["corners"] == ["SS", "TT", "FF"]
 
     def test_sweep_preset_resolves_to_names(self, monkeypatch, tmp_path):
@@ -115,7 +115,7 @@ class TestPropagation:
                 str(tmp_path / "r.jsonl"),
             ]
         )
-        assert captured["engine"].corners == ("SS", "TT", "FF")
+        assert captured["engine"].options.corners == ("SS", "TT", "FF")
 
     def test_batch_forwards_corners_into_jobs(self, monkeypatch, tmp_path):
         captured = _capture_jobs(monkeypatch)
@@ -150,7 +150,9 @@ class TestPropagation:
             ]
         )
         assert rc == 0
-        assert [job.corners for job in captured["jobs"]] == [("SS", "TT")]
+        assert [job.options.corners for job in captured["jobs"]] == [
+            ("SS", "TT")
+        ]
 
     def test_no_corners_means_none(self, monkeypatch, tmp_path):
         captured = _capture_jobs(monkeypatch)
@@ -163,5 +165,5 @@ class TestPropagation:
                 str(tmp_path / "r.jsonl"),
             ]
         )
-        assert captured["engine"].corners is None
-        assert all(job.corners is None for job in captured["jobs"])
+        assert captured["engine"].options.corners is None
+        assert all(job.options.corners is None for job in captured["jobs"])

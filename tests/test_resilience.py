@@ -11,7 +11,9 @@ succeed" — the scripted version of a transient failure.
 
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -33,6 +35,7 @@ from repro.batch.resilience import (
 )
 from repro.cli import main as cli_main
 from repro.errors import BatchError, SpecificationError
+from repro.options import CompileOptions
 from repro.spec import INT4, MacroSpec
 
 KEY = "ab" * 32  # a well-formed job key for direct cache/plan calls
@@ -323,8 +326,8 @@ class TestCacheQuarantine:
 
 class TestWatchdog:
     def test_rejects_nonpositive_timeout(self):
-        with pytest.raises(BatchError, match="positive"):
-            BatchCompiler(jobs=1, use_cache=False, job_timeout_s=0)
+        with pytest.raises(SpecificationError, match="positive"):
+            CompileOptions(job_timeout_s=0)
 
     def test_hang_timed_out_then_retried_to_ok(self, tmp_path, monkeypatch):
         """Every job hangs on attempt 1 (past the watchdog deadline),
@@ -332,7 +335,9 @@ class TestWatchdog:
         worker — ok records carrying the timeout in their history."""
         _arm(monkeypatch, "hang:1.0:first", hang_s=30.0)
         engine = BatchCompiler(
-            jobs=2, cache_dir=tmp_path, job_timeout_s=1.5
+            jobs=2,
+            cache_dir=tmp_path,
+            options=CompileOptions(job_timeout_s=1.5),
         )
         batch = engine.compile_specs(_specs(2), implement=False)
         assert [r["status"] for r in batch.records] == ["ok", "ok"]
@@ -357,8 +362,7 @@ class TestWatchdog:
         engine = BatchCompiler(
             jobs=2,
             cache_dir=tmp_path,
-            job_timeout_s=0.75,
-            retry=RetryPolicy(max_attempts=2),
+            options=CompileOptions(job_timeout_s=0.75, retries=1),
         )
         batch = engine.compile_specs(_specs(1), implement=False)
         (record,) = batch.records
@@ -374,7 +378,7 @@ class TestWatchdog:
         assert (
             BatchCompiler(jobs=1, cache_dir=tmp_path).cache.get(
                 CompileJob(
-                    spec=_specs(1)[0], implement=False
+                    _specs(1)[0], CompileOptions(implement=False)
                 ).key()
             )
             is None
@@ -409,7 +413,7 @@ class TestPoolBreakRecovery:
         engine = BatchCompiler(
             jobs=2,
             cache_dir=tmp_path,
-            retry=RetryPolicy(max_attempts=2),
+            options=CompileOptions(retries=1),
         )
         batch = engine.compile_specs(_specs(2), implement=False)
         for record in batch.records:
@@ -421,7 +425,7 @@ class TestPoolBreakRecovery:
         assert batch.stats.failed == 2
         # Worker-death verdicts are environmental, never cached.
         assert BatchCompiler(jobs=1, cache_dir=tmp_path).cache.get(
-            CompileJob(spec=_specs(2)[0], implement=False).key()
+            CompileJob(_specs(2)[0], CompileOptions(implement=False)).key()
         ) is None
 
     def test_crash_culprit_does_not_burn_poolmates_budget(
@@ -431,7 +435,7 @@ class TestPoolBreakRecovery:
         which job the dead worker held, so only the crasher is charged
         and its pool-mates never see a retry."""
         specs = _specs(6)
-        jobs = [CompileJob(spec=s, implement=False) for s in specs]
+        jobs = [CompileJob(s, CompileOptions(implement=False)) for s in specs]
 
         def crashes(seed, job):
             return any(
@@ -451,7 +455,7 @@ class TestPoolBreakRecovery:
         engine = BatchCompiler(
             jobs=2,
             cache_dir=tmp_path,
-            retry=RetryPolicy(max_attempts=2),
+            options=CompileOptions(retries=1),
         )
         batch = engine.compile_specs(specs, implement=False)
         healthy = [
@@ -486,7 +490,7 @@ class TestPoolBreakRecovery:
         engine = BatchCompiler(
             jobs=2,
             cache_dir=tmp_path,
-            retry=RetryPolicy(max_attempts=2),
+            options=CompileOptions(retries=1),
         )
         batch = engine.compile_specs(_specs(2), implement=False)
         for record in batch.records:
@@ -624,17 +628,18 @@ class TestWorkerWarnings:
 
         monkeypatch.setattr(corners, "worst_corner_scl", broken)
         monkeypatch.setattr(engine_mod, "_PREWARM_WARNED", False)
-        engine = BatchCompiler(
-            jobs=2, use_cache=False, corners=("worst",)
-        )
-        jobs = [CompileJob(spec=_specs(1)[0], implement=False)]
+        engine = BatchCompiler(jobs=2, use_cache=False)
+        jobs = [
+            CompileJob(
+                _specs(1)[0],
+                CompileOptions(implement=False, corners="signoff3"),
+            )
+        ]
         with pytest.warns(RuntimeWarning, match="prewarm failed"):
             engine._prewarm_corners(jobs)
         # The latch makes it once per process, not once per sweep.
-        import warnings as warnings_mod
-
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             engine._prewarm_corners(jobs)
 
 
@@ -691,11 +696,22 @@ class TestResilienceCLI:
         self, tmp_path, capsys, monkeypatch
     ):
         """A typo'd chaos spec must not run a clean sweep that
-        "passes" — the CLI validates at arm time."""
+        "passes" — the CLI validates at arm time, before it opens
+        ``--output``: the results already there keep their bytes and
+        no file is left open."""
+        out = tmp_path / "out.jsonl"
+        out.write_text('{"status": "ok"}\n')
         monkeypatch.setenv("REPRO_FAULTS", "explode:0.5")
-        rc = cli_main(self._argv(tmp_path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli_main(self._argv(tmp_path))
+            gc.collect()
         assert rc == 1
         assert "REPRO_FAULTS" in capsys.readouterr().err
+        assert not [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ]
+        assert out.read_text() == '{"status": "ok"}\n'
 
     def test_armed_faults_announced(self, tmp_path, capsys, monkeypatch):
         _arm(monkeypatch, "raise:0.0", seed=5)
@@ -755,8 +771,7 @@ class TestChaosAcceptance:
         chaos = BatchCompiler(
             jobs=4,
             cache_dir=tmp_path / "chaos-cache",
-            job_timeout_s=2.0,
-            retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
+            options=CompileOptions(job_timeout_s=2.0, retries=2),
         ).compile_specs(specs, implement=False)
 
         assert len(chaos.records) == 32  # no lost jobs

@@ -120,6 +120,31 @@ class TestCompileOptions:
         with pytest.raises(SpecificationError):
             CompileOptions(input_sparsity=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("implement", "false"),
+            ("implement", 0),
+            ("verify", "true"),
+            ("verify", None),
+            ("seed", True),
+            ("seed", 7.0),
+            ("retries", True),
+            ("retries", "2"),
+            ("verify_vectors", False),
+            ("verify_vectors", 128.0),
+            ("job_timeout_s", True),
+            ("job_timeout_s", "5"),
+        ],
+    )
+    def test_rejects_wrong_types(self, field, value):
+        """Types are checked, never coerced: a hashed ``"false"`` would
+        key apart from ``False`` and still build an implementation."""
+        with pytest.raises(SpecificationError, match=field):
+            CompileOptions(**{field: value})
+        with pytest.raises(SpecificationError, match=field):
+            CompileOptions.from_dict({field: value})
+
     def test_dict_roundtrip(self):
         options = CompileOptions(
             corners="typical", vt="auto", seed=3, verify=True,
@@ -562,6 +587,25 @@ class TestServiceHTTP:
                 )
             assert err.value.code == 400
             assert "error" in json.loads(err.value.read())
+
+    @pytest.mark.parametrize(
+        "options", [{"implement": "false"}, {"job_timeout_s": True}]
+    )
+    def test_wrong_typed_option_is_400(self, service, options):
+        import urllib.error
+        import urllib.request
+
+        body = json.dumps({"spec": SPEC_PAYLOAD, "options": options})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(
+                urllib.request.Request(
+                    service["base_url"] + "/v1/jobs",
+                    data=body.encode(),
+                    method="POST",
+                )
+            )
+        assert err.value.code == 400
+        assert next(iter(options)) in json.loads(err.value.read())["error"]
 
     def test_unknown_option_is_400_with_message(self, service):
         with pytest.raises(ServiceError, match="vektors"):

@@ -345,7 +345,8 @@ def _assert_clean(child: subprocess.CompletedProcess) -> None:
 
 _BATCH_PROLOGUE = """
 import os, sys
-from repro.batch import BatchCompiler, CompileJob, RetryPolicy
+from repro import CompileOptions
+from repro.batch import BatchCompiler, CompileJob
 from repro.spec import INT4, MacroSpec
 specs = [
     MacroSpec(height=8, width=8, mcr=2, input_formats=(INT4,),
@@ -367,8 +368,7 @@ class TestPoolLeaks:
             + textwrap.dedent("""
             from repro.shm import published_segments
             engine = BatchCompiler(jobs=2, use_cache=False,
-                                   retry=RetryPolicy(max_attempts=3,
-                                                     backoff_s=0.0))
+                                   options=CompileOptions(retries=2))
             batch = engine.compile_specs(specs, implement=False)
             assert published_segments(), "parent published nothing"
             assert all(r["status"] == "ok" for r in batch.records)
@@ -385,9 +385,8 @@ class TestPoolLeaks:
             _BATCH_PROLOGUE
             + textwrap.dedent("""
             engine = BatchCompiler(jobs=2, cache_dir=%r,
-                                   job_timeout_s=1.0,
-                                   retry=RetryPolicy(max_attempts=2,
-                                                     backoff_s=0.0))
+                                   options=CompileOptions(job_timeout_s=1.0,
+                                                          retries=1))
             batch = engine.compile_specs(specs[:2], implement=False)
             assert len(batch.records) == 2  # hang -> timeout, not a wedge
             """)
@@ -405,9 +404,8 @@ class TestPoolLeaks:
             _BATCH_PROLOGUE
             + textwrap.dedent("""
             engine = BatchCompiler(jobs=4, cache_dir=%r,
-                                   job_timeout_s=2.0,
-                                   retry=RetryPolicy(max_attempts=3,
-                                                     backoff_s=0.0))
+                                   options=CompileOptions(job_timeout_s=2.0,
+                                                          retries=2))
             batch = engine.compile_specs(specs, implement=False)
             assert len(batch.records) == len(specs)
             """)

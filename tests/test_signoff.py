@@ -393,15 +393,14 @@ class TestRecordsAndBatch:
 
     def test_job_key_covers_corners(self, small_spec):
         from repro.batch.jobs import CompileJob
+        from repro.options import CompileOptions
 
+        corners = CompileOptions(corners=("SS", "TT", "FF"))
         plain = CompileJob(spec=small_spec)
-        corner = CompileJob(spec=small_spec, corners=("SS", "TT", "FF"))
+        corner = CompileJob(small_spec, corners)
         assert plain.key() != corner.key()
         assert corner.payload()["options"]["corners"] == ["SS", "TT", "FF"]
-        assert (
-            CompileJob(spec=small_spec, corners=("SS", "TT", "FF")).key()
-            == corner.key()
-        )
+        assert CompileJob(small_spec, corners).key() == corner.key()
 
     def test_execute_job_with_corners(self, small_spec):
         from repro.compiler.syndcim import execute_job
@@ -436,11 +435,12 @@ class TestRecordsAndBatch:
         """Inline (jobs=1) batch run: the corner flag reaches the
         worker entry point and the records carry per-corner metrics."""
         from repro.batch.engine import BatchCompiler
+        from repro.options import CompileOptions
 
         engine = BatchCompiler(
             jobs=1,
             cache_dir=tmp_path,
-            corners=("SS", "TT"),
+            options=CompileOptions(corners=("SS", "TT")),
         )
         result = engine.compile_specs([small_spec], implement=True)
         record = result.records[0]

@@ -15,6 +15,7 @@ from repro.arch import MacroArchitecture
 from repro.batch.engine import BatchCompiler, BatchResult, BatchStats
 from repro.batch.jobs import CompileJob
 from repro.cli import build_parser, main
+from repro.options import CompileOptions
 from repro.rtl.gen.macro import generate_macro
 from repro.sim.formats import int_range
 from repro.spec import FP4, FP8, INT4, INT8, MacroSpec
@@ -351,7 +352,9 @@ class TestFlowWiring:
         """Engine-level verify applies to implement-only jobs too, not
         just full compiles."""
         engine = BatchCompiler(
-            jobs=1, use_cache=False, verify=True, verify_vectors=128
+            jobs=1,
+            use_cache=False,
+            options=CompileOptions(verify=True, verify_vectors=128),
         )
         result = engine.implement_archs(small_spec, [MacroArchitecture()])
         rec = result.records[0]
@@ -361,9 +364,9 @@ class TestFlowWiring:
 
     def test_job_key_covers_verify_options(self, small_spec):
         base = CompileJob(spec=small_spec)
-        verified = CompileJob(spec=small_spec, verify=True)
+        verified = CompileJob(small_spec, CompileOptions(verify=True))
         deeper = CompileJob(
-            spec=small_spec, verify=True, verify_vectors=65536
+            small_spec, CompileOptions(verify=True, verify_vectors=65536)
         )
         assert base.key() != verified.key()
         assert verified.key() != deeper.key()
@@ -419,9 +422,9 @@ class TestCLI:
         )
         assert rc == 0
         jobs = captured["jobs"]
-        assert jobs and all(j.verify for j in jobs)
-        assert all(j.verify_vectors == 256 for j in jobs)
-        assert captured["engine"].verify is True
+        assert jobs and all(j.options.verify for j in jobs)
+        assert all(j.options.verify_vectors == 256 for j in jobs)
+        assert captured["engine"].options.verify is True
 
     def test_no_verify_means_off(self, monkeypatch, tmp_path):
         captured = _capture_jobs(monkeypatch)
@@ -435,7 +438,7 @@ class TestCLI:
             ]
         )
         assert rc == 0
-        assert all(not j.verify for j in captured["jobs"])
+        assert all(not j.options.verify for j in captured["jobs"])
 
     def test_verify_subcommand_end_to_end(self, scl, capsys):
         rc = main(
