@@ -13,8 +13,8 @@ test:  ## tier-1 suite: unit tests + benchmark reproductions
 golden:  ## regenerate tests/data/golden_search.jsonl; every regeneration needs a CHANGES.md line saying why
 	$(PYTHON) tests/golden_search.py
 
-chaos:  ## fault-injection suite: watchdog, retry, resume, quarantine
-	$(PYTHON) -m pytest tests/test_resilience.py -q
+chaos:  ## fault-injection suite: watchdog, retry, resume, quarantine, the result log's kill -9 and fuzz tests
+	$(PYTHON) -m pytest tests/test_resilience.py tests/test_result_log.py -q
 
 # The library examples (service_smoke.py boots a server and runs in
 # the CI service job on its own).
@@ -47,8 +47,10 @@ e2e-smoke:  ## every e2ebench workload for 5 s; fails unless the result line say
 		{ echo 'e2e-smoke: the result line does not report "correct": true' >&2; exit 1; }
 
 # Spans of engine names that e2ebench/spans.py wraps: if the engine
-# stops calling one of them by that name, its span reads zero.
-TRACE_GUARDS := batch.wait_s batch.worker_init_s batch.job_s
+# stops calling one of them by that name, its span reads zero.  The
+# store's: ResultCache.get (lookups) and SweepJournal.done, the one
+# write of each record.
+TRACE_GUARDS := batch.wait_s batch.worker_init_s batch.job_s batch.cache_get_s batch.journal_s
 
 e2e-trace-smoke:  ## traced dse-sweep for 5 s; fails unless correct with non-zero $(TRACE_GUARDS)
 	@mkdir -p .bench_tmp

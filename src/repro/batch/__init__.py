@@ -6,8 +6,9 @@ This package turns the single-spec :class:`~repro.compiler.syndcim.SynDCIM`
 facade into a design-space instrument:
 
 * :mod:`repro.batch.jobs` — content-hashed job descriptions;
-* :mod:`repro.batch.cache` — the on-disk JSON result store
-  (``~/.cache/repro`` by default) that makes repeated sweeps free;
+* :mod:`repro.batch.cache` — the result store, an append-only log
+  of one segment per run (``~/.cache/repro`` by default) that makes
+  repeated sweeps free;
 * :mod:`repro.batch.engine` — :class:`BatchCompiler`: dedup, cache
   lookup, worker processes behind one pipe each, progress reporting;
 * :mod:`repro.batch.sweep` — the range grammar (``32:256:x2``)

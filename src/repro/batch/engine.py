@@ -54,7 +54,8 @@ Resilience (see :mod:`repro.batch.resilience` and
   ``error``/``timeout`` records, annotated with ``attempts`` and
   ``retry_history``.  No other job is ever re-run on its account.
 * Every run with a cache root keeps a write-ahead
-  :class:`~repro.batch.resilience.SweepJournal`;
+  :class:`~repro.batch.resilience.SweepJournal`: its segment of the
+  result log, whose ``done`` lines are also the store's entries;
   ``BatchCompiler(resume=<run id>)`` restores finished records from it
   and executes only the remainder.
 * ``$REPRO_FAULTS`` (see :mod:`repro.batch.faults`) deterministically
@@ -322,7 +323,9 @@ class BatchCompiler:
         if self._journal_root is not None:
             if self._resume is not None:
                 resumed = SweepJournal.load(self._journal_root, self._resume)
-            journal = SweepJournal(self._journal_root, run_id=self.run_id)
+            journal = SweepJournal(
+                self._journal_root, run_id=self.run_id, store=self.cache
+            )
 
         resolved: Dict[str, Record] = {}
         pending: Dict[str, Job] = {}
@@ -347,19 +350,20 @@ class BatchCompiler:
         def finish(key: str, record: Record, executed: Optional[Record]) -> None:
             """Account one terminal record.  ``executed`` is the record
             an execution returned (``None`` when a retry budget ran out
-            first): it counts as compiled and is what the cache stores
+            first): it counts as compiled and is what the store keeps
             — bit-identical to a fault-free run's output, without the
-            retry bookkeeping ``record`` may carry."""
+            retry bookkeeping ``record`` may carry.  With a journal,
+            its one ``done`` line also stores the record."""
             nonlocal done
-            if executed is not None:
-                stats.compiled += 1
-                if (
-                    self.cache is not None
-                    and executed.get("status") in CACHEABLE_STATUSES
-                ):
-                    self.cache.put(key, executed)
+            cacheable = (
+                executed is not None
+                and executed.get("status") in CACHEABLE_STATUSES
+            )
+            stats.compiled += executed is not None
             if journal is not None:
-                journal.done(key, record)
+                journal.done(key, record, cacheable)
+            elif cacheable and self.cache is not None:
+                self.cache.put(key, executed)
             record = dict(record, cached=False, job_key=key)
             resolved[key] = record
             done += 1
@@ -409,6 +413,8 @@ class BatchCompiler:
                 for key, job in pending.items():
                     record = execute_job(job.payload())
                     finish(key, record, record)
+            if journal is not None:
+                journal.seal()  # complete: no longer resume state
         finally:
             if journal is not None:
                 journal.close()

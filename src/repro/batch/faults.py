@@ -26,8 +26,8 @@ Fault kinds
     itself and stays alive — the job-raised branch (transient →
     retried).
 ``corrupt_cache``
-    :meth:`repro.batch.cache.ResultCache.put` truncates the record it
-    just wrote, so the *next* lookup exercises the quarantine path.
+    The result store damages the ``done`` line it just wrote, in place,
+    so the *next* lookup exercises the quarantine path.
 
 Determinism
 -----------

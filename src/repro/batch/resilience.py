@@ -26,24 +26,27 @@ records carrying ``attempts`` and ``retry_history``.
 
 Write-ahead journal
 -------------------
-:class:`SweepJournal` appends one JSONL line per event under
-``<cache root>/journal/<run id>.jsonl``:
+:class:`SweepJournal` writes one run's segment of the result log,
+``<cache root>/log/<run id>.jsonl`` (line format:
+:mod:`repro.batch.cache`):
 
 * ``{"event": "begin", "run": ..., "total": N, "unique": M}`` once per
   :meth:`~repro.batch.engine.BatchCompiler.run_jobs` call;
-* ``{"event": "submit", "key": ...}`` for every job key about to
+* ``{"event": "submit", "keys": [...]}`` with the job keys about to
   execute (the write-ahead half: a killed run knows what it owed);
 * ``{"event": "done", "key": ..., "record": {...}}`` for every
   terminal record (the completion half: a killed run knows what it
-  finished — including the ``error``/``timeout`` records the result
-  cache deliberately refuses to store).
+  finished — including the ``error``/``timeout`` records the store
+  deliberately refuses to serve), with ``attempts``/``retry_history``
+  beside the record when it was retried.
 
 ``BatchCompiler(resume=<run id>)`` / ``--resume <run id>`` loads the
-``done`` map and re-executes only the unfinished remainder; resumed
-records are stamped ``resumed=True`` and counted in
-``BatchStats.resumed``.  Journal writes degrade silently (a full disk
-must never abort the sweep it was protecting); loads of an unknown run
-id raise :class:`~repro.errors.BatchError`.
+``done`` map and re-executes only the unfinished remainder, appending
+to the same run's log; resumed records are stamped ``resumed=True`` and
+counted in ``BatchStats.resumed``.  A run that completes seals its
+segment.  Journal writes degrade silently (a full disk must never
+abort the sweep it was protecting); loads of an unknown run id raise
+:class:`~repro.errors.BatchError`.
 
 See ``docs/robustness.md`` for the full semantics table.
 """
@@ -54,20 +57,24 @@ import json
 import pathlib
 import random
 import time
-import uuid
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, TextIO
+from typing import Dict, Iterable, List, Optional
 
 from ..errors import BatchError
-
-#: Statuses a worker-produced record can carry — all deterministic,
-#: none retried (see module docstring).
-DETERMINISTIC_STATUSES = ("ok", "infeasible", "error")
-
-#: Pool-level failure classes the engine retries (the record never
-#: came back, so there is no status yet): a broken pool, a watchdog
-#: kill, a single future raising with the pool alive.
-TRANSIENT_FAILURES = ("pool-break", "timeout", "worker-raise")
+from .cache import (
+    BOOKKEEPING,
+    ResultCache,
+    ResultStore,
+    SegmentWriter,
+    count_damage,
+    crc_ok,
+    encode_done,
+    encode_line,
+    list_journals,
+    log_dir,
+    new_run_id,
+    segment_lines,
+)
 
 #: Terminal statuses a finished batch may contain.  ``timeout`` is the
 #: only parent-synthesized status that survives a full retry budget.
@@ -101,174 +108,129 @@ class RetryPolicy:
         return base
 
 
-def new_run_id() -> str:
-    """Sortable-by-start-time, collision-safe run identifier."""
-    return time.strftime("%Y%m%d-%H%M%S") + "-" + uuid.uuid4().hex[:6]
+class SweepJournal(SegmentWriter):
+    """One run's write-ahead journal: its segment of the result log
+    under ``root``.  When ``store`` is the
+    :class:`~repro.batch.cache.ResultCache` reading this same log, a
+    cacheable ``done`` line *is* the store entry, so each record is
+    encoded and written once; another store gets a ``put``.  Lines are
+    written as they happen, so a ``kill -9`` loses at most the record
+    in flight.  ``resumable=False`` (a service lifetime, which nothing
+    resumes) lets the store's size budget drop the live segment."""
 
+    def __init__(
+        self,
+        root: pathlib.Path,
+        run_id: Optional[str] = None,
+        store: Optional[ResultStore] = None,
+        resumable: bool = True,
+    ) -> None:
+        super().__init__(root, run_id or new_run_id())
+        self.resumable = resumable
+        self._log: Optional[ResultCache] = None
+        self._store = store
+        if (
+            isinstance(store, ResultCache)
+            and store.enabled
+            and store.root == self.root
+        ):
+            self._log, self._store = store, None
+            store.attach(self)
 
-def journal_dir(root: pathlib.Path) -> pathlib.Path:
-    return pathlib.Path(root).expanduser() / "journal"
+    def _write(self, fields: Dict[str, object]) -> None:
+        self.append(encode_line(json.dumps(fields)[1:].encode()))
 
+    def begin(self, total: int, unique: int) -> None:
+        self._write({"event": "begin", "run": self.run_id,
+                     "time": time.time(), "total": total, "unique": unique})
 
-def list_journals(root: pathlib.Path) -> List[pathlib.Path]:
-    """Journal files under ``root``, newest first (by mtime, run-id
-    tiebreak — run ids sort by start time)."""
-    directory = journal_dir(root)
-    if not directory.is_dir():
-        return []
-    files = [p for p in directory.glob("*.jsonl") if p.is_file()]
+    def submit(self, keys: Iterable[str]) -> None:
+        keys = list(keys)
+        if keys:
+            self._write({"event": "submit", "keys": keys})
 
-    def sort_key(path: pathlib.Path):
+    def done(
+        self, key: str, record: Dict[str, object], cacheable: bool = False
+    ) -> None:
+        """Log ``key``'s terminal ``record`` (its retry bookkeeping goes
+        beside it); ``cacheable`` also stores it."""
+        extra = {k: record[k] for k in BOOKKEEPING if k in record}
+        if extra:
+            record = {k: v for k, v in record.items() if k not in extra}
         try:
-            mtime = path.stat().st_mtime
-        except OSError:
-            mtime = 0.0
-        return (mtime, path.stem)
+            data = json.dumps(record).encode()
+        except (TypeError, ValueError):
+            return
+        if cacheable and self._log is not None:
+            self._log.append_done(self, key, data, extra)
+            return
+        self.append(encode_done(key, data, False, extra))
+        if cacheable and self._store is not None:
+            self._store.put(key, record)
 
-    return sorted(files, key=sort_key, reverse=True)
+    def close(self) -> None:
+        super().close()
+        if self._log is not None:
+            self._log.detach(self)
+
+    @staticmethod
+    def load(root: pathlib.Path, run_id: str) -> Dict[str, Dict[str, object]]:
+        """The ``key -> terminal record`` map of a previous run, retry
+        bookkeeping re-attached.  A damaged or torn line (a kill
+        mid-write) is skipped and counted; an unknown run id raises
+        :class:`~repro.errors.BatchError`, so a typo'd ``--resume``
+        fails loudly instead of silently recompiling everything."""
+        paths = sorted(  # <run id>.jsonl, then <run id>.<n>.jsonl
+            (p for p in list_journals(root) if p.stem.split(".")[0] == run_id),
+            key=lambda p: (len(p.stem), p.stem),
+        )
+        if not paths:
+            raise BatchError(
+                f"unknown run id {run_id!r}: no segment under {log_dir(root)}"
+            )
+        records: Dict[str, Dict[str, object]] = {}
+        try:
+            for path in paths:
+                for offset, buf, at, end, whole in segment_lines(path):
+                    try:
+                        entry = (
+                            json.loads(buf[at:end])
+                            if whole and crc_ok(buf, at, end)
+                            else None
+                        )
+                    except ValueError:
+                        entry = None
+                    if not isinstance(entry, dict):
+                        count_damage(path, offset, "torn or CRC mismatch")
+                    elif entry.get("event") == "done" and isinstance(
+                        entry.get("record"), dict
+                    ):
+                        extra = {
+                            k: entry[k] for k in BOOKKEEPING if k in entry
+                        }
+                        records[str(entry.get("key"))] = dict(
+                            entry["record"], **extra
+                        )
+        except OSError as exc:
+            raise BatchError(
+                f"cannot read the log of run {run_id!r}: {exc}"
+            ) from exc
+        return records
 
 
 def prune_journals(
     root: pathlib.Path,
     keep: Optional[int] = None,
     older_than_s: Optional[float] = None,
-    exclude: Iterable[str] = (),
+    exclude=(),
 ) -> List[pathlib.Path]:
-    """Delete old journal files; returns the paths removed.
-
-    Every sweep leaves one JSONL behind, so a long-lived service (or a
-    busy workstation) accumulates them forever without this.  A file is
-    pruned when it falls outside the newest ``keep`` *or* its mtime is
-    older than ``older_than_s`` seconds; with both ``None`` nothing is
-    touched (an explicit retention policy is required — this function
-    must never surprise-delete resume state).  Run ids in ``exclude``
-    are always kept, so a live run can prune around its own journal.
-    Unlink failures are skipped, not raised: pruning is housekeeping,
-    never worth aborting the sweep that triggered it.
-    """
-    if keep is None and older_than_s is None:
-        return []
-    if keep is not None and keep < 0:
-        raise ValueError("keep must be >= 0")
-    excluded = set(exclude)
-    now = time.time()
-    removed: List[pathlib.Path] = []
-    for index, path in enumerate(list_journals(root)):
-        if path.stem in excluded:
-            continue
-        stale = keep is not None and index >= keep
-        if not stale and older_than_s is not None:
-            try:
-                stale = now - path.stat().st_mtime > older_than_s
-            except OSError:
-                continue
-        if not stale:
-            continue
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        removed.append(path)
-    return removed
-
-
-class SweepJournal:
-    """Append-only JSONL write-ahead journal for one batch run (see
-    module docstring for the line schema).
-
-    Lines are flushed as written, so a ``kill -9`` loses at most the
-    record in flight; :meth:`load` tolerates a torn final line.  Any
-    filesystem refusal disables the journal for the rest of the run —
-    resumability degrades, the sweep itself never aborts.
-    """
-
-    def __init__(
-        self, root: pathlib.Path, run_id: Optional[str] = None
-    ) -> None:
-        self.run_id = run_id or new_run_id()
-        self.path = journal_dir(root) / f"{self.run_id}.jsonl"
-        self._fh: Optional[TextIO] = None
-        self._disabled = False
-
-    # -- writing ------------------------------------------------------------
-
-    def _write(self, obj: Dict[str, object]) -> None:
-        if self._disabled:
-            return
-        try:
-            if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write(json.dumps(obj) + "\n")
-            self._fh.flush()
-        except (OSError, TypeError, ValueError):
-            self._disabled = True
-            self.close()
-
-    def begin(self, total: int, unique: int) -> None:
-        self._write(
-            {
-                "event": "begin",
-                "run": self.run_id,
-                "time": time.time(),
-                "total": total,
-                "unique": unique,
-            }
+    """Drop old log segments, carrying their live cacheable entries
+    over (:meth:`~repro.batch.cache.ResultCache.prune`); returns the
+    paths removed."""
+    cache = ResultCache(root)
+    try:
+        return cache.prune(
+            keep=keep, older_than_s=older_than_s, exclude=exclude
         )
-
-    def submit(self, keys: Iterable[str]) -> None:
-        for key in keys:
-            self._write({"event": "submit", "key": key})
-
-    def done(self, key: str, record: Dict[str, object]) -> None:
-        self._write({"event": "done", "key": key, "record": record})
-
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._fh = None
-
-    # -- reading ------------------------------------------------------------
-
-    @staticmethod
-    def load(
-        root: pathlib.Path, run_id: str
-    ) -> Dict[str, Dict[str, object]]:
-        """The ``key -> terminal record`` map of a previous run.
-
-        Unparsable lines (a torn tail from a kill) are skipped; an
-        unknown run id raises :class:`~repro.errors.BatchError` so a
-        typo'd ``--resume`` fails loudly instead of silently
-        recompiling everything.
-        """
-        path = journal_dir(root) / f"{run_id}.jsonl"
-        if not path.is_file():
-            raise BatchError(
-                f"unknown run id {run_id!r}: no journal at {path}"
-            )
-        records: Dict[str, Dict[str, object]] = {}
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except ValueError:
-                        continue  # torn final line from a kill
-                    if (
-                        isinstance(entry, dict)
-                        and entry.get("event") == "done"
-                        and isinstance(entry.get("record"), dict)
-                        and isinstance(entry.get("key"), str)
-                    ):
-                        records[entry["key"]] = entry["record"]
-        except OSError as exc:
-            raise BatchError(
-                f"cannot read journal for run {run_id!r}: {exc}"
-            ) from exc
-        return records
+    finally:
+        cache.close()

@@ -17,7 +17,7 @@ Commands
 ``batch``    batch-compile explicit specs from a JSON/JSONL file;
 ``serve``    run the compile service: a shared job queue behind an
              HTTP/JSON API (``docs/service.md``);
-``journal``  list or prune the crash-resume journals under the cache.
+``journal``  list or prune the result-log segments under the cache.
 
 ``sweep`` and ``batch`` also take ``--server URL`` to submit to a
 running service instead of compiling locally — same grid grammar, same
@@ -259,37 +259,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--journal-keep", type=int, default=32, metavar="N",
-        help="journals retained when the service prunes after each "
-        "sweep (default 32)",
+        help="log segments retained when the service prunes after "
+        "each sweep (default 32)",
     )
 
     p_journal = sub.add_parser(
         "journal",
-        help="list or prune the crash-resume journals under the cache",
+        help="list or prune the result-log segments under the cache",
         description=(
-            "Every sweep leaves a write-ahead journal (used by "
-            "--resume) under <cache root>/journal/.  Default action "
-            "lists them newest first; --prune deletes those outside "
-            "the retention policy you give it."
+            "Every sweep writes one segment of the result log (its "
+            "write-ahead journal, used by --resume, and its stored "
+            "records) under <cache root>/log/.  Default action lists "
+            "them newest first; --prune deletes those outside the "
+            "retention policy you give it, after copying their stored "
+            "records into a fresh segment."
         ),
     )
     p_journal.add_argument(
         "--cache-dir",
-        help="cache root holding journal/ (default $REPRO_CACHE_DIR "
+        help="cache root holding log/ (default $REPRO_CACHE_DIR "
         "or ~/.cache/repro)",
     )
     p_journal.add_argument(
         "--prune", action="store_true",
-        help="delete journals outside --keep/--older-than (at least "
+        help="delete segments outside --keep/--older-than (at least "
         "one retention flag is required)",
     )
     p_journal.add_argument(
         "--keep", type=int, default=None, metavar="N",
-        help="retain only the newest N journals",
+        help="retain only the newest N segments",
     )
     p_journal.add_argument(
         "--older-than", type=float, default=None, metavar="SECONDS",
-        help="delete journals whose mtime is older than this",
+        help="delete segments whose mtime is older than this",
     )
     return parser
 
@@ -619,11 +621,11 @@ def _run_journal(args: argparse.Namespace) -> int:
         )
         for path in removed:
             print(f"pruned {path.stem}")
-        print(f"pruned {len(removed)} journal(s) under {root}")
+        print(f"pruned {len(removed)} segment(s) under {root}")
         return 0
     journals = list_journals(root)
     if not journals:
-        print(f"no journals under {root}")
+        print(f"no segments under {root}")
         return 0
     for path in journals:
         try:
@@ -631,7 +633,7 @@ def _run_journal(args: argparse.Namespace) -> int:
             print(f"{path.stem}  {stat.st_size:>9d} bytes")
         except OSError:
             continue
-    print(f"{len(journals)} journal(s) under {root}")
+    print(f"{len(journals)} segment(s) under {root}")
     return 0
 
 

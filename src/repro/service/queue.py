@@ -29,9 +29,10 @@ Statuses
 (``ok`` / ``infeasible`` / ``error`` / ``timeout``), plus
 ``cancelled`` for jobs removed from the queue before they started.
 Terminal records are appended to the service's write-ahead
-:class:`~repro.batch.resilience.SweepJournal` (one journal per service
-lifetime), and sweep completion triggers journal pruning so a
-long-lived service does not accumulate one JSONL per historical run.
+:class:`~repro.batch.resilience.SweepJournal` — its segment of the
+result log for the service's lifetime, whose cacheable ``done`` lines
+are the store's entries — and sweep completion prunes old segments so
+a long-lived service does not accumulate one per historical run.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from ..spec import MacroSpec
 from ..batch.cache import MemoryResultStore, ResultCache, ResultStore
 from ..batch.engine import JobExecutor, Ticket
 from ..batch.jobs import CompileJob
-from ..batch.resilience import SweepJournal, new_run_id, prune_journals
+from ..batch.resilience import SweepJournal, new_run_id
 
 #: Statuses a job can report; the first two are live, the rest terminal.
 QUEUED = "queued"
@@ -167,8 +168,9 @@ class JobQueue:
         with the first job that misses the store, not at construction.
     journal / journal_keep:
         The service journals terminal records under its run id
-        (``journal=False`` disables); completed sweeps prune the
-        journal directory down to the newest ``journal_keep`` files.
+        (``journal=False`` disables); completed sweeps prune the log
+        down to the newest ``journal_keep`` segments, carrying their
+        live entries into the service's own.
     """
 
     def __init__(
@@ -203,7 +205,10 @@ class JobQueue:
             pathlib.Path(root) if journal and root is not None else None
         )
         self._journal: Optional[SweepJournal] = (
-            SweepJournal(self._journal_root, run_id=self.run_id)
+            SweepJournal(
+                self._journal_root, run_id=self.run_id, store=self.store,
+                resumable=False,
+            )
             if self._journal_root is not None
             else None
         )
@@ -248,6 +253,7 @@ class JobQueue:
                     self._finish(entry, CANCELLED, record=None)
         self._executor.close(timeout)
         if self._journal is not None:
+            self._journal.seal()
             self._journal.close()
 
     def __enter__(self) -> "JobQueue":
@@ -489,12 +495,19 @@ class JobQueue:
         return Ticket(entry.key, entry.job, functools.partial(self._landed, entry))
 
     def _landed(self, entry: _JobEntry, ticket: Ticket) -> None:
-        """The executor's verdict on ``entry``: store what is
-        cacheable, count the work, land the terminal record."""
+        """The executor's verdict on ``entry``: journal it (which also
+        stores what is cacheable), count the work, land the terminal
+        record."""
         from ..compiler.syndcim import CACHEABLE_STATUSES
 
         executed = ticket.result
-        if executed is not None and executed.get("status") in CACHEABLE_STATUSES:
+        cacheable = (
+            executed is not None
+            and executed.get("status") in CACHEABLE_STATUSES
+        )
+        if self._journal is not None:
+            self._journal.done(entry.key, ticket.record, cacheable)
+        elif cacheable:
             self.store.put(entry.key, executed)
         record = dict(ticket.record, cached=False, job_key=entry.key)
         with self._lock:
@@ -509,14 +522,12 @@ class JobQueue:
         status: str,
         record: Optional[Dict[str, object]],
     ) -> None:
-        """Caller holds the lock.  Lands a terminal status, journals
-        it, wakes waiters and settles any sweeps the job belonged to."""
+        """Caller holds the lock.  Lands a terminal status, wakes
+        waiters and settles any sweeps the job belonged to."""
         entry.status = status
         entry.mark_finished()
         if record is not None:
             entry.record = dict(record, job_key=entry.key)
-            if self._journal is not None:
-                self._journal.done(entry.key, record)
         entry.done.set()
         for sweep in self._sweeps.values():
             if entry.id in sweep.pending:
@@ -525,16 +536,13 @@ class JobQueue:
                     self._complete_sweep(sweep)
 
     def _complete_sweep(self, sweep: _SweepEntry) -> None:
-        """Caller holds the lock: stamp completion and prune old
-        journals (keeping this service's own journal alive)."""
+        """Caller holds the lock: stamp completion and prune old log
+        segments (keeping this service's own alive; their live entries
+        move into it)."""
         sweep.finished = time.time()
         sweep.finished_mono = time.monotonic()
         if self._journal_root is not None and self.journal_keep:
-            prune_journals(
-                self._journal_root,
-                keep=self.journal_keep,
-                exclude=(self.run_id,),
-            )
+            self.store.prune(keep=self.journal_keep, exclude=(self.run_id,))
 
     def _sweep_snapshot(self, sweep: _SweepEntry) -> Dict[str, object]:
         counts: Dict[str, int] = {}

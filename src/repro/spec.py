@@ -261,6 +261,13 @@ class MacroSpec:
             raise SpecificationError(f"mcr must be in [1, 8], got {self.mcr}")
         if not self.input_formats or not self.weight_formats:
             raise SpecificationError("at least one input and weight format required")
+        if max(f.serial_bits for f in self.input_formats) < 2:
+            # The bit-serial datapath shifts by at least one place: a
+            # 1-bit-only input has no shift-adder to search.
+            raise SpecificationError(
+                "at least one input format needs 2 or more serial bits "
+                "(INT1 inputs are supported only beside a wider format)"
+            )
         if self.mac_frequency_mhz <= 0 or self.update_frequency_mhz <= 0:
             raise SpecificationError("frequencies must be positive")
         if not 0.5 <= self.vdd <= 1.3:

@@ -14,7 +14,6 @@ import json
 import multiprocessing
 import os
 import pathlib
-import shutil
 import stat
 import subprocess
 import sys
@@ -23,7 +22,7 @@ import threading
 import pytest
 
 from repro.arch import MacroArchitecture
-from repro.batch.cache import MemoryResultStore, ResultCache
+from repro.batch.cache import MemoryResultStore, ResultCache, encode_done, log_dir
 from repro.batch.engine import (
     BatchCompiler,
     BatchResult,
@@ -304,28 +303,37 @@ class TestResultCache:
         assert (record["implementation"] is not None) == implement
         cache = ResultCache(tmp_path)
         cache.put(job.key(), record)
-        written = cache._path(job.key()).read_text(encoding="utf-8")
+        (segment,) = log_dir(tmp_path).iterdir()
+        line = segment.read_text(encoding="utf-8")
+        written = line[line.index('"record": ') + len('"record": '):-2]
         streamed = io.StringIO()
-        json.dump(json.loads(written), streamed)
+        json.dump(record, streamed)
         assert written == streamed.getvalue()
+        assert cache.get(job.key()) == record
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "cd" * 32
         cache.put(key, {"v": 1})
-        path = cache._path(key)
-        path.write_text("{not json")
+        (segment,) = log_dir(tmp_path).iterdir()
+        segment.write_text("{not json\n")
         assert cache.get(key) is None
         cache.put(key, {"v": 2})
         assert cache.get(key) == {"v": 2}
 
     @pytest.mark.parametrize("blob", ["[]", '"x"', "3", '{"record": [1]}'])
     def test_wrong_shaped_json_reads_as_miss(self, tmp_path, blob):
+        """A line that is JSON but not a log line, and a well-formed
+        ``done`` line whose record is not an object, both miss."""
         cache = ResultCache(tmp_path)
         key = "ce" * 32
         cache.put(key, {"v": 1})
-        cache._path(key).write_text(blob)
+        (segment,) = log_dir(tmp_path).iterdir()
+        segment.write_text(blob + "\n")
         assert cache.get(key) is None
+        if not blob.startswith("{"):
+            segment.write_bytes(encode_done(key, blob.encode(), True, {}))
+            assert ResultCache(tmp_path).get(key) is None
 
     def test_disabled_cache_stores_nothing(self, tmp_path):
         cache = ResultCache(tmp_path, enabled=False)
@@ -347,27 +355,19 @@ class TestResultCache:
         assert cache.stats.stores == 0
         assert cache.get("34" * 32) is None
 
-    def test_put_lands_after_its_shard_directory_is_removed(self, tmp_path):
-        """A put skips the ``mkdir`` of a shard it made before; when the
-        shard has been removed since, the put makes it again and lands."""
-        cache = ResultCache(tmp_path)
-        first, second = "ab" + "0" * 62, "ab" + "1" * 62
-        cache.put(first, {"v": 1})
-        shutil.rmtree(cache._path(first).parent)
-        cache.put(second, {"v": 2})
-        assert cache.get(second) == {"v": 2}
-        assert cache.get(first) is None
-        assert cache.stats.stores == 2
-
     def test_records_are_private_and_no_temporary_is_left(self, tmp_path):
+        """Every put appends to one 0600 segment: no per-record file,
+        no temporary."""
         cache = ResultCache(tmp_path)
         keys = [f"{i:02d}" * 32 for i in range(3)] + ["00" + "1" * 62]
         for i, key in enumerate(keys):
             cache.put(key, {"v": i})
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
-        assert sorted(files) == sorted(cache._path(key) for key in keys)
-        for path in files:
-            assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert len(files) == 1 and files[0].parent == log_dir(tmp_path)
+        assert stat.S_IMODE(files[0].stat().st_mode) == 0o600
+        assert len(files[0].read_bytes().splitlines()) == len(keys)
+        for i, key in enumerate(keys):
+            assert cache.get(key) == {"v": i}
 
 
 # -- batch engine -----------------------------------------------------------

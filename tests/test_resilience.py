@@ -30,9 +30,9 @@ from repro.batch.resilience import (
     TERMINAL_STATUSES,
     RetryPolicy,
     SweepJournal,
-    journal_dir,
     new_run_id,
 )
+from repro.batch.cache import log_dir
 from repro.cli import main as cli_main
 from repro.errors import BatchError, SpecificationError
 from repro.options import CompileOptions
@@ -258,7 +258,7 @@ class TestSweepJournal:
         journal.begin(total=1, unique=1)
         journal.done("k1", {"status": "ok"})
         journal.close()
-        assert not journal_dir(blocker).exists()
+        assert not log_dir(blocker).exists()
 
     def test_run_ids_unique(self):
         assert new_run_id() != new_run_id()
@@ -267,28 +267,36 @@ class TestSweepJournal:
 # -- cache corruption quarantine ---------------------------------------------
 
 
+def _damage_last_line(path) -> bytes:
+    """Flip one byte inside the record of a segment's last line, in
+    place (the line keeps its length); returns the damaged bytes."""
+    data = bytearray(path.read_bytes())
+    data[-20] ^= 0x01
+    path.write_bytes(bytes(data))
+    return bytes(data)
+
+
 class TestCacheQuarantine:
     def test_corrupt_record_quarantined_and_counted(self, tmp_path):
-        key = "fa" * 32  # unique per test: the warning latch is
-        # process-wide, once per key
+        key = "fa" * 32
         cache = ResultCache(tmp_path)
         cache.put(key, {"status": "ok"})
-        path = cache._path(key)
-        path.write_text("{torn record")
+        (segment,) = log_dir(tmp_path).iterdir()
+        damaged = _damage_last_line(segment)
         before = cache_corruption_count()
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert cache.get(key) is None
         assert cache.stats.corruptions == 1
         assert cache_corruption_count() == before + 1
-        assert not path.exists()
-        quarantined = path.with_name(f".corrupt-{key}.json")
-        assert quarantined.is_file()
-        assert quarantined.read_text() == "{torn record"
-        # The dot prefix hides quarantined files from entry_count, and
-        # the slot is writable again (miss -> recompile -> overwrite).
+        # The evidence stays where it was, counted but not served; the
+        # key is writable again (miss -> recompile -> append).
+        assert segment.read_bytes() == damaged
         assert cache.entry_count() == 0
+        assert cache.occupancy()["quarantined"] == 1
         cache.put(key, {"status": "ok", "v": 2})
         assert cache.get(key) == {"status": "ok", "v": 2}
+        assert cache.get(key) == {"status": "ok", "v": 2}
+        assert cache_corruption_count() == before + 1  # counted once
 
     def test_os_level_miss_is_not_corruption(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -298,19 +306,19 @@ class TestCacheQuarantine:
     def test_corrupt_cache_fault_truncates_on_put(
         self, tmp_path, monkeypatch
     ):
-        """The chaos hook corrupts the stored bytes so the *next*
-        lookup exercises the quarantine path end to end."""
-        key = "fb" * 32  # fresh key: the quarantine warning latch is
-        # process-wide, once per key
+        """The chaos hook damages the stored line in place so the
+        *next* lookup exercises the quarantine path end to end."""
+        key = "fb" * 32
         _arm(monkeypatch, "corrupt_cache:1.0")
         cache = ResultCache(tmp_path)
         cache.put(key, {"status": "ok", "power_mw": 1.25})
         monkeypatch.delenv("REPRO_FAULTS")
+        (segment,) = log_dir(tmp_path).iterdir()
+        size = segment.stat().st_size
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert cache.get(key) is None
-        assert cache._path(key).with_name(
-            f".corrupt-{key}.json"
-        ).is_file()
+        assert cache.stats.corruptions == 1
+        assert segment.stat().st_size == size  # damaged, not truncated
 
     def test_corrupt_cache_fault_respects_probability_zero(
         self, tmp_path, monkeypatch
@@ -537,12 +545,12 @@ class TestResume:
         with pytest.raises(_AbortAfter):
             engine.compile_specs(specs, implement=False)
 
-        journal_text = (
-            journal_dir(tmp_path) / f"{run_id}.jsonl"
-        ).read_text()
+        journal_text = (log_dir(tmp_path) / f"{run_id}.jsonl").read_text()
         events = [json.loads(line) for line in journal_text.splitlines()]
-        assert sum(e["event"] == "submit" for e in events) == 8
+        assert sum(len(e.get("keys", ())) for e in events) == 8
         assert sum(e["event"] == "done" for e in events) == 3
+        # use_cache=False: the journal keeps the records, not the store.
+        assert not any(e.get("cacheable") for e in events)
 
         resumed = BatchCompiler(
             jobs=1, use_cache=False, cache_dir=tmp_path, resume=run_id

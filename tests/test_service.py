@@ -28,10 +28,11 @@ from repro.batch.cache import (
     CACHE_SCHEMA_VERSION,
     MemoryResultStore,
     ResultCache,
+    log_dir,
 )
 from repro.batch.engine import BatchCompiler
 from repro.batch.faults import FaultPlan
-from repro.batch.resilience import list_journals, prune_journals
+from repro.batch.resilience import SweepJournal, list_journals, prune_journals
 from repro.errors import ServiceError, SpecificationError
 from repro.options import (
     DEFAULT_VERIFY_VECTORS,
@@ -232,30 +233,33 @@ class TestMemoryResultStore:
 
 class TestResultCacheBudget:
     def test_eviction_is_lru_and_respects_hits(self, tmp_path):
+        """Past the budget whole segments go, oldest first; an entry
+        this process has hit is carried into a fresh segment, so it
+        outlives an older one that was not hit."""
         cache = ResultCache(tmp_path, budget_mb=0.01)  # 10 kB
         keys = _keys(3)
         for i, key in enumerate(keys):
             _put_sized(cache, key, i, size=3000)
-            # Distinct mtimes so LRU order is unambiguous.
-            os.utime(cache._path(key), (1000.0 + i, 1000.0 + i))
-        assert cache.get(keys[0]) is not None  # bump the oldest
+        assert cache.get(keys[0]) is not None  # hit the oldest
         _put_sized(cache, _keys(4)[3], 3, size=3000)  # now over budget
         cache.enforce_budget()
-        # keys[1] was the least recently used → gone; the hit survived.
+        # keys[1] was never hit → gone; the hit survived.
         assert cache.get(keys[1]) is None
         assert cache.get(keys[0]) is not None
         assert cache.stats.evictions >= 1
         occ = cache.occupancy()
         assert occ["bytes"] <= 10_000
         assert occ["evictions"] == cache.stats.evictions
+        # A later process still finds the carried entry.
+        assert ResultCache(tmp_path).get(keys[0]) is not None
 
     def test_quarantine_counted_never_evicted(self, tmp_path):
         cache = ResultCache(tmp_path, budget_mb=0.005)  # 5 kB
         key = _keys(1)[0]
         _put_sized(cache, key, 0, size=1000)
-        shard = cache._path(key).parent
-        corrupt = shard / ".corrupt-deadbeef.json"
-        corrupt.write_text("x" * 20_000)  # alone busts the budget
+        corrupt = log_dir(tmp_path) / "damaged.jsonl"
+        corrupt.write_text("x" * 19_999 + "\n")  # alone busts the budget
+        os.utime(corrupt, (1000.0, 1000.0))  # the oldest segment
         with pytest.warns(RuntimeWarning, match="quarantined"):
             cache.enforce_budget()
         assert corrupt.exists(), "quarantine evidence must survive sweeps"
@@ -280,63 +284,6 @@ class TestResultCacheBudget:
             _put_sized(cache, key, i, size=5000)
         assert cache.enforce_budget() == 0
         assert cache.entry_count() == 5
-
-    def test_recency_touch_failure_uses_fallback_map(
-        self, tmp_path, monkeypatch
-    ):
-        """A hit whose mtime refresh fails (read-only store) must not
-        look *oldest* to the LRU sweep: the failure is counted, warned
-        once per cache, and the in-process recency fallback keeps the
-        hot record out of the eviction queue for the session."""
-        import warnings as warnings_mod
-
-        cache = ResultCache(tmp_path, budget_mb=0.01)  # 10 kB
-        keys = _keys(3)
-        for i, key in enumerate(keys):
-            _put_sized(cache, key, i, size=3000)
-            os.utime(cache._path(key), (1000.0 + i, 1000.0 + i))
-
-        def _refuse(path, *args, **kwargs):
-            raise PermissionError("read-only result store")
-
-        monkeypatch.setattr(os, "utime", _refuse)
-        # keys[0] is the on-disk oldest; hit it with the touch broken.
-        with pytest.warns(RuntimeWarning, match="recency"):
-            assert cache.get(keys[0]) is not None
-        assert cache.stats.recency_touch_failures == 1
-        # Warn once per cache, like the quarantine path.
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            assert cache.get(keys[0]) is not None
-        assert cache.stats.recency_touch_failures == 2
-        _put_sized(cache, _keys(4)[3], 3, size=3000)  # now over budget
-        cache.enforce_budget()
-        # Without the fallback keys[0] (oldest mtime) would be evicted
-        # first despite being the hottest record.
-        assert cache.get(keys[0]) is not None
-        assert cache.get(keys[1]) is None
-        assert cache.occupancy()["recency_touch_failures"] >= 2
-
-    def test_recency_fallback_cleared_when_touch_recovers(
-        self, tmp_path, monkeypatch
-    ):
-        """Once the store is writable again, disk mtimes are
-        authoritative and the stale fallback entry is dropped."""
-        cache = ResultCache(tmp_path, budget_mb=0.01)
-        key = _keys(1)[0]
-        _put_sized(cache, key, 0, size=1000)
-        real_utime = os.utime
-
-        def _refuse(path, *args, **kwargs):
-            raise PermissionError("transient")
-
-        monkeypatch.setattr(os, "utime", _refuse)
-        with pytest.warns(RuntimeWarning, match="recency"):
-            cache.get(key)
-        assert key in cache._recency_fallback
-        monkeypatch.setattr(os, "utime", real_utime)
-        cache.get(key)
-        assert key not in cache._recency_fallback
 
 
 # -- JobQueue scheduling ------------------------------------------------------
@@ -606,6 +553,26 @@ class TestServiceHTTP:
             )
         assert err.value.code == 400
         assert next(iter(options)) in json.loads(err.value.read())["error"]
+
+    def test_int1_only_inputs_are_400(self, service):
+        """Rejected where it enters, not accepted and compiled (to an
+        uncached error record) on every resubmit."""
+        import urllib.error
+        import urllib.request
+
+        spec = dict(SPEC_PAYLOAD, formats=["INT1"])
+        submitted = service["client"].stats()["submitted"]
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(
+                urllib.request.Request(
+                    service["base_url"] + "/v1/jobs",
+                    data=json.dumps({"spec": spec}).encode(),
+                    method="POST",
+                )
+            )
+        assert err.value.code == 400
+        assert "serial bits" in json.loads(err.value.read())["error"]
+        assert service["client"].stats()["submitted"] == submitted
 
     def test_unknown_option_is_400_with_message(self, service):
         with pytest.raises(ServiceError, match="vektors"):
@@ -912,12 +879,11 @@ def _strip_bookkeeping(record: dict) -> dict:
 
 
 def _make_journal(root, stem: str, age_s: float) -> None:
-    directory = root / "journal"
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{stem}.jsonl"
-    path.write_text('{"event": "begin"}\n')
+    journal = SweepJournal(root, run_id=stem)
+    journal.begin(total=1, unique=1)
+    journal.close()
     stamp = time.time() - age_s
-    os.utime(path, (stamp, stamp))
+    os.utime(journal.path, (stamp, stamp))
 
 
 class TestJournals:
@@ -972,7 +938,7 @@ class TestJournals:
             _make_journal(tmp_path, f"run-{i}", age_s=100 * (3 - i))
         assert main(["journal", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "3 journal(s)" in out and "run-2" in out
+        assert "3 segment(s)" in out and "run-2" in out
         assert main(
             ["journal", "--cache-dir", str(tmp_path), "--prune"]
         ) == 1, "prune without a policy must refuse"

@@ -10,6 +10,7 @@ from repro.spec import (
     FP4,
     FP8,
     INT1,
+    INT2,
     INT4,
     INT8,
     DataFormat,
@@ -138,9 +139,28 @@ class TestMacroSpec:
 
     def test_int1_weights_ride_int2_path(self):
         spec = MacroSpec(
-            height=8, width=8, input_formats=(INT1,), weight_formats=(INT1,)
+            height=8, width=8, input_formats=(INT2,), weight_formats=(INT1,)
         )
         assert spec.max_weight_bits == 2
+
+    def test_int1_only_inputs_rejected(self):
+        """The bit-serial datapath needs an input of 2+ serial bits;
+        INT1 inputs are fine beside a wider format."""
+        with pytest.raises(SpecificationError, match="serial bits"):
+            MacroSpec(height=8, width=8, input_formats=(INT1,), weight_formats=(INT4,))
+        with pytest.raises(SpecificationError, match="serial bits"):
+            MacroSpec.from_dict(dict(MacroSpec().to_dict(), input_formats=[INT1.to_dict()]))
+        assert MacroSpec(input_formats=(INT1, INT2)).input_width == 2
+
+    def test_int1_only_inputs_rejected_by_compile_cli(self, capsys):
+        from repro.cli import main
+
+        rc = main(["compile", "--height", "8", "--width", "8", "--formats", "INT1",
+                   "--no-implement"])
+        assert rc != 0
+        captured = capsys.readouterr()
+        assert "serial bits" in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
     def test_sram_rows_with_mcr(self):
         spec = MacroSpec(height=64, width=64, mcr=4)
