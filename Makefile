@@ -5,12 +5,12 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test golden chaos examples bench perf perf-check perf-smoke e2e-smoke e2e-trace-smoke serve lint install
+.PHONY: test golden chaos examples bench perf perf-check perf-smoke e2e-smoke e2e-trace-smoke e2e-trace-cli-smoke serve lint install
 
 test:  ## tier-1 suite: unit tests + benchmark reproductions
 	$(PYTHON) -m pytest -x -q
 
-golden:  ## regenerate tests/data/golden_search.jsonl; every regeneration needs a CHANGES.md line saying why
+golden:  ## regenerate tests/data/golden_{search,implement}.jsonl; every regeneration needs a CHANGES.md line saying why
 	$(PYTHON) tests/golden_search.py
 
 chaos:  ## fault-injection suite: watchdog, retry, resume, quarantine, the result log's kill -9 and fuzz tests
@@ -61,6 +61,27 @@ e2e-trace-smoke:  ## traced dse-sweep for 5 s; fails unless correct with non-zer
 		ok = r["correct"] is True and not zero; \
 		ok or print("e2e-trace-smoke: correct=%s, zero or missing: %s" % (r["correct"], zero), file=sys.stderr); \
 		sys.exit(0 if ok else 1)' $(TRACE_GUARDS)
+
+# The flow's counterpart: spans of the names e2ebench/spans.py wraps in
+# a traced `repro compile` (repro.compiler.flow's module globals such as
+# verify_macro and write_gds_json, generate_memory_array, Module.flatten,
+# NetView.__init__, optimize, recover_leakage).  A function-local import
+# or a rename zeroes one.  One NetView walk per implement attempt: the
+# median per compile must read exactly 1.
+CLI_TRACE_GUARDS := rtl.generate_s rtl.flatten_s rtl.netview_s synth.optimize_s \
+	synth.vt_recover_s signoff.s verify.s rtl.verilog_s layout.gds_s
+
+e2e-trace-cli-smoke:  ## traced cli-compile for 5 s; fails unless correct, one NetView walk, non-zero $(CLI_TRACE_GUARDS)
+	@mkdir -p .bench_tmp
+	$(PYTHON) e2ebench/run.py --workload cli-compile --seconds 5 --trace 1 | tee .bench_tmp/e2e-trace-cli-smoke.log
+	@tail -n 1 .bench_tmp/e2e-trace-cli-smoke.log | $(PYTHON) -c 'import json, sys; \
+		r = json.load(sys.stdin); m = r["metrics"]; \
+		zero = [k for k in sys.argv[1:] if not m.get(k, {}).get("value")]; \
+		builds = m.get("rtl.netview_builds", {}).get("value"); \
+		ok = r["correct"] is True and not zero and builds == 1; \
+		ok or print("e2e-trace-cli-smoke: correct=%s, rtl.netview_builds=%s, zero or missing: %s" \
+			% (r["correct"], builds, zero), file=sys.stderr); \
+		sys.exit(0 if ok else 1)' $(CLI_TRACE_GUARDS)
 
 SERVE_ARGS ?= --port 8841 --workers 2 -j 2
 

@@ -308,7 +308,7 @@ def bench_signoff(repeats: int = 3) -> dict:
     than twice a single-corner run.
     """
     from repro.compiler.syndcim import SynDCIM
-    from repro.signoff import SIGNOFF3
+    from repro.signoff.corners import SIGNOFF3
 
     spec = _quickstart_spec()
     SynDCIM().compile(spec)  # warm nominal caches
@@ -349,7 +349,7 @@ def _scalar_reference_rate(spec, arch, flat, shape, vectors: int = 2) -> float:
 
     from repro.sim.formats import int_range
     from repro.spec import INT8
-    from repro.verify import VecMacroTestbench
+    from repro.verify.testbench import VecMacroTestbench
 
     tb = VecMacroTestbench(spec, arch, batch=1, netlist=flat, shape=shape)
     rng = np.random.default_rng(0)
@@ -366,7 +366,7 @@ def bench_vecsim(vectors: int = 4096) -> dict:
     """Vectorized batch verification vs the scalar simulator."""
     from repro.arch import MacroArchitecture
     from repro.rtl.gen.macro import generate_macro
-    from repro.verify import verify_macro
+    from repro.verify.harness import verify_macro
 
     spec = _quickstart_spec()
     arch = MacroArchitecture()
@@ -384,7 +384,7 @@ def bench_vecsim(vectors: int = 4096) -> dict:
 
     from repro.sim.formats import int_range
     from repro.spec import INT8
-    from repro.verify import VecMacroTestbench
+    from repro.verify.testbench import VecMacroTestbench
 
     batch = 4096
     tb = VecMacroTestbench(spec, arch, batch=batch, netlist=flat, shape=shape)

@@ -103,7 +103,7 @@ def test_vecsim_speedup_smoke():
     the ratio is immune to runner speed."""
     from repro.arch import MacroArchitecture
     from repro.rtl.gen.macro import generate_macro
-    from repro.verify import verify_macro
+    from repro.verify.harness import verify_macro
 
     spec = run_perf._quickstart_spec()
     arch = MacroArchitecture()
@@ -129,7 +129,7 @@ def test_multi_corner_signoff_smoke(scl):
     3-corner run costs less than twice the single-corner run — the
     per-view cache sharing is what keeps the extra corners cheap."""
     from repro.compiler.syndcim import SynDCIM
-    from repro.signoff import SIGNOFF3
+    from repro.signoff.corners import SIGNOFF3
 
     spec = run_perf._quickstart_spec()
     # Warm everything both measurements share: interpolation caches,

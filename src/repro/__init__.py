@@ -120,11 +120,11 @@ def __getattr__(name: str):
 
         return ServiceClient
     if name == "verify_macro":
-        from .verify import verify_macro
+        from .verify.harness import verify_macro
 
         return verify_macro
     if name == "multi_corner_signoff":
-        from .signoff import multi_corner_signoff
+        from .signoff.evaluate import multi_corner_signoff
 
         return multi_corner_signoff
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -502,7 +502,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
-        from .verify import verify_macro
+        from .verify.harness import verify_macro
 
         result = compiler.compile(spec)
         impl = result.implementation

@@ -3,45 +3,8 @@ DRC, LVS, and GDS-style export.
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.layout.sdp``, ``repro.layout.gds``, ...), so a
+process loads only the modules it runs.
 """
-
-from .geometry import (
-    Rect,
-    bounding_box,
-    half_perimeter,
-    overlap_pairs,
-    rect_arrays,
-    sweep_overlaps,
-)
-from .arena import LayoutArena
-from .sdp import CellRects, Placement, SDPParams, place_macro
-from .route import RoutingEstimate, estimate_routing, estimate_routing_reference
-from .drc import DRCReport, DRCViolation, run_drc
-from .lvs import LVSMismatch, LVSReport, extract_layout_netlist, run_lvs
-from .gds import read_gds_json, write_gds_json
-
-__all__ = [
-    "Rect",
-    "bounding_box",
-    "half_perimeter",
-    "overlap_pairs",
-    "rect_arrays",
-    "sweep_overlaps",
-    "CellRects",
-    "LayoutArena",
-    "Placement",
-    "SDPParams",
-    "place_macro",
-    "RoutingEstimate",
-    "estimate_routing",
-    "estimate_routing_reference",
-    "DRCReport",
-    "DRCViolation",
-    "run_drc",
-    "LVSMismatch",
-    "LVSReport",
-    "extract_layout_netlist",
-    "run_lvs",
-    "read_gds_json",
-    "write_gds_json",
-]

@@ -10,10 +10,12 @@ and can be converted to true GDSII offline by any polygon tool.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Iterator, List, Tuple
 
 from ..errors import LayoutError
 from ..rtl.ir import Module
+from .geometry import rect_arrays
 from .sdp import Placement
 
 FORMAT_VERSION = 1
@@ -29,7 +31,11 @@ def write_gds_json(
     library,
     design_name: str = "",
 ) -> str:
-    """Serialize the placed design; one JSON record per line."""
+    """Serialize the placed design; one JSON record per line.
+
+    SREF records are formatted directly (the bytes ``json.dumps`` gives
+    each record) from the placement's coordinate arrays, with each cell
+    master's name and layer resolved once."""
     records: List[str] = []
     records.append(
         json.dumps(
@@ -47,23 +53,21 @@ def write_gds_json(
             }
         )
     )
-    by_name = {inst.name: inst for inst in module.instances}
-    for name, rect in placement.cells.items():
-        inst = by_name.get(name)
-        if inst is None:
+    ref_of = {inst.name: inst.ref for inst in module.instances}
+    names, coords = rect_arrays(placement.cells)
+    masters: Dict[str, str] = {}
+    for name, (x0, y0, x1, y1) in zip(names, coords.tolist()):
+        ref = ref_of.get(name)
+        if ref is None:
             raise LayoutError(f"placed instance {name} missing from netlist")
-        cell = library.cell(inst.cell_name)
-        layer = LAYER_SRAM if cell.is_memory else LAYER_STDCELL
+        master = masters.get(ref)
+        if master is None:
+            cell = library.cell(ref)
+            layer = LAYER_SRAM if cell.is_memory else LAYER_STDCELL
+            master = masters[ref] = f'"cell": {_json_str(ref)}, "layer": {layer}'
         records.append(
-            json.dumps(
-                {
-                    "record": "SREF",
-                    "name": name,
-                    "cell": inst.cell_name,
-                    "layer": layer,
-                    "xy": [rect.x0, rect.y0, rect.x1, rect.y1],
-                }
-            )
+            f'{{"record": "SREF", "name": {_json_str(name)}, {master}, '
+            f'"xy": [{x0!r}, {y0!r}, {x1!r}, {y1!r}]}}'
         )
     records.append(json.dumps({"record": "ENDLIB", "cells": len(placement.cells)}))
     return "\n".join(records) + "\n"

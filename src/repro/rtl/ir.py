@@ -86,6 +86,8 @@ class Module:
         self.clock_nets: Tuple[str, ...] = ()
         self._instance_names: Dict[str, None] = {}
         self._revision = 0
+        # (first, last) revision of the latest run of set_refs edits.
+        self._ref_edits = (-1, -1)
         # (revision, entries, [(child, template)]) — see _leaf_template.
         self._leaf_template_cache: Optional[tuple] = None
 
@@ -147,6 +149,22 @@ class Module:
         self._instance_names[name] = None
         self._revision += 1
         return inst
+
+    def set_refs(self, edits: Iterable[Tuple[Instance, str]]) -> None:
+        """Point leaf instances at other cells, connections untouched.
+
+        The one way to re-flavor or resize cells in place: the revision
+        bump is recorded as ref-only, so the compiled net view is
+        re-resolved on its unchanged net ids and pin rows instead of
+        re-walking the module (see :func:`repro.rtl.netview.net_view`).
+        """
+        for inst, ref in edits:
+            inst.ref = ref
+        first, last = self._ref_edits
+        if last != self._revision:
+            first = self._revision
+        self._revision += 1
+        self._ref_edits = (first, self._revision)
 
     def set_clocks(self, nets: Sequence[str]) -> None:
         for n in nets:

@@ -18,13 +18,20 @@ tables:
 Views are cached on the module object and invalidated automatically
 when the module is mutated (see :attr:`repro.rtl.ir.Module.revision`),
 so ``validate`` + STA + activity + power on the same flattened module
-pay for one compilation pass, not four traversals.
+pay for one compilation pass, not four traversals.  The passes that
+edit a module in place keep that one pass valid: the synthesis
+pipeline installs the view its own tables describe
+(:func:`repro.synth.optimize.optimize`), and a ref-only edit
+(:meth:`repro.rtl.ir.Module.set_refs` — Vt swaps, drive resizing)
+re-resolves just the cells on the same net ids and pin rows.  Neither
+goes through :class:`NetView`'s constructor, which is the one walk.
 """
 
 from __future__ import annotations
 
+import sys
 from operator import itemgetter
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -157,6 +164,58 @@ class NetView:
         #: (timing arrays, activity schedules, power constants, ...).
         self.derived: Dict[str, object] = {}
 
+    @classmethod
+    def from_tables(
+        cls, module, library: StdCellLibrary, net_names: List[str],
+        net_id: Dict[str, int], cells: List[Cell], in_mat: np.ndarray,
+        out_mat: np.ndarray, rows: Optional[tuple] = None,
+    ) -> "NetView":
+        """The view a walk of ``module`` would build, from tables the
+        caller already holds: the nets, each instance's cell, and its
+        pin net ids as padded matrices (see :func:`pin_matrices`).
+        Groups follow the instances' refs in first-appearance order, as
+        the walk's do.  ``rows`` are the per-instance ``(in_ids,
+        out_ids)`` when the caller has them; otherwise they are cut
+        from the group tables, holding ``net_id``'s int objects as a
+        walk's rows do."""
+        view = cls.__new__(cls)
+        view.module, view.library = module, library
+        view.revision = module.revision
+        view.net_names, view.net_id, view.cells = net_names, net_id, cells
+        refs = [inst.ref for inst in module.instances]
+        first = dict.fromkeys(refs)
+        code = {ref: i for i, ref in enumerate(first)}
+        codes = np.fromiter(map(code.__getitem__, refs), np.int64, len(refs))
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(code))).tolist()
+        view.groups = []
+        start = 0
+        for end in ends:
+            idx = order[start:end]
+            cell = cells[idx[0]]
+            view.groups.append(CellGroup(
+                cell, idx, in_mat[idx, : len(cell.input_caps_ff)],
+                out_mat[idx, : len(cell.outputs)],
+            ))
+            start = end
+        if rows is None:
+            ints = np.array([*net_id.values(), -1], dtype=object)
+            # The groups cut ``order`` in turn, so a row's place among the
+            # groups' rows is its position in ``order``.
+            at = np.empty(len(cells), dtype=np.int64)
+            at[order] = np.arange(len(cells))
+            rows = []
+            for table in ("in_ids", "out_ids"):
+                built: list = []
+                for g in view.groups:
+                    ids = getattr(g, table)
+                    cols = [ints[ids[:, j]].tolist() for j in range(ids.shape[1])]
+                    built += zip(*cols) if cols else [()] * len(g)
+                rows.append(list(map(built.__getitem__, at.tolist())))
+        view.in_ids, view.out_ids = rows
+        view.derived = {}
+        return view
+
     @property
     def n_nets(self) -> int:
         return len(self.net_names)
@@ -164,6 +223,40 @@ class NetView:
     @property
     def n_instances(self) -> int:
         return len(self.cells)
+
+
+def pin_matrices(view: NetView) -> Tuple[np.ndarray, np.ndarray]:
+    """The view's input and output net ids as padded ``(n_instances,
+    max_pins)`` matrices in instance order (``-1`` = no net)."""
+    mats = []
+    for table in ("in_ids", "out_ids"):
+        width = max((getattr(g, table).shape[1] for g in view.groups), default=0)
+        mat = np.full((view.n_instances, max(width, 1)), -1, dtype=np.int64)
+        for g in view.groups:
+            rows = getattr(g, table)
+            mat[g.inst_idx, : rows.shape[1]] = rows
+        mats.append(mat)
+    return mats[0], mats[1]
+
+
+def _reflavored(view: NetView):
+    """``view`` after :meth:`~repro.rtl.ir.Module.set_refs` edits: the
+    same nets and pin rows, each instance's current cell, regrouped —
+    or ``None`` when a new cell orders its pins differently."""
+    module, library = view.module, view.library
+    refs = [inst.ref for inst in module.instances]
+    if len(refs) != len(view.cells):
+        return None
+    cell_of = {ref: library.cell(ref) for ref in dict.fromkeys(refs)}
+    for old, ref in {(c.name, r) for c, r in zip(view.cells, refs) if c.name != r}:
+        a, b = library.cell(old), cell_of[ref]
+        if a.inputs != b.inputs or a.outputs != b.outputs:
+            return None
+    return NetView.from_tables(
+        module, library, view.net_names, view.net_id,
+        list(map(cell_of.__getitem__, refs)), *pin_matrices(view),
+        rows=(view.in_ids, view.out_ids),
+    )
 
 
 def view_driver_counts(view: NetView) -> np.ndarray:
@@ -217,21 +310,28 @@ def net_view(module, library: StdCellLibrary) -> NetView:
     """The (cached) compiled view of ``module`` against ``library``.
 
     The cache key is the library's identity; the entry is rebuilt when
-    the module has been mutated since compilation.  In a batch worker
+    the module has been mutated since compilation, and re-resolved
+    without a walk when every edit since was a
+    :meth:`~repro.rtl.ir.Module.set_refs`.  In a batch worker
     whose parent published view tensors over shared memory (see
     :mod:`repro.shm.netview`), a cache miss first probes the published
     segments and hydrates zero-copy instead of re-walking the module;
-    with no attachments installed the probe is a single ``None`` check.
+    a process that never imported that module never probes.
     """
     cache = getattr(module, "_net_view_cache", None)
     if cache is None:
         cache = module._net_view_cache = {}
     view = cache.get(id(library))
     if view is None or view.revision != module.revision:
-        from ..shm import netview as _shm_netview
-
-        if _shm_netview._ATTACHMENTS is not None:
-            view = _shm_netview.try_attach_net_view(module, library)
+        first, last = module._ref_edits
+        if view is not None and first <= view.revision and last == module.revision:
+            view = _reflavored(view)
+            if view is not None:
+                cache[id(library)] = view
+                return view
+        shm = sys.modules.get("repro.shm.netview")
+        if shm is not None and shm._ATTACHMENTS is not None:
+            view = shm.try_attach_net_view(module, library)
             if view is not None:
                 cache[id(library)] = view
                 return view

@@ -29,33 +29,8 @@ Layout
 
 See ``docs/performance.md`` (shared-memory section) for naming,
 lifecycle, and failure modes.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.shm.netview``, ...), so a process loads only the
+modules it runs.
 """
-
-from .blob import (
-    attach_blob,
-    detach_all,
-    published_segments,
-    publish_blob,
-    unlink_all,
-)
-from .scl import attach_default_scl, publish_default_scl
-from .netview import (
-    install_attachments,
-    netview_content_key,
-    publish_net_view,
-    try_attach_net_view,
-)
-
-__all__ = [
-    "attach_blob",
-    "detach_all",
-    "publish_blob",
-    "published_segments",
-    "unlink_all",
-    "attach_default_scl",
-    "publish_default_scl",
-    "install_attachments",
-    "netview_content_key",
-    "publish_net_view",
-    "try_attach_net_view",
-]

@@ -7,36 +7,8 @@ operating point: the :class:`Corner`/:class:`CornerSet` PVT model
 timing with the composed derate and rescales power per corner while
 reusing every per-netlist cache.  See ``docs/signoff.md`` for the
 model, the cache-key semantics and the worst-corner escalation story.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.signoff.evaluate``, ...), so a process loads only
+the modules it runs.
 """
-
-from .corners import (
-    CORNER_SET_PRESETS,
-    SIGNOFF3,
-    SIGNOFF_CORNERS,
-    TYPICAL,
-    Corner,
-    CornerSet,
-    parse_corners,
-    worst_corner_scl,
-)
-from .evaluate import (
-    CornerResult,
-    SignoffReport,
-    corner_power,
-    multi_corner_signoff,
-)
-
-__all__ = [
-    "CORNER_SET_PRESETS",
-    "SIGNOFF3",
-    "SIGNOFF_CORNERS",
-    "TYPICAL",
-    "Corner",
-    "CornerSet",
-    "CornerResult",
-    "SignoffReport",
-    "corner_power",
-    "multi_corner_signoff",
-    "parse_corners",
-    "worst_corner_scl",
-]

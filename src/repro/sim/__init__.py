@@ -4,51 +4,8 @@ voltage/frequency shmoo engine.
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.sim.vecsim``, ``repro.sim.shmoo``, ...), so a
+process loads only the modules it runs.
 """
-
-from .formats import (
-    FPFields,
-    align_group,
-    decode_int,
-    decode_unsigned,
-    encode_int,
-    group_scale,
-    int_range,
-    quantize_to_fp,
-    unpack_fp,
-    wrap_to_width,
-)
-from .functional import DCIMMacroModel, MacCycleTrace
-from .gatesim import GateSimulator
-from .vecsim import VecSim, pack_lanes, unpack_lanes
-from .shmoo import (
-    DEFAULT_SIGMA,
-    MeasuredEfficiency,
-    ShmooResult,
-    measure_efficiency,
-    run_shmoo,
-)
-
-__all__ = [
-    "FPFields",
-    "align_group",
-    "decode_int",
-    "decode_unsigned",
-    "encode_int",
-    "group_scale",
-    "int_range",
-    "quantize_to_fp",
-    "unpack_fp",
-    "wrap_to_width",
-    "DCIMMacroModel",
-    "MacCycleTrace",
-    "GateSimulator",
-    "VecSim",
-    "pack_lanes",
-    "unpack_lanes",
-    "DEFAULT_SIGMA",
-    "MeasuredEfficiency",
-    "ShmooResult",
-    "measure_efficiency",
-    "run_shmoo",
-]

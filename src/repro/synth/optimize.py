@@ -30,13 +30,20 @@ netlist-for-netlist.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..errors import SynthesisError
 from ..rtl.ir import CONST0, CONST1, Instance, Module
-from ..rtl.netview import check_pins, check_single_driver, net_view
+from ..rtl.netview import (
+    NetView,
+    check_pins,
+    check_single_driver,
+    net_view,
+    pin_matrices,
+)
 from ..tech.stdcells import StdCellLibrary
 
 #: Above this fanout a net gets split with repeaters.
@@ -78,28 +85,15 @@ class _SynthIndex:
         self.net_names: List[str] = list(view.net_names)
         self.net_id: Dict[str, int] = dict(view.net_id)
         n_inst = view.n_instances
-        max_in = max((g.in_ids.shape[1] for g in view.groups), default=0)
-        max_out = max((g.out_ids.shape[1] for g in view.groups), default=0)
-        self.in_mat = np.full((n_inst, max(max_in, 1)), -1, dtype=np.int64)
-        self.out_mat = np.full((n_inst, max(max_out, 1)), -1, dtype=np.int64)
+        self.in_mat, self.out_mat = pin_matrices(view)
         self.driver_of = np.full(len(self.net_names), -1, dtype=np.int64)
+        rows, slots = np.nonzero(self.out_mat >= 0)
+        self.driver_of[self.out_mat[rows, slots]] = rows
         self.is_seq = np.zeros(n_inst, dtype=bool)
         self.is_mem = np.zeros(n_inst, dtype=bool)
         for g in view.groups:
-            k_in = g.in_ids.shape[1]
-            if k_in:
-                self.in_mat[g.inst_idx, :k_in] = g.in_ids
-            k_out = g.out_ids.shape[1]
-            if k_out:
-                flat = g.out_ids.ravel()
-                owners = np.repeat(g.inst_idx, k_out)
-                valid = flat >= 0
-                self.driver_of[flat[valid]] = owners[valid]
-                self.out_mat[g.inst_idx, :k_out] = g.out_ids
-            if g.cell.is_sequential:
-                self.is_seq[g.inst_idx] = True
-            if g.cell.is_memory:
-                self.is_mem[g.inst_idx] = True
+            self.is_seq[g.inst_idx] = g.cell.is_sequential
+            self.is_mem[g.inst_idx] = g.cell.is_memory
         # Structural guards shared with Module.validate: a multiply-
         # driven net would be silently resolved to the last driver by
         # the tables above (and the dead sweep could then delete the
@@ -186,6 +180,37 @@ class _SynthIndex:
         module.instances = kept
         module._instance_names = dict.fromkeys(i.name for i in kept)
         module._revision += 1
+
+    def install_view(self) -> None:
+        """Cache on the committed, net-pruned result the view these
+        tables describe, so ``validate``, STA and power skip the walk:
+        nets renumbered to the pruned order, rows of surviving
+        instances from the matrices, appended ones from their
+        connections, row ints shared with ``net_id`` as a walk's are."""
+        module = self.result()
+        names = list(module.nets)
+        net_id = dict(zip(names, range(len(names))))
+        remap = np.fromiter(
+            map(net_id.get, self.net_names, repeat(-1)), np.int64, len(self.net_names)
+        )
+        remap = np.append(remap, -1)
+        keep = np.nonzero(self.alive)[0]
+        cells = list(map(self.cells.__getitem__, keep.tolist()))
+        mats = [remap[self.in_mat[keep]], remap[self.out_mat[keep]]]
+        extra = [i for i, alive in zip(self.appended, self.appended_alive) if alive]
+        extra_cells = [self.library.cell(inst.ref) for inst in extra]
+        for k, side in enumerate(("inputs", "outputs")):
+            width = mats[k].shape[1]
+            rows = []
+            for inst, cell in zip(extra, extra_cells):
+                pins = getattr(cell, side)
+                ids = [net_id.get(inst.conn.get(p), -1) for p in pins]
+                rows.append(ids + [-1] * (width - len(pins)))
+            rows = np.array(rows, dtype=np.int64).reshape(-1, width)
+            mats[k] = np.concatenate([mats[k], rows])
+        cells += extra_cells
+        view = NetView.from_tables(module, self.library, names, net_id, cells, *mats)
+        module._net_view_cache = {id(self.library): view}
 
     def alive_count(self) -> int:
         return int(self.alive.sum()) + sum(self.appended_alive)
@@ -669,9 +694,9 @@ def optimize(
     stats["fanout_buffers_added"] = _buffer_high_fanout_core(index, FANOUT_LIMIT)
     if index.mutated:
         index.commit()
+        _prune_nets(index.result())
+        index.install_view()
     out = index.result()
-    if index.mutated:
-        _prune_nets(out)
     if vt is not None:
         from .vt import swap_vt
 

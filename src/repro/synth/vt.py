@@ -100,17 +100,14 @@ def _apply_swaps(
     if not swaps:
         return
     by_name = {inst.name: inst for inst in module.instances}
-    for inst_name, target in swaps.items():
-        inst = by_name[inst_name]
-        old = library.cell(inst.cell_name)
-        new = library.cell(target)
-        if not _same_function(old, new):
+    edits = [(by_name[inst_name], target) for inst_name, target in swaps.items()]
+    for inst, target in edits:
+        if not _same_function(library.cell(inst.cell_name), library.cell(target)):
             raise SynthesisError(
                 f"vt/drive swap {inst.cell_name} -> {target} on "
-                f"{inst_name} changes the cell's logic function"
+                f"{inst.name} changes the cell's logic function"
             )
-        inst.ref = target
-    module._revision += 1
+    module.set_refs(edits)
 
 
 def swap_vt(
@@ -121,7 +118,8 @@ def swap_vt(
 ) -> int:
     """Re-flavor every laddered instance of ``module`` to ``vt``.
 
-    In-place, structure-preserving: only ``Instance.ref`` changes, and
+    In-place, structure-preserving: only ``Instance.ref`` changes
+    (through :meth:`~repro.rtl.ir.Module.set_refs`), and
     every swap is checked to preserve the cell's truth table (a library
     whose flavors disagree logically is rejected with
     :class:`SynthesisError` rather than silently miscompiled).  Returns
@@ -194,10 +192,11 @@ def resize_drive(
             module, library, wire_load=wire_load, derate=derate
         )
         if period > max_period_ns:
-            for inst in module.instances:
-                if inst.name in old_refs:
-                    inst.ref = old_refs[inst.name]
-            module._revision += 1
+            module.set_refs(
+                (inst, old_refs[inst.name])
+                for inst in module.instances
+                if inst.name in old_refs
+            )
             raise TimingError(
                 f"drive resize by {step:+d} pushes minimum period to "
                 f"{period:.4f} ns > bound {max_period_ns:.4f} ns; "
@@ -307,9 +306,7 @@ def recover_leakage(
             return len(keep)
         dropped = keep[len(keep) // 2:]
         keep = keep[: len(keep) // 2]
-        for _, name, _ in dropped:
-            by_name[name].ref = old_refs[name]
-        module._revision += 1
+        module.set_refs((by_name[name], old_refs[name]) for _, name, _ in dropped)
     return 0
 
 

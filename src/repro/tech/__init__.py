@@ -3,43 +3,8 @@ Liberty/LEF views.
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.tech.stdcells``, ``repro.tech.liberty``, ...), so
+a process loads only the modules it runs.
 """
-
-from .process import CORNERS, FF, GENERIC_40NM, SS, TT, Corner, Process
-from .stdcells import Cell, StdCellLibrary, TimingArc, default_library
-from .characterization import (
-    CharacterizedCell,
-    NLDMTable,
-    arc_delay_ns,
-    arc_slew_ns,
-    characterize_cell,
-    characterize_library,
-)
-from .liberty import parse_liberty, write_liberty
-from .lef import MacroView, parse_lef, view_for_cell, write_lef
-
-__all__ = [
-    "CORNERS",
-    "FF",
-    "GENERIC_40NM",
-    "SS",
-    "TT",
-    "Corner",
-    "Process",
-    "Cell",
-    "StdCellLibrary",
-    "TimingArc",
-    "default_library",
-    "CharacterizedCell",
-    "NLDMTable",
-    "arc_delay_ns",
-    "arc_slew_ns",
-    "characterize_cell",
-    "characterize_library",
-    "parse_liberty",
-    "write_liberty",
-    "MacroView",
-    "parse_lef",
-    "view_for_cell",
-    "write_lef",
-]

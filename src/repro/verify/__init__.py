@@ -18,14 +18,8 @@ first-class batch workload instead of a test-only spot check:
 Wired into the stack: ``ImplementSession``/``SynDCIM.compile`` accept a
 post-synthesis ``verify=`` stage, batch records carry the report, and
 the CLI exposes ``--verify`` plus a ``verify`` subcommand.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.verify.harness``, ...), so a process loads only
+the modules it runs.
 """
-
-from .harness import Mismatch, VerificationReport, verify_macro
-from .testbench import VecMacroTestbench
-
-__all__ = [
-    "Mismatch",
-    "VecMacroTestbench",
-    "VerificationReport",
-    "verify_macro",
-]

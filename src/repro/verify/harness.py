@@ -36,13 +36,6 @@ from ..errors import SimulationError
 from ..rtl.gen.macro import MacroShape
 from ..spec import MacroSpec
 from ..tech.stdcells import StdCellLibrary
-from .stimuli import (
-    directed_input_vectors,
-    directed_weight_matrices,
-    random_input_vectors,
-    random_weight_matrix,
-)
-from .testbench import VecMacroTestbench
 
 #: Default stimulus count: the acceptance bar for one compiled macro.
 DEFAULT_VECTORS = 4096
@@ -154,6 +147,16 @@ def verify_macro(
         formats and banks are striped across the lanes of *every*
         round, so they need no extra rounds).
     """
+    # The testbench pulls in the simulator; a compile that never
+    # verifies never loads it.
+    from .stimuli import (
+        directed_input_vectors,
+        directed_weight_matrices,
+        random_input_vectors,
+        random_weight_matrix,
+    )
+    from .testbench import VecMacroTestbench
+
     arch = arch or MacroArchitecture()
     if vectors < 1:
         raise SimulationError(f"vectors must be positive, got {vectors}")

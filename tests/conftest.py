@@ -34,6 +34,24 @@ def scl():
 
 
 @pytest.fixture
+def walks(monkeypatch):
+    """Counts full NetView walks, wrapping the constructor by name as
+    the end-to-end benchmark does; views derived without a walk are not
+    built through it."""
+    from repro.rtl.netview import NetView
+
+    count = [0]
+    init = NetView.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NetView, "__init__", counted)
+    return count
+
+
+@pytest.fixture
 def small_spec():
     """8x8, MCR=2, INT4: the smallest spec with all datapath features."""
     return MacroSpec(

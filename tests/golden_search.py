@@ -1,35 +1,47 @@
-"""Golden search-only records: the cases, their canonical form and the
+"""Golden compile records: the cases, their canonical form and the
 generator behind ``make golden``.
 
     PYTHONPATH=src python tests/golden_search.py
 
-rewrites ``tests/data/golden_search.jsonl``; ``test_golden_search.py``
-asserts that every case still produces exactly its pinned line.  The
-cases cover what the end-to-end benchmark's ``expected.json`` does not
-pin: Vt policies other than svt, signoff corners, the PPA presets, a
-search-order seed, MCR 4 and 8, narrow and FP format mixes, the height 8
-and 16 limits of column splitting and OAI22, and infeasible specs.
+rewrites ``tests/data/golden_search.jsonl`` and
+``tests/data/golden_implement.jsonl``; ``test_golden_search.py`` and
+``test_golden_implement.py`` assert that every case still produces
+exactly its pinned line.  The search cases cover what the end-to-end
+benchmark's ``expected.json`` does not pin: Vt policies other than svt,
+signoff corners, the PPA presets, a search-order seed, MCR 4 and 8,
+narrow and FP format mixes, the height 8 and 16 limits of column
+splitting and OAI22, and infeasible specs.  The implement cases run the
+whole flow: the 16-point implemented sweep grid, the quickstart spec
+with signoff3 corners and verification, a wholesale hvt swap, netlist
+leakage recovery (``vt="auto"``) and a spec whose first implement
+misses timing and escalates.
 
 A line is ``{"case", "options", "record"}`` as sorted-key JSON, floats by
 ``repr``; the record drops the timing and bookkeeping fields the same way
-the benchmark's canonical form does, so any changed number shows up as a
-changed line.
+the benchmark's canonical form does (and, for implemented records, the
+verification stage's wall time and throughput), so any changed number
+shows up as a changed line.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import sys
 from typing import Dict, List, Tuple
 
 from repro.options import PPA_PRESETS, CompileOptions
-from repro.spec import MacroSpec, parse_format
+from repro.spec import MacroSpec, PPAWeights, parse_format
 
-GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "data" / "golden_search.jsonl"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+GOLDEN_PATH = DATA / "golden_search.jsonl"
+IMPLEMENT_PATH = DATA / "golden_implement.jsonl"
 
 #: Fields that carry measured time or per-run bookkeeping, not results.
 _DROPPED = ("elapsed_s", "cached", "job_key", "attempts", "retry_history", "resumed")
+#: The verification report's measured fields.
+_VERIFY_DROPPED = ("elapsed_s", "vectors_per_s")
 
 
 def _spec(h: int, w: int, mcr: int, formats: str, mhz: float,
@@ -101,16 +113,57 @@ CASES: List[Tuple[str, MacroSpec, Dict[str, object]]] = [
 ]
 
 
+def _implement_grid() -> List[Tuple[str, MacroSpec, Dict[str, object]]]:
+    """The 16-point grid of ``run_perf.py``'s implemented sweep."""
+    from repro.batch.sweep import expand_grid, parse_format_sets
+
+    specs = expand_grid(
+        heights=[8, 16, 32, 64], widths=[8, 16], mcrs=[2],
+        format_sets=parse_format_sets(["INT4,INT8"]),
+        frequencies=[400.0, 800.0], vdds=[0.9],
+    )
+    return [
+        (f"grid-{s.height}x{s.width}-{s.mac_frequency_mhz:.0f}", s, {})
+        for s in specs
+    ]
+
+
+#: ``examples/quickstart.py``'s spec.
+_QUICKSTART = dataclasses.replace(
+    _spec(64, 64, 2, "INT4/INT8/FP4/FP8", 800),
+    ppa=PPAWeights(power=2.0, performance=1.0, area=1.0),
+)
+
+#: ``(case id, spec, CompileOptions keyword arguments)``, implemented.
+IMPLEMENT_CASES: List[Tuple[str, MacroSpec, Dict[str, object]]] = [
+    *_implement_grid(),
+    ("quickstart-signoff3-verify", _QUICKSTART,
+     {"corners": "signoff3", "verify": True}),
+    ("vt-hvt-32x32", _spec(32, 32, 2, "INT4/INT8", 400), {"vt": "hvt"}),
+    ("vt-auto-64x64", _spec(64, 64, 2, "INT4/INT8", 800), {"vt": "auto"}),
+    ("fig7-escalates", _spec(32, 32, 2, "INT4/INT8/FP8/BF16", 500), {}),
+]
+
+
 def canonical_record(record: Dict[str, object]) -> Dict[str, object]:
     """``record`` without its timing and bookkeeping fields."""
-    return {k: v for k, v in record.items() if k not in _DROPPED}
+    out = {k: v for k, v in record.items() if k not in _DROPPED}
+    impl = out.get("implementation")
+    if impl and impl.get("verification"):
+        verification = {
+            k: v for k, v in impl["verification"].items()
+            if k not in _VERIFY_DROPPED
+        }
+        out["implementation"] = dict(impl, verification=verification)
+    return out
 
 
-def golden_line(case: str, spec: MacroSpec, options: Dict[str, object]) -> str:
+def golden_line(case: str, spec: MacroSpec, options: Dict[str, object],
+                implement: bool = False) -> str:
     """The pinned line of one case, computed in this process."""
     from repro.compiler.syndcim import execute_job
 
-    job = CompileOptions(implement=False, **options).compile_job(spec)
+    job = CompileOptions(implement=implement, **options).compile_job(spec)
     record = canonical_record(execute_job(job.payload()))
     return json.dumps(
         {"case": case, "options": options, "record": record},
@@ -119,9 +172,12 @@ def golden_line(case: str, spec: MacroSpec, options: Dict[str, object]) -> str:
 
 
 def main() -> int:
-    lines = [golden_line(*case) for case in CASES]
-    GOLDEN_PATH.write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(lines)} records to {GOLDEN_PATH}")
+    for path, cases, implement in (
+        (GOLDEN_PATH, CASES, False), (IMPLEMENT_PATH, IMPLEMENT_CASES, True)
+    ):
+        lines = [golden_line(*case, implement=implement) for case in cases]
+        path.write_text("\n".join(lines) + "\n")
+        print(f"wrote {len(lines)} records to {path}")
     return 0
 
 

@@ -57,10 +57,11 @@ def test_generated_tree_verilog_is_consistent():
 
 
 def test_implemented_macro_bytes_are_pinned():
-    """The writer's output for two implemented macros, byte for byte
-    (sha256): an 8x8 INT4 macro with the default architecture, and a
-    16x8 INT4/FP4 x INT8/FP4 macro with a split column, a merged tree
-    register and a retimed, pipelined carry-select OFU."""
+    """The Verilog and GDS writers' output for two implemented macros,
+    byte for byte (sha256): an 8x8 INT4 macro with the default
+    architecture, and a 16x8 INT4/FP4 x INT8/FP4 macro with a split
+    column, a merged tree register and a retimed, pipelined carry-select
+    OFU."""
     import hashlib
 
     from repro.arch import MacroArchitecture
@@ -80,11 +81,16 @@ def test_implemented_macro_bytes_are_pinned():
         reg_after_tree=False, ofu_pipeline=1, ofu_retimed=True, ofu_csel=True,
     )
     pinned = {
-        (small, MacroArchitecture()):
+        (small, MacroArchitecture()): (
             "131ef84e32dc4980052c6e4e40b3caea426822a963cd9cd42c71df79afeca668",
-        (mixed, knobs):
+            "46adfc993bdc0abb588894db282cb60c596696579a0906b137fdc02ee14fbfe6",
+        ),
+        (mixed, knobs): (
             "18068f5b73fb092b790236014d636f45cdf0f0ea61f1c68c57f8dfa4c9ed2875",
+            "e6e80250ca4ce8fca0ae17ced68380c41faf0fcdd3f658bdb5bb6b4ec55c1cad",
+        ),
     }
-    for (spec, arch), digest in pinned.items():
-        text = implement(spec, arch).verilog()
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    for (spec, arch), (verilog, gds) in pinned.items():
+        impl = implement(spec, arch)
+        assert hashlib.sha256(impl.verilog().encode()).hexdigest() == verilog
+        assert hashlib.sha256(impl.gds().encode()).hexdigest() == gds

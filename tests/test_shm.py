@@ -20,18 +20,21 @@ from repro.batch.engine import _worker_initializer
 from repro.errors import BatchError
 from repro.rtl.ir import Module
 from repro.rtl.netview import NetView
-from repro.shm import (
+from repro.shm.blob import (
+    SEGMENT_PREFIX,
+    _wrap,
     attach_blob,
     detach_all,
-    netview_content_key,
     publish_blob,
-    publish_net_view,
     published_segments,
-    try_attach_net_view,
     unlink_all,
 )
-from repro.shm.blob import SEGMENT_PREFIX, _wrap
-from repro.shm.netview import install_attachments
+from repro.shm.netview import (
+    install_attachments,
+    netview_content_key,
+    publish_net_view,
+    try_attach_net_view,
+)
 from repro.tech.stdcells import default_library
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -132,7 +135,7 @@ class TestBlob:
             """
             import os
             from multiprocessing import resource_tracker
-            from repro.shm import publish_blob
+            from repro.shm.blob import publish_blob
             publish_blob("repro-test-stale", %r)
             # A SIGKILLed parent takes its resource tracker with it;
             # unregister + hard-exit reproduces that: no atexit unlink,
@@ -155,7 +158,7 @@ class TestBlob:
             """
             import os
             from multiprocessing import resource_tracker
-            from repro.shm import publish_blob
+            from repro.shm.blob import publish_blob
             publish_blob("repro-test-swap", b"old content")
             resource_tracker.unregister("/repro-test-swap", "shared_memory")
             os._exit(0)
@@ -311,7 +314,7 @@ class TestNetViewShm:
             """
             import sys
             sys.path.insert(0, %r)
-            from repro.shm import netview_content_key
+            from repro.shm.netview import netview_content_key
             from repro.tech.stdcells import default_library
             from test_shm import _toy_module
             print(netview_content_key(_toy_module(), default_library()))
@@ -366,7 +369,7 @@ class TestPoolLeaks:
         child = _run_child(
             _BATCH_PROLOGUE
             + textwrap.dedent("""
-            from repro.shm import published_segments
+            from repro.shm.blob import published_segments
             engine = BatchCompiler(jobs=2, use_cache=False,
                                    options=CompileOptions(retries=2))
             batch = engine.compile_specs(specs, implement=False)

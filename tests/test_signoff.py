@@ -17,16 +17,16 @@ import sys
 import pytest
 
 from repro.errors import SpecificationError, TimingError
-from repro.signoff import (
+from repro.signoff.corners import (
     CORNER_SET_PRESETS,
     SIGNOFF3,
     SIGNOFF_CORNERS,
     TYPICAL,
     Corner,
     CornerSet,
-    corner_power,
     parse_corners,
 )
+from repro.signoff.evaluate import corner_power
 from repro.tech.process import CORNERS, GENERIC_40NM
 
 
@@ -157,7 +157,7 @@ class TestCornerScl:
         code = """
 import json, sys
 from repro.scl.library import default_scl, default_scl_source
-from repro.signoff import SIGNOFF_CORNERS
+from repro.signoff.corners import SIGNOFF_CORNERS
 ss = default_scl(corner=SIGNOFF_CORNERS["SS"])
 rec = ss.lookup("ofu", "c4-rpl", 16)
 print(json.dumps({

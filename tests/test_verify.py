@@ -19,7 +19,8 @@ from repro.options import CompileOptions
 from repro.rtl.gen.macro import generate_macro
 from repro.sim.formats import int_range
 from repro.spec import FP4, FP8, INT4, INT8, MacroSpec
-from repro.verify import VecMacroTestbench, verify_macro
+from repro.verify.harness import verify_macro
+from repro.verify.testbench import VecMacroTestbench
 from repro.verify.stimuli import (
     directed_input_vectors,
     random_input_vectors,
