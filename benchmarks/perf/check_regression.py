@@ -36,10 +36,8 @@ Absolute invariants (not ratios — these hold on any machine):
 * ``implement_warm_ms`` <= 100 — a forced full re-implementation in a
   warm ``ImplementSession`` (arena replay + route reuse) stays under
   a tenth of a second (the incremental-recompile contract);
-* ``shm_netview_attach_speedup`` >= 1.0 and ``shm_workers_zero_copy``
-  — hydrating published NetView tensors inside a pool worker beats
-  rebuilding locally, and workers resolve their SCL from the
-  shared-memory attach, not the disk cache or a characterization.
+* ``shm_workers_zero_copy`` — every pool worker resolves its SCL from
+  the shared-memory attach, not the disk cache or a characterization.
 
 Run after ``make perf``::
 
@@ -82,7 +80,6 @@ RATIO_CEILINGS = (
 RATIO_FLOORS = (
     ("vecsim_speedup", 100.0),
     ("vecsim_tiled_vectors_per_s", 100000.0),
-    ("shm_netview_attach_speedup", 1.0),
 )
 
 #: Throughput metrics (higher is better): fail when

@@ -39,12 +39,10 @@ trajectory is tracked PR over PR:
     clocked through the netlist per wall second (lanes x pipeline
     cycles) — the number the word-tiled propagate loop moves.  Floored
     at 100k vector-cycles/s by the gate.
-``shm_netview_attach_ms`` / ``shm_netview_build_ms`` / ``shm_worker_scl_source``
-    zero-copy worker warmup proof: inside real spawn-started pool
-    workers, hydrating the parent's published NetView tensors from
-    shared memory versus re-walking the module locally, and where the
-    worker's default SCL resolved from (``"shm"`` = tensor attach, no
-    disk read, no characterization).
+``shm_worker_scl_source`` / ``shm_workers_zero_copy``
+    zero-copy worker warmup proof: where each real pool worker's
+    default SCL resolved from (``"shm"`` = tensor attach, no disk
+    read, no characterization), and whether every worker did.
 ``sweep_s`` / ``sweep_points`` / ``worker_scl_load_max_s``
     an end-to-end 64-point search sweep through the batch engine's
     process pool with the result cache off — plus the slowest
@@ -451,24 +449,6 @@ def bench_implement_sweep(jobs: int = 0) -> dict:
     }
 
 
-def _worker_netview_probe(module) -> tuple:
-    """Runs inside a pool worker: time hydrating the parent's published
-    NetView tensors from shared memory versus compiling the same view
-    locally.  Returns (attach_s, build_s, attach_hit)."""
-    from repro.rtl.netview import NetView
-    from repro.shm.netview import try_attach_net_view
-    from repro.tech.stdcells import default_library
-
-    library = default_library()
-    t0 = time.perf_counter()
-    view = try_attach_net_view(module, library)
-    attach_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    NetView(module, library)
-    build_s = time.perf_counter() - t0
-    return (attach_s, build_s, view is not None)
-
-
 def _worker_scl_source_probe(_arg) -> str:
     """Runs inside a pool worker: where the default SCL resolved from
     (``"shm"`` proves the zero-copy attach beat every fallback)."""
@@ -479,39 +459,21 @@ def _worker_scl_source_probe(_arg) -> str:
 
 
 def bench_shm(jobs: int = 2) -> dict:
-    """Zero-copy shared-memory worker warmup on a real spawn pool.
+    """Zero-copy shared-memory worker warmup on a real pool.
 
-    The parent publishes the quickstart macro's compiled NetView and
-    the sealed SCL tensors (the engine does the latter in its prewarm),
-    then asks the workers themselves to time attach-vs-rebuild — the
-    numbers that justify the shm plumbing have to come from inside the
-    pool, not from a parent-side simulation.
+    The engine publishes the sealed SCL tensors before its first worker
+    starts; the workers themselves report where their default SCL
+    resolved from — the proof has to come from inside the pool, not
+    from a parent-side simulation.
     """
     from repro.batch.engine import BatchCompiler
-    from repro.compiler.flow import ImplementSession
-    from repro.compiler.syndcim import SynDCIM
 
-    spec = _quickstart_spec()
-    result = SynDCIM().compile(spec)
-    session = ImplementSession(spec)
-    flat, _shape, _stats = session.netlist(result.implementation.arch)
     engine = BatchCompiler(jobs=jobs, use_cache=False)
-    name = engine.publish_net_view(flat, session.library)
-    n = max(jobs, 2)
-    probes = engine.map(_worker_netview_probe, [flat] * n)
-    sources = engine.map(_worker_scl_source_probe, range(n))
-    attach_ms = min(p[0] for p in probes) * 1e3
-    build_ms = min(p[1] for p in probes) * 1e3
+    sources = engine.map(_worker_scl_source_probe, range(max(jobs, 2)))
     return {
-        "shm_netview_attach_ms": round(attach_ms, 2),
-        "shm_netview_build_ms": round(build_ms, 2),
-        "shm_netview_attach_speedup": round(build_ms / attach_ms, 2),
         "shm_worker_scl_source": sources[0] if sources else "unresolved",
-        "shm_workers_zero_copy": bool(
-            name is not None
-            and all(p[2] for p in probes)
-            and all(s == "shm" for s in sources)
-        ),
+        "shm_workers_zero_copy": bool(sources)
+        and all(s == "shm" for s in sources),
     }
 
 

@@ -260,11 +260,6 @@ class BatchCompiler:
             if resume is not None
             else (new_run_id() if self._journal_root is not None else None)
         )
-        #: Shared-memory segments published by this engine (SCL tensors
-        #: before its workers start, net views from
-        #: :meth:`publish_net_view`); every worker receives this list
-        #: at start and attaches zero-copy.
-        self._shm_segments: List[str] = []
 
     def _resolve_journal_root(
         self, journal: bool, cache_dir: Optional[os.PathLike]
@@ -399,11 +394,7 @@ class BatchCompiler:
                     stats.retried += t.attempts > 0
                     finish(t.key, t.record, t.result)
 
-                executor = JobExecutor(
-                    min(self.jobs, len(pending)),
-                    feed=feed,
-                    shm_segments=self._shm_segments,
-                )
+                executor = JobExecutor(min(self.jobs, len(pending)), feed=feed)
                 try:
                     executor.drain()
                 finally:
@@ -447,13 +438,13 @@ class BatchCompiler:
         items = list(items)
         if self.jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
-        _publish_scl(self._shm_segments)
+        _publish_scl()
         results: List[object] = [None] * len(items)
         todo = iter(enumerate(items))
         workers: List[_Worker] = []
         try:
             for _ in range(min(self.jobs, len(items))):
-                workers.append(_Worker(self._shm_segments, workers))
+                workers.append(_Worker(workers))
             idle = list(workers)
             while True:
                 for worker, (index, item) in zip(idle, todo):
@@ -481,23 +472,6 @@ class BatchCompiler:
                     idle.append(worker)
         finally:
             _stop_workers(workers)
-
-    def publish_net_view(self, module, library=None) -> Optional[str]:
-        """Publish one compiled netlist view's integer tables so pool
-        workers hydrate it zero-copy instead of re-walking the module
-        (see :mod:`repro.shm.netview`).  Call before :meth:`run_jobs` /
-        :meth:`map` with any flat module the workers will analyze —
-        e.g. a macro the parent already implemented.  Returns the
-        segment name, or ``None`` when publishing was not possible."""
-        from ..rtl.netview import net_view
-        from ..shm.netview import publish_net_view as _publish
-        from ..tech.stdcells import default_library
-
-        view = net_view(module, library or default_library())
-        name = _publish(view)
-        if name is not None and name not in self._shm_segments:
-            self._shm_segments.append(name)
-        return name
 
     def _prewarm_corners(self, jobs: Iterable[Job]) -> None:
         """Corner jobs also need the worst-corner SCL: resolve it once
@@ -608,13 +582,9 @@ class JobExecutor:
         self,
         workers: int,
         feed: Callable[[], Optional[Ticket]],
-        shm_segments: Optional[List[str]] = None,
     ) -> None:
         self.workers = max(1, workers)
         self._feed = feed
-        #: Shared-memory segments every worker attaches at start (the
-        #: batch engine passes its own list, net views included).
-        self._segments = shm_segments if shm_segments is not None else []
         #: Live workers; ``task`` is the ticket a busy one holds.
         self._pool: List[_Worker] = []
         self._ready: Deque[Ticket] = deque()
@@ -798,8 +768,8 @@ class JobExecutor:
 
     def _spawn(self) -> "_Worker":
         if self.worker_spawns == 0:
-            _publish_scl(self._segments)
-        worker = _Worker(self._segments, self._pool)
+            _publish_scl()
+        worker = _Worker(self._pool)
         self._pool.append(worker)
         self.worker_spawns += 1
         return worker
@@ -923,11 +893,11 @@ class JobExecutor:
         ticket.done(ticket)
 
 
-def _publish_scl(segments: List[str]) -> None:
+def _publish_scl() -> None:
     """Resolve the subcircuit library once in the parent before its
     first worker starts, then publish its tensors over shared memory
-    and add the segment to ``segments``.  Fork-started children inherit
-    the live object; spawn/forkserver children attach the published
+    under a content-keyed name.  Fork-started children inherit the
+    live object; spawn/forkserver children attach the published
     segment zero-copy through :func:`_worker_initializer` (falling back
     to the persistent disk artifact, then to a characterization) —
     either way no worker re-runs the characterization.  Publishing is
@@ -937,9 +907,7 @@ def _publish_scl(segments: List[str]) -> None:
     from ..shm.scl import publish_default_scl
 
     default_scl()
-    name = publish_default_scl()
-    if name is not None and name not in segments:
-        segments.append(name)
+    publish_default_scl()
 
 
 class _Worker:
@@ -950,9 +918,7 @@ class _Worker:
     ``None``.  The parent closes its copy of the child's end at once, so
     the child's death reads as EOF here (and fires ``sentinel``)."""
 
-    def __init__(
-        self, segments: Sequence[str], siblings: Iterable["_Worker"]
-    ) -> None:
+    def __init__(self, siblings: Iterable["_Worker"]) -> None:
         ctx = multiprocessing.get_context()
         self.conn, child = ctx.Pipe()
         # A forked child inherits every pipe end the parent holds; it
@@ -964,7 +930,7 @@ class _Worker:
         )
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(child, tuple(segments), inherited),
+            args=(child, inherited),
             name="repro-worker",
             daemon=True,
         )
@@ -1040,7 +1006,7 @@ def _stop_workers(workers: Sequence[_Worker]) -> None:
         worker.reap()
 
 
-def _worker_main(conn, shm_segments: Sequence[str], inherited) -> None:
+def _worker_main(conn, inherited) -> None:
     """A worker process: run ``(fn, arg)`` tasks from ``conn`` until
     the parent sends ``None`` or its end closes.
 
@@ -1053,7 +1019,7 @@ def _worker_main(conn, shm_segments: Sequence[str], inherited) -> None:
         other.close()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_initializer(shm_segments)
+    _worker_initializer()
     while True:
         try:
             task = conn.recv()
@@ -1074,27 +1040,19 @@ def _worker_main(conn, shm_segments: Sequence[str], inherited) -> None:
             )))
 
 
-def _worker_initializer(shm_segments: Sequence[str] = ()) -> None:
-    """Worker startup hook: attach the parent's published
-    shared-memory tensors, then make sure an SCL is resolved before the
+def _worker_initializer() -> None:
+    """Worker startup hook: make sure an SCL is resolved before the
     first job lands, so per-job latencies measure compilation, not
     characterization.
 
     Resolution order for the SCL: the shared-memory segment the parent
-    published (zero-copy tensor attach, sub-millisecond), then the
-    persistent disk artifact (or the live object inherited under
-    fork), then a lazy characterization on first use.  Published net
-    views are armed for :func:`repro.rtl.netview.net_view` to hydrate
-    on demand.  A worker that cannot preload still works, but says so
+    published (found by content key; zero-copy tensor attach,
+    sub-millisecond), then the persistent disk artifact (or the live
+    object inherited under fork), then a lazy characterization on
+    first use.  A worker that cannot preload still works, but says so
     once (this hook runs once per process), because a misconfigured
     cache dir showing up as a uniform slowdown is the kind of mystery
     that eats an afternoon."""
-    try:
-        from ..shm.netview import install_attachments
-
-        install_attachments(shm_segments)
-    except Exception:
-        pass
     try:
         from ..scl.library import default_scl
         from ..shm.scl import attach_default_scl

@@ -27,6 +27,9 @@ from ..spec import DataFormat, MacroSpec, PPAWeights, parse_format
 
 #: Cap on a single expanded axis, to catch runaway ranges like 1:1e9:+1.
 MAX_AXIS_POINTS = 4096
+#: Cap on the whole grid (the product of the axis lengths), checked
+#: before any spec is built: two capped axes would make 16.7M specs.
+MAX_GRID_POINTS = 65536
 
 
 def parse_range(token: str, integer: bool = True) -> List[float]:
@@ -129,6 +132,7 @@ def expand_grid(
     ppa: Optional[PPAWeights] = None,
 ) -> List[MacroSpec]:
     """Cartesian product of the axes, row-major, as validated specs."""
+    points = 1
     for name, axis in (
         ("height", heights),
         ("width", widths),
@@ -139,6 +143,11 @@ def expand_grid(
     ):
         if not axis:
             raise SpecificationError(f"sweep axis {name!r} is empty")
+        points *= len(axis)
+    if points > MAX_GRID_POINTS:
+        raise SpecificationError(
+            f"sweep grid of {points} points exceeds {MAX_GRID_POINTS}"
+        )
     specs: List[MacroSpec] = []
     for height in heights:
         for width in widths:

@@ -203,11 +203,6 @@ class ImplementSession:
     #: pre-placement against a wire-derated period budget, so the
     #: post-layout wires the placer adds stay covered.
     vt_recovery: bool = False
-    #: Pause cyclic GC for the duration of each implement() call (a
-    #: bounded ~0.5 s operation whose allocation burst otherwise costs
-    #: ~25 % of the runtime in generation-2 scans).  Embedders running
-    #: other allocation-heavy threads in-process can opt out.
-    pause_gc: bool = True
 
     def __post_init__(self) -> None:
         self._arrays: Dict[tuple, Module] = {}
@@ -334,7 +329,7 @@ class ImplementSession:
             cached = self._implementations.get(arch)
             if cached is not None:
                 return cached
-        gc_was_enabled = self.pause_gc and gc.isenabled()
+        gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:

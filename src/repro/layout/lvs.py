@@ -1,17 +1,16 @@
 """Layout-versus-schematic verification.
 
-Extracts a netlist back out of the layout database (instances + their
-connectivity, as the GDS labels carry them) and compares it with the
-source module: same cell for every instance, same pin-to-net binding,
-nothing missing, nothing extra.  Because this flow *derives* layouts
-from netlists, LVS failures indicate placer/database bugs — which is
-exactly what the check is for in the paper's flow too.
+Compares the layout database (the placed instances, whose connectivity
+labels ride along as the GDS labels carry them) with the source
+module: nothing missing, nothing extra.  Because this flow *derives*
+layouts from netlists, LVS failures indicate placer/database bugs —
+which is exactly what the check is for in the paper's flow too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..rtl.ir import Module
 from .sdp import Placement
@@ -19,7 +18,7 @@ from .sdp import Placement
 
 @dataclass(frozen=True)
 class LVSMismatch:
-    kind: str  # "missing" | "extra" | "cell" | "connectivity"
+    kind: str  # "missing" | "extra"
     instance: str
     detail: str
 
@@ -43,39 +42,16 @@ class LVSReport:
         return "\n".join(lines)
 
 
-def extract_layout_netlist(
-    module: Module, placement: Placement
-) -> Dict[str, Tuple[str, Dict[str, str]]]:
-    """Rebuild ``{instance: (cell, conn)}`` from the layout database.
-
-    The placement stores geometry only; connectivity labels ride along
-    with the instances (as GDS text labels would), so extraction walks
-    the placed set and picks each instance's recorded binding.
-    """
-    by_name = {inst.name: inst for inst in module.instances}
-    extracted: Dict[str, Tuple[str, Dict[str, str]]] = {}
-    for name in placement.cells:
-        inst = by_name.get(name)
-        if inst is None:
-            extracted[name] = ("<unknown>", {})
-        else:
-            extracted[name] = (inst.cell_name, dict(inst.conn))
-    return extracted
-
-
 def run_lvs(module: Module, placement: Placement) -> LVSReport:
     """Compare the layout database against the schematic module.
 
-    The layout's connectivity labels are extracted from the placed
-    instance set itself (see :func:`extract_layout_netlist`), so for a
-    placed instance the cell and pin binding always agree with the
-    schematic record they were extracted from — the checks that can
+    The layout's connectivity labels are those of the placed instances
+    themselves, so for a placed instance the cell and pin binding
+    always agree with the schematic record — the checks that can
     actually fire are ``missing`` (in schematic, not placed) and
-    ``extra`` (placed, not in schematic).  This fast path compares the
-    name sets directly instead of copying every instance's connection
-    dict through the extraction, which matters on hundred-thousand-cell
-    layouts; the mismatch kinds and report order match the full
-    comparison exactly.
+    ``extra`` (placed, not in schematic), reported in that order.  The
+    name sets are compared directly, without copying any instance's
+    connection dict, which matters on hundred-thousand-cell layouts.
     """
     mismatches: List[LVSMismatch] = []
     placed = placement.cells

@@ -1,47 +1,6 @@
-"""Parameterized generators for the seven DCIM subcircuit types."""
+"""Parameterized generators for the seven DCIM subcircuit types.
 
-from .addertree import TreeStats, generate_adder_tree, tree_output_width
-from .alignment import alignment_cost_estimate, generate_alignment_unit
-from .drivers import (
-    buffer_chain_for_load,
-    driver_delay_budget_ns,
-    generate_bl_driver,
-    generate_wl_driver,
-)
-from .macro import (
-    MacroShape,
-    generate_column_slice,
-    generate_macro,
-    generate_macro_with_array,
-    macro_shape,
-)
-from .memarray import ArrayStats, generate_memory_array, wordline_load_ff
-from .multiplier import generate_mult_mux, mult_mux_cost_hint
-from .ofu import OFUConfig, generate_ofu
-from .shiftadder import accumulator_width, generate_shift_adder
-
-__all__ = [
-    "TreeStats",
-    "generate_adder_tree",
-    "tree_output_width",
-    "alignment_cost_estimate",
-    "generate_alignment_unit",
-    "buffer_chain_for_load",
-    "driver_delay_budget_ns",
-    "generate_bl_driver",
-    "generate_wl_driver",
-    "MacroShape",
-    "generate_column_slice",
-    "generate_macro",
-    "generate_macro_with_array",
-    "macro_shape",
-    "ArrayStats",
-    "generate_memory_array",
-    "wordline_load_ff",
-    "generate_mult_mux",
-    "mult_mux_cost_hint",
-    "OFUConfig",
-    "generate_ofu",
-    "accumulator_width",
-    "generate_shift_adder",
-]
+The package re-exports nothing: import each name from the module that
+defines it (``repro.rtl.gen.macro``, ``repro.rtl.gen.addertree``,
+...), so a process loads only the modules it runs.
+"""

@@ -19,7 +19,7 @@ format's exponent/mantissa split.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ...errors import SynthesisError
 from ...spec import DataFormat
@@ -152,14 +152,3 @@ def _barrel_shift_right(
             shifted.append(src)
         current = [b.mux2(current[j], shifted[j], a_bit) for j in range(width)]
     return current
-
-
-def alignment_cost_estimate(fmt: DataFormat, lanes: int) -> Tuple[int, int]:
-    """(approx gate count, comparator-tree depth) for quick sizing."""
-    if not fmt.is_float:
-        return 0, 0
-    sig_w = fmt.mantissa + 2
-    per_lane = 2 * sig_w + fmt.exponent * (2 + sig_w)  # negate + sub + shift
-    tree = (lanes - 1) * fmt.exponent * 3
-    depth = max(1, (lanes - 1).bit_length())
-    return lanes * per_lane + tree, depth

@@ -11,7 +11,7 @@ the actual word-line load.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ...errors import SynthesisError
 from ..ir import Module, NetlistBuilder
@@ -103,14 +103,3 @@ def generate_bl_driver(
             else:
                 node = b.unary(cell, node, hint="blpre")
     return b.finish()
-
-
-def driver_delay_budget_ns(
-    wordline_load_ff: float, strength: int
-) -> Tuple[float, int]:
-    """Rough WL driver insertion delay and stage count (pre-STA hint)."""
-    chain = buffer_chain_for_load(wordline_load_ff, strength)
-    # ~35 ps per lightly loaded stage plus the loaded final stage.
-    final_r = {2: 0.70, 4: 0.35, 8: 0.18}[strength]
-    delay = 0.035 * (len(chain) - 1) + 0.026 + final_r * wordline_load_ff * 1e-3
-    return delay, len(chain)

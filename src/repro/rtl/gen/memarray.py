@@ -90,15 +90,6 @@ def generate_memory_array(
     return b.finish(), stats
 
 
-def array_area_um2(
-    height: int, width: int, mcr: int, memcell_area: float, sram6t_area: float
-) -> float:
-    """Closed-form array area (tests cross-check the generator)."""
-    compute = height * width * memcell_area
-    storage = height * (mcr - 1) * width * sram6t_area
-    return compute + storage
-
-
 def wordline_load_ff(width: int, wl_cap_ff: float, wire_cap_ff_per_um: float,
                      cell_pitch_um: float) -> float:
     """Capacitive load one word line presents to its driver."""

@@ -19,7 +19,7 @@ select/weight pairs and produces the selected weight directly.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ...errors import SynthesisError
 from ..ir import Module, NetlistBuilder
@@ -102,14 +102,3 @@ def _build_oai22(
     # style structure: NOR(xb, INV(w_sel)).
     w_selb = b.inv(w_sel)
     b.cell("NOR2_X1", hint="mult", A=xb, B=w_selb, Y=p)
-
-
-def mult_mux_cost_hint(style: str, mcr: int) -> Tuple[float, float]:
-    """(relative area, relative delay) coarse hints for documentation and
-    quick pruning; the subcircuit library holds the real PPA numbers."""
-    mux_stages = max(0, int(math.log2(max(mcr, 1))))
-    if style == "pg_1t":
-        return 0.35 * max(mcr - 1, 1) + 1.2, 0.040 * mux_stages + 0.016
-    if style == "oai22":
-        return 3.9, 0.046
-    return 0.9 * max(mcr - 1, 1) + 1.2, 0.014 * mux_stages + 0.016

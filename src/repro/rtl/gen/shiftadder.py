@@ -15,7 +15,7 @@ of serial input bits, both of which the caller provides.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ...errors import SynthesisError
 from ..ir import Module, NetlistBuilder
@@ -101,12 +101,3 @@ def _ripple_add_mod(
         s, carry = b.full_adder(a[i], c[i], carry)
         sums.append(s)
     return sums
-
-
-def sa_cost_estimate(
-    tree_width: int, input_bits: int
-) -> Tuple[int, int, int]:
-    """(#FA, #DFF, #aux gates) — structural expectation for tests."""
-    width = accumulator_width(tree_width, input_bits)
-    aux = (width - 1) + width + 2 + width  # and-shift, xor, invs, bufs
-    return width, width, aux

@@ -137,7 +137,7 @@ class Module:
         """Construction fast path: takes ownership of ``conn`` (no
         defensive copy — the saving that matters).  The duplicate-name
         guard stays: builder-counter names share a namespace with
-        manually added instances (e.g. the controller's ``busy_reg``)."""
+        manually added instances."""
         if name in self._instance_names:
             raise SynthesisError(f"{self.name}: duplicate instance {name}")
         inst = Instance(name=name, ref=ref, conn=conn)
@@ -153,7 +153,7 @@ class Module:
     def set_refs(self, edits: Iterable[Tuple[Instance, str]]) -> None:
         """Point leaf instances at other cells, connections untouched.
 
-        The one way to re-flavor or resize cells in place: the revision
+        The one way to re-flavor cells in place: the revision
         bump is recorded as ref-only, so the compiled net view is
         re-resolved on its unchanged net ids and pin rows instead of
         re-walking the module (see :func:`repro.rtl.netview.net_view`).
@@ -525,35 +525,6 @@ class NetlistBuilder:
         y = self.net("buf")
         self.cell(f"BUF_X{strength}", hint="buf", A=a, Y=y)
         return y
-
-    # -- word-level helpers -----------------------------------------------------
-
-    def ripple_adder(
-        self,
-        a: Sequence[str],
-        b: Sequence[str],
-        carry_in: Optional[str] = None,
-        hint: str = "rca",
-    ) -> List[str]:
-        """Signed (two's complement) ripple-carry adder.
-
-        Both operands must be equal width; returns ``width + 1`` sum bits
-        with the extra MSB from sign extension.
-        """
-        if len(a) != len(b):
-            raise SynthesisError("ripple_adder operands must match in width")
-        width = len(a)
-        a_ext = list(a) + [a[-1]]
-        b_ext = list(b) + [b[-1]]
-        sums: List[str] = []
-        carry = carry_in
-        for i in range(width + 1):
-            if carry is None:
-                s, carry = self.half_adder(a_ext[i], b_ext[i])
-            else:
-                s, carry = self.full_adder(a_ext[i], b_ext[i], carry)
-            sums.append(s)
-        return sums
 
     def finish(self) -> Module:
         return self.module

@@ -22,14 +22,13 @@ pay for one compilation pass, not four traversals.  The passes that
 edit a module in place keep that one pass valid: the synthesis
 pipeline installs the view its own tables describe
 (:func:`repro.synth.optimize.optimize`), and a ref-only edit
-(:meth:`repro.rtl.ir.Module.set_refs` — Vt swaps, drive resizing)
+(:meth:`repro.rtl.ir.Module.set_refs` — Vt swaps and their reverts)
 re-resolves just the cells on the same net ids and pin rows.  Neither
 goes through :class:`NetView`'s constructor, which is the one walk.
 """
 
 from __future__ import annotations
 
-import sys
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -312,11 +311,7 @@ def net_view(module, library: StdCellLibrary) -> NetView:
     The cache key is the library's identity; the entry is rebuilt when
     the module has been mutated since compilation, and re-resolved
     without a walk when every edit since was a
-    :meth:`~repro.rtl.ir.Module.set_refs`.  In a batch worker
-    whose parent published view tensors over shared memory (see
-    :mod:`repro.shm.netview`), a cache miss first probes the published
-    segments and hydrates zero-copy instead of re-walking the module;
-    a process that never imported that module never probes.
+    :meth:`~repro.rtl.ir.Module.set_refs`.
     """
     cache = getattr(module, "_net_view_cache", None)
     if cache is None:
@@ -326,12 +321,6 @@ def net_view(module, library: StdCellLibrary) -> NetView:
         first, last = module._ref_edits
         if view is not None and first <= view.revision and last == module.revision:
             view = _reflavored(view)
-            if view is not None:
-                cache[id(library)] = view
-                return view
-        shm = sys.modules.get("repro.shm.netview")
-        if shm is not None and shm._ATTACHMENTS is not None:
-            view = shm.try_attach_net_view(module, library)
             if view is not None:
                 cache[id(library)] = view
                 return view

@@ -1,40 +1,10 @@
-"""Multi-spec-oriented searching: estimation, fixes, Algorithm 1, Pareto
-utilities and search-space construction.
+"""Multi-spec-oriented searching: estimation, fixes, Algorithm 1 and
+Pareto utilities.
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.search.algorithm``, ``repro.search.estimate``,
+...), so a process loads only the modules it runs.
 """
-
-from .estimate import CLOCK_OVERHEAD_NS, MacroEstimate, Segment, estimate_macro
-from .fixes import MAC_FIXES, MERGE_MOVES, OFU_FIXES, TUNING_MOVES
-from .algorithm import (
-    MSOSearcher,
-    SearchResult,
-    SearchTraceEntry,
-    search,
-    seed_architectures,
-)
-from .pareto import dominates, hypervolume_2d, pareto_front
-from .space import SearchSpace, build_search_space, enumerate_architectures
-
-__all__ = [
-    "CLOCK_OVERHEAD_NS",
-    "MacroEstimate",
-    "Segment",
-    "estimate_macro",
-    "MAC_FIXES",
-    "MERGE_MOVES",
-    "OFU_FIXES",
-    "TUNING_MOVES",
-    "MSOSearcher",
-    "SearchResult",
-    "SearchTraceEntry",
-    "search",
-    "seed_architectures",
-    "dominates",
-    "hypervolume_2d",
-    "pareto_front",
-    "SearchSpace",
-    "build_search_space",
-    "enumerate_architectures",
-]

@@ -1,13 +1,10 @@
-"""Zero-copy shared-memory transport for read-only compile tensors.
+"""Zero-copy shared-memory transport for the sealed subcircuit library.
 
-Every pool worker used to re-derive the same two read-only structures
-from scratch: the sealed subcircuit library (disk JSON parse per
-process) and the compiled :class:`~repro.rtl.netview.NetView` integer
-tables of any netlist the parent had already built (a ~50 ms Python
-walk per process per module).  This package moves both into
-``multiprocessing.shared_memory`` segments published by the batch
-parent; workers attach the raw bytes and wrap them in ``numpy``
-views without copying.
+Each pool worker would otherwise load the sealed subcircuit library
+from its disk JSON artifact.  This package publishes the library's
+tensors in a ``multiprocessing.shared_memory`` segment from the batch
+parent; workers find the segment by content key, attach the raw bytes
+and wrap them in ``numpy`` views without copying.
 
 Layout
 ------
@@ -22,15 +19,11 @@ Layout
 :mod:`repro.shm.scl`
     Sealed-SCL tensors: publish in the parent, attach in
     ``_worker_initializer`` instead of loading the disk artifact.
-:mod:`repro.shm.netview`
-    Per-view NetView integer tables: publish any view the parent has
-    built; ``net_view()`` in a worker attaches instead of re-walking
-    the module.
 
 See ``docs/performance.md`` (shared-memory section) for naming,
 lifecycle, and failure modes.
 
 The package re-exports nothing: import each name from the module that
-defines it (``repro.shm.netview``, ...), so a process loads only the
+defines it (``repro.shm.scl``, ...), so a process loads only the
 modules it runs.
 """

@@ -3,32 +3,8 @@ this package adds the netlist optimization passes.
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.synth.optimize``, ``repro.synth.vt``), so a
+process loads only the modules it runs.
 """
-
-from .optimize import (
-    FANOUT_LIMIT,
-    buffer_high_fanout,
-    optimize,
-    propagate_constants,
-    sweep_dead_logic,
-)
-from .vt import (
-    check_vt_library,
-    recover_leakage,
-    resize_drive,
-    swap_vt,
-    upsize_critical,
-)
-
-__all__ = [
-    "FANOUT_LIMIT",
-    "buffer_high_fanout",
-    "check_vt_library",
-    "optimize",
-    "propagate_constants",
-    "recover_leakage",
-    "resize_drive",
-    "swap_vt",
-    "sweep_dead_logic",
-    "upsize_critical",
-]

@@ -1,4 +1,4 @@
-"""Vt-swap and drive-resize repair passes.
+"""Vt-swap repair passes.
 
 The multi-Vt grid (see :mod:`repro.tech.stdcells`) turns leakage into a
 search axis: a mapped netlist can be re-flavored cell by cell without
@@ -8,8 +8,6 @@ passes are the netlist-level half of that trade:
 
 * :func:`swap_vt` re-flavors the combinational cells wholesale (the
   ``--vt hvt``/``--vt lvt`` compile modes);
-* :func:`resize_drive` walks instances up or down the drive ladder and
-  loudly rejects a resize that breaks a period bound;
 * :func:`recover_leakage` demotes high-slack cells to hvt one
   slack-ordered bisection at a time — the classic post-fix leakage
   recovery loop — using :func:`repro.sta.analysis.instance_slacks`;
@@ -29,12 +27,11 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import LibraryError, SynthesisError, TimingError
+from ..errors import LibraryError, SynthesisError
 from ..rtl.ir import Module
 from ..sta.analysis import instance_slacks, minimum_period_ns
 from ..sta.graph import WireLoadFn
 from ..tech.stdcells import (
-    DRIVE_LADDER,
     VT_FLAVORS,
     VT_ORDER,
     Cell,
@@ -71,21 +68,15 @@ def _same_function(a: Cell, b: Cell) -> bool:
 
 
 def _swap_target(
-    library: StdCellLibrary,
-    cell_name: str,
-    vt: Optional[str] = None,
-    drive: Optional[int] = None,
+    library: StdCellLibrary, cell_name: str, vt: str
 ) -> Optional[str]:
-    """Name of ``cell_name``'s family variant at (vt, drive), or None
+    """Name of ``cell_name``'s family variant at flavor ``vt``, or None
     when the cell is outside the ladder or the grid point is absent."""
     parsed = parse_variant_name(cell_name)
     if parsed is None:
         return None
-    base, cur_vt, cur_drive = parsed
-    target = variant_name(
-        base, vt if vt is not None else cur_vt,
-        drive if drive is not None else cur_drive,
-    )
+    base, _, drive = parsed
+    target = variant_name(base, vt, drive)
     if target == cell_name or target not in library:
         return None
     return target
@@ -104,7 +95,7 @@ def _apply_swaps(
     for inst, target in edits:
         if not _same_function(library.cell(inst.cell_name), library.cell(target)):
             raise SynthesisError(
-                f"vt/drive swap {inst.cell_name} -> {target} on "
+                f"vt swap {inst.cell_name} -> {target} on "
                 f"{inst.name} changes the cell's logic function"
             )
     module.set_refs(edits)
@@ -139,112 +130,6 @@ def swap_vt(
         target = _swap_target(library, inst.cell_name, vt=vt)
         if target is not None:
             swaps[inst.name] = target
-    _apply_swaps(module, library, swaps)
-    return len(swaps)
-
-
-def resize_drive(
-    module: Module,
-    library: StdCellLibrary,
-    step: int,
-    max_period_ns: Optional[float] = None,
-    wire_load: Optional[WireLoadFn] = None,
-    derate: float = 1.0,
-    include_sequential: bool = False,
-) -> int:
-    """Shift every laddered instance ``step`` positions along the drive
-    ladder (negative = downsize), clamped to the ladder's ends.
-
-    When ``max_period_ns`` is given, the resized netlist's minimum
-    period (under ``derate``) must not exceed it — a downsize that
-    breaks the bound raises :class:`TimingError` and leaves the module
-    untouched.  Returns the number of instances resized.
-    """
-    if step == 0:
-        return 0
-    swaps: Dict[str, str] = {}
-    for inst in module.instances:
-        cell = library.cell(inst.cell_name)
-        if cell.is_memory:
-            continue
-        if cell.is_sequential and not include_sequential:
-            continue
-        parsed = parse_variant_name(inst.cell_name)
-        if parsed is None or parsed[2] not in DRIVE_LADDER:
-            continue
-        idx = DRIVE_LADDER.index(parsed[2])
-        new_idx = max(0, min(len(DRIVE_LADDER) - 1, idx + step))
-        target = _swap_target(
-            library, inst.cell_name, drive=DRIVE_LADDER[new_idx]
-        )
-        if target is not None:
-            swaps[inst.name] = target
-    if not swaps:
-        return 0
-    if max_period_ns is not None:
-        old_refs = {
-            inst.name: inst.ref
-            for inst in module.instances
-            if inst.name in swaps
-        }
-        _apply_swaps(module, library, swaps)
-        period = minimum_period_ns(
-            module, library, wire_load=wire_load, derate=derate
-        )
-        if period > max_period_ns:
-            module.set_refs(
-                (inst, old_refs[inst.name])
-                for inst in module.instances
-                if inst.name in old_refs
-            )
-            raise TimingError(
-                f"drive resize by {step:+d} pushes minimum period to "
-                f"{period:.4f} ns > bound {max_period_ns:.4f} ns; "
-                f"reverted"
-            )
-    else:
-        _apply_swaps(module, library, swaps)
-    return len(swaps)
-
-
-def upsize_critical(
-    module: Module,
-    library: StdCellLibrary,
-    clock_period_ns: float,
-    wire_load: Optional[WireLoadFn] = None,
-    derate: float = 1.0,
-    max_moves: int = 64,
-) -> int:
-    """Bump the worst-slack instances one drive step up the ladder.
-
-    Slack-ordered, bounded by ``max_moves``; only instances with
-    negative slack at ``clock_period_ns`` move.  Returns the number of
-    instances upsized (0 when timing is already met).
-    """
-    slacks = instance_slacks(
-        module, library, clock_period_ns, wire_load=wire_load, derate=derate
-    )
-    violators = sorted(
-        (s, name) for name, s in slacks.items() if s < 0.0
-    )
-    swaps: Dict[str, str] = {}
-    by_name = {inst.name: inst for inst in module.instances}
-    for _, name in violators[:max_moves]:
-        inst = by_name[name]
-        cell = library.cell(inst.cell_name)
-        if cell.is_sequential or cell.is_memory:
-            continue
-        parsed = parse_variant_name(inst.cell_name)
-        if parsed is None or parsed[2] not in DRIVE_LADDER:
-            continue
-        idx = DRIVE_LADDER.index(parsed[2])
-        if idx + 1 >= len(DRIVE_LADDER):
-            continue
-        target = _swap_target(
-            library, inst.cell_name, drive=DRIVE_LADDER[idx + 1]
-        )
-        if target is not None:
-            swaps[name] = target
     _apply_swaps(module, library, swaps)
     return len(swaps)
 

@@ -1,5 +1,5 @@
 """Technology substrate: process model, standard cells, characterization,
-Liberty/LEF views.
+Liberty views.
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.

@@ -22,6 +22,7 @@ import threading
 import pytest
 
 from repro.arch import MacroArchitecture
+from repro.batch import sweep
 from repro.batch.cache import MemoryResultStore, ResultCache, encode_done, log_dir
 from repro.batch.engine import (
     BatchCompiler,
@@ -31,6 +32,8 @@ from repro.batch.engine import (
 )
 from repro.batch.jobs import CompileJob, ImplementJob
 from repro.batch.sweep import (
+    MAX_AXIS_POINTS,
+    MAX_GRID_POINTS,
     expand_grid,
     grid_summary,
     parse_axis,
@@ -226,6 +229,13 @@ class TestSweepGrammar:
     def test_axis_deduplicates(self):
         assert parse_axis(["32", "32:64:x2"]) == [32, 64]
 
+    def test_axis_cap(self):
+        assert len(parse_range(f"1:{MAX_AXIS_POINTS}:+1")) == MAX_AXIS_POINTS
+        with pytest.raises(
+            SpecificationError, match=f"expands past {MAX_AXIS_POINTS} points"
+        ):
+            parse_range(f"1:{MAX_AXIS_POINTS + 1}:+1")
+
     def test_format_sets(self):
         sets = parse_format_sets(["INT4,INT8", "FP8"])
         assert [tuple(f.name for f in s) for s in sets] == [
@@ -256,6 +266,31 @@ class TestSweepGrammar:
     def test_expand_grid_rejects_empty_axis(self):
         with pytest.raises(SpecificationError):
             expand_grid([], [64], [2], parse_format_sets(["INT4"]), [800.0], [0.9])
+
+    def test_expand_grid_caps_the_product_before_building_specs(
+        self, monkeypatch
+    ):
+        """Two axes under the per-axis cap make 16,388,096 points; the
+        grid is refused without building one spec."""
+        built = []
+        monkeypatch.setattr(sweep, "MacroSpec", lambda **kw: built.append(kw))
+        frequencies = parse_axis(["100:4195:+1"], integer=False)
+        vdds = parse_axis(["0.6:1.0:+0.0001"], integer=False)
+        assert len(frequencies) * len(vdds) == 16_388_096
+        with pytest.raises(
+            SpecificationError, match=f"16388096 points exceeds {MAX_GRID_POINTS}"
+        ):
+            expand_grid(
+                [64], [64], [2], parse_format_sets(["INT4"]), frequencies, vdds
+            )
+        assert built == []
+
+    def test_expand_grid_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(sweep, "MAX_GRID_POINTS", 4)
+        formats = parse_format_sets(["INT4"])
+        assert len(expand_grid([32, 64], [64], [2], formats, [400.0, 800.0], [0.9])) == 4
+        with pytest.raises(SpecificationError, match="exceeds 4"):
+            expand_grid([32, 64], [64], [2], formats, [400.0, 600.0, 800.0], [0.9])
 
     def test_expand_grid_invalid_spec_propagates(self):
         with pytest.raises(SpecificationError):
@@ -765,6 +800,19 @@ class TestBatchCLI:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_sweep_oversized_grid_errors_before_output(self, tmp_path, capsys):
+        out_file = tmp_path / "out.jsonl"
+        rc = cli_main(
+            ["sweep", "--frequency", "100:4195:+1", "--vdd", "0.6:1.0:+0.0001",
+             "--no-implement", "-j", "1", "--cache-dir", str(tmp_path / "cache"),
+             "--output", str(out_file)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"exceeds {MAX_GRID_POINTS}" in err
+        assert "Traceback" not in err
+        assert not out_file.exists()
 
     def test_batch_duplicate_specs_one_jsonl_line_each(
         self, tmp_path, capsys

@@ -102,7 +102,7 @@ class TestDegenerateInputs:
 
 class TestReportStability:
     def test_search_is_deterministic(self, paper_spec, scl):
-        from repro.search import search
+        from repro.search.algorithm import search
 
         a = search(paper_spec, scl)
         b = search(paper_spec, scl)

@@ -1,9 +1,10 @@
 """What one ``repro compile`` process imports.
 
 A compile loads only the code it runs: the simulator behind
-verification, the Liberty/LEF readers and writers and the shared-memory
-transport of the batch workers stay unloaded unless the command asks
-for them (``--verify``, ``--lib-in``/``--lib-out``, a pool worker).
+verification, the Liberty reader and writer, the Vt passes and the
+shared-memory transport of the batch workers stay unloaded unless the
+command asks for them (``--verify``, ``--lib-in``/``--lib-out``,
+``--vt``, a pool worker).
 Each check runs in a fresh interpreter, as the end-to-end benchmark's
 ``cli-compile`` does.
 """
@@ -20,13 +21,13 @@ import repro
 
 SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
-#: Module prefixes a compile without --verify or --lib-* never runs.
+#: Module prefixes a compile without --verify, --lib-* or --vt never runs.
 UNUSED = (
     "repro.sim",
     "repro.verify.testbench",
     "repro.verify.stimuli",
     "repro.tech.liberty",
-    "repro.tech.lef",
+    "repro.synth.vt",
     "repro.shm",
 )
 

@@ -122,16 +122,6 @@ def test_nested_hierarchy_flatten(library):
     assert flat.instances[0].conn == {"A": "i", "Y": "o"}
 
 
-def test_ripple_adder_widths(library):
-    b = NetlistBuilder("add")
-    a = b.inputs("a", 4)
-    c = b.inputs("c", 4)
-    sums = b.ripple_adder(a, c)
-    assert len(sums) == 5
-    with pytest.raises(SynthesisError):
-        b.ripple_adder(a, c[:3])
-
-
 def test_cell_histogram_and_area(library):
     b = NetlistBuilder("h")
     x = b.inputs("x")[0]

@@ -18,7 +18,6 @@ from repro.search.fixes import (
     split_column,
 )
 from repro.search.pareto import dominates, hypervolume_2d, pareto_front
-from repro.search.space import build_search_space
 from repro.spec import FP8, INT4, INT8, MacroSpec, PPAWeights
 
 
@@ -250,15 +249,3 @@ class TestAlgorithm:
             "column_split",
             "ofu_pipeline",
         }
-
-
-class TestSpace:
-    def test_space_size_counts(self):
-        spec = MacroSpec()
-        space = build_search_space(spec)
-        assert space.size > 100
-        assert "search space" in space.describe()
-
-    def test_space_respects_mcr(self):
-        space = build_search_space(MacroSpec(mcr=4))
-        assert "oai22" not in space.mult_styles

@@ -598,6 +598,28 @@ class TestServiceHTTP:
         done = client.wait_sweep(sweep["id"], timeout=600)
         assert done["done"] and done["counts"] == {"ok": 2}
 
+    def test_oversized_sweep_is_400_quickly(self, service):
+        """68 bytes that would expand to 16,388,096 specs inside the
+        handler are refused before any spec is built."""
+        import urllib.error
+        import urllib.request
+
+        body = (b'{"axes": {"frequency": ["100:4195:+1"], '
+                b'"vdd": ["0.6:1.0:+0.0001"]}}')
+        assert len(body) == 68
+        submitted = service["client"].stats()["submitted"]
+        started = time.monotonic()
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(
+                urllib.request.Request(
+                    service["base_url"] + "/v1/sweeps", data=body, method="POST"
+                )
+            )
+        assert time.monotonic() - started < 1.0
+        assert err.value.code == 400
+        assert "16388096 points" in json.loads(err.value.read())["error"]
+        assert service["client"].stats()["submitted"] == submitted
+
     def test_sweep_rejects_unknown_axis_and_ppa(self, service):
         with pytest.raises(ServiceError, match="altitude"):
             service["client"].submit_sweep({"altitude": ["3"]})

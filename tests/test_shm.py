@@ -1,7 +1,7 @@
 """Shared-memory publish/attach lifecycle (see :mod:`repro.shm`).
 
-Covers the blob framing and adoption rules, SCL and NetView tensor
-round trips (bit-identical, cross-process content-hash agreement), and
+Covers the blob framing and adoption rules, the SCL tensor round trip
+(bit-identical, cross-process content-hash agreement), and
 the leak guarantees: crashed workers, watchdog-killed pools, and full
 chaos sweeps must leave ``/dev/shm`` clean and must not provoke
 ``resource_tracker`` "leaked shared_memory" complaints (treated as
@@ -16,10 +16,7 @@ from multiprocessing import shared_memory
 
 import pytest
 
-from repro.batch.engine import _worker_initializer
 from repro.errors import BatchError
-from repro.rtl.ir import Module
-from repro.rtl.netview import NetView
 from repro.shm.blob import (
     SEGMENT_PREFIX,
     _wrap,
@@ -29,13 +26,6 @@ from repro.shm.blob import (
     published_segments,
     unlink_all,
 )
-from repro.shm.netview import (
-    install_attachments,
-    netview_content_key,
-    publish_net_view,
-    try_attach_net_view,
-)
-from repro.tech.stdcells import default_library
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -55,9 +45,8 @@ def _shm_listing():
 @pytest.fixture(autouse=True)
 def _clean_segments():
     """Every test starts and ends with this process detached and its
-    published segments unlinked; the netview probe is disarmed."""
+    published segments unlinked."""
     yield
-    install_attachments(())
     unlink_all()
     detach_all()
 
@@ -230,110 +219,6 @@ class TestSclShm:
             """
         )
         assert child.returncode == 0, child.stderr
-
-
-# -- NetView tensors over shm -----------------------------------------------
-
-
-def _toy_module(n: int = 40, name: str = "toy") -> Module:
-    """A small flat module: n inverter/DFF pairs on a shared clock."""
-    m = Module(name)
-    m.add_net("clk")
-    for i in range(n):
-        m.add_net(f"d{i}")
-        m.add_net(f"q{i}")
-        m.add_instance(f"inv{i}", "INV_X1", {"A": f"q{i}", "Y": f"d{i}"})
-        m.add_instance(
-            f"ff{i}", "DFF_X1", {"D": f"d{i}", "CK": "clk", "Q": f"q{i}"}
-        )
-    return m
-
-
-class TestNetViewShm:
-    def test_hydrated_view_equals_fresh_build(self):
-        lib = default_library()
-        module = _toy_module()
-        fresh = NetView(module, lib)
-        name = publish_net_view(fresh)
-        assert name is not None and name.startswith("repro-nv-")
-        install_attachments([name])
-        view = try_attach_net_view(module, lib)
-        assert view is not None
-        assert view.net_names == fresh.net_names
-        assert view.net_id == fresh.net_id
-        assert view.in_ids == fresh.in_ids
-        assert view.out_ids == fresh.out_ids
-        assert [c.name for c in view.cells] == [
-            c.name for c in fresh.cells
-        ]
-        import numpy as np
-
-        by_name = {g.cell.name: g for g in view.groups}
-        for g in fresh.groups:
-            h = by_name[g.cell.name]
-            assert np.array_equal(h.inst_idx, g.inst_idx)
-            assert np.array_equal(h.in_ids, g.in_ids)
-            assert np.array_equal(h.out_ids, g.out_ids)
-
-    def test_other_module_misses(self):
-        lib = default_library()
-        module = _toy_module()
-        install_attachments([publish_net_view(NetView(module, lib))])
-        other = _toy_module(n=41, name="other")
-        assert try_attach_net_view(other, lib) is None
-
-    def test_same_shape_different_wiring_misses(self):
-        """Same name, same instance census, permuted connectivity: the
-        spot check must reject the published tables."""
-        lib = default_library()
-        module = _toy_module()
-        install_attachments([publish_net_view(NetView(module, lib))])
-        twisted = Module("toy")
-        twisted.add_net("clk")
-        n = 40
-        for i in range(n):
-            twisted.add_net(f"d{i}")
-            twisted.add_net(f"q{i}")
-        for i in range(n):
-            j = (i + 1) % n  # rotate the feedback pairing
-            twisted.add_instance(
-                f"inv{i}", "INV_X1", {"A": f"q{j}", "Y": f"d{i}"}
-            )
-            twisted.add_instance(
-                f"ff{i}",
-                "DFF_X1",
-                {"D": f"d{i}", "CK": "clk", "Q": f"q{i}"},
-            )
-        assert try_attach_net_view(twisted, lib) is None
-
-    def test_content_key_is_deterministic_across_processes(self):
-        lib = default_library()
-        module = _toy_module()
-        key = netview_content_key(module, lib)
-        child = _run_child(
-            """
-            import sys
-            sys.path.insert(0, %r)
-            from repro.shm.netview import netview_content_key
-            from repro.tech.stdcells import default_library
-            from test_shm import _toy_module
-            print(netview_content_key(_toy_module(), default_library()))
-            """
-            % os.path.dirname(os.path.abspath(__file__))
-        )
-        assert child.returncode == 0, child.stderr
-        assert child.stdout.strip() == key
-
-    def test_worker_initializer_arms_attachments(self):
-        lib = default_library()
-        module = _toy_module()
-        name = publish_net_view(NetView(module, lib))
-        _worker_initializer((name,))
-        from repro.rtl.netview import net_view
-        from repro.shm.netview import attachments_installed
-
-        assert attachments_installed() == [name]
-        assert net_view(module, lib) is not None
 
 
 # -- leak guarantees under process death ------------------------------------

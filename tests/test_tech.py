@@ -1,5 +1,5 @@
 """Technology substrate: process scaling, standard cells,
-characterization, Liberty/LEF views."""
+characterization, Liberty views."""
 
 import math
 
@@ -13,7 +13,6 @@ from repro.tech.characterization import (
     characterize_cell,
     characterize_library,
 )
-from repro.tech.lef import parse_lef, view_for_cell, write_lef
 from repro.tech.liberty import parse_liberty, write_liberty
 from repro.tech.process import CORNERS, GENERIC_40NM, Process
 from repro.tech.stdcells import TimingArc, default_library
@@ -208,18 +207,3 @@ class TestViews:
         text = write_liberty("x", cells, 0.9)
         assert "index_1" in text and "values" in text
         assert "cell_rise" in text
-
-    def test_lef_roundtrip(self, library):
-        views = {
-            n: view_for_cell(library.cell(n)) for n in ("INV_X1", "DFF_X1")
-        }
-        text = write_lef(views)
-        sizes = parse_lef(text)
-        assert sizes["INV_X1"][1] == pytest.approx(1.8)
-        assert sizes["DFF_X1"][0] == pytest.approx(4.6 / 1.8, rel=1e-3)
-
-    def test_lef_pins_on_boundary(self, library):
-        view = view_for_cell(library.cell("FA_X1"))
-        for pin in view.pins:
-            assert 0.0 <= pin.x_um <= view.width_um + 1e-9
-            assert 0.0 <= pin.y_um <= view.height_um + 1e-9

@@ -3,7 +3,7 @@
 The vectorized engine's contract is *bit-for-bit* agreement with the
 pinned scalar reference (:class:`repro.sim.gatesim.GateSimulator`) on
 every net, for every generated module kind — adder trees, shift-adder,
-OFU, controller, full macro — including forced nets, sequential state
+OFU, full macro — including forced nets, sequential state
 and reset, over seeded random vector batches.
 """
 
@@ -15,7 +15,6 @@ import pytest
 from repro.arch import MacroArchitecture
 from repro.errors import SimulationError
 from repro.rtl.gen.addertree import generate_adder_tree
-from repro.rtl.gen.controller import generate_controller
 from repro.rtl.gen.macro import generate_macro
 from repro.rtl.gen.ofu import OFUConfig, generate_ofu
 from repro.rtl.gen.shiftadder import accumulator_width, generate_shift_adder
@@ -158,27 +157,6 @@ class TestSequentialModules:
             sim.evaluate()
         for lane, sim in enumerate(scalars):
             _assert_all_nets_equal(vec, sim, lane, "sna reset1")
-
-    def test_controller_sequences(self):
-        module = generate_controller(
-            prelatency=2, input_bits=3, total_cycles=8
-        )
-        batch = 8
-        vec = VecSim(module, LIB, batch)
-        scalars = [GateSimulator(module, LIB) for _ in range(2)]
-        vec.reset_state()
-        for sim in scalars:
-            sim.reset_state()
-        # Lane 0 starts on cycle 0; lane 1 never starts.
-        start = np.zeros(batch, dtype=np.int64)
-        start[0] = 1
-        for cyc in range(10):
-            _drive_both(vec, scalars, "start", start if cyc == 0 else start * 0)
-            vec.clock()
-            for sim in scalars:
-                sim.clock()
-            for lane, sim in enumerate(scalars):
-                _assert_all_nets_equal(vec, sim, lane, f"ctrl cyc{cyc}")
 
 
 class TestForcing:

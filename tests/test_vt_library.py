@@ -26,7 +26,7 @@ from repro.scl.cache import cell_fingerprint, scl_cache_key
 from repro.search.algorithm import MSOSearcher
 from repro.search.estimate import estimate_macro
 from repro.sta.analysis import minimum_period_ns
-from repro.synth import swap_vt
+from repro.synth.vt import swap_vt
 from repro.tech.liberty import export_liberty, library_from_liberty
 from repro.tech.stdcells import (
     DRIVE_LADDER,

@@ -1,11 +1,11 @@
-"""Vt-swap / drive-resize repair passes: mutation catching and recovery.
+"""Vt-swap repair passes: mutation catching and recovery.
 
 Mirrors the ``tests/test_verify.py`` style: injected faults — a Vt swap
-that would change a cell's logic function, a downsize that breaks the
-worst-corner period bound, a stale leakage/timing table — must be
-loudly rejected, never silently folded into the netlist.  Property
-style tests draw netlist shapes from named seeds; every assertion
-message carries the seed so a failure reproduces from the log alone.
+that would change a cell's logic function, a stale leakage/timing
+table — must be loudly rejected, never silently folded into the
+netlist.  Property style tests draw netlist shapes from named seeds;
+every assertion message carries the seed so a failure reproduces from
+the log alone.
 """
 
 from __future__ import annotations
@@ -15,17 +15,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.errors import LibraryError, SynthesisError, TimingError
+from repro.errors import LibraryError, SynthesisError
 from repro.rtl.ir import NetlistBuilder
 from repro.rtl.gen.addertree import generate_adder_tree
 from repro.sta import instance_slacks, minimum_period_ns, net_slacks
-from repro.synth import (
-    check_vt_library,
-    recover_leakage,
-    resize_drive,
-    swap_vt,
-    upsize_critical,
-)
+from repro.synth.vt import check_vt_library, recover_leakage, swap_vt
 from repro.tech.stdcells import (
     DRIVE_LADDER,
     VT_ORDER,
@@ -110,69 +104,6 @@ class TestSwapVt:
         ):
             swap_vt(m, mutant, "hvt")
         assert [i.cell_name for i in m.instances] == before
-
-
-class TestResizeDrive:
-    def _x2_chain(self, n: int):
-        b = NetlistBuilder("chain")
-        node = b.inputs("a")[0]
-        y = b.outputs("y")[0]
-        for _ in range(n - 1):
-            nxt = b.net("n")
-            b.cell("INV_X2", A=node, Y=nxt)
-            node = nxt
-        b.cell("INV_X2", A=node, Y=y)
-        return b.finish()
-
-    def test_downsize_walks_the_ladder(self, library):
-        m = self._x2_chain(6)
-        moved = resize_drive(m, library, step=-1)
-        assert moved == 6
-        assert all(
-            parse_variant_name(i.cell_name)[2] == 1 for i in m.instances
-        )
-        # Already at the ladder floor: clamped, nothing to do.
-        assert resize_drive(m, library, step=-1) == 0
-
-    def test_violating_downsize_rejected_and_reverted(self, library):
-        """Mutation: a downsize that pushes the wire-loaded minimum
-        period past the bound must raise and leave the module intact."""
-        wire = 8.0
-        m = self._x2_chain(8)
-        bound = minimum_period_ns(m, library, wire_load=lambda n: wire)
-        before = [inst.cell_name for inst in m.instances]
-        with pytest.raises(TimingError, match="reverted"):
-            resize_drive(
-                m, library, step=-1,
-                max_period_ns=bound, wire_load=lambda n: wire,
-            )
-        assert [i.cell_name for i in m.instances] == before
-        assert minimum_period_ns(
-            m, library, wire_load=lambda n: wire
-        ) == pytest.approx(bound)
-
-    def test_bounded_upsize_accepted(self, library):
-        m = self._x2_chain(8)
-        bound = minimum_period_ns(m, library, wire_load=lambda n: 8.0)
-        moved = resize_drive(
-            m, library, step=1,
-            max_period_ns=bound, wire_load=lambda n: 8.0,
-        )
-        assert moved == 8
-        assert minimum_period_ns(m, library, wire_load=lambda n: 8.0) < bound
-
-    def test_upsize_critical_fixes_violations(self, library):
-        m = self._x2_chain(8)
-        wire = 12.0
-        period = minimum_period_ns(m, library, wire_load=lambda n: wire)
-        moved = upsize_critical(
-            m, library, clock_period_ns=period * 0.9,
-            wire_load=lambda n: wire,
-        )
-        assert moved > 0
-        assert minimum_period_ns(
-            m, library, wire_load=lambda n: wire
-        ) < period
 
 
 class TestRecoverLeakage:
