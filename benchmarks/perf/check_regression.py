@@ -25,11 +25,10 @@ Absolute invariants (not ratios — these hold on any machine):
   with the full Vt x drive variant grid stays under 3x the single-Vt
   warm load (the multi-Vt library's acceptance contract);
 * ``signoff_ss_clean`` — the quickstart macro signs off at SS;
-* ``vecsim_speedup`` >= 100 — the vectorized batch verifier stays at
-  least 100x faster per vector than the scalar simulator (same-machine
-  ratio), and ``vecsim_verified_clean`` — the quickstart netlist
-  verifies clean against the golden model.  ``vecsim_vectors_per_s``
-  is additionally floored at half its baseline;
+* ``vecsim_verified_clean`` — the quickstart netlist verifies clean
+  against the golden model, and ``vecsim_vectors_per_s`` (its
+  end-to-end ``verify_macro`` throughput) stays above half its
+  baseline;
 * ``vecsim_tiled_vectors_per_s`` >= 100000 — the word-tiled propagate
   loop's raw ``run_mac`` throughput on the quickstart netlist (the
   tiled-simulator acceptance contract);
@@ -73,14 +72,7 @@ RATIO_CEILINGS = (
 )
 
 #: Machine-independent invariants: (metric, min allowed value).
-#: ``vecsim_speedup`` is the batch-verification engine's acceptance
-#: contract — both rates are measured on the same machine, so the
-#: ratio holds anywhere; falling under 100x means the vectorized
-#: kernels de-vectorized.
-RATIO_FLOORS = (
-    ("vecsim_speedup", 100.0),
-    ("vecsim_tiled_vectors_per_s", 100000.0),
-)
+RATIO_FLOORS = (("vecsim_tiled_vectors_per_s", 100000.0),)
 
 #: Throughput metrics (higher is better): fail when
 #: ``measured < baseline / divisor``.

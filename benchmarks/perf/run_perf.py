@@ -59,13 +59,11 @@ trajectory is tracked PR over PR:
     multi-corner subsystem's contract is that the per-view cache
     sharing keeps the ratio under 2x (guarded by the CI
     perf-regression job; ``signoff_ss_clean`` must also hold).
-``vecsim_vectors_per_s`` / ``gatesim_vectors_per_s`` / ``vecsim_speedup``
+``vecsim_vectors_per_s`` / ``vecsim_verified_clean``
     batch functional verification of the quickstart macro netlist:
     end-to-end ``verify_macro`` throughput (stimulus generation, weight
-    loads, simulation and checking included) versus the scalar
-    ``GateSimulator`` reference driving the same netlist — the
-    vectorized sim's acceptance contract is a >= 100x per-vector
-    speedup (``vecsim_verified_clean`` must also hold).
+    loads, simulation and checking included), floored at half its
+    baseline by the gate; the netlist must also verify clean.
 
 Run directly (``python benchmarks/perf/run_perf.py``) or via
 ``make perf``.  ``--output`` overrides the JSON path; ``--quick`` skips
@@ -337,31 +335,8 @@ def bench_signoff(repeats: int = 3) -> dict:
     }
 
 
-def _scalar_reference_rate(spec, arch, flat, shape, vectors: int = 2) -> float:
-    """MAC vectors/second through the scalar ``GateSimulator`` on one
-    generated macro netlist, driven with the *shared* cycle protocol
-    (:meth:`repro.verify.testbench.VecMacroTestbench.scalar_mac_rate` —
-    one protocol definition for the harness, the perf suite and the
-    smoke tests)."""
-    import numpy as np
-
-    from repro.sim.formats import int_range
-    from repro.spec import INT8
-    from repro.verify.testbench import VecMacroTestbench
-
-    tb = VecMacroTestbench(spec, arch, batch=1, netlist=flat, shape=shape)
-    rng = np.random.default_rng(0)
-    lo, hi = int_range(INT8.bits)
-    tb.load_weights(
-        0,
-        rng.integers(lo, hi + 1, size=(spec.height, tb.model.n_groups)),
-        INT8,
-    )
-    return tb.scalar_mac_rate(vectors=vectors)
-
-
 def bench_vecsim(vectors: int = 4096) -> dict:
-    """Vectorized batch verification vs the scalar simulator."""
+    """Vectorized batch verification of the quickstart macro."""
     from repro.arch import MacroArchitecture
     from repro.rtl.gen.macro import generate_macro
     from repro.verify.harness import verify_macro
@@ -373,7 +348,6 @@ def bench_vecsim(vectors: int = 4096) -> dict:
     report = verify_macro(
         spec, arch, netlist=flat, shape=shape, vectors=vectors, seed=1
     )
-    scalar_rate = _scalar_reference_rate(spec, arch, flat, shape)
 
     # Raw tiled-propagate throughput: run_mac only (no weight loads, no
     # golden model, no mismatch bookkeeping) on a 4096-lane batch — the
@@ -413,8 +387,6 @@ def bench_vecsim(vectors: int = 4096) -> dict:
         "vecsim_tiled_vectors_per_s": round(
             statistics.median(tiled_samples), 1
         ),
-        "gatesim_vectors_per_s": round(scalar_rate, 3),
-        "vecsim_speedup": round(report.vectors_per_s / scalar_rate, 1),
         "vecsim_verified_clean": bool(report.passed),
     }
 

@@ -9,7 +9,8 @@ thresholds generous enough for loaded CI runners:
 * a single search on a warm SCL stays interactive;
 * a full compile **with implementation** (the vectorized layout/DRC/
   routing/synthesis kernels) stays interactive — the regression guard
-  for the implement-flow rewrite.
+  for the implement-flow rewrite;
+* batch verification of the quickstart macro stays vectorized.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ IMPLEMENT_CEILING_S = 3.0
 #: twice a single-corner run (measured ~1.15x; the per-view STA/power
 #: caches are what hold this — losing them costs ~3x).
 SIGNOFF_RATIO_CEILING = 2.0
-#: Batch-verification contract: the vectorized simulator delivers at
-#: least 100x the scalar simulator's vectors/second on the quickstart
-#: macro (measured ~10,000x; the floor only trips if the engine
-#: de-vectorizes into a per-vector loop).
-VECSIM_SPEEDUP_FLOOR = 100.0
+#: Batch-verification contract: ``verify_macro`` drives at least this
+#: many vectors/second through the quickstart macro (measured
+#: 10,200-10,800 on a 2-vCPU container; a scalar, per-vector simulation
+#: manages under one).
+VECSIM_VECTORS_PER_S_FLOOR = 1000.0
 
 
 def test_warm_scl_load_smoke(tmp_path: pathlib.Path):
@@ -95,12 +96,10 @@ def test_full_implement_smoke(scl):
     )
 
 
-def test_vecsim_speedup_smoke():
-    """The vectorized batch verifier must stay >= 100x faster per
-    vector than the scalar reference on the quickstart macro — and the
-    generated netlist must verify clean against the golden model.
-    Both rates are measured here on the same machine and netlist, so
-    the ratio is immune to runner speed."""
+def test_vecsim_throughput_smoke():
+    """The vectorized batch verifier must drive the quickstart macro at
+    ``VECSIM_VECTORS_PER_S_FLOOR`` vectors/second or more — and the
+    generated netlist must verify clean against the golden model."""
     from repro.arch import MacroArchitecture
     from repro.rtl.gen.macro import generate_macro
     from repro.verify.harness import verify_macro
@@ -113,12 +112,9 @@ def test_vecsim_speedup_smoke():
         spec, arch, netlist=flat, shape=shape, vectors=2048, seed=1
     )
     assert report.passed, report.describe()
-    scalar_rate = run_perf._scalar_reference_rate(spec, arch, flat, shape)
-    speedup = report.vectors_per_s / scalar_rate
-    assert speedup >= VECSIM_SPEEDUP_FLOOR, (
-        f"vecsim only {speedup:.0f}x the scalar simulator "
-        f"({report.vectors_per_s:.0f} vs {scalar_rate:.2f} vectors/s; "
-        f"floor {VECSIM_SPEEDUP_FLOOR}x)"
+    assert report.vectors_per_s >= VECSIM_VECTORS_PER_S_FLOOR, (
+        f"vecsim verified only {report.vectors_per_s:.0f} vectors/s "
+        f"(floor {VECSIM_VECTORS_PER_S_FLOOR:.0f})"
     )
 
 

@@ -20,12 +20,13 @@ vdd) — the order results appear in JSONL outputs and summaries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Sized, Tuple
 
 from ..errors import SpecificationError
 from ..spec import DataFormat, MacroSpec, PPAWeights, parse_format
 
-#: Cap on a single expanded axis, to catch runaway ranges like 1:1e9:+1.
+#: Cap on one expanded axis (all its tokens, deduplicated), to catch
+#: runaway ranges like 1:1e9:+1.
 MAX_AXIS_POINTS = 4096
 #: Cap on the whole grid (the product of the axis lengths), checked
 #: before any spec is built: two capped axes would make 16.7M specs.
@@ -100,26 +101,24 @@ def parse_range(token: str, integer: bool = True) -> List[float]:
 
 
 def parse_axis(tokens: Sequence[str], integer: bool = True) -> List[float]:
-    """Expand a whole axis (several tokens), deduplicated, order kept."""
-    values: List[float] = []
+    """Expand a whole axis (several tokens), deduplicated, order kept,
+    at most :data:`MAX_AXIS_POINTS` values in all."""
+    values: Dict[float, None] = {}
     for token in tokens:
-        for value in parse_range(token, integer):
-            if value not in values:
-                values.append(value)
-    return values
+        values.update(dict.fromkeys(parse_range(token, integer)))
+        _check_axis_size(values, token)
+    return list(values)
 
 
 def parse_format_sets(tokens: Sequence[str]) -> List[Tuple[DataFormat, ...]]:
     """Each token is a comma-joined format group: ``INT4,INT8,FP8``."""
-    sets: List[Tuple[DataFormat, ...]] = []
+    sets: Dict[Tuple[DataFormat, ...], None] = {}
     for token in tokens:
         names = [n for n in token.split(",") if n]
         if not names:
             raise SpecificationError(f"empty format group {token!r}")
-        group = tuple(parse_format(name) for name in names)
-        if group not in sets:
-            sets.append(group)
-    return sets
+        sets[tuple(parse_format(name) for name in names)] = None
+    return list(sets)
 
 
 def expand_grid(
@@ -176,7 +175,7 @@ def expand_grid(
 
 def grid_summary(specs: Sequence[MacroSpec]) -> str:
     """One line naming the swept axes and the grid size."""
-    axes: Dict[str, List[object]] = {}
+    axes: Dict[str, Dict[object, None]] = {}
     for spec in specs:
         for name, value in (
             ("height", spec.height),
@@ -186,9 +185,7 @@ def grid_summary(specs: Sequence[MacroSpec]) -> str:
             ("MHz", spec.mac_frequency_mhz),
             ("vdd", spec.vdd),
         ):
-            axes.setdefault(name, [])
-            if value not in axes[name]:
-                axes[name].append(value)
+            axes.setdefault(name, {})[value] = None
     varied = [
         f"{name}[{', '.join(str(v) for v in values)}]"
         for name, values in axes.items()
@@ -217,7 +214,7 @@ def _round(value: float, integer: bool) -> float:
     return int(round(value)) if integer else round(value, 9)
 
 
-def _check_axis_size(values: List[float], token: str) -> None:
+def _check_axis_size(values: Sized, token: str) -> None:
     if len(values) > MAX_AXIS_POINTS:
         raise SpecificationError(
             f"sweep range {token!r} expands past {MAX_AXIS_POINTS} points"

@@ -31,7 +31,7 @@ from ..layout.gds import write_gds_json
 from ..layout.lvs import LVSReport, run_lvs
 from ..layout.arena import LayoutArena
 from ..layout.route import RoutingEstimate
-from ..layout.sdp import Placement, SDPParams
+from ..layout.sdp import Placement
 from ..power.estimator import PowerReport, estimate_power, sparsity_input_stats
 from ..rtl.gen.macro import MacroShape, generate_macro_with_array, macro_shape
 from ..rtl.ir import Module
@@ -179,7 +179,6 @@ class ImplementSession:
     spec: MacroSpec
     library: StdCellLibrary = field(default_factory=default_library)
     process: Process = field(default_factory=lambda: GENERIC_40NM)
-    sdp_params: Optional[SDPParams] = None
     input_sparsity: float = 0.0
     weight_sparsity: float = 0.0
     #: Operating corners for multi-corner signoff; ``None`` keeps the
@@ -187,15 +186,6 @@ class ImplementSession:
     #: compiled NetView, STA arrays and the nominal power analysis, so
     #: each extra corner costs one derated arrival propagation.
     corners: Optional[CornerSet] = None
-    #: Post-synthesis functional verification: drive the optimized
-    #: netlist with ``verify_vectors`` randomized + directed MAC
-    #: stimuli against the golden model (see :mod:`repro.verify`).
-    #: The report lands on :attr:`Implementation.verification`; a
-    #: mismatch never raises — it is signoff data, judged by
-    #: :attr:`Implementation.verification_clean`.
-    verify: bool = False
-    verify_vectors: int = DEFAULT_VECTORS
-    verify_seed: int = 0
     #: Netlist-level leakage recovery (``--vt auto``): after synthesis,
     #: combinational cells with setup slack to spare at the worst
     #: signoff derate are demoted to hvt (see
@@ -278,19 +268,20 @@ class ImplementSession:
     # -- verification ------------------------------------------------------
 
     def verify_implementation(
-        self,
-        impl: Implementation,
-        vectors: Optional[int] = None,
-        seed: Optional[int] = None,
+        self, impl: Implementation, vectors: int = DEFAULT_VECTORS
     ) -> VerificationReport:
-        """Run the functional-verification stage on a finished
-        implementation and attach the report.
+        """Run the post-synthesis functional-verification stage on a
+        finished implementation and attach the report.
 
-        This is what the compiler's escalation loop calls *once* on the
-        implementation it actually returns — discarded timing-escalation
-        attempts never pay for verification (the session-level
-        ``verify=True`` flag, by contrast, verifies every
-        :meth:`implement` call).
+        The optimized netlist is driven with ``vectors`` randomized +
+        directed MAC stimuli against the golden model (see
+        :mod:`repro.verify`).  The report lands on
+        :attr:`Implementation.verification`; a mismatch never raises —
+        it is signoff data, judged by
+        :attr:`Implementation.verification_clean`.  The compiler's
+        escalation loop calls this *once*, on the implementation it
+        returns, so discarded timing-escalation attempts never pay for
+        verification.
         """
         report = verify_macro(
             impl.spec,
@@ -298,8 +289,7 @@ class ImplementSession:
             netlist=impl.netlist,
             shape=impl.shape,
             library=self.library,
-            vectors=self.verify_vectors if vectors is None else vectors,
-            seed=self.verify_seed if seed is None else seed,
+            vectors=vectors,
         )
         impl.verification = report
         return report
@@ -349,10 +339,8 @@ class ImplementSession:
         # HPWL reduction; re-implements replay the winning floorplan and
         # reuse the routing estimate (same object — its memoized wire
         # load keeps the STA/power caches warm below).
-        placement = self._arena.place(flat, library, self.sdp_params)
-        routing = self._arena.route(
-            flat, placement, library, process, self.sdp_params
-        )
+        placement = self._arena.place(flat, library)
+        routing = self._arena.route(flat, placement, library, process)
         drc = run_drc(flat, placement, library)
         lvs = run_lvs(flat, placement)
         if not drc.clean:
@@ -377,17 +365,6 @@ class ImplementSession:
             input_stats=stats,
             wire_load=wire_load,
         )
-        verification: Optional[VerificationReport] = None
-        if self.verify:
-            verification = verify_macro(
-                spec,
-                arch,
-                netlist=flat,
-                shape=shape,
-                library=library,
-                vectors=self.verify_vectors,
-                seed=self.verify_seed,
-            )
         signoff = None
         if self.corners is not None:
             signoff = multi_corner_signoff(
@@ -413,7 +390,6 @@ class ImplementSession:
             power=power,
             min_period_ns=min_period,
             signoff=signoff,
-            verification=verification,
         )
         if impl.timing.met:
             # Failed attempts are essentially never revisited (the fix
@@ -430,7 +406,6 @@ def implement(
     arch: MacroArchitecture,
     library: Optional[StdCellLibrary] = None,
     process: Optional[Process] = None,
-    sdp_params: Optional[SDPParams] = None,
     input_sparsity: float = 0.0,
     weight_sparsity: float = 0.0,
     corners: Optional[CornerSet] = None,
@@ -438,17 +413,19 @@ def implement(
     verify_vectors: int = DEFAULT_VECTORS,
     vt_recovery: bool = False,
 ) -> Implementation:
-    """Run the complete implementation flow for one design point."""
+    """Run the complete implementation flow for one design point;
+    ``verify=True`` adds the functional-verification stage
+    (:meth:`ImplementSession.verify_implementation`)."""
     session = ImplementSession(
         spec,
         library=library or default_library(),
         process=process or GENERIC_40NM,
-        sdp_params=sdp_params,
         input_sparsity=input_sparsity,
         weight_sparsity=weight_sparsity,
         corners=corners,
-        verify=verify,
-        verify_vectors=verify_vectors,
         vt_recovery=vt_recovery,
     )
-    return session.implement(arch)
+    impl = session.implement(arch)
+    if verify:
+        session.verify_implementation(impl, verify_vectors)
+    return impl

@@ -34,6 +34,10 @@ from ..tech.stdcells import StdCellLibrary, default_library
 from ..verify.harness import DEFAULT_VECTORS as DEFAULT_VERIFY_VECTORS
 from .flow import Implementation, ImplementSession, implement
 
+#: Implementation attempts per compile: the first, plus up to three
+#: timing escalations after post-layout STA misses.
+MAX_IMPLEMENT_ATTEMPTS = 4
+
 
 @dataclass
 class CompileResult:
@@ -223,7 +227,6 @@ class SynDCIM:
         arch: MacroArchitecture,
         input_sparsity: float,
         weight_sparsity: float,
-        max_attempts: int = 4,
         verify: bool = False,
         verify_vectors: int = DEFAULT_VERIFY_VECTORS,
     ) -> Implementation:
@@ -245,9 +248,8 @@ class SynDCIM:
             # In auto mode the escalation loop may also step the logic
             # flavor faster, mirroring the searcher's fix family.
             mac_fixes = mac_fixes + VT_TIMING_FIXES
-        # The session itself runs without the verify stage: escalation
-        # attempts that miss timing are discarded, so only the final
-        # implementation (below) pays for verification.
+        # Escalation attempts that miss timing are discarded, so only
+        # the final implementation (below) pays for verification.
         session = ImplementSession(
             spec,
             library=self.library,
@@ -259,7 +261,7 @@ class SynDCIM:
         )
         impl = session.implement(arch)
         attempts = 1
-        while not impl.timing_met_signoff and attempts < max_attempts:
+        while not impl.timing_met_signoff and attempts < MAX_IMPLEMENT_ATTEMPTS:
             # With corners configured, escalation is driven by the
             # *worst corner's* critical endpoint — the path the SS
             # derate pushed over the clock — not the nominal one.

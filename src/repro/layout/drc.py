@@ -14,8 +14,8 @@ The checks run over the placement's coordinate arrays (see
 :func:`repro.layout.geometry.rect_arrays`): boundary and site rules are
 single vectorized comparisons, and the overlap rule uses the
 grid-binned :func:`repro.layout.geometry.overlap_pairs` sweep, which
-reproduces the scalar :func:`~repro.layout.geometry.sweep_overlaps`
-pair set exactly.  Every rect is always checked — ``max_violations``
+reproduces the pair set of the scalar sort-and-sweep it replaced
+(``sweep_overlaps`` in ``tests/reference/layout.py``) exactly.  Every rect is always checked — ``max_violations``
 caps only the *reported* violations, never the sweep input (the old
 scalar loop broke out of rect collection early, silently truncating the
 overlap sweep).

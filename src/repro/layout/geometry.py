@@ -2,21 +2,21 @@
 
 Two tiers live here:
 
-* scalar :class:`Rect` objects plus :func:`sweep_overlaps`, the pinned
-  reference implementations used by the unit tests and by anything that
-  handles a handful of rectangles;
+* scalar :class:`Rect` objects: floorplan regions, and the cells a
+  placement's cell map materializes when indexed;
 * the vectorized kernels :func:`rect_arrays` / :func:`overlap_pairs`
   that DRC and routing run on whole placements — a grid-binned sweep
   over coordinate arrays that replaces the per-pair
   :meth:`Rect.overlaps` calls (the single hottest loop of the
   implementation flow) while producing the exact pair set, in the exact
-  emission order, of the scalar sweep.
+  emission order, of the scalar sort-and-sweep it replaced
+  (``sweep_overlaps`` in ``tests/reference/layout.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Mapping, Tuple
+from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -93,28 +93,6 @@ def half_perimeter(points: Iterable[Tuple[float, float]]) -> float:
     return box.width + box.height
 
 
-def sweep_overlaps(rects: List[Tuple[str, Rect]]) -> Iterator[Tuple[str, str]]:
-    """Yield overlapping pairs with a sort-and-sweep over x intervals.
-
-    ``O(n log n + k)`` in practice for row-based placements.  This is
-    the scalar **reference implementation**: :func:`overlap_pairs`
-    computes the same pair set (same order) over coordinate arrays and
-    is what :mod:`repro.layout.drc` actually runs; the equivalence suite
-    in ``tests/test_layout_kernels.py`` pins the two together.
-    """
-    events = sorted(rects, key=lambda item: item[1].x0)
-    active: List[Tuple[str, Rect]] = []
-    for name, rect in events:
-        still_active: List[Tuple[str, Rect]] = []
-        for other_name, other in active:
-            if other.x1 > rect.x0 + 1e-9:
-                still_active.append((other_name, other))
-                if rect.overlaps(other):
-                    yield (other_name, name)
-        active = still_active
-        active.append((name, rect))
-
-
 # ---------------------------------------------------------------------------
 # Vectorized kernels (coordinate-array tier).
 # ---------------------------------------------------------------------------
@@ -162,7 +140,7 @@ def overlap_pairs(
     """All strictly-overlapping rectangle pairs, vectorized.
 
     Produces exactly the pairs (and the emission order) of the scalar
-    :func:`sweep_overlaps` reference: pairs come out sorted by the
+    ``sweep_overlaps`` reference: pairs come out sorted by the
     x-sorted event rank of the later rectangle, then of the earlier one,
     each pair as ``(earlier_name, later_name)``.
 

@@ -15,8 +15,8 @@ estimates:
 compiled :class:`~repro.rtl.netview.NetView` pin tables and the
 placement's coordinate arrays — min/max reductions grouped by net index
 instead of a Python dict of point lists.  The original scalar walk is
-retained as :func:`estimate_routing_reference`; the equivalence suite
-pins the per-net lengths and caps of the two bit-for-bit.
+kept in ``tests/reference/layout.py``; the equivalence suite pins the
+per-net lengths and caps of the two bit-for-bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ..rtl.ir import Module
 from ..rtl.netview import net_view
 from ..tech.process import Process
 from ..tech.stdcells import StdCellLibrary
-from .geometry import bounding_box, rect_arrays
+from .geometry import rect_arrays
 from .sdp import Placement
 
 
@@ -163,47 +163,6 @@ def estimate_routing(
         net_lengths = {}
         net_caps = {}
         total = 0.0
-
-    layers, congestion = _supply_and_congestion(placement, process, total)
-    return RoutingEstimate(
-        total_wirelength_um=total,
-        net_lengths_um=net_lengths,
-        net_caps_ff=net_caps,
-        congestion=congestion,
-        layers_assumed=layers,
-    )
-
-
-def estimate_routing_reference(
-    module: Module,
-    placement: Placement,
-    library: StdCellLibrary,
-    process: Process,
-) -> RoutingEstimate:
-    """Scalar reference implementation (per-net Python dict walk), kept
-    verbatim to pin :func:`estimate_routing`."""
-    pin_positions: Dict[str, List[Tuple[float, float]]] = {}
-    for inst in module.instances:
-        rect = placement.cells.get(inst.name)
-        if rect is None:
-            raise LayoutError(f"instance {inst.name} missing from placement")
-        center = rect.center
-        for net in inst.conn.values():
-            pin_positions.setdefault(net, []).append(center)
-
-    net_lengths: Dict[str, float] = {}
-    net_caps: Dict[str, float] = {}
-    total = 0.0
-    for net, points in pin_positions.items():
-        if len(points) < 2:
-            net_lengths[net] = 0.0
-            net_caps[net] = 0.0
-            continue
-        box = bounding_box(points)
-        length = box.width + box.height
-        net_lengths[net] = length
-        net_caps[net] = process.wire_cap_ff(length)
-        total += length
 
     layers, congestion = _supply_and_congestion(placement, process, total)
     return RoutingEstimate(

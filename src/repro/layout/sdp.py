@@ -23,9 +23,9 @@ The packing kernels run over precomputed per-partition width arrays:
 cell widths and areas are resolved once per unique cell type, shelf rows
 are cut with prefix-sum searches (:func:`_pack_rows`) instead of a
 per-instance retry loop, and the SRAM grid is laid out with whole-column
-index arithmetic.  The per-instance scalar packer survives as
-:func:`_shelf_pack` — the pinned reference the layout-kernel equivalence
-suite packs against.
+index arithmetic.  The per-instance scalar packer it replaced,
+``_shelf_pack``, is kept in ``tests/reference/layout.py`` — the pinned
+reference the layout-kernel equivalence suite packs against.
 
 The result is a :class:`Placement` the router, DRC, LVS and GDS writer
 consume; its cell map is backed by the raw coordinate arrays and only
@@ -206,37 +206,6 @@ def _partition(module: Module) -> _Partition:
     if not part.columns:
         raise LayoutError("no column logic found in module")
     return part
-
-
-def _shelf_pack(
-    instances: List[Instance],
-    library: StdCellLibrary,
-    region: Rect,
-    row_height: float,
-    placed: Dict[str, Rect],
-) -> bool:
-    """Left-to-right, bottom-to-top shelf packing.  Returns False when
-    the region overflows (caller grows the floorplan and retries).
-
-    Scalar **reference implementation** — the placer runs
-    :func:`_pack_rows` over precomputed width arrays instead; the
-    equivalence suite packs both and compares the shelves.
-    """
-    x = region.x0
-    y = region.y0
-    for inst in instances:
-        cell = library.cell(inst.cell_name)
-        w = cell.width_um or cell.area_um2 / row_height
-        if w > region.width + 1e-9:
-            return False
-        if x + w > region.x1 + 1e-9:
-            x = region.x0
-            y += row_height
-        if y + row_height > region.y1 + 1e-6:
-            return False
-        placed[inst.name] = Rect(x, y, x + w, y + row_height)
-        x += w
-    return True
 
 
 def _pack_rows(

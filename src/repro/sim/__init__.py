@@ -1,6 +1,5 @@
-"""Simulation: number formats, behavioural macro model, gate-level
-simulation (scalar reference and vectorized batch engine), and the
-voltage/frequency shmoo engine.
+"""Simulation: number formats, behavioural macro model, the vectorized
+batch gate-level simulator, and the voltage/frequency shmoo engine.
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.

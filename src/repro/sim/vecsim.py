@@ -9,8 +9,9 @@ vectorized kernel calls instead of one Python dict-walk per cell per
 vector — the same NetView-index treatment the STA/activity/power
 kernels received, applied to simulation.
 
-Semantics mirror :class:`repro.sim.gatesim.GateSimulator` (the pinned
-scalar reference) bit for bit:
+Semantics mirror the scalar ``GateSimulator`` it replaced (kept in
+``tests/reference/gatesim.py``; ``tests/test_vecsim.py`` pins the two
+together) bit for bit:
 
 * combinational cells are levelized once (cycle ⇒ :class:`SimulationError`);
 * sequential cells get master-slave semantics on :meth:`clock` (all D

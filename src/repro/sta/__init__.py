@@ -2,38 +2,7 @@
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.sta.analysis``, ``repro.sta.graph``).
 """
-
-from .analysis import (
-    PathStep,
-    TimingReport,
-    analyze,
-    analyze_graph,
-    instance_slacks,
-    minimum_period_ns,
-    net_slacks,
-    propagate,
-)
-from .graph import (
-    DEFAULT_WLM_FF_PER_SINK,
-    TimingEdge,
-    TimingGraph,
-    build_timing_graph,
-    net_capacitance,
-)
-
-__all__ = [
-    "PathStep",
-    "TimingReport",
-    "analyze",
-    "analyze_graph",
-    "instance_slacks",
-    "minimum_period_ns",
-    "net_slacks",
-    "propagate",
-    "DEFAULT_WLM_FF_PER_SINK",
-    "TimingEdge",
-    "TimingGraph",
-    "build_timing_graph",
-    "net_capacitance",
-]

@@ -27,14 +27,9 @@ import numpy as np
 from ..errors import TimingError
 from ..rtl.ir import Module
 from ..rtl.netview import NetView, net_view
-from ..tech.characterization import (
-    SLEW_GAIN,
-    SLEW_SENSITIVITY,
-    arc_delay_ns,
-    arc_slew_ns,
-)
+from ..tech.characterization import SLEW_GAIN, SLEW_SENSITIVITY
 from ..tech.stdcells import StdCellLibrary
-from .graph import TimingGraph, WireLoadFn, build_timing_graph, net_loads_vector
+from .graph import WireLoadFn, net_loads_vector
 
 #: Assumed transition time at startpoints (registered outputs / ports).
 START_SLEW_NS = 0.02
@@ -105,49 +100,11 @@ def analyze(
     pass ``CORNERS["SS"].delay_factor`` for slow-corner signoff.
 
     Runs the vectorized forward pass (see :class:`_TimingArrays`);
-    :func:`analyze_graph` on an explicitly built graph remains the
-    scalar reference implementation.
+    ``tests/reference/sta.py`` keeps the explicit-graph version it
+    replaced, which the equivalence suite pins it to.
     """
     view = net_view(module, library)
     return _analyze_view(view, clock_period_ns, derate, wire_load)
-
-
-def analyze_graph(
-    graph: TimingGraph, clock_period_ns: float, derate: float = 1.0
-) -> TimingReport:
-    if clock_period_ns <= 0.0:
-        raise TimingError("clock period must be positive")
-    if derate <= 0.0:
-        raise TimingError("derate must be positive")
-    arrivals, slews, parent = propagate(graph, derate)
-
-    worst_req = float("inf")
-    worst_net = ""
-    worst_kind = ""
-    worst_arrival = 0.0
-    endpoint_slacks: Dict[str, float] = {}
-    for net, (kind, setup) in graph.endpoints.items():
-        arrival = arrivals.get(net, 0.0)
-        slack = clock_period_ns - setup - arrival
-        endpoint_slacks[net] = slack
-        if slack < worst_req:
-            worst_req = slack
-            worst_net = net
-            worst_kind = kind
-            worst_arrival = arrival + setup
-    if not endpoint_slacks:
-        raise TimingError("design has no timing endpoints")
-
-    path = _trace_path(graph, parent, worst_net, arrivals)
-    return TimingReport(
-        clock_period_ns=clock_period_ns,
-        critical_path_ns=worst_arrival,
-        wns_ns=worst_req,
-        endpoint=worst_net,
-        endpoint_kind=worst_kind,
-        path=tuple(path),
-        endpoint_slacks=endpoint_slacks,
-    )
 
 
 class _TimingArrays:
@@ -236,7 +193,8 @@ class _TimingArrays:
         # Flat topological edge order (Kahn): an edge appears only after
         # every edge into its source net, so one in-order scalar relax
         # pass computes final arrivals.  Processing order matches the
-        # reference propagate()'s queue discipline, tie-breaks included.
+        # queue discipline of the graph-based reference
+        # (tests/reference/sta.py), tie-breaks included.
         edge_order: List[int] = []
         n_edges = int(self.src.size)
         src_list: List[int] = []
@@ -587,158 +545,6 @@ def instance_slacks(
     for idx, inst in enumerate(instances):
         out[inst.name] = slacks.get(idx, inf)
     return out
-
-
-def propagate(
-    graph: TimingGraph,
-    derate: float = 1.0,
-) -> Tuple[Dict[str, float], Dict[str, float], Dict[str, Optional[object]]]:
-    """Kahn-ordered longest-path arrival propagation.
-
-    Returns (arrival per net, slew per net, predecessor edge per net).
-    Raises :class:`TimingError` if a combinational cycle prevents a full
-    topological order.
-    """
-    arrivals: Dict[str, float] = {}
-    slews: Dict[str, float] = {}
-    parent: Dict[str, Optional[object]] = {}
-    indegree = dict(graph.fanin_count)
-
-    queue: deque = deque()
-    for net in graph.module.nets:
-        if indegree.get(net, 0) == 0:
-            arrivals[net] = graph.startpoints.get(net, 0.0)
-            slews[net] = START_SLEW_NS
-            parent[net] = None
-            queue.append(net)
-
-    processed = 0
-    total_edges = sum(len(v) for v in graph.edges_from.values())
-    relaxed = 0
-    while queue:
-        net = queue.popleft()
-        processed += 1
-        for edge in graph.edges_from.get(net, ()):  # type: ignore[arg-type]
-            load = graph.net_load_ff[edge.dst_net]
-            delay = arc_delay_ns(edge.arc, slews[net], load) * derate
-            cand = arrivals[net] + delay
-            if cand > arrivals.get(edge.dst_net, float("-inf")):
-                arrivals[edge.dst_net] = cand
-                slews[edge.dst_net] = arc_slew_ns(edge.arc, load)
-                parent[edge.dst_net] = edge
-            relaxed += 1
-            indegree[edge.dst_net] -= 1
-            if indegree[edge.dst_net] == 0:
-                # Launch offsets (reg Q driving a net also fed by logic
-                # cannot happen: single-driver rule), so only max with
-                # startpoints for safety.
-                start = graph.startpoints.get(edge.dst_net)
-                if start is not None and start > arrivals[edge.dst_net]:
-                    arrivals[edge.dst_net] = start
-                    parent[edge.dst_net] = None
-                queue.append(edge.dst_net)
-
-    if relaxed != total_edges:
-        raise TimingError(
-            f"combinational cycle detected: relaxed {relaxed} of "
-            f"{total_edges} arcs"
-        )
-    return arrivals, slews, parent
-
-
-def _trace_path(
-    graph: TimingGraph,
-    parent: Dict[str, Optional[object]],
-    endpoint: str,
-    arrivals: Dict[str, float],
-) -> List[PathStep]:
-    path: List[PathStep] = []
-    net = endpoint
-    guard = 0
-    while net in parent and parent[net] is not None:
-        edge = parent[net]
-        path.append(
-            PathStep(
-                instance=edge.inst.name,  # type: ignore[union-attr]
-                cell=edge.cell.name,  # type: ignore[union-attr]
-                input_pin=edge.arc.input_pin,  # type: ignore[union-attr]
-                output_pin=edge.arc.output_pin,  # type: ignore[union-attr]
-                net=net,
-                arrival_ns=arrivals.get(net, 0.0),
-            )
-        )
-        net = edge.src_net  # type: ignore[union-attr]
-        guard += 1
-        if guard > 1_000_000:  # pragma: no cover - defensive
-            raise TimingError("path traceback did not terminate")
-    path.reverse()
-    return path
-
-
-@dataclass(frozen=True)
-class HoldReport:
-    """Result of a min-delay (hold) check."""
-
-    worst_slack_ns: float
-    endpoint: str
-
-    @property
-    def met(self) -> bool:
-        return self.worst_slack_ns >= 0.0
-
-
-def analyze_hold(
-    module: Module,
-    library: StdCellLibrary,
-    wire_load: Optional[WireLoadFn] = None,
-) -> HoldReport:
-    """Shortest-path (early-arrival) check against register hold times.
-
-    Same-edge capture: data launched at clock-to-Q must not beat the
-    capturing register's hold window.  Our single-clock, buffered-tree
-    macros have no clock skew model, so slack = min_arrival - hold.
-    """
-    graph = build_timing_graph(module, library, wire_load)
-    # External inputs are assumed to arrive with at least the hold
-    # window already elapsed (standard input-delay constraint).
-    input_delay = 0.05
-    input_ports = set(module.input_ports)
-    arrivals: Dict[str, float] = {}
-    indegree = dict(graph.fanin_count)
-    queue: deque = deque()
-    for net in graph.module.nets:
-        if indegree.get(net, 0) == 0:
-            start = graph.startpoints.get(net, 0.0)
-            if net in input_ports:
-                start = max(start, input_delay)
-            arrivals[net] = start
-            queue.append(net)
-    while queue:
-        net = queue.popleft()
-        for edge in graph.edges_from.get(net, ()):  # type: ignore[arg-type]
-            load = graph.net_load_ff[edge.dst_net]
-            cand = arrivals[net] + arc_delay_ns(edge.arc, START_SLEW_NS, load)
-            prev = arrivals.get(edge.dst_net)
-            if prev is None or cand < prev:
-                arrivals[edge.dst_net] = cand
-            indegree[edge.dst_net] -= 1
-            if indegree[edge.dst_net] == 0:
-                queue.append(edge.dst_net)
-
-    worst = float("inf")
-    worst_net = ""
-    for inst in graph.sequential:
-        cell = graph.library.cell(inst.cell_name)
-        d_net = inst.conn.get("D")
-        if d_net is None or d_net not in arrivals:
-            continue
-        slack = arrivals[d_net] - cell.hold_ns
-        if slack < worst:
-            worst = slack
-            worst_net = d_net
-    if worst == float("inf"):
-        worst = 0.0
-    return HoldReport(worst_slack_ns=worst, endpoint=worst_net)
 
 
 def minimum_period_ns(

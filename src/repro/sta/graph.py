@@ -1,62 +1,30 @@
-"""Pin-level timing graph construction.
+"""Net loads for timing and power analysis.
 
-Builds the directed graph STA walks: nodes are nets of a *flat* module;
-edges are the timing arcs of combinational cells.  Sequential cells cut
-the graph — their ``Q`` outputs launch paths (clock-to-Q) and their
-``D``/data inputs capture them (setup) — so the longest register-to-
-register combinational walk against the clock period is exactly what
-Synopsys PrimeTime would report for the same netlist.
+Every net of a *flat* module carries the input capacitance of its sink
+pins plus a wire load: before layout, :data:`DEFAULT_WLM_FF_PER_SINK`
+per sink (the wire-load model); after layout, the routed wire
+capacitance through a :data:`WireLoadFn`.  :func:`net_loads_vector`
+returns the total per net id of a compiled
+:class:`~repro.rtl.netview.NetView`, which STA
+(:mod:`repro.sta.analysis`) and power analysis consume.
 
-Memory bitcells are treated as combinational WL->RD arcs: the word line
-is driven by the (registered) WL driver, so array read paths appear
-naturally.
+The explicit pin-level timing graph STA once walked lives on in
+``tests/reference/sta.py`` as the scalar reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from ..rtl.ir import Instance, Module
-from ..rtl.netview import NetView, net_view
-from ..tech.stdcells import Cell, StdCellLibrary, TimingArc
+from ..rtl.netview import NetView
 
 #: Extra wire capacitance per fanout pin when no placement data exists
 #: (pre-layout wire-load model, fF per sink).
 DEFAULT_WLM_FF_PER_SINK = 0.35
 
 WireLoadFn = Callable[[str], float]
-
-
-@dataclass
-class TimingEdge:
-    """One cell arc instantiated in the design."""
-
-    inst: Instance
-    cell: Cell
-    arc: TimingArc
-    src_net: str
-    dst_net: str
-
-
-@dataclass
-class TimingGraph:
-    """Flattened design view ready for arrival-time propagation."""
-
-    module: Module
-    library: StdCellLibrary
-    net_load_ff: Dict[str, float]
-    edges_from: Dict[str, List[TimingEdge]]
-    fanin_count: Dict[str, int]
-    startpoints: Dict[str, float]  # net -> launch offset (ns)
-    endpoints: Dict[str, Tuple[str, float]]  # net -> (kind, setup_ns)
-    sequential: List[Instance] = field(default_factory=list)
-
-    @property
-    def net_count(self) -> int:
-        return len(self.module.nets)
 
 
 def net_loads_vector(
@@ -100,71 +68,3 @@ def net_loads_vector(
         )
         entry = view.derived["wire_vec"] = (wire, wire_load)
     return sink_cap + entry[0]
-
-
-def net_capacitance(
-    module: Module,
-    library: StdCellLibrary,
-    wire_load: Optional[WireLoadFn] = None,
-) -> Dict[str, float]:
-    """Total load on each net: sink pin caps plus the wire model."""
-    view = net_view(module, library)
-    loads = net_loads_vector(view, wire_load)
-    return dict(zip(view.net_names, loads.tolist()))
-
-
-def build_timing_graph(
-    module: Module,
-    library: StdCellLibrary,
-    wire_load: Optional[WireLoadFn] = None,
-) -> TimingGraph:
-    """Construct the graph; raises on combinational cycles at traversal
-    time (see :func:`repro.sta.analysis.propagate`)."""
-    net_load = net_capacitance(module, library, wire_load)
-    edges_from: Dict[str, List[TimingEdge]] = {}
-    fanin_count: Dict[str, int] = {net: 0 for net in module.nets}
-    startpoints: Dict[str, float] = {}
-    endpoints: Dict[str, Tuple[str, float]] = {}
-    sequential: List[Instance] = []
-
-    clock_nets: Set[str] = set(module.clock_nets)
-    for port in module.input_ports:
-        if port not in clock_nets:
-            startpoints[port] = 0.0
-    for port in module.output_ports:
-        endpoints[port] = ("output", 0.0)
-
-    for inst in module.instances:
-        cell = library.cell(inst.cell_name)
-        if cell.is_sequential:
-            sequential.append(inst)
-            q_net = inst.conn.get("Q")
-            if q_net is not None:
-                arc = cell.worst_arc_to("Q")
-                launch = cell.clk_to_q_ns + arc.r_kohm * net_load[q_net] * 1e-3
-                startpoints[q_net] = max(startpoints.get(q_net, 0.0), launch)
-            d_net = inst.conn.get("D")
-            if d_net is not None:
-                prev = endpoints.get(d_net)
-                setup = max(cell.setup_ns, prev[1] if prev else 0.0)
-                endpoints[d_net] = ("setup", setup)
-            continue
-        for arc in cell.arcs:
-            src = inst.conn.get(arc.input_pin)
-            dst = inst.conn.get(arc.output_pin)
-            if src is None or dst is None or src in clock_nets:
-                continue
-            edge = TimingEdge(inst, cell, arc, src, dst)
-            edges_from.setdefault(src, []).append(edge)
-            fanin_count[dst] = fanin_count.get(dst, 0) + 1
-
-    return TimingGraph(
-        module=module,
-        library=library,
-        net_load_ff=net_load,
-        edges_from=edges_from,
-        fanin_count=fanin_count,
-        startpoints=startpoints,
-        endpoints=endpoints,
-        sequential=sequential,
-    )

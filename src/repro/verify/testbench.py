@@ -25,7 +25,6 @@ Weight-net resolution:
 from __future__ import annotations
 
 import re
-import time
 from typing import Optional, Union
 
 import numpy as np
@@ -33,7 +32,6 @@ import numpy as np
 from ..arch import MacroArchitecture
 from ..errors import SimulationError
 from ..rtl.gen.macro import MacroShape, generate_macro, macro_shape
-from ..sim.formats import int_range
 from ..sim.functional import DCIMMacroModel
 from ..sim.vecsim import VecSim
 from ..spec import DataFormat, MacroSpec
@@ -229,57 +227,3 @@ class VecMacroTestbench:
             [self.model.group_weights(b) for b in range(self.spec.mcr)]
         )
         return np.einsum("nh,nhg->ng", xs, w[banks])
-
-    # -- scalar reference ----------------------------------------------------
-
-    def scalar_mac_rate(
-        self, vectors: int = 2, bank: int = 0, seed: int = 0
-    ) -> float:
-        """MAC vectors/second of the pinned scalar ``GateSimulator``
-        driving this netlist with the *same* cycle protocol — the
-        reference denominator for the vecsim speedup metric (a single
-        definition here keeps the protocol from drifting between the
-        batch engine, the perf harness and the smoke tests).
-
-        Weights must already be loaded (:meth:`load_weights`); the
-        scalar simulator gets the same bits via per-net forces.
-        """
-        from ..sim.gatesim import GateSimulator
-
-        spec, shape = self.spec, self.shape
-        sim = GateSimulator(self.netlist, self.library)
-        names = self.sim._view.net_names
-        bits = self.model.weight_bits(bank)
-        bank_ids = self._wb_ids.reshape(
-            spec.height * spec.mcr, spec.width
-        )[bank :: spec.mcr]
-        for r in range(spec.height):
-            for c in range(spec.width):
-                sim.force(
-                    names[int(bank_ids[r, c])], 1 - int(bits[r, c])
-                )
-        n_sel = spec.mcr.bit_length() - 1 if spec.mcr > 1 else 0
-        for i in range(n_sel):
-            sim.set_input(f"sel[{i}]", (bank >> i) & 1)
-        for i, s in enumerate(self.model.sub_controls()):
-            sim.set_input(f"sub[{i}]", s)
-        k = spec.input_width
-        lo, hi = int_range(k)
-        rng = np.random.default_rng(seed)
-        xs = rng.integers(lo, hi + 1, size=(vectors, spec.height))
-        t0 = time.perf_counter()
-        for v in range(vectors):
-            sim.reset_state()
-            for cyc in range(shape.latency_cycles):
-                for r in range(spec.height):
-                    bit = (
-                        (int(xs[v, r]) >> (k - 1 - cyc)) & 1
-                        if cyc < k
-                        else 0
-                    )
-                    sim.set_input(f"x[{r}]", bit)
-                ctrl = 1 if cyc == self.lpre else 0
-                sim.set_input("neg", ctrl)
-                sim.set_input("clear", ctrl)
-                sim.clock()
-        return vectors / (time.perf_counter() - t0)

@@ -1,8 +1,12 @@
-"""Two-value levelized gate-level simulator.
+"""Reference copy of the scalar two-value levelized gate-level simulator.
 
-Verifies generated netlists against the behavioural model (the paper's
-"gate-level simulation to ensure it meets frontend requirements",
-Section III.D).  The simulator:
+It verified generated netlists against the behavioural model (the
+paper's "gate-level simulation to ensure it meets frontend
+requirements", Section III.D) until the vectorized batch engine,
+:class:`repro.sim.vecsim.VecSim`, replaced it.  It is kept verbatim:
+``tests/test_vecsim.py`` pins ``VecSim`` to it bit for bit, and the
+generator and synthesis tests simulate small netlists with it.  Only the
+imports differ (absolute).  The simulator:
 
 * topologically levelizes the combinational cells of a flat module once
   (generated netlists are cycle-free by construction — a cycle raises);
@@ -18,9 +22,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..errors import SimulationError
-from ..rtl.ir import Instance, Module
-from ..tech.stdcells import StdCellLibrary
+from repro.errors import SimulationError
+from repro.rtl.ir import Instance, Module
+from repro.tech.stdcells import StdCellLibrary
 
 
 class GateSimulator:
@@ -178,6 +182,6 @@ class GateSimulator:
 
     def bus_int(self, base: str, width: int) -> int:
         """Two's-complement value of a bus."""
-        from .formats import decode_int
+        from repro.sim.formats import decode_int
 
         return decode_int(self.bus(base, width))

@@ -228,6 +228,11 @@ class TestSweepGrammar:
 
     def test_axis_deduplicates(self):
         assert parse_axis(["32", "32:64:x2"]) == [32, 64]
+        # First-seen order, not sorted.
+        assert parse_axis(["64", "8:128:x2", "16"]) == [64, 8, 16, 32, 128]
+        assert parse_axis(["0.9", "0.6:1.0:+0.1"], integer=False) == [
+            0.9, 0.6, 0.7, 0.8, 1.0,
+        ]
 
     def test_axis_cap(self):
         assert len(parse_range(f"1:{MAX_AXIS_POINTS}:+1")) == MAX_AXIS_POINTS
@@ -235,6 +240,20 @@ class TestSweepGrammar:
             SpecificationError, match=f"expands past {MAX_AXIS_POINTS} points"
         ):
             parse_range(f"1:{MAX_AXIS_POINTS + 1}:+1")
+
+    def test_axis_cap_covers_the_whole_axis(self):
+        """The cap counts an axis's distinct values over all its
+        tokens, not each token on its own."""
+        half = MAX_AXIS_POINTS // 2
+        assert len(parse_axis(["1:4096:+1", "1:4096:+1", "7"])) == MAX_AXIS_POINTS
+        assert len(parse_axis([f"1:{half}:+1", f"{half + 1}:4096:+1"])) == 4096
+        with pytest.raises(
+            SpecificationError,
+            match=f"'5000:9095:\\+1' expands past {MAX_AXIS_POINTS} points",
+        ):
+            parse_axis(["1:4096:+1", "5000:9095:+1", "10000:14095:+1"])
+        with pytest.raises(SpecificationError, match="expands past"):
+            parse_axis(["100:4195:+1", "5000"], integer=False)
 
     def test_format_sets(self):
         sets = parse_format_sets(["INT4,INT8", "FP8"])
@@ -244,6 +263,10 @@ class TestSweepGrammar:
         ]
         with pytest.raises(SpecificationError):
             parse_format_sets([","])
+        assert parse_format_sets(["INT8", "INT4,INT8", "INT8"]) == [
+            parse_format_sets(["INT8"])[0],
+            parse_format_sets(["INT4,INT8"])[0],
+        ]
 
     def test_expand_grid_order_and_size(self):
         specs = expand_grid(
@@ -811,6 +834,21 @@ class TestBatchCLI:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"exceeds {MAX_GRID_POINTS}" in err
+        assert "Traceback" not in err
+        assert not out_file.exists()
+
+    def test_sweep_oversized_axis_errors_before_output(self, tmp_path, capsys):
+        """One axis whose tokens together pass ``MAX_AXIS_POINTS`` is
+        refused before the output file is opened."""
+        out_file = tmp_path / "out.jsonl"
+        rc = cli_main(
+            ["sweep", "--frequency", "100:4195:+1", "5000", "--no-implement",
+             "-j", "1", "--cache-dir", str(tmp_path / "cache"),
+             "--output", str(out_file)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"'5000' expands past {MAX_AXIS_POINTS} points" in err
         assert "Traceback" not in err
         assert not out_file.exists()
 

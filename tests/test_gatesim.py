@@ -2,10 +2,10 @@
 clocking."""
 
 import pytest
+from reference.gatesim import GateSimulator
 
 from repro.errors import SimulationError
 from repro.rtl.ir import Module, NetlistBuilder
-from repro.sim.gatesim import GateSimulator
 from repro.tech.stdcells import default_library
 
 LIB = default_library()

@@ -4,11 +4,11 @@ property-based) and the Fig. 4 structural/PPA orderings."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.gatesim import GateSimulator
 
 from repro.errors import SynthesisError
 from repro.power.estimator import estimate_power
 from repro.rtl.gen.addertree import generate_adder_tree, tree_output_width
-from repro.sim.gatesim import GateSimulator
 from repro.sta.analysis import minimum_period_ns
 from repro.tech.process import GENERIC_40NM
 from repro.tech.stdcells import default_library

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.gatesim import GateSimulator
 
 from repro.errors import SynthesisError
 from repro.rtl.gen.alignment import generate_alignment_unit
@@ -34,7 +35,6 @@ from repro.sim.formats import (
     quantize_to_fp,
     wrap_to_width,
 )
-from repro.sim.gatesim import GateSimulator
 from repro.spec import FP4, FP8
 from repro.tech.stdcells import default_library
 

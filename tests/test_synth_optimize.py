@@ -3,9 +3,9 @@
 import random
 
 import pytest
+from reference.gatesim import GateSimulator
 
 from repro.rtl.ir import NetlistBuilder
-from repro.sim.gatesim import GateSimulator
 from repro.synth.optimize import (
     buffer_high_fanout,
     optimize,

@@ -1,7 +1,7 @@
 """Differential equivalence: vectorized vs scalar gate-level simulator.
 
 The vectorized engine's contract is *bit-for-bit* agreement with the
-pinned scalar reference (:class:`repro.sim.gatesim.GateSimulator`) on
+pinned scalar reference (``GateSimulator``, ``tests/reference/gatesim.py``) on
 every net, for every generated module kind — adder trees, shift-adder,
 OFU, full macro — including forced nets, sequential state
 and reset, over seeded random vector batches.
@@ -20,12 +20,12 @@ from repro.rtl.gen.ofu import OFUConfig, generate_ofu
 from repro.rtl.gen.shiftadder import accumulator_width, generate_shift_adder
 from repro.rtl.ir import Module, NetlistBuilder
 from repro.sim.formats import int_range
-from repro.sim.gatesim import GateSimulator
 from repro.sim.vecsim import VecSim, pack_lanes, unpack_lanes
 from repro.spec import INT4, MacroSpec
 from repro.tech.stdcells import Cell, StdCellLibrary, default_library
 
 from macro_tb import MacroTestbench
+from reference.gatesim import GateSimulator
 
 LIB = default_library()
 SEED = 20260729

@@ -3,23 +3,23 @@
 The SCL-build hot path (activity propagation, STA arrival passes, power
 summation, netlist compilation) was rewritten over integer/numpy tables
 in :mod:`repro.rtl.netview`.  These tests pin the fast paths to the
-retained reference implementations on representative subcircuits —
-including registered and memory-bearing fabrics — so any drift in the
-kernels is caught at unit granularity, not as a mysterious benchmark
-delta.
+reference implementations in ``tests/reference/`` on representative
+subcircuits — including registered and memory-bearing fabrics — so any
+drift in the kernels is caught at unit granularity, not as a mysterious
+benchmark delta.
 """
 
 from __future__ import annotations
 
 import pytest
-
-from repro.power.activity import (
-    NetActivity,
+from reference.activity import (
     _cell_output_stats,
     _cell_output_stats_reference,
-    propagate_activity,
     propagate_activity_reference,
 )
+from reference.sta import analyze_graph, build_timing_graph, net_capacitance
+
+from repro.power.activity import NetActivity, propagate_activity
 from repro.rtl.gen.addertree import generate_adder_tree
 from repro.rtl.gen.drivers import generate_wl_driver
 from repro.rtl.gen.multiplier import generate_mult_mux
@@ -27,8 +27,7 @@ from repro.rtl.gen.ofu import OFUConfig, generate_fuse_stage, generate_ofu
 from repro.rtl.gen.shiftadder import generate_shift_adder
 from repro.rtl.netview import net_view
 from repro.scl.builder import _char_input_stats
-from repro.sta.analysis import analyze, analyze_graph, minimum_period_ns
-from repro.sta.graph import build_timing_graph, net_capacitance
+from repro.sta.analysis import analyze, minimum_period_ns
 
 
 def _modules():

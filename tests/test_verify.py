@@ -295,10 +295,9 @@ class TestFlowWiring:
     def test_implement_session_verify_stage(self, small_spec):
         from repro.compiler.flow import ImplementSession
 
-        session = ImplementSession(
-            small_spec, verify=True, verify_vectors=256
-        )
+        session = ImplementSession(small_spec)
         impl = session.implement(MacroArchitecture())
+        session.verify_implementation(impl, vectors=256)
         assert impl.verification is not None
         assert impl.verification.vectors_run == 256
         assert impl.verification.passed
@@ -309,10 +308,9 @@ class TestFlowWiring:
         from repro.compiler.flow import ImplementSession
         from repro.compiler.syndcim import implementation_record
 
-        session = ImplementSession(
-            small_spec, verify=True, verify_vectors=128
-        )
+        session = ImplementSession(small_spec)
         impl = session.implement(MacroArchitecture())
+        session.verify_implementation(impl, vectors=128)
         record = implementation_record(impl)
         assert record["verified"] is True
         assert record["verification"]["vectors_run"] == 128

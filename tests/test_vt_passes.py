@@ -18,7 +18,7 @@ import pytest
 from repro.errors import LibraryError, SynthesisError
 from repro.rtl.ir import NetlistBuilder
 from repro.rtl.gen.addertree import generate_adder_tree
-from repro.sta import instance_slacks, minimum_period_ns, net_slacks
+from repro.sta.analysis import instance_slacks, minimum_period_ns, net_slacks
 from repro.synth.vt import check_vt_library, recover_leakage, swap_vt
 from repro.tech.stdcells import (
     DRIVE_LADDER,
