@@ -13,7 +13,6 @@ without building it.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -122,21 +121,6 @@ class MacroArchitecture:
             raise SpecificationError(
                 f"column_split {self.column_split} leaves sub-trees below 4 rows"
             )
-
-    def subtree_inputs(self, spec: MacroSpec) -> int:
-        """Rows accumulated by each sub-tree after column splitting."""
-        return spec.height // self.column_split
-
-    def tree_levels(self, spec: MacroSpec) -> int:
-        """Carry-save reduction levels for the (possibly split) tree."""
-        n = self.subtree_inputs(spec)
-        if self.tree_style == "rca":
-            return max(1, math.ceil(math.log2(n)))
-        levels = 0
-        while n > 2:
-            n = math.ceil(n / 2)  # a 4-2 compressor level halves the rows
-            levels += 1
-        return max(1, levels)
 
     def replace(self, **changes: object) -> "MacroArchitecture":
         """A copy with ``changes`` applied, validated like any new

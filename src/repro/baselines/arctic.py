@@ -11,7 +11,7 @@ performance-aware).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..arch import MacroArchitecture
 from ..scl.library import SubcircuitLibrary, default_scl

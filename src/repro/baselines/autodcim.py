@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..arch import MacroArchitecture
-from ..errors import SpecificationError
 from ..scl.library import SubcircuitLibrary, default_scl
 from ..search.estimate import MacroEstimate, estimate_macro
 from ..spec import MacroSpec
@@ -53,12 +52,6 @@ class AutoDCIMResult:
     @property
     def meets_timing(self) -> bool:
         return self.estimate.met
-
-    @property
-    def achievable_frequency_mhz(self) -> float:
-        """Template compilers report what the template achieves rather
-        than repairing it."""
-        return 1e3 / self.estimate.critical_path_ns
 
 
 class AutoDCIMCompiler:

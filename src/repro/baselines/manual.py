@@ -119,13 +119,7 @@ SOTA_MACROS: Tuple[PublishedMacro, ...] = (
 )
 
 
-def node_scale_energy(from_nm: int, to_nm: int) -> float:
-    """First-order energy scaling between nodes (E ~ node); used only
-    for sanity discussion, never silently applied to Table II rows."""
-    return from_nm / to_nm
-
-
-def table2_rows(include_1b: bool = True) -> List[List[object]]:
+def table2_rows() -> List[List[object]]:
     """Rows for the Table II bench: published numbers + normalization."""
     rows: List[List[object]] = []
     for m in SOTA_MACROS:
@@ -137,8 +131,8 @@ def table2_rows(include_1b: bool = True) -> List[List[object]]:
             f"{m.supply_v:.2f}V",
             m.tops_per_watt,
             m.tops_per_mm2,
+            m.tops_per_watt_1b,
+            m.tops_per_mm2_1b,
         ]
-        if include_1b:
-            row += [m.tops_per_watt_1b, m.tops_per_mm2_1b]
         rows.append(row)
     return rows

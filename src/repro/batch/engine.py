@@ -86,6 +86,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -381,7 +382,6 @@ class BatchCompiler:
                 )
             )
             if pending and use_pool:
-                self._prewarm_corners(pending.values())
                 queued = iter(pending.items())
 
                 def feed() -> Optional[Ticket]:
@@ -473,44 +473,6 @@ class BatchCompiler:
         finally:
             _stop_workers(workers)
 
-    def _prewarm_corners(self, jobs: Iterable[Job]) -> None:
-        """Corner jobs also need the worst-corner SCL: resolve it once
-        per job process in the parent (building + persisting on the
-        first ever run) so every worker loads the corner artifact from
-        disk.  Shares the compiler's resolution
-        (:func:`repro.signoff.corners.worst_corner_scl`), so the
-        prewarmed artifact is exactly the one workers will ask for.
-        Failure is survivable (workers characterize lazily) but not
-        silent: a one-per-process warning names the cause, so a
-        misconfigured cache dir reads as a warning, not a mystery
-        slowdown."""
-        wanted = {job.options for job in jobs if job.options.corners}
-        if not wanted:
-            return
-        try:
-            from ..signoff.corners import worst_corner_scl
-
-            for options in wanted:
-                worst_corner_scl(
-                    options.resolve_process(), options.corner_set()
-                )
-        except Exception as exc:
-            global _PREWARM_WARNED
-            if not _PREWARM_WARNED:
-                _PREWARM_WARNED = True
-                warnings.warn(
-                    "repro: corner-SCL prewarm failed "
-                    f"({type(exc).__name__}: {exc}); workers will "
-                    "characterize lazily — expect a slow first job "
-                    "per process",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-
-
-#: Once-per-process latch for the corner-prewarm warning above.
-_PREWARM_WARNED = False
-
 
 @dataclass(eq=False)
 class Ticket:
@@ -550,7 +512,9 @@ class JobExecutor:
     the moment its ``options.job_timeout_s`` deadline is measured from.
 
     Workers start when the first job is dispatched (after the parent
-    has resolved the subcircuit library, once per executor) and live
+    has resolved the subcircuit library, once per executor, and the
+    worst-corner library of each corner option set it dispatches, once
+    per set) and live
     until :meth:`close`; after every dispatch the pool is topped up to
     ``workers`` processes, so a worker lost to a crash or a watchdog
     kill is replaced when work remains.  ``worker_spawns`` counts the
@@ -599,6 +563,8 @@ class JobExecutor:
         self._close_by: Optional[float] = None
         #: Worker processes started so far (a deterministic work counter).
         self.worker_spawns = 0
+        #: Corner option sets whose worst-corner SCL is resolved here.
+        self._prewarmed: Set[CompileOptions] = set()
 
     # -- driving ------------------------------------------------------------
 
@@ -744,6 +710,10 @@ class JobExecutor:
                 "key": ticket.key,
                 "attempt": ticket.attempts + 1,
             }
+        options = ticket.job.options
+        if options.corners and options not in self._prewarmed:
+            self._prewarmed.add(options)
+            _prewarm_corners(options)
         worker = next((w for w in self._pool if w.task is None), None)
         try:
             if worker is None:
@@ -908,6 +878,39 @@ def _publish_scl() -> None:
 
     default_scl()
     publish_default_scl()
+
+
+def _prewarm_corners(options: CompileOptions) -> None:
+    """Corner jobs also need the worst-corner SCL: resolve it in the
+    parent before the job's worker is dispatched (building and
+    persisting it on the first ever run), so forked workers inherit it
+    and the others load it from disk.  Shares the compiler's
+    resolution (:func:`repro.signoff.corners.worst_corner_scl`), so the
+    prewarmed artifact is exactly the one workers will ask for.
+    Failure is survivable (workers characterize lazily) but not
+    silent: a once-per-process warning names the cause, so a
+    misconfigured cache dir reads as a warning, not a mystery
+    slowdown."""
+    try:
+        from ..signoff.corners import worst_corner_scl
+
+        worst_corner_scl(options.resolve_process(), options.corner_set())
+    except Exception as exc:
+        global _PREWARM_WARNED
+        if not _PREWARM_WARNED:
+            _PREWARM_WARNED = True
+            warnings.warn(
+                "repro: corner-SCL prewarm failed "
+                f"({type(exc).__name__}: {exc}); workers will "
+                "characterize lazily — expect a slow first job "
+                "per process",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+
+#: Once-per-process latch for the corner-prewarm warning above.
+_PREWARM_WARNED = False
 
 
 class _Worker:

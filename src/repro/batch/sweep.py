@@ -20,13 +20,15 @@ vdd) — the order results appear in JSONL outputs and summaries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Sized, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SpecificationError
 from ..spec import DataFormat, MacroSpec, PPAWeights, parse_format
 
-#: Cap on one expanded axis (all its tokens, deduplicated), to catch
-#: runaway ranges like 1:1e9:+1.
+#: Cap on the values one axis's tokens generate, duplicates included
+#: and counted as they are generated: it catches runaway ranges like
+#: 1:1e9:+1, and a body of repeated or overlapping tokens, before
+#: either costs more than one full axis.
 MAX_AXIS_POINTS = 4096
 #: Cap on the whole grid (the product of the axis lengths), checked
 #: before any spec is built: two capped axes would make 16.7M specs.
@@ -35,12 +37,39 @@ MAX_GRID_POINTS = 65536
 
 def parse_range(token: str, integer: bool = True) -> List[float]:
     """Expand one axis token into its list of values (see module doc)."""
+    return list(_capped([token], integer))
+
+
+def parse_axis(tokens: Sequence[str], integer: bool = True) -> List[float]:
+    """Expand a whole axis (several tokens), deduplicated, order kept.
+    The tokens may generate at most :data:`MAX_AXIS_POINTS` values in
+    all, duplicates included."""
+    return list(dict.fromkeys(_capped(tokens, integer)))
+
+
+def _capped(tokens: Sequence[str], integer: bool) -> Iterator[float]:
+    """Every value ``tokens`` generate, in order; refuses the axis at
+    the first value past :data:`MAX_AXIS_POINTS`, naming its token."""
+    generated = 0
+    for token in tokens:
+        for value in _expand(token, integer):
+            generated += 1
+            if generated > MAX_AXIS_POINTS:
+                raise SpecificationError(
+                    f"sweep range {token!r} expands past {MAX_AXIS_POINTS} points"
+                )
+            yield value
+
+
+def _expand(token: str, integer: bool) -> Iterator[float]:
+    """The values of one token, generated lazily."""
     token = token.strip()
     if not token:
         raise SpecificationError("empty sweep token")
     parts = token.split(":")
     if len(parts) == 1:
-        return [_number(parts[0], integer)]
+        yield _number(parts[0], integer)
+        return
     if len(parts) != 3:
         raise SpecificationError(
             f"bad sweep range {token!r}; expected VALUE, "
@@ -54,7 +83,6 @@ def parse_range(token: str, integer: bool = True) -> List[float]:
             f"bad sweep step {parts[2]!r} in {token!r}; "
             "use x<factor> (geometric) or +<step> (arithmetic)"
         )
-    values: List[float] = []
     if step_token[0] == "x":
         factor = _number(step_token[1:], integer=False)
         if factor <= 1:
@@ -77,9 +105,8 @@ def parse_range(token: str, integer: bool = True) -> List[float]:
             value = start * factor**i
             if value > stop * (1 + 1e-9):
                 break
-            values.append(_round(value, integer))
+            yield _round(value, integer)
             i += 1
-            _check_axis_size(values, token)
     else:
         step = _number(step_token[1:], integer)
         if step == 0:
@@ -94,20 +121,8 @@ def parse_range(token: str, integer: bool = True) -> List[float]:
             value = start + i * step
             if (value - stop) * direction > abs(step) * 1e-9:
                 break
-            values.append(_round(value, integer))
+            yield _round(value, integer)
             i += 1
-            _check_axis_size(values, token)
-    return values
-
-
-def parse_axis(tokens: Sequence[str], integer: bool = True) -> List[float]:
-    """Expand a whole axis (several tokens), deduplicated, order kept,
-    at most :data:`MAX_AXIS_POINTS` values in all."""
-    values: Dict[float, None] = {}
-    for token in tokens:
-        values.update(dict.fromkeys(parse_range(token, integer)))
-        _check_axis_size(values, token)
-    return list(values)
 
 
 def parse_format_sets(tokens: Sequence[str]) -> List[Tuple[DataFormat, ...]]:
@@ -212,10 +227,3 @@ def _round(value: float, integer: bool) -> float:
     # 9 decimals snaps 0.6 + 2*0.1 = 0.7999999999999999 back to 0.8 so
     # sweep-produced values hash identically to hand-typed literals.
     return int(round(value)) if integer else round(value, 9)
-
-
-def _check_axis_size(values: Sized, token: str) -> None:
-    if len(values) > MAX_AXIS_POINTS:
-        raise SpecificationError(
-            f"sweep range {token!r} expands past {MAX_AXIS_POINTS} points"
-        )

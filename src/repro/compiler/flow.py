@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..arch import MacroArchitecture
-from ..errors import LayoutError, TimingError
+from ..errors import LayoutError
 from ..layout.drc import DRCReport, run_drc
 from ..layout.gds import write_gds_json
 from ..layout.lvs import LVSReport, run_lvs
@@ -33,7 +33,7 @@ from ..layout.arena import LayoutArena
 from ..layout.route import RoutingEstimate
 from ..layout.sdp import Placement
 from ..power.estimator import PowerReport, estimate_power, sparsity_input_stats
-from ..rtl.gen.macro import MacroShape, generate_macro_with_array, macro_shape
+from ..rtl.gen.macro import MacroShape, generate_macro_with_array
 from ..rtl.ir import Module
 from ..rtl.verilog import emit_verilog
 from ..signoff.corners import CornerSet
@@ -110,10 +110,8 @@ class Implementation:
     def verilog(self) -> str:
         return emit_verilog(self.netlist)
 
-    def gds(self, library: Optional[StdCellLibrary] = None) -> str:
-        return write_gds_json(
-            self.netlist, self.placement, library or default_library()
-        )
+    def gds(self) -> str:
+        return write_gds_json(self.netlist, self.placement, default_library())
 
     def summary(self) -> Dict[str, float]:
         return {

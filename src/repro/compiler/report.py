@@ -33,9 +33,6 @@ def format_pareto_ascii(
     points: Sequence[tuple],
     x_label: str,
     y_label: str,
-    width: int = 60,
-    height: int = 18,
-    markers: str = "o*+x#",
 ) -> str:
     """ASCII scatter plot for Pareto frontiers (Fig. 8-style output).
 
@@ -43,6 +40,7 @@ def format_pareto_ascii(
     """
     if not points:
         return "(no points)"
+    width, height, markers = 60, 18, "o*+x#"
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     x0, x1 = min(xs), max(xs)

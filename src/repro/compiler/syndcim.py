@@ -110,20 +110,13 @@ class SynDCIM:
         self._signoff_scl: Optional[SubcircuitLibrary] = None
 
     @classmethod
-    def from_options(
-        cls,
-        options: "CompileOptions",
-        scl: Optional[SubcircuitLibrary] = None,
-        library: Optional[StdCellLibrary] = None,
-    ) -> "SynDCIM":
+    def from_options(cls, options: "CompileOptions") -> "SynDCIM":
         """Build the facade from the canonical
         :class:`~repro.options.CompileOptions` bundle — how every batch
         and service worker builds its compiler (see
         :func:`execute_job`), so a facade built this way prices exactly
         like they do."""
         return cls(
-            scl=scl,
-            library=library,
             process=options.resolve_process(),
             seed=options.seed,
             corners=options.corner_set(),

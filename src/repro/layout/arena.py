@@ -4,8 +4,8 @@ The implementation back half re-derives everything from the flat module
 on every call — partition regexes, per-partition width/area arrays, a
 six-candidate floorplan scan, per-net HPWL reductions.  For a fixed
 module those are pure recomputation: the partition depends only on the
-instance set, the winning floorplan only on ``(partition, params)``,
-and the routing estimate only on the placed coordinates.
+instance set, the winning floorplan only on the partition, and the
+routing estimate only on the placed coordinates.
 
 :class:`LayoutArena` keeps exactly those intermediates alive between
 :meth:`place`/:meth:`route` calls, keyed by module and library
@@ -14,7 +14,7 @@ identity:
 * **place (warm)** — replay the single winning
   :func:`~repro.layout.sdp._try_place` call against the cached
   partition arrays.  The placement is a pure function of
-  ``(data, params, width, height)``, so the replay reproduces the full
+  ``(data, width, height)``, so the replay reproduces the full
   scan's result bit-for-bit (the arena still verifies success and falls
   back to a full scan if the replay ever fails).
 * **route (warm)** — reuse the cached :class:`~repro.layout.route.
@@ -47,8 +47,8 @@ from ..tech.stdcells import StdCellLibrary
 from .geometry import rect_arrays
 from .route import RoutingEstimate, estimate_routing
 from .sdp import (
+    ROW_HEIGHT_UM,
     Placement,
-    SDPParams,
     _partition,
     _precompute,
     _scan_floorplans,
@@ -62,7 +62,6 @@ class _ArenaEntry:
 
     module: Module  # strong ref: keeps the id() key valid
     library: StdCellLibrary
-    params: SDPParams
     data: object  # _PartitionArrays
     #: Winning (width, height) of the floorplan scan, once known.
     floorplan: Optional[Tuple[float, float]] = None
@@ -89,43 +88,33 @@ class LayoutArena:
     def __init__(self) -> None:
         self._entries: Dict[Tuple[int, int], _ArenaEntry] = {}
 
-    def _entry(
-        self, module: Module, library: StdCellLibrary, params: SDPParams
-    ) -> _ArenaEntry:
+    def _entry(self, module: Module, library: StdCellLibrary) -> _ArenaEntry:
         key = (id(module), id(library))
         entry = self._entries.get(key)
-        if entry is not None and entry.params != params:
-            entry = None  # row height etc. changed: precompute is stale
         if entry is None:
             part = _partition(module)
-            data = _precompute(part, library, params.row_height_um)
+            data = _precompute(part, library, ROW_HEIGHT_UM)
             entry = self._entries[key] = _ArenaEntry(
-                module=module, library=library, params=params, data=data
+                module=module, library=library, data=data
             )
         return entry
 
-    def place(
-        self,
-        module: Module,
-        library: StdCellLibrary,
-        params: Optional[SDPParams] = None,
-    ) -> Placement:
+    def place(self, module: Module, library: StdCellLibrary) -> Placement:
         """SDP placement with partition/floorplan reuse.
 
         Cold: full candidate scan (identical to
         :func:`~repro.layout.sdp.place_macro`).  Warm: one
         :func:`_try_place` replay of the recorded winner.
         """
-        params = params or SDPParams()
-        entry = self._entry(module, library, params)
+        entry = self._entry(module, library)
         if entry.floorplan is not None:
-            placement = _try_place(entry.data, params, *entry.floorplan)
+            placement = _try_place(entry.data, *entry.floorplan)
             if placement is not None:
                 entry.stats["place_replays"] += 1
                 return placement
             # A failed replay means the cached winner is somehow stale;
             # fall through to an honest rescan rather than erroring.
-        placement = _scan_floorplans(entry.data, params)
+        placement = _scan_floorplans(entry.data)
         entry.floorplan = (placement.outline.width, placement.outline.height)
         entry.stats["place_scans"] += 1
         return placement
@@ -136,7 +125,6 @@ class LayoutArena:
         placement: Placement,
         library: StdCellLibrary,
         process: Process,
-        params: Optional[SDPParams] = None,
     ) -> RoutingEstimate:
         """Routing estimate, reused when the placement is bit-identical.
 
@@ -144,8 +132,7 @@ class LayoutArena:
         so both participate in the staleness check alongside the rect
         arrays themselves.
         """
-        params = params or SDPParams()
-        entry = self._entry(module, library, params)
+        entry = self._entry(module, library)
         names, coords = rect_arrays(placement.cells)
         if (
             entry.routing is not None

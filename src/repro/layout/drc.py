@@ -80,11 +80,10 @@ def run_drc(
     module: Module,
     placement: Placement,
     library: StdCellLibrary,
-    row_height_um: float = 1.8,
     max_violations: int = 1000,
 ) -> DRCReport:
-    """Check a placement; ``module``/``library``/``row_height_um`` are
-    kept for signature stability (the rules below are pure geometry)."""
+    """Check a placement; ``module``/``library`` are kept for signature
+    stability (the rules below are pure geometry)."""
     violations: List[DRCViolation] = []
     outline = placement.outline
     eps = 1e-9

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List
 
 from ..errors import LayoutError
 from ..rtl.ir import Module
@@ -19,8 +19,7 @@ from .geometry import rect_arrays
 from .sdp import Placement
 
 FORMAT_VERSION = 1
-#: Layer conventions (arbitrary but stable): cell outline, SRAM, label.
-LAYER_OUTLINE = 0
+#: Layer conventions (arbitrary but stable): standard cells, SRAM.
 LAYER_STDCELL = 10
 LAYER_SRAM = 20
 
@@ -29,7 +28,6 @@ def write_gds_json(
     module: Module,
     placement: Placement,
     library,
-    design_name: str = "",
 ) -> str:
     """Serialize the placed design; one JSON record per line.
 
@@ -42,7 +40,7 @@ def write_gds_json(
             {
                 "record": "HEADER",
                 "version": FORMAT_VERSION,
-                "design": design_name or module.name,
+                "design": module.name,
                 "units_um": 1.0,
                 "outline": [
                     placement.outline.x0,

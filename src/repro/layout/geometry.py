@@ -6,17 +6,17 @@ Two tiers live here:
   placement's cell map materializes when indexed;
 * the vectorized kernels :func:`rect_arrays` / :func:`overlap_pairs`
   that DRC and routing run on whole placements — a grid-binned sweep
-  over coordinate arrays that replaces the per-pair
-  :meth:`Rect.overlaps` calls (the single hottest loop of the
-  implementation flow) while producing the exact pair set, in the exact
-  emission order, of the scalar sort-and-sweep it replaced
-  (``sweep_overlaps`` in ``tests/reference/layout.py``).
+  over coordinate arrays that replaces the per-pair overlap tests (the
+  single hottest loop of the implementation flow) while producing the
+  exact pair set, in the exact emission order, of the scalar
+  sort-and-sweep it replaced (``sweep_overlaps`` and its ``overlaps``
+  predicate, in ``tests/reference/layout.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
@@ -47,50 +47,6 @@ class Rect:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def center(self) -> Tuple[float, float]:
-        return (0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
-
-    def overlaps(self, other: "Rect", eps: float = 1e-9) -> bool:
-        """Strict interior overlap (shared edges do not count)."""
-        return (
-            self.x0 < other.x1 - eps
-            and other.x0 < self.x1 - eps
-            and self.y0 < other.y1 - eps
-            and other.y0 < self.y1 - eps
-        )
-
-    def contains(self, other: "Rect", eps: float = 1e-9) -> bool:
-        return (
-            self.x0 - eps <= other.x0
-            and self.y0 - eps <= other.y0
-            and other.x1 <= self.x1 + eps
-            and other.y1 <= self.y1 + eps
-        )
-
-    def translated(self, dx: float, dy: float) -> "Rect":
-        return Rect(self.x0 + dx, self.y0 + dy, self.x1 + dx, self.y1 + dy)
-
-    def expanded(self, margin: float) -> "Rect":
-        return Rect(
-            self.x0 - margin, self.y0 - margin, self.x1 + margin, self.y1 + margin
-        )
-
-
-def bounding_box(points: Iterable[Tuple[float, float]]) -> Rect:
-    pts = list(points)
-    if not pts:
-        raise LayoutError("bounding box of no points")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    return Rect(min(xs), min(ys), max(xs), max(ys))
-
-
-def half_perimeter(points: Iterable[Tuple[float, float]]) -> float:
-    """HPWL of a point set (classic net-length estimate)."""
-    box = bounding_box(points)
-    return box.width + box.height
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +162,7 @@ def overlap_pairs(
     a = np.concatenate(cand_a)
     b = np.concatenate(cand_b)
 
-    # Exact predicate (Rect.overlaps semantics) on the candidates.
+    # Exact strict-interior overlap predicate on the candidates.
     keep = (
         (x0[a] < x1[b] - eps)
         & (x0[b] < x1[a] - eps)

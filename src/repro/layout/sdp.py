@@ -51,25 +51,15 @@ from .geometry import Rect
 
 _ARRAY_RE = re.compile(r"(?:^|/)cell_r(\d+)_c(\d+)$")
 _COL_RE = re.compile(r"(?:^|/)col(\d+)_")
-_OFU_RE = re.compile(r"(?:^|/)ofu(\d+)_")
 _WL_RE = re.compile(r"(?:^|/)(inreg|inv|buf|wldrv|wlpre)_\d+$")
 
 
-@dataclass
-class SDPParams:
-    """Placement knobs (the TCL script's variables)."""
-
-    utilization: float = 0.78
-    aspect: float = 1.85  # width / height, the paper macro's 455/246
-    row_height_um: float = 1.8
-    sram_row_height_um: float = 1.0
-    max_iterations: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.3 <= self.utilization <= 0.95:
-            raise LayoutError("utilization must be within [0.3, 0.95]")
-        if self.aspect <= 0:
-            raise LayoutError("aspect must be positive")
+#: Placement knobs (the TCL script's variables): standard-cell and SRAM
+#: row heights, and how many times a floorplan candidate that does not
+#: fit grows its height by 8 % before the scan gives up on it.
+ROW_HEIGHT_UM = 1.8
+SRAM_ROW_HEIGHT_UM = 1.0
+MAX_ITERATIONS = 8
 
 
 class CellRects(Mapping):
@@ -154,12 +144,6 @@ class Placement:
     @property
     def height_um(self) -> float:
         return self.outline.height
-
-    def position(self, instance: str) -> Tuple[float, float]:
-        try:
-            return self.cells[instance].center
-        except KeyError:
-            raise LayoutError(f"instance {instance!r} not placed") from None
 
     def describe(self) -> str:
         return (
@@ -370,19 +354,14 @@ def _precompute(
     )
 
 
-def place_macro(
-    module: Module,
-    library: StdCellLibrary,
-    params: Optional[SDPParams] = None,
-) -> Placement:
+def place_macro(module: Module, library: StdCellLibrary) -> Placement:
     """Run SDP placement on a flat physical macro module."""
-    params = params or SDPParams()
     part = _partition(module)
-    data = _precompute(part, library, params.row_height_um)
-    return _scan_floorplans(data, params)
+    data = _precompute(part, library, ROW_HEIGHT_UM)
+    return _scan_floorplans(data)
 
 
-def _scan_floorplans(data: "_PartitionArrays", params: SDPParams) -> Placement:
+def _scan_floorplans(data: "_PartitionArrays") -> Placement:
     """Scan candidate floorplans over precomputed partition arrays and
     keep the minimum-area one that places cleanly.
 
@@ -390,10 +369,10 @@ def _scan_floorplans(data: "_PartitionArrays", params: SDPParams) -> Placement:
     LayoutArena` can rerun the scan against cached partition arrays —
     and, once a floorplan is known, replay just the winning
     :func:`_try_place` call (the placement is a pure function of
-    ``(data, params, width, height)``, so the replay is bit-identical).
+    ``(data, width, height)``, so the replay is bit-identical).
     """
-    sram_h = params.sram_row_height_um
-    row_h = params.row_height_um
+    sram_h = SRAM_ROW_HEIGHT_UM
+    row_h = ROW_HEIGHT_UM
     worst_col_area = max(data.col_areas.values())
     array_h = data.n_rows * sram_h + sram_h
 
@@ -414,8 +393,8 @@ def _scan_floorplans(data: "_PartitionArrays", params: SDPParams) -> Placement:
             # Retries only grow the height, so this candidate can no
             # longer beat the incumbent minimum-area floorplan.
             continue
-        for attempt in range(params.max_iterations):
-            placement = _try_place(data, params, width, height)
+        for attempt in range(MAX_ITERATIONS):
+            placement = _try_place(data, width, height)
             if placement is not None:
                 break
             height *= 1.08
@@ -432,13 +411,10 @@ def _scan_floorplans(data: "_PartitionArrays", params: SDPParams) -> Placement:
 
 
 def _try_place(
-    data: _PartitionArrays,
-    params: SDPParams,
-    width: float,
-    height: float,
+    data: _PartitionArrays, width: float, height: float
 ) -> Optional[Placement]:
-    row_h = params.row_height_um
-    sram_h = params.sram_row_height_um
+    row_h = ROW_HEIGHT_UM
+    sram_h = SRAM_ROW_HEIGHT_UM
     sram_w = data.sram_w
     n_rows, n_cols = data.n_rows, data.n_cols
 

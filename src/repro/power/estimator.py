@@ -146,33 +146,16 @@ def estimate_power(
     vdd: float = 0.0,
     input_stats: Optional[Mapping[str, NetActivity]] = None,
     wire_load: Optional[WireLoadFn] = None,
-    activity: Optional[Dict[str, NetActivity]] = None,
 ) -> PowerReport:
-    """Estimate power of a flat module.
-
-    ``activity`` may be supplied to reuse a previous propagation (e.g.
-    when sweeping voltage); otherwise it is computed from
-    ``input_stats``.
-    """
+    """Estimate power of a flat module, propagating switching activity
+    from ``input_stats``."""
     if frequency_mhz <= 0:
         raise SimulationError("frequency must be positive")
     vdd = vdd or process.vdd_nominal
     view = net_view(module, library)
-    n = view.n_nets
-    if activity is None:
-        _prob, dens_l, known_l, _extra = _propagate_arrays(view, input_stats)
-        density = np.asarray(dens_l)
-        known = np.asarray(known_l, dtype=bool)
-    else:
-        density = np.zeros(n)
-        known = np.zeros(n, dtype=bool)
-        net_id = view.net_id
-        for name, act in activity.items():
-            i = net_id.get(name)
-            if i is not None:
-                density[i] = act.density
-                known[i] = True
-    density = np.where(known, density, 0.0)
+    _prob, dens_l, known_l, _extra = _propagate_arrays(view, input_stats)
+    known = np.asarray(known_l, dtype=bool)
+    density = np.where(known, np.asarray(dens_l), 0.0)
     loads = net_loads_vector(view, wire_load)
     terms = _power_terms(view)
     e_scale = process.energy_scale(vdd)
@@ -206,23 +189,23 @@ def estimate_power(
 
 def sparsity_input_stats(
     module: Module,
-    input_density: float = 1.0,
     input_one_probability: float = 0.5,
     weight_one_probability: float = 0.5,
 ) -> Dict[str, NetActivity]:
     """Build port statistics for a DCIM workload.
 
-    ``input_density`` is the per-cycle toggle rate of the serial input
-    bits; sparse activations lower both the one-probability and the
-    density.  Weight nets (``wb``) are quasi-static during MAC bursts —
-    density 0 — but their one-probability still shapes the product
-    statistics (``wb`` carries complements, hence ``1 - p``).
+    The serial input bits toggle at most once per cycle, at the rate
+    their one-probability allows; sparse activations lower both the
+    one-probability and the density.  Weight nets (``wb``) are
+    quasi-static during MAC bursts — density 0 — but their
+    one-probability still shapes the product statistics (``wb``
+    carries complements, hence ``1 - p``).
     """
     stats: Dict[str, NetActivity] = {}
     for net in module.input_ports:
         if net.startswith("x["):
             p = input_one_probability
-            stats[net] = NetActivity(p, min(input_density, 2 * p * (1 - p) + 1e-9))
+            stats[net] = NetActivity(p, min(1.0, 2 * p * (1 - p) + 1e-9))
         elif net.startswith("wb["):
             stats[net] = NetActivity(1.0 - weight_one_probability, 0.0)
         elif net.startswith(("neg", "clear", "sub[", "sel[", "we")):

@@ -12,8 +12,6 @@ from .ir import (
     NetlistBuilder,
     Port,
     bus,
-    sign_extend,
-    zero_extend,
 )
 from .verilog import count_instances, emit_verilog
 
@@ -25,8 +23,6 @@ __all__ = [
     "NetlistBuilder",
     "Port",
     "bus",
-    "sign_extend",
-    "zero_extend",
     "count_instances",
     "emit_verilog",
 ]

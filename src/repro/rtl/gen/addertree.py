@@ -26,7 +26,7 @@ unsigned count on ``ceil(log2(n+1))`` output bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ...errors import SynthesisError
@@ -74,7 +74,6 @@ def generate_adder_tree(
     style: str = "mixed",
     fa_levels: int = 0,
     carry_reorder: bool = True,
-    name: Optional[str] = None,
 ) -> Tuple[Module, TreeStats]:
     """Build an adder-tree module summing ``n_inputs`` one-bit inputs.
 
@@ -87,7 +86,7 @@ def generate_adder_tree(
     if style != "mixed" and fa_levels:
         raise SynthesisError("fa_levels only applies to the mixed style")
 
-    mod_name = name or f"adder_tree_{style}_{n_inputs}"
+    mod_name = f"adder_tree_{style}_{n_inputs}"
     b = NetlistBuilder(mod_name)
     inputs = b.inputs("in", n_inputs)
     stats = TreeStats(n_inputs=n_inputs, style=style)

@@ -19,7 +19,7 @@ format's exponent/mantissa split.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ...errors import SynthesisError
 from ...spec import DataFormat
@@ -29,7 +29,6 @@ from ..ir import Module, NetlistBuilder
 def generate_alignment_unit(
     fmt: DataFormat,
     lanes: int,
-    name: Optional[str] = None,
 ) -> Module:
     """Build an alignment unit for ``lanes`` operands of format ``fmt``.
 
@@ -47,7 +46,7 @@ def generate_alignment_unit(
     e_w, m_w = fmt.exponent, fmt.mantissa
     sig_w = m_w + 2  # sign + hidden + mantissa, two's complement
 
-    b = NetlistBuilder(name or f"align_{fmt.name.lower()}_x{lanes}")
+    b = NetlistBuilder(f"align_{fmt.name.lower()}_x{lanes}")
     lanes_in = [b.inputs(f"fp{i}", fmt.bits) for i in range(lanes)]
     q_out = [b.outputs(f"q{i}", sig_w) for i in range(lanes)]
     emax_out = b.outputs("emax", e_w)

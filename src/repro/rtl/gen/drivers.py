@@ -11,7 +11,7 @@ the actual word-line load.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 from ...errors import SynthesisError
 from ..ir import Module, NetlistBuilder
@@ -45,7 +45,6 @@ def generate_wl_driver(
     rows: int,
     wordline_load_ff: float,
     strength: int = 4,
-    name: Optional[str] = None,
 ) -> Module:
     """Per-row input register + complement + buffer chain.
 
@@ -54,7 +53,7 @@ def generate_wl_driver(
     """
     if rows < 1:
         raise SynthesisError("rows must be positive")
-    b = NetlistBuilder(name or f"wl_driver_{rows}")
+    b = NetlistBuilder(f"wl_driver_{rows}")
     x = b.inputs("x", rows)
     clk = b.inputs("clk")[0]
     xb = b.outputs("xb", rows)
@@ -76,7 +75,6 @@ def generate_bl_driver(
     cols: int,
     bitline_load_ff: float,
     strength: int = 4,
-    name: Optional[str] = None,
 ) -> Module:
     """Weight-write driver: registers write data and drives bit lines.
 
@@ -85,7 +83,7 @@ def generate_bl_driver(
     """
     if cols < 1:
         raise SynthesisError("cols must be positive")
-    b = NetlistBuilder(name or f"bl_driver_{cols}")
+    b = NetlistBuilder(f"bl_driver_{cols}")
     d = b.inputs("d", cols)
     we = b.inputs("we")[0]
     clk = b.inputs("clk")[0]

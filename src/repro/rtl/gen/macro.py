@@ -56,10 +56,6 @@ class MacroShape:
     latency_cycles: int
     prelatency_cycles: int
 
-    @property
-    def output_bits_total(self) -> int:
-        return self.n_groups * self.ofu_output_width
-
 
 def macro_shape(spec: MacroSpec, arch: MacroArchitecture) -> MacroShape:
     """Compute every derived dimension for a (spec, architecture) pair."""
@@ -125,7 +121,6 @@ def _ofu_config(
 def generate_column_slice(
     spec: MacroSpec,
     arch: MacroArchitecture,
-    name: Optional[str] = None,
 ) -> Module:
     """Digital logic of one column: multipliers, tree(s), S&A.
 
@@ -141,7 +136,7 @@ def generate_column_slice(
     """
     arch.validate_against(spec)
     h, mcr = spec.height, spec.mcr
-    b = NetlistBuilder(name or f"column_{arch.knob_summary().replace('/', '_')}")
+    b = NetlistBuilder(f"column_{arch.knob_summary().replace('/', '_')}")
     xb = b.inputs("xb", h)
     wb = b.inputs("wb", h * mcr)
     sel_bits = int(math.log2(mcr)) if mcr > 1 else 0
@@ -242,7 +237,6 @@ def _combine_unsigned(
 def generate_macro(
     spec: MacroSpec,
     arch: MacroArchitecture,
-    name: Optional[str] = None,
 ) -> Tuple[Module, MacroShape]:
     """Full digital macro: WL input stage, all columns, OFUs, output regs.
 
@@ -263,7 +257,7 @@ def generate_macro(
     """
     shape = macro_shape(spec, arch)
     h, w, mcr = spec.height, spec.width, spec.mcr
-    b = NetlistBuilder(name or f"dcim_macro_{h}x{w}")
+    b = NetlistBuilder(f"dcim_macro_{h}x{w}")
     x = b.inputs("x", h)
     wb = b.inputs("wb", h * mcr * w)
     sel_bits = int(math.log2(mcr)) if mcr > 1 else 0
@@ -325,7 +319,6 @@ def generate_macro(
 def generate_macro_with_array(
     spec: MacroSpec,
     arch: MacroArchitecture,
-    name: Optional[str] = None,
     array: Optional[Module] = None,
 ) -> Tuple[Module, MacroShape]:
     """Physical view: digital macro + bitcell array + BL write path.
@@ -344,7 +337,7 @@ def generate_macro_with_array(
             spec.height, spec.width, spec.mcr, arch.memcell
         )
     h, w, mcr = spec.height, spec.width, spec.mcr
-    b = NetlistBuilder(name or f"dcim_macro_phys_{h}x{w}")
+    b = NetlistBuilder(f"dcim_macro_phys_{h}x{w}")
     # Mirror digital ports except wb, which becomes internal.
     port_conn = {}
     for pname, port in digital.ports.items():

@@ -16,7 +16,7 @@ directly — the bitcell contents come from the behavioural weight store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ...errors import SynthesisError
 from ..ir import Module, NetlistBuilder

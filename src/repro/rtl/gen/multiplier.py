@@ -19,7 +19,7 @@ select/weight pairs and produces the selected weight directly.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 from ...errors import SynthesisError
 from ..ir import Module, NetlistBuilder
@@ -28,7 +28,6 @@ from ..ir import Module, NetlistBuilder
 def generate_mult_mux(
     mcr: int,
     style: str = "tg_nor",
-    name: Optional[str] = None,
 ) -> Module:
     """One row's multiplier + bank multiplexer.
 
@@ -47,7 +46,7 @@ def generate_mult_mux(
     if style == "oai22" and mcr > 2:
         raise SynthesisError("oai22 fused mult-mux does not scale beyond MCR=2")
 
-    b = NetlistBuilder(name or f"mult_mux_{style}_mcr{mcr}")
+    b = NetlistBuilder(f"mult_mux_{style}_mcr{mcr}")
     xb = b.inputs("xb")[0]
     wb = b.inputs("wb", mcr)
     sel_bits = int(math.log2(mcr)) if mcr > 1 else 0

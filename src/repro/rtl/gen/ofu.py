@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ...errors import SynthesisError
 from ..ir import Module, NetlistBuilder
@@ -108,7 +108,7 @@ class OFUConfig:
         return len(self.pipeline_after) + (1 if self.input_register else 0)
 
 
-def generate_ofu(config: OFUConfig, name: Optional[str] = None) -> Module:
+def generate_ofu(config: OFUConfig) -> Module:
     """Build the OFU.
 
     Ports
@@ -118,7 +118,7 @@ def generate_ofu(config: OFUConfig, name: Optional[str] = None) -> Module:
     ``clk``            present when any register bank exists
     ``y[0..Wout-1]``   fused result (two's complement)
     """
-    b = NetlistBuilder(name or f"ofu_c{config.columns}_w{config.input_width}")
+    b = NetlistBuilder(f"ofu_c{config.columns}_w{config.input_width}")
     words: List[List[str]] = [
         b.inputs(f"a{j}", config.input_width) for j in range(config.columns)
     ]
@@ -165,7 +165,6 @@ def generate_ofu(config: OFUConfig, name: Optional[str] = None) -> Module:
 def generate_fuse_stage(
     input_width: int,
     shift: int,
-    name: Optional[str] = None,
     adder_style: str = "ripple",
 ) -> Module:
     """A single standalone fusion stage (one pair), used by the
@@ -176,7 +175,7 @@ def generate_fuse_stage(
     """
     if input_width < 2 or shift < 1:
         raise SynthesisError("fuse stage needs width >= 2 and shift >= 1")
-    b = NetlistBuilder(name or f"fuse_w{input_width}_s{shift}_{adder_style}")
+    b = NetlistBuilder(f"fuse_w{input_width}_s{shift}_{adder_style}")
     lo = b.inputs("lo", input_width)
     hi = b.inputs("hi", input_width)
     sub = b.inputs("sub")[0]

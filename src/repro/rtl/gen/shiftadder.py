@@ -15,7 +15,7 @@ of serial input bits, both of which the caller provides.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ...errors import SynthesisError
 from ..ir import Module, NetlistBuilder
@@ -26,12 +26,7 @@ def accumulator_width(tree_width: int, input_bits: int) -> int:
     return tree_width + input_bits
 
 
-def generate_shift_adder(
-    tree_width: int,
-    input_bits: int,
-    name: Optional[str] = None,
-    registered_output: bool = True,
-) -> Module:
+def generate_shift_adder(tree_width: int, input_bits: int) -> Module:
     """Build one column's S&A.
 
     Ports
@@ -41,15 +36,11 @@ def generate_shift_adder(
     ``clear``        asserted on the first cycle of a new input word
     ``clk``
     ``acc[0..A-1]``  accumulator value (two's complement)
-
-    When ``registered_output`` is false the combinational next-state is
-    exported instead (used when the searcher retimes OFU logic into this
-    stage and wants the raw sum).
     """
     if tree_width < 1 or input_bits < 1:
         raise SynthesisError("tree_width and input_bits must be positive")
     width = accumulator_width(tree_width, input_bits)
-    b = NetlistBuilder(name or f"shift_adder_t{tree_width}_k{input_bits}")
+    b = NetlistBuilder(f"shift_adder_t{tree_width}_k{input_bits}")
     t = b.inputs("t", tree_width)
     neg = b.inputs("neg")[0]
     clear = b.inputs("clear")[0]
@@ -81,10 +72,7 @@ def generate_shift_adder(
         d = sums[i]
         q = b.net("acc_d")
         b.module.add_instance(f"acc_reg_{i}", "DFF_X1", {"D": d, "CK": clk, "Q": state[i]})
-        if registered_output:
-            b.cell("BUF_X2", hint="accbuf", A=state[i], Y=acc_out[i])
-        else:
-            b.cell("BUF_X2", hint="accbuf", A=d, Y=acc_out[i])
+        b.cell("BUF_X2", hint="accbuf", A=state[i], Y=acc_out[i])
         del q
     return b.finish()
 

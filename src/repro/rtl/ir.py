@@ -17,7 +17,7 @@ RTL generators use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import SynthesisError
@@ -229,13 +229,6 @@ class Module:
                     continue
                 loads.setdefault(net, []).append((inst, pin))
         return loads
-
-    def cell_histogram(self, library: StdCellLibrary) -> Dict[str, int]:
-        """Leaf-cell usage counts (flat modules)."""
-        hist: Dict[str, int] = {}
-        for inst in self.instances:
-            hist[inst.cell_name] = hist.get(inst.cell_name, 0) + 1
-        return hist
 
     def total_area_um2(self, library: StdCellLibrary) -> float:
         return sum(
@@ -492,12 +485,6 @@ class NetlistBuilder:
     def xor2(self, a: str, b: str) -> str:
         return self.binary("XOR2_X1", a, b, hint="xor")
 
-    def nand2(self, a: str, b: str) -> str:
-        return self.binary("NAND2_X1", a, b, hint="nand")
-
-    def nor2(self, a: str, b: str) -> str:
-        return self.binary("NOR2_X1", a, b, hint="nor")
-
     def mux2(self, d0: str, d1: str, sel: str) -> str:
         y = self.net("mux")
         self.cell("MUX2_X1", hint="mux", D0=d0, D1=d1, S=sel, Y=y)
@@ -528,19 +515,3 @@ class NetlistBuilder:
 
     def finish(self) -> Module:
         return self.module
-
-
-def sign_extend(builder: NetlistBuilder, word: Sequence[str], width: int) -> List[str]:
-    """Pad a two's-complement word to ``width`` bits by repeating the MSB."""
-    if len(word) > width:
-        raise SynthesisError(f"cannot extend width {len(word)} to {width}")
-    return list(word) + [word[-1]] * (width - len(word))
-
-
-def zero_extend(
-    builder: NetlistBuilder, word: Sequence[str], width: int
-) -> List[str]:
-    """Pad an unsigned word to ``width`` bits with constant zeros."""
-    if len(word) > width:
-        raise SynthesisError(f"cannot extend width {len(word)} to {width}")
-    return list(word) + [builder.const0()] * (width - len(word))

@@ -25,13 +25,11 @@ memcell         cell name               (per-cell record)
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..signoff.corners import Corner as SignoffCorner
 
-from ..errors import LibraryError
 from ..power.estimator import estimate_power
 from ..rtl.gen.addertree import generate_adder_tree
 from ..rtl.gen.alignment import generate_alignment_unit
@@ -41,7 +39,7 @@ from ..rtl.gen.ofu import OFUConfig, generate_fuse_stage, generate_ofu
 from ..rtl.gen.shiftadder import generate_shift_adder
 from ..rtl.ir import Module
 from ..rtl.netview import net_view
-from ..spec import BF16, FP4, FP8, DataFormat
+from ..spec import BF16, FP4, FP8
 from ..sta.analysis import minimum_period_ns
 from ..tech.process import GENERIC_40NM, Process
 from ..tech.stdcells import StdCellLibrary, default_library
@@ -207,7 +205,6 @@ def build_default_scl(
     library: Optional[StdCellLibrary] = None,
     process: Optional[Process] = None,
     tree_sizes: Iterable[int] = TREE_SIZES,
-    verbose: bool = False,
     corner: Optional["SignoffCorner"] = None,
 ) -> SubcircuitLibrary:
     """Characterize the full default grid.  Takes a few seconds; callers
@@ -221,10 +218,6 @@ def build_default_scl(
     process = process or GENERIC_40NM
     scl = SubcircuitLibrary(process=process, cell_library=library,
                             corner=corner)
-
-    def log(msg: str) -> None:
-        if verbose:
-            print(f"[scl] {msg}")
 
     # Adder trees.  The RCA builder takes no carry-reorder decision
     # (``_build_rca_tree`` never sees the flag), so the ``-r``/``-n``
@@ -243,7 +236,6 @@ def build_default_scl(
                         mod, library, process, corner=corner
                     )
                 scl.table("adder_tree").add(variant, n, rec)
-            log(f"adder_tree {variant}")
 
     # Multiplier/multiplexer rows (record is per row).
     for style in ("tg_nor", "oai22", "pg_1t"):
@@ -254,7 +246,6 @@ def build_default_scl(
             rec = characterize_module(mod, library, process,
                                       corner=corner)
             scl.table("mult_mux").add(style, mcr, rec)
-    log("mult_mux")
 
     # Shift-and-add.
     for k in SA_INPUT_BITS:
@@ -264,7 +255,6 @@ def build_default_scl(
             rec = characterize_module(mod, library, process,
                                       corner=corner)
             scl.table("shift_adder").add(variant, tw, rec)
-    log("shift_adder")
 
     # OFU (combinational, registers priced separately by the estimator)
     # and standalone fusion stages for retiming arithmetic — both adder
@@ -305,14 +295,12 @@ def build_default_scl(
                     stage_delays=tuple(stage_delays), corner=corner
                 )
                 scl.table("ofu").add(variant, w, rec)
-            log(f"ofu c{cols}-{tag}")
 
         for shift in FUSE_SHIFTS:
             variant = f"s{shift}-{tag}"
             for w in FUSE_WIDTHS:
                 rec = fuse_record(w, shift, style)
                 scl.table("fuse_stage").add(variant, w, rec)
-        log(f"fuse_stage {tag}")
 
     # Drivers: characterized per 4 rows/cols, stored per unit.
     unit = 4
@@ -331,7 +319,6 @@ def build_default_scl(
                 mod, library, process, corner=corner
             ).scaled(1.0 / unit)
             scl.table("bl_driver").add(f"drv{strength}", rows, rec)
-    log("drivers")
 
     # FP/INT alignment units.
     for fmt in ALIGN_FORMATS:
@@ -340,7 +327,6 @@ def build_default_scl(
             rec = characterize_module(mod, library, process,
                                       corner=corner)
             scl.table("alignment").add(fmt.name, lanes, rec)
-        log(f"alignment {fmt.name}")
 
     # Memory bitcells (closed-form, per cell; the corner factors apply
     # to the same three quantities the STA/power path derates).
@@ -361,7 +347,6 @@ def build_default_scl(
                 cells=1,
             ),
         )
-    log("memcells")
 
     scl.seal()
     return scl

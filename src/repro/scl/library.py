@@ -100,7 +100,6 @@ def _cache_key(process: Process, corner: Optional["Corner"]) -> Tuple:
 
 def default_scl(
     process: Optional[Process] = None,
-    verbose: bool = False,
     corner: Optional["Corner"] = None,
     library: Optional[StdCellLibrary] = None,
 ) -> SubcircuitLibrary:
@@ -131,9 +130,7 @@ def default_scl(
     if library is not None and library is not default_library():
         scl = load_cached_scl(library, process, corner)
         if scl is None:
-            scl = build_default_scl(
-                library, process, verbose=verbose, corner=corner
-            )
+            scl = build_default_scl(library, process, corner=corner)
             store_cached_scl(scl)
         return scl
     key = _cache_key(process, corner)
@@ -141,9 +138,7 @@ def default_scl(
         library = default_library()
         scl = load_cached_scl(library, process, corner)
         if scl is None:
-            scl = build_default_scl(
-                library, process, verbose=verbose, corner=corner
-            )
+            scl = build_default_scl(library, process, corner=corner)
             store_cached_scl(scl)
             _SOURCE[key] = "built"
         else:
@@ -152,21 +147,17 @@ def default_scl(
     return _CACHE[key]
 
 
-def install_default_scl(
-    scl: SubcircuitLibrary,
-    process: Optional[Process] = None,
-    corner: Optional["Corner"] = None,
-    source: str = "shm",
-) -> None:
-    """Seed the in-process default-SCL cache with an externally
-    resolved library (e.g. one attached from a shared-memory segment —
-    see :mod:`repro.shm.scl`).  Later :func:`default_scl` calls for
-    this (process, corner) return it without touching the disk cache
-    or the characterizer.  An unsealed library is rejected: the cache
-    only ever holds read-only sealed objects."""
+def install_default_scl(scl: SubcircuitLibrary, source: str = "shm") -> None:
+    """Seed the in-process cache's nominal default SCL with an
+    externally resolved library (e.g. one attached from a shared-memory
+    segment — see :mod:`repro.shm.scl`).  Later :func:`default_scl`
+    calls for the default process at the nominal corner return it
+    without touching the disk cache or the characterizer.  An unsealed
+    library is rejected: the cache only ever holds read-only sealed
+    objects."""
     if not scl.sealed:
         raise LibraryError("install_default_scl requires a sealed library")
-    key = _cache_key(process or GENERIC_40NM, corner)
+    key = _cache_key(GENERIC_40NM, None)
     _CACHE[key] = scl
     _SOURCE[key] = source
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import LibraryError
 
@@ -123,9 +123,6 @@ class PPATable:
         dims = self._dims_by_variant.setdefault(variant, [])
         bisect.insort(dims, dim)
         self._interp_cache.clear()
-
-    def exact(self, variant: str, dim: int) -> Optional[PPARecord]:
-        return self._records.get((variant, dim))
 
     def lookup(self, variant: str, dim: int) -> PPARecord:
         key = (variant, dim)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..arch import MacroArchitecture
 from ..errors import SearchError
@@ -489,12 +489,3 @@ def _price(
     if est is None:
         est = memo[key] = estimate_macro(spec, arch, scl)
     return est
-
-
-def search(
-    spec: MacroSpec,
-    scl: Optional[SubcircuitLibrary] = None,
-    seed: Optional[int] = None,
-) -> SearchResult:
-    """Convenience one-shot search."""
-    return MSOSearcher(scl, seed=seed).search(spec)

@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 from ..arch import MacroArchitecture
-from ..errors import SearchError
 from ..spec import DataFormat, MacroSpec
 from ..rtl.gen.ofu import ofu_boundaries
 from ..scl.builder import tree_variant

@@ -10,21 +10,12 @@ when the move does not apply, so the searcher can compose and log them
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..arch import MacroArchitecture
 from ..spec import MacroSpec
 
 Move = Callable[[MacroSpec, MacroArchitecture], Optional[MacroArchitecture]]
-
-
-@dataclass(frozen=True)
-class AppliedFix:
-    """Log entry: which fix produced which architecture."""
-
-    name: str
-    arch: MacroArchitecture
 
 
 # --------------------------------------------------------------------------

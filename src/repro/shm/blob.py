@@ -28,7 +28,7 @@ import atexit
 import hashlib
 import struct
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import BatchError
 

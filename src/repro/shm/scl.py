@@ -79,9 +79,8 @@ def scl_from_tensors(
     arrays: dict,
     library: StdCellLibrary,
     process: Process,
-    corner=None,
 ):
-    """Rebuild a sealed library from attached tensors.
+    """Rebuild a sealed nominal-corner library from attached tensors.
 
     The 261 record objects themselves are (tiny) per-process copies;
     what the attach avoids is the disk read, the JSON parse, and above
@@ -96,8 +95,7 @@ def scl_from_tensors(
         raise LibraryError("shm SCL: wrong payload kind")
     if meta.get("process") != process.name:
         raise LibraryError("shm SCL: process mismatch")
-    want = None if corner is None else list(corner.key())
-    if meta.get("corner") != want:
+    if meta.get("corner") is not None:
         raise LibraryError("shm SCL: corner mismatch")
     numeric = arrays["numeric"]
     stages = arrays["stages"]
@@ -105,9 +103,7 @@ def scl_from_tensors(
     index = meta["index"]
     if numeric.shape != (len(index), _NUMERIC_FIELDS):
         raise LibraryError("shm SCL: numeric tensor shape mismatch")
-    scl = SubcircuitLibrary(
-        process=process, cell_library=library, corner=corner
-    )
+    scl = SubcircuitLibrary(process=process, cell_library=library)
     for i, (kind, variant, dim) in enumerate(index):
         row = numeric[i]
         stage_slice = stages[int(offsets[i]):int(offsets[i + 1])]
@@ -131,9 +127,7 @@ def scl_from_tensors(
     return scl
 
 
-def publish_default_scl(
-    process: Optional[Process] = None, corner=None
-) -> Optional[str]:
+def publish_default_scl() -> Optional[str]:
     """Parent-side: resolve the default SCL and publish its tensors.
 
     Returns the segment name, or ``None`` when publishing failed (a
@@ -143,8 +137,7 @@ def publish_default_scl(
     from ..scl.cache import scl_cache_key
     from ..scl.library import default_scl
 
-    process = process or GENERIC_40NM
-    scl = default_scl(process=process, corner=corner)
+    scl = default_scl()
     key = scl_cache_key(scl.cell_library, scl.process, scl.corner)
     meta, arrays = scl_to_tensors(scl)
     try:
@@ -153,9 +146,7 @@ def publish_default_scl(
         return None
 
 
-def attach_default_scl(
-    process: Optional[Process] = None, corner=None
-) -> Optional[object]:
+def attach_default_scl() -> Optional[object]:
     """Worker-side: attach the published default-SCL tensors, install
     the result as this process's default SCL, and return it.
 
@@ -168,16 +159,15 @@ def attach_default_scl(
     from ..scl.cache import scl_cache_key
     from ..scl.library import install_default_scl
 
-    process = process or GENERIC_40NM
     library = default_library()
-    key = scl_cache_key(library, process, corner)
+    key = scl_cache_key(library, GENERIC_40NM)
     payload = attach_blob(scl_segment_name(key))
     if payload is None:
         return None
     try:
         meta, arrays = unpack_tensors(payload)
-        scl = scl_from_tensors(meta, arrays, library, process, corner)
+        scl = scl_from_tensors(meta, arrays, library, GENERIC_40NM)
     except (LibraryError, ShmFormatError, KeyError, ValueError, TypeError):
         return None
-    install_default_scl(scl, process=process, corner=corner, source="shm")
+    install_default_scl(scl, source="shm")
     return scl

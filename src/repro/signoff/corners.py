@@ -192,7 +192,7 @@ def worst_corner_scl(process: Process, corners: CornerSet, library=None):
     itself (TT pricing already covers it).
 
     The single resolution point shared by the compiler (searcher
-    pricing) and the batch engine (worker prewarm), so both always
+    pricing) and the job executor (worker prewarm), so both always
     agree on which artifact a corner set needs.  ``library`` swaps in
     an alternate cell-library backend (see ``default_scl``).
     """

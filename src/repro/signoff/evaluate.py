@@ -113,10 +113,6 @@ class SignoffReport:
         """Frequency sustainable across all corners."""
         return self.worst.fmax_mhz
 
-    @property
-    def max_power_mw(self) -> float:
-        return max(r.power.total_mw for r in self.results)
-
     def corner(self, name: str) -> CornerResult:
         for result in self.results:
             if result.corner.name == name:
@@ -183,35 +179,27 @@ def multi_corner_signoff(
     process: Process,
     corners: CornerSet,
     clock_period_ns: float,
-    frequency_mhz: Optional[float] = None,
     wire_load: Optional[WireLoadFn] = None,
     nominal_power: Optional[PowerReport] = None,
     nominal_timing: Optional[TimingReport] = None,
-    input_stats=None,
 ) -> SignoffReport:
     """Evaluate one flat netlist at every corner of ``corners``.
 
     ``nominal_power`` (an analysis at the process's nominal voltage,
     as the implementation flow already produces) is rescaled per
-    corner; when omitted it is computed once here.  ``nominal_timing``
-    (the flow's derate-1.0 report at the same period and wire loads)
-    is reused verbatim for corners whose composed derate is the
-    nominal point, saving their arrival propagation — with the
-    ``typical`` preset the whole signoff then costs nothing extra.
+    corner; when omitted it is computed once here, at the clock
+    frequency.  ``nominal_timing`` (the flow's derate-1.0 report at
+    the same period and wire loads) is reused verbatim for corners
+    whose composed derate is the nominal point, saving their arrival
+    propagation — with the ``typical`` preset the whole signoff then
+    costs nothing extra.
     ``wire_load`` should be the same post-layout load function the
     nominal signoff used so corner timing differs from nominal only by
     the derate.
     """
     if nominal_power is None:
-        if frequency_mhz is None:
-            frequency_mhz = 1e3 / clock_period_ns
         nominal_power = estimate_power(
-            module,
-            library,
-            process,
-            frequency_mhz,
-            input_stats=input_stats,
-            wire_load=wire_load,
+            module, library, process, 1e3 / clock_period_ns, wire_load=wire_load
         )
     results = []
     for corner in corners:

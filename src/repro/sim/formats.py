@@ -30,18 +30,6 @@ def encode_int(value: int, bits: int) -> List[int]:
     return [(u >> i) & 1 for i in range(bits)]
 
 
-def decode_int(bits: Sequence[int]) -> int:
-    """Two's-complement value of LSB-first bits."""
-    u = 0
-    for i, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise SimulationError(f"non-binary bit {bit!r}")
-        u |= bit << i
-    if bits and bits[-1]:
-        u -= 1 << len(bits)
-    return u
-
-
 def wrap_to_width(value: int, bits: int) -> int:
     """Interpret ``value mod 2^bits`` as a signed number (register wrap)."""
     u = value & ((1 << bits) - 1)
@@ -86,29 +74,6 @@ class FPFields:
         hidden = 0 if self.is_subnormal else 1
         mag = (hidden << self.fmt.mantissa) | self.mantissa
         return -mag if self.sign else mag
-
-    def pack_bits(self) -> List[int]:
-        """LSB-first: mantissa, exponent, sign."""
-        bits = [(self.mantissa >> i) & 1 for i in range(self.fmt.mantissa)]
-        bits += [(self.exponent >> i) & 1 for i in range(self.fmt.exponent)]
-        bits.append(self.sign)
-        return bits
-
-
-def unpack_fp(bits: Sequence[int], fmt: DataFormat) -> FPFields:
-    if len(bits) != fmt.bits:
-        raise SimulationError(f"expected {fmt.bits} bits, got {len(bits)}")
-    m = decode_unsigned(bits[: fmt.mantissa])
-    e = decode_unsigned(bits[fmt.mantissa : fmt.mantissa + fmt.exponent])
-    s = bits[fmt.mantissa + fmt.exponent]
-    return FPFields(sign=s, exponent=e, mantissa=m, fmt=fmt)
-
-
-def decode_unsigned(bits: Sequence[int]) -> int:
-    u = 0
-    for i, bit in enumerate(bits):
-        u |= (bit & 1) << i
-    return u
 
 
 def quantize_to_fp(value: float, fmt: DataFormat) -> FPFields:

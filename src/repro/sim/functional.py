@@ -26,7 +26,6 @@ from ..arch import MacroArchitecture
 from ..errors import SimulationError
 from ..spec import DataFormat, MacroSpec
 from .formats import (
-    FPFields,
     align_group,
     encode_int,
     group_scale,
@@ -72,18 +71,6 @@ class DCIMMacroModel:
     @property
     def group_width(self) -> int:
         return self.spec.max_weight_bits
-
-    def set_weight_bits(self, bank: int, bits: np.ndarray) -> None:
-        """Raw bit write: array of shape (height, width) of 0/1."""
-        self._check_bank(bank)
-        arr = np.asarray(bits, dtype=np.uint8)
-        if arr.shape != (self.spec.height, self.spec.width):
-            raise SimulationError(
-                f"expected {(self.spec.height, self.spec.width)}, got {arr.shape}"
-            )
-        if not np.isin(arr, (0, 1)).all():
-            raise SimulationError("weight bits must be 0/1")
-        self._bits[bank] = arr
 
     def weight_bits(self, bank: int) -> np.ndarray:
         self._check_bank(bank)
@@ -180,12 +167,11 @@ class DCIMMacroModel:
         self,
         x: Sequence[int],
         bank: int = 0,
-        input_bits: Optional[int] = None,
         trace: Optional[MacCycleTrace] = None,
     ) -> List[int]:
         """Cycle-accurate serial MAC; must equal :meth:`mac_ideal`."""
         self._check_bank(bank)
-        k = input_bits or self.spec.input_width
+        k = self.spec.input_width
         lo, hi = int_range(k)
         xs = list(x)
         if len(xs) != self.spec.height:
@@ -242,13 +228,9 @@ class DCIMMacroModel:
 
     # -- FP convenience -----------------------------------------------------
 
-    def mac_fp(
-        self,
-        x: Sequence[float],
-        fmt_in: DataFormat,
-        bank: int = 0,
-    ) -> List[float]:
-        """Quantize FP inputs, align, run the integer MAC, rescale.
+    def mac_fp(self, x: Sequence[float], fmt_in: DataFormat) -> List[float]:
+        """Quantize FP inputs, align, run the integer MAC on bank 0,
+        rescale.
 
         Weights must have been loaded with :meth:`set_weights_fp` (their
         group scales are applied), or with :meth:`set_weights_int`
@@ -257,10 +239,10 @@ class DCIMMacroModel:
         fields = [quantize_to_fp(float(v), fmt_in) for v in x]
         aligned, emax = align_group(fields)
         scale_in = group_scale(fmt_in, emax)
-        ints = self.mac_ideal(aligned, bank)
+        ints = self.mac_ideal(aligned)
         out: List[float] = []
         for g, v in enumerate(ints):
-            w_scale = self._weight_scales.get((bank, g), 1.0)
+            w_scale = self._weight_scales.get((0, g), 1.0)
             out.append(v * scale_in * w_scale)
         return out
 

@@ -32,8 +32,8 @@ custom cells simulate correctly without registration.
 
 The value array is stored **tile-major**: shape ``(n_tiles, rows,
 tile_words)``, so one word-tile of every net is a single contiguous
-matrix.  Wide batches evaluate tile by tile (``tile_words`` words — 64
-by default, 4096 lanes — per block) with every gather and kernel write
+matrix.  Wide batches evaluate tile by tile (64 words, 4096 lanes, per
+block) with every gather and kernel write
 operating on contiguous memory; the per-level working set stays inside
 the fast cache levels as the batch grows instead of sliding down the
 memory hierarchy, which is what lets verification throughput scale
@@ -51,7 +51,7 @@ observationally identical to a full pass.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,10 +62,10 @@ from ..tech.stdcells import Cell, StdCellLibrary
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Default word-tile width for the propagate loop: 64 words = 4096
-#: lanes per block keeps each level's gather sources and output block
+#: Word-tile width of the propagate loop: 64 words = 4096 lanes per
+#: block keeps each level's gather sources and output block
 #: cache-resident on wide batches.
-_DEFAULT_TILE_WORDS = 64
+_TILE_WORDS = 64
 
 BatchValue = Union[int, Sequence[int], np.ndarray]
 
@@ -327,13 +327,9 @@ class VecSim:
     library:
         Cell library supplying logic functions.
     batch:
-        Number of simultaneous stimulus lanes ``B``.
-    tile_words:
-        Word-tile width of the propagate loop (default 64 words = 4096
-        lanes per block); wide batches evaluate tile by tile over the
-        tile-major value array so the per-level working set stays
-        cache-resident.  Results are bit-identical for every tile
-        width.
+        Number of simultaneous stimulus lanes ``B``; batches wider than
+        one word-tile (4096 lanes) evaluate tile by tile over the
+        tile-major value array.
 
     Lane-indexed arguments accept either a scalar (broadcast to every
     lane) or a length-``B`` sequence of 0/1 values.
@@ -344,21 +340,14 @@ class VecSim:
         module,
         library: StdCellLibrary,
         batch: int = 64,
-        tile_words: Optional[int] = None,
     ) -> None:
         if batch < 1:
             raise SimulationError(f"batch must be positive, got {batch}")
-        if tile_words is not None and tile_words < 1:
-            raise SimulationError(
-                f"tile_words must be positive, got {tile_words}"
-            )
         self.module = module
         self.library = library
         self.batch = int(batch)
         self.words = (self.batch + 63) // 64
-        self._tile = min(
-            self.words, tile_words if tile_words else _DEFAULT_TILE_WORDS
-        )
+        self._tile = min(self.words, _TILE_WORDS)
         self._n_tiles = -(-self.words // self._tile)
         #: Padded word count: every full-width array spans whole tiles
         #: (pad words stay zero) so the tile-major value cube and the
@@ -563,10 +552,6 @@ class VecSim:
         self._free_mask = np.zeros(self._n_rows, dtype=bool)
         if free_ext:
             self._free_mask[int_id[np.asarray(sorted(free_ext))]] = True
-
-    @property
-    def n_levels(self) -> int:
-        return len(self._levels)
 
     # -- value-cube access ---------------------------------------------------
 

@@ -82,22 +82,6 @@ class DataFormat:
         """Bit columns one weight of this format occupies in the array."""
         return self.bits if not self.is_float else self.mantissa + 2
 
-    @property
-    def alignment_window(self) -> int:
-        """Maximum right-shift distance the alignment barrel shifter
-        supports.  Beyond twice the significand width the shifted-in
-        bits are rounded away, so the window is clamped there (RedCIM-
-        style units do the same)."""
-        if not self.is_float:
-            return 0
-        max_shift = (1 << self.exponent) - 1
-        return min(max_shift, 2 * (self.mantissa + 2))
-
-    @property
-    def int_width_after_alignment(self) -> int:
-        """Width of the integer lane the format needs post-alignment."""
-        return self.bits if not self.is_float else self.serial_bits
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable description (inverse of :meth:`from_dict`)."""
         return {
@@ -171,14 +155,6 @@ class PPAWeights:
         if all(w == 0 for w in weights):
             raise SpecificationError("at least one PPA weight must be positive")
 
-    def normalized(self) -> "PPAWeights":
-        total = self.power + self.performance + self.area
-        return PPAWeights(
-            power=self.power / total,
-            performance=self.performance / total,
-            area=self.area / total,
-        )
-
     def to_dict(self) -> Dict[str, float]:
         return {
             "power": self.power,
@@ -195,10 +171,8 @@ class PPAWeights:
         )
 
     def score(self, power_mw: float, delay_ns: float, area_um2: float) -> float:
-        """Lower-is-better scalar cost: weighted geometric mean of PPA.
-
-        The weights are normalized inline, exactly as :meth:`normalized`
-        does, without building a new instance per call."""
+        """Lower-is-better scalar cost: weighted geometric mean of PPA,
+        each weight normalized inline by the sum of the three."""
         total = self.power + self.performance + self.area
         eps = 1e-12
         return math.exp(
@@ -206,11 +180,6 @@ class PPAWeights:
             + self.performance / total * math.log(max(delay_ns, eps))
             + self.area / total * math.log(max(area_um2, eps))
         )
-
-
-ENERGY_FIRST = PPAWeights(power=3.0, performance=1.0, area=1.0)
-AREA_FIRST = PPAWeights(power=1.0, performance=1.0, area=3.0)
-BALANCED = PPAWeights()
 
 
 @dataclass(frozen=True)
@@ -316,11 +285,6 @@ class MacroSpec:
         )
 
     @property
-    def adder_tree_inputs(self) -> int:
-        """Rows summed by one column's adder tree."""
-        return self.height
-
-    @property
     def tree_sum_width(self) -> int:
         """Bit-width of one column's adder-tree output (unsigned count)."""
         return int(math.floor(math.log2(self.height))) + 1
@@ -330,11 +294,6 @@ class MacroSpec:
         """Bit-width of the per-column S&A accumulator: the tree sum
         grows by one position per serial input bit."""
         return self.tree_sum_width + self.input_width
-
-    @property
-    def ofu_stages(self) -> int:
-        """Column-fusion stages needed for the widest weight format."""
-        return max(0, int(math.log2(self.max_weight_bits)))
 
     @property
     def sram_rows(self) -> int:

@@ -473,37 +473,6 @@ def _required_times(
     return arrivals, required, slews, delays
 
 
-def net_slacks(
-    module: Module,
-    library: StdCellLibrary,
-    clock_period_ns: float,
-    wire_load: Optional[WireLoadFn] = None,
-    derate: float = 1.0,
-) -> Dict[str, float]:
-    """Per-net setup slack (``required - arrival``) for every net on a
-    path to a timing endpoint.
-
-    Nets that reach no endpoint (e.g. dangling probe nets) are omitted
-    rather than reported as infinitely slack.
-    """
-    view = net_view(module, library)
-    arrivals, required, _, _ = _required_times(
-        view, clock_period_ns, derate, wire_load
-    )
-    inf = float("inf")
-    neg_inf = float("-inf")
-    names = view.net_names
-    out: Dict[str, float] = {}
-    for i, req in enumerate(required):
-        if req == inf:
-            continue
-        arrival = arrivals[i]
-        if arrival == neg_inf:
-            arrival = 0.0
-        out[names[i]] = req - arrival
-    return out
-
-
 def instance_slacks(
     module: Module,
     library: StdCellLibrary,

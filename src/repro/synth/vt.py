@@ -10,13 +10,15 @@ passes are the netlist-level half of that trade:
   ``--vt hvt``/``--vt lvt`` compile modes);
 * :func:`recover_leakage` demotes high-slack cells to hvt one
   slack-ordered bisection at a time — the classic post-fix leakage
-  recovery loop — using :func:`repro.sta.analysis.instance_slacks`;
-* :func:`check_vt_library` validates the flavor orderings a library
-  claims, so a stale or hand-edited leakage/delay table fails fast
-  instead of silently mis-steering the recovery loop.
+  recovery loop — using :func:`repro.sta.analysis.instance_slacks`.
 
-Sequential and memory cells are excluded from the automated passes by
-default: the architecture estimator prices register clocking and
+The flavor orderings these passes rely on (delay up, leakage down from
+ulvt to hvt) are checked by ``check_vt_library`` in
+``tests/test_vt_passes.py``, on the shipped library and on mutants
+with a stale table.
+
+Sequential and memory cells are excluded from the automated passes:
+the architecture estimator prices register clocking and
 bitcell arrays from calibrated constants that do not re-scale with
 flavor, so re-flavoring them would desynchronize estimation from
 signoff.
@@ -33,7 +35,6 @@ from ..sta.analysis import instance_slacks, minimum_period_ns
 from ..sta.graph import WireLoadFn
 from ..tech.stdcells import (
     VT_FLAVORS,
-    VT_ORDER,
     Cell,
     StdCellLibrary,
     parse_variant_name,
@@ -101,13 +102,9 @@ def _apply_swaps(
     module.set_refs(edits)
 
 
-def swap_vt(
-    module: Module,
-    library: StdCellLibrary,
-    vt: str,
-    include_sequential: bool = False,
-) -> int:
-    """Re-flavor every laddered instance of ``module`` to ``vt``.
+def swap_vt(module: Module, library: StdCellLibrary, vt: str) -> int:
+    """Re-flavor every laddered combinational instance of ``module`` to
+    ``vt``.
 
     In-place, structure-preserving: only ``Instance.ref`` changes
     (through :meth:`~repro.rtl.ir.Module.set_refs`), and
@@ -123,9 +120,7 @@ def swap_vt(
     swaps: Dict[str, str] = {}
     for inst in module.instances:
         cell = library.cell(inst.cell_name)
-        if cell.is_memory:
-            continue
-        if cell.is_sequential and not include_sequential:
+        if cell.is_memory or cell.is_sequential:
             continue
         target = _swap_target(library, inst.cell_name, vt=vt)
         if target is not None:
@@ -193,48 +188,3 @@ def recover_leakage(
         keep = keep[: len(keep) // 2]
         module.set_refs((by_name[name], old_refs[name]) for _, name, _ in dropped)
     return 0
-
-
-def check_vt_library(library: StdCellLibrary) -> int:
-    """Validate the flavor orderings across the library's Vt grid.
-
-    At every ``(base, drive)`` point where several flavors exist, delay
-    must strictly increase and leakage strictly decrease from ulvt
-    toward hvt (see :data:`repro.tech.stdcells.VT_ORDER`).  A violation
-    means a stale or inconsistent characterization table — e.g. a
-    leakage column scaled without re-deriving its neighbors — and
-    raises :class:`LibraryError` naming the offending pair.  Returns
-    the number of grid points checked.
-    """
-    grid: Dict[Tuple[str, int], Dict[str, Cell]] = {}
-    for cell in library:
-        parsed = parse_variant_name(cell.name)
-        if parsed is None:
-            continue
-        grid.setdefault((parsed[0], parsed[2]), {})[parsed[1]] = cell
-
-    def worst_d0(cell: Cell) -> float:
-        return max((a.d0_ns for a in cell.arcs), default=0.0)
-
-    checked = 0
-    for (base, drive), flavors in sorted(grid.items()):
-        present = [vt for vt in VT_ORDER if vt in flavors]
-        if len(present) < 2:
-            continue
-        checked += 1
-        for slow_vt, fast_vt in zip(present, present[1:]):
-            slow = flavors[slow_vt]
-            fast = flavors[fast_vt]
-            if slow.arcs and fast.arcs and not worst_d0(slow) > worst_d0(fast):
-                raise LibraryError(
-                    f"stale timing table: {slow.name} (d0 "
-                    f"{worst_d0(slow):.6g} ns) is not slower than "
-                    f"{fast.name} (d0 {worst_d0(fast):.6g} ns)"
-                )
-            if not slow.leakage_nw < fast.leakage_nw:
-                raise LibraryError(
-                    f"stale leakage table: {slow.name} "
-                    f"({slow.leakage_nw:.6g} nW) is not lower-leakage "
-                    f"than {fast.name} ({fast.leakage_nw:.6g} nW)"
-                )
-    return checked

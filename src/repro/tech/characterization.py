@@ -124,10 +124,9 @@ def characterize_cell(
     cell: Cell,
     process: Process,
     vdd: float = 0.0,
-    slews_ns: Tuple[float, ...] = DEFAULT_SLEWS_NS,
-    loads_ff: Tuple[float, ...] = DEFAULT_LOADS_FF,
 ) -> CharacterizedCell:
-    """Run the characterization flow for one cell at a given voltage.
+    """Run the characterization flow for one cell at a given voltage,
+    over the :data:`DEFAULT_SLEWS_NS` x :data:`DEFAULT_LOADS_FF` grid.
 
     The cell's embedded linear model describes the nominal voltage; the
     alpha-power delay scale maps it to the requested corner, exactly as
@@ -136,6 +135,7 @@ def characterize_cell(
     """
     vdd = vdd or process.vdd_nominal
     scale = process.delay_scale(vdd)
+    slews_ns, loads_ff = DEFAULT_SLEWS_NS, DEFAULT_LOADS_FF
     characterized = []
     for arc in cell.arcs:
         delays = tuple(

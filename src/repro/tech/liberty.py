@@ -542,26 +542,9 @@ def read_liberty_library(path: Union[str, Path]) -> StdCellLibrary:
 def export_liberty(
     library: StdCellLibrary,
     process: Process,
-    vdd: float = 0.0,
     name: str = "repro40",
 ) -> str:
-    """Characterize and export a whole library (the ``--lib-out`` path)."""
-    vdd = vdd or process.vdd_nominal
+    """Characterize and export a whole library at the process's nominal
+    voltage (the ``--lib-out`` path)."""
+    vdd = process.vdd_nominal
     return write_liberty(name, characterize_library(list(library), process, vdd), vdd)
-
-
-def parse_liberty(text: str) -> Dict[str, Dict[str, object]]:
-    """Summary view: ``{cell: {"area", "leakage", "pin_caps"}}``.
-
-    Retained lightweight interface over the full parser — enough for
-    quick consistency checks and third-party consumption.
-    """
-    parsed = parse_liberty_cells(text)
-    return {
-        cell.name: {
-            "area": cell.area_um2,
-            "leakage": cell.leakage_nw,
-            "pin_caps": dict(cell.input_caps_ff),
-        }
-        for cell in parsed.cells.values()
-    }

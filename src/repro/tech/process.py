@@ -156,18 +156,6 @@ class Process:
             raise SpecificationError("critical path must be positive")
         return 1e3 / (critical_path_ns * self.delay_scale(vdd))
 
-    # -- wire parasitics -----------------------------------------------------
-
-    def wire_cap_ff(self, length_um: float) -> float:
-        return self.wire_cap_ff_per_um * length_um
-
-    def wire_delay_ns(self, length_um: float, load_ff: float) -> float:
-        """Elmore-style wire delay: distributed RC plus R * receiver load."""
-        r = self.wire_res_kohm_per_um * length_um
-        c = self.wire_cap_ff_per_um * length_um
-        # kohm * fF = ps; 0.5 factor for distributed wire C.
-        return (r * (0.5 * c + load_ff)) * 1e-3
-
 
 GENERIC_40NM = Process()
 

@@ -155,12 +155,6 @@ class Cell:
     def inputs(self) -> Tuple[str, ...]:
         return tuple(self.input_caps_ff)
 
-    def input_cap(self, pin: str) -> float:
-        try:
-            return self.input_caps_ff[pin]
-        except KeyError:
-            raise LibraryError(f"{self.name} has no input pin {pin!r}") from None
-
     def arcs_to(self, output_pin: str) -> Tuple[TimingArc, ...]:
         return tuple(a for a in self.arcs if a.output_pin == output_pin)
 
@@ -763,9 +757,6 @@ class StdCellLibrary:
             return self._cells[name]
         except KeyError:
             raise LibraryError(f"unknown cell {name!r}") from None
-
-    def cells_tagged(self, tag: str) -> Tuple[Cell, ...]:
-        return tuple(c for c in self._cells.values() if tag in c.tags)
 
     def add(self, cell: Cell) -> None:
         if cell.name in self._cells:

@@ -6,11 +6,12 @@ import math
 from typing import List, Optional, Sequence
 
 import numpy as np
+from reference.formats import decode_int
 from reference.gatesim import GateSimulator
 
 from repro.arch import MacroArchitecture
 from repro.rtl.gen.macro import generate_macro
-from repro.sim.formats import decode_int, encode_int
+from repro.sim.formats import encode_int
 from repro.sim.functional import DCIMMacroModel
 from repro.spec import MacroSpec
 from repro.tech.stdcells import default_library

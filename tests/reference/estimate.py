@@ -6,7 +6,9 @@ pricing a search pays for every candidate), kept verbatim so
 returns exactly the same :class:`MacroEstimate` — every segment delay,
 energy, area and leakage bit for bit — for any (spec, architecture, Vt,
 mode).  Only the imports differ: absolute, and the constants and result
-types come from the shipped module.
+types come from the shipped module; and the sub-tree row count it
+reads, ``MacroArchitecture.subtree_inputs`` until nothing in the
+package called it, is the function :func:`subtree_inputs` here.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from repro.search.estimate import (
 )
 from repro.spec import DataFormat, MacroSpec
 from repro.tech.stdcells import VT_FLAVORS
+
+
+def subtree_inputs(arch: MacroArchitecture, spec: MacroSpec) -> int:
+    """Rows accumulated by each sub-tree after column splitting."""
+    return spec.height // arch.column_split
 
 
 def estimate_macro(
@@ -77,7 +84,7 @@ def estimate_macro(
     wl = logic(scl.lookup("wl_driver", f"drv{arch.driver_strength}", w))
     bl = logic(scl.lookup("bl_driver", f"drv{arch.driver_strength}", h * mcr))
     mm = logic(scl.lookup("mult_mux", arch.mult_style, mcr))
-    sub_n = arch.subtree_inputs(spec)
+    sub_n = subtree_inputs(arch, spec)
     tree = logic(
         scl.lookup(
             "adder_tree",

@@ -182,6 +182,6 @@ class GateSimulator:
 
     def bus_int(self, base: str, width: int) -> int:
         """Two's-complement value of a bus."""
-        from repro.sim.formats import decode_int
+        from reference.formats import decode_int
 
         return decode_int(self.bus(base, width))

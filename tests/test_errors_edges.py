@@ -102,10 +102,10 @@ class TestDegenerateInputs:
 
 class TestReportStability:
     def test_search_is_deterministic(self, paper_spec, scl):
-        from repro.search.algorithm import search
+        from repro.search.algorithm import MSOSearcher
 
-        a = search(paper_spec, scl)
-        b = search(paper_spec, scl)
+        a = MSOSearcher(scl).search(paper_spec)
+        b = MSOSearcher(scl).search(paper_spec)
         assert [e.arch for e in a.frontier] == [e.arch for e in b.frontier]
 
     def test_estimate_is_pure(self, paper_spec, scl):

@@ -4,11 +4,13 @@ behavioural contract."""
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.formats import decode_int, pack_bits
 from reference.gatesim import GateSimulator
 
 from repro.errors import SynthesisError
@@ -30,7 +32,6 @@ from repro.rtl.gen.shiftadder import accumulator_width, generate_shift_adder
 from repro.sim.formats import (
     FPFields,
     align_group,
-    decode_int,
     encode_int,
     quantize_to_fp,
     wrap_to_width,
@@ -99,7 +100,7 @@ class TestMemoryArray:
         mod, stats = generate_memory_array(8, 4, 2, "DCIM6T")
         assert stats.compute_cells == 32
         assert stats.storage_cells == 32
-        hist = mod.flatten().cell_histogram(LIB)
+        hist = Counter(inst.cell_name for inst in mod.flatten().instances)
         assert hist["DCIM6T"] == 32
         assert hist["SRAM6T"] == 32
 
@@ -297,7 +298,7 @@ class TestAlignment:
                 for _ in range(lanes)
             ]
             for lane, f in enumerate(fields):
-                for i, bit in enumerate(f.pack_bits()):
+                for i, bit in enumerate(pack_bits(f)):
                     sim.set_input(f"fp{lane}[{i}]", bit)
             sim.evaluate()
             expect_aligned, expect_emax = align_group(fields)
@@ -321,7 +322,7 @@ class TestAlignment:
             FPFields(sign=0, exponent=1, mantissa=0, fmt=fmt),
         ]
         for lane, f in enumerate(lanes):
-            for i, bit in enumerate(f.pack_bits()):
+            for i, bit in enumerate(pack_bits(f)):
                 sim.set_input(f"fp{lane}[{i}]", bit)
         sim.evaluate()
         aligned, emax = align_group(lanes)

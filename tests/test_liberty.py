@@ -32,7 +32,6 @@ from repro.tech.liberty import (
     compile_functions,
     export_liberty,
     library_from_liberty,
-    parse_liberty,
     parse_liberty_cells,
     read_liberty_library,
 )
@@ -203,12 +202,12 @@ class TestDefaultLibraryRoundTrip:
 
     def test_summary_view(self):
         library = default_library()
-        summary = parse_liberty(export_liberty(library, GENERIC_40NM))
+        summary = parse_liberty_cells(export_liberty(library, GENERIC_40NM)).cells
         assert set(summary) == set(library.names)
         inv = library.cell("INV_X1")
-        assert summary["INV_X1"]["area"] == inv.area_um2
-        assert summary["INV_X1"]["leakage"] == inv.leakage_nw
-        assert summary["INV_X1"]["pin_caps"] == dict(inv.input_caps_ff)
+        assert summary["INV_X1"].area_um2 == inv.area_um2
+        assert summary["INV_X1"].leakage_nw == inv.leakage_nw
+        assert dict(summary["INV_X1"].input_caps_ff) == dict(inv.input_caps_ff)
 
 
 class TestParserErrors:

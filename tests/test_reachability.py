@@ -16,11 +16,22 @@ reference implementations shipped code is pinned against live in
 ``tests/reference/``, so nothing under ``src/repro`` defines a
 ``*_reference`` function, method or class, or imports ``tests`` or
 ``reference``.
+
+Below modules, definitions: every top-level function and class, and
+every method but dunders, under ``src/repro`` must be named in code
+somewhere in the package, a paper benchmark (``benchmarks/test_*.py``)
+or an example (``examples/*.py``).  Code means a name, an attribute,
+an import, or a string that is not a docstring and spells an
+identifier (a lazy-export table); a docstring or comment that mentions
+a definition does not keep it.  A definition only tests call is
+deleted with its tests, or moved beside them.  ``ALLOWED_DEFINITIONS``
+lists the few kept anyway, each with its reason.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import pathlib
 
 import repro
@@ -29,6 +40,49 @@ PACKAGE = pathlib.Path(repro.__file__).resolve().parent
 ROOTS = ("repro", "repro.__main__", "repro.cli")
 ALLOWED = ("repro.baselines",)
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+#: Besides the package, the files whose code may name a definition.
+NAMING_GLOBS = ("benchmarks/test_*.py", "examples/*.py")
+
+#: Definitions nothing names but which stay, ``module:qualname`` ->
+#: why.
+ALLOWED_DEFINITIONS = {
+    "repro.service.server:_Handler.do_GET": "BaseHTTPRequestHandler hook",
+    "repro.service.server:_Handler.do_POST": "BaseHTTPRequestHandler hook",
+    "repro.service.server:_Handler.do_DELETE": "BaseHTTPRequestHandler hook",
+    "repro.service.server:_Handler.log_message": "BaseHTTPRequestHandler hook",
+    "repro.synth.optimize:propagate_constants": (
+        "per-pass entry point the synthesis tests call"
+    ),
+    "repro.synth.optimize:sweep_dead_logic": (
+        "per-pass entry point the synthesis tests call"
+    ),
+    "repro.synth.optimize:buffer_high_fanout": (
+        "per-pass entry point the synthesis tests call"
+    ),
+    "repro.sim.vecsim:VecSim.set_bus": (
+        "driven by the equivalence tests against reference.gatesim"
+    ),
+    "repro.sim.vecsim:VecSim.set_bus_int": (
+        "driven by the equivalence tests against reference.gatesim"
+    ),
+    "repro.sim.vecsim:VecSim.bus_int": (
+        "read by the equivalence tests against reference.gatesim"
+    ),
+    "repro.sim.vecsim:VecSim.lanes_snapshot": (
+        "read by the equivalence tests against reference.gatesim"
+    ),
+    "repro.shm.blob:published_segments": (
+        "the shm tests' view of what this process published"
+    ),
+    "repro.shm.blob:detach_all": "the shm tests' cleanup between cases",
+    "repro.scl.cache:scl_cache_corruption_count": (
+        "the SCL cache tests count quarantined artifacts with it"
+    ),
+    "repro.tech.stdcells:single_vt_library": (
+        "benchmarks/perf/run_perf.py imports it inside a code string"
+    ),
+}
 
 
 def _modules():
@@ -43,12 +97,17 @@ def _modules():
     return found
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
 def _imports(name, path, is_package):
     """Every dotted name one module imports (a ``from X import y`` may
     name the submodule ``X.y``)."""
     package = name if is_package else name.rpartition(".")[0]
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -101,7 +160,7 @@ def test_no_reference_implementation_ships():
     modules = _modules()
     shipped = []
     for name, (path, is_package) in sorted(modules.items()):
-        tree = ast.parse(path.read_text(), str(path))
+        tree = _parse(path)
         shipped += [
             f"{name}: {node.name}"
             for node in ast.walk(tree)
@@ -113,3 +172,120 @@ def test_no_reference_implementation_ships():
             if target.split(".")[0] in ("tests", "reference")
         ]
     assert shipped == [], f"scalar oracles belong in tests/reference/: {shipped}"
+
+
+def _docstrings(tree):
+    """ids of the docstring constants in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                found.add(id(body[0].value))
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def _names_in(tree):
+    """Every identifier ``tree``'s code names (not its docstrings)."""
+    docs = _docstrings(tree)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+            if node.asname:
+                names.add(node.asname)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in docs
+        ):
+            names.add(node.value)
+    return names
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """``(qualname, name)`` of every top-level function and class and
+    every method of a top-level class, dunders excepted."""
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS) or _dunder(node.name):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, DEFINITIONS) and not _dunder(member.name):
+                    yield f"{node.name}.{member.name}", member.name
+
+
+@functools.lru_cache(maxsize=None)
+def _package_trees():
+    return {name: _parse(path) for name, (path, _) in _modules().items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _outside_names():
+    root = PACKAGE.parents[1]
+    paths = [path for pattern in NAMING_GLOBS for path in sorted(root.glob(pattern))]
+    assert paths, f"no benchmarks or examples under {root}"
+    names = set()
+    for path in paths:
+        names |= _names_in(_parse(path))
+    return frozenset(names)
+
+
+def _unnamed(trees):
+    """``module:qualname`` of every definition in ``trees`` that no code
+    in ``trees``, the paper benchmarks or the examples names."""
+    named = set(_outside_names())
+    for tree in trees.values():
+        named |= _names_in(tree)
+    return sorted(
+        f"{module}:{qualname}"
+        for module, tree in trees.items()
+        for qualname, name in _definitions(tree)
+        if name not in named
+    )
+
+
+def test_every_definition_is_named():
+    unnamed = [d for d in _unnamed(_package_trees()) if d not in ALLOWED_DEFINITIONS]
+    assert unnamed == [], (
+        f"definitions nothing in src/repro, benchmarks/test_*.py or "
+        f"examples/*.py names: {unnamed}"
+    )
+
+
+def test_definition_check_reports_an_orphan():
+    """A function nothing calls is reported, also when a docstring
+    mentions it; naming it in code clears it."""
+    trees = dict(_package_trees())
+    source = _modules()["repro.errors"][0].read_text()
+    trees["repro.rtl.orphan"] = ast.parse(
+        source + "\n\ndef orphan_helper():\n    return 1\n"
+    )
+    trees["repro.rtl.mention"] = ast.parse('"""See orphan_helper."""\n')
+    assert "repro.rtl.orphan:orphan_helper" in _unnamed(trees)
+    trees["repro.rtl.mention"] = ast.parse("from .orphan import orphan_helper\n")
+    assert "repro.rtl.orphan:orphan_helper" not in _unnamed(trees)
+
+
+def test_allowed_definitions_are_current():
+    """Each allowance names a definition that exists and that nothing
+    names: an entry that outlives its reason goes."""
+    assert sorted(ALLOWED_DEFINITIONS) == [
+        d for d in _unnamed(_package_trees()) if d in ALLOWED_DEFINITIONS
+    ]

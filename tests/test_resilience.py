@@ -636,19 +636,13 @@ class TestWorkerWarnings:
 
         monkeypatch.setattr(corners, "worst_corner_scl", broken)
         monkeypatch.setattr(engine_mod, "_PREWARM_WARNED", False)
-        engine = BatchCompiler(jobs=2, use_cache=False)
-        jobs = [
-            CompileJob(
-                _specs(1)[0],
-                CompileOptions(implement=False, corners="signoff3"),
-            )
-        ]
+        options = CompileOptions(implement=False, corners="signoff3")
         with pytest.warns(RuntimeWarning, match="prewarm failed"):
-            engine._prewarm_corners(jobs)
+            engine_mod._prewarm_corners(options)
         # The latch makes it once per process, not once per sweep.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            engine._prewarm_corners(jobs)
+            engine_mod._prewarm_corners(options)
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.arch import MacroArchitecture
 from repro.errors import SearchError
-from repro.search.algorithm import MSOSearcher, search, seed_architectures
+from repro.search.algorithm import MSOSearcher, seed_architectures
 from repro.search.estimate import estimate_macro
 from repro.search.fixes import (
     MAC_FIXES,
@@ -178,12 +178,12 @@ class TestPareto:
 
 class TestAlgorithm:
     def test_search_meets_timing_on_paper_spec(self, paper_spec, scl):
-        result = search(paper_spec, scl)
+        result = MSOSearcher(scl).search(paper_spec)
         assert result.frontier, "paper spec must be feasible"
         assert all(e.met for e in result.frontier)
 
     def test_frontier_is_nondominated(self, paper_spec, scl):
-        result = search(paper_spec, scl)
+        result = MSOSearcher(scl).search(paper_spec)
         objs = [(e.power_mw, e.area_um2) for e in result.frontier]
         for i, a in enumerate(objs):
             for j, b in enumerate(objs):
@@ -191,11 +191,11 @@ class TestAlgorithm:
                     assert not dominates(a, b)
 
     def test_fix_counts_populated(self, paper_spec, scl):
-        result = search(paper_spec, scl)
+        result = MSOSearcher(scl).search(paper_spec)
         assert result.fix_counts, "a violated seed must trigger fixes"
 
     def test_ppa_weights_steer_selection(self, paper_spec, scl):
-        result = search(paper_spec, scl)
+        result = MSOSearcher(scl).search(paper_spec)
         if len(result.frontier) < 2:
             pytest.skip("frontier collapsed to one point")
         power_pick = result.select(PPAWeights(power=10, performance=1, area=1))
@@ -211,7 +211,7 @@ class TestAlgorithm:
             weight_formats=(INT4,),
             mac_frequency_mhz=200.0,
         )
-        result = search(easy, scl)
+        result = MSOSearcher(scl).search(easy)
         assert result.frontier
         assert all(e.arch.column_split == 1 for e in result.frontier)
 
@@ -223,7 +223,7 @@ class TestAlgorithm:
             weight_formats=(INT8,),
             mac_frequency_mhz=5000.0,
         )
-        result = search(crazy, scl)
+        result = MSOSearcher(scl).search(crazy)
         with pytest.raises(SearchError):
             result.select()
 

@@ -290,6 +290,34 @@ class TestResultCacheBudget:
 
 
 class TestJobQueue:
+    def test_corner_jobs_resolve_the_corner_scl_once_in_the_parent(
+        self, monkeypatch
+    ):
+        """Service corner jobs get the batch engine's prewarm: the
+        parent resolves the worst-corner SCL once per option set,
+        before the workers fork, instead of each worker resolving it."""
+        import repro.signoff.corners as corners
+
+        parent = os.getpid()
+        calls = []
+        real = corners.worst_corner_scl
+
+        def counted(*args, **kwargs):
+            if os.getpid() == parent:
+                calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(corners, "worst_corner_scl", counted)
+        options = CompileOptions(implement=False, corners="signoff3")
+        with JobQueue(use_cache=False, journal=False, workers=2) as q:
+            jobs = [
+                q.submit(fast_spec(mac_frequency_mhz=f), options=options)
+                for f in (300.0, 350.0)
+            ]
+            for job in jobs:
+                assert q.wait(job["id"], timeout=300)["status"] == "ok"
+        assert len(calls) == 1
+
     def test_submit_compiles_and_resubmit_hits_store(self):
         with JobQueue(use_cache=False, workers=1) as q:
             snap = q.submit(fast_spec(), options=FAST)
@@ -618,6 +646,27 @@ class TestServiceHTTP:
         assert time.monotonic() - started < 1.0
         assert err.value.code == 400
         assert "16388096 points" in json.loads(err.value.read())["error"]
+        assert service["client"].stats()["submitted"] == submitted
+
+    def test_repeated_token_axis_is_400_quickly(self, service):
+        """1,000 copies of a full-axis token, a 13 KB body, are refused
+        at the 4,097th value generated; nothing is submitted."""
+        import urllib.error
+        import urllib.request
+
+        body = json.dumps({"axes": {"frequency": ["1:4096:+1"] * 1000}}).encode()
+        assert len(body) < 14_000
+        submitted = service["client"].stats()["submitted"]
+        started = time.monotonic()
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(
+                urllib.request.Request(
+                    service["base_url"] + "/v1/sweeps", data=body, method="POST"
+                )
+            )
+        assert time.monotonic() - started < 0.1
+        assert err.value.code == 400
+        assert "expands past 4096 points" in json.loads(err.value.read())["error"]
         assert service["client"].stats()["submitted"] == submitted
 
     def test_oversized_axis_is_400(self, service):

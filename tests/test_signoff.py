@@ -227,10 +227,10 @@ class TestMultiCornerSignoff:
     @pytest.fixture(scope="class")
     def implemented(self):
         from repro.compiler.flow import ImplementSession
-        from repro.search.algorithm import search
+        from repro.search.algorithm import MSOSearcher
 
         spec = _small_signoff_spec()
-        result = search(spec)
+        result = MSOSearcher().search(spec)
         arch = result.select()
         session = ImplementSession(spec, corners=SIGNOFF3)
         return session.implement(arch.arch)
@@ -319,9 +319,9 @@ class TestMultiCornerSignoff:
     def test_nominal_only_flow_unchanged(self, small_spec):
         """No corners -> no signoff report, historical semantics."""
         from repro.compiler.flow import ImplementSession
-        from repro.search.algorithm import search
+        from repro.search.algorithm import MSOSearcher
 
-        arch = search(small_spec).select().arch
+        arch = MSOSearcher().search(small_spec).select().arch
         impl = ImplementSession(small_spec).implement(arch)
         assert impl.signoff is None
         assert impl.worst_corner is None

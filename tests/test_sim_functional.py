@@ -48,11 +48,6 @@ class TestWeights:
         with pytest.raises(SimulationError):
             m.set_weights_int(0, np.zeros((4, 2), dtype=int), INT4)
 
-    def test_raw_bits_validated(self):
-        m = _model()
-        with pytest.raises(SimulationError):
-            m.set_weight_bits(0, np.full((8, 8), 2))
-
 
 class TestMacEquivalence:
     @given(

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import SpecificationError
 from repro.spec import (
     BF16,
-    FP4,
     FP8,
     INT1,
     INT2,
@@ -36,13 +35,6 @@ class TestDataFormat:
         assert BF16.exponent == 8 and BF16.mantissa == 7
         assert BF16.bits == 16
         assert BF16.serial_bits == 9
-
-    def test_alignment_window_clamped(self):
-        # FP8: raw max shift 15, clamped at 2*(3+2)=10.
-        assert FP8.alignment_window == 10
-        # FP4: raw max shift 3 < clamp 6.
-        assert FP4.alignment_window == 3
-        assert INT8.alignment_window == 0
 
     def test_invalid_fp_split_rejected(self):
         with pytest.raises(SpecificationError):
@@ -76,18 +68,15 @@ class TestPPAWeights:
         assert power_heavy.score(*a) < power_heavy.score(*b)
         assert area_heavy.score(*b) < area_heavy.score(*a)
 
-    def test_normalized_sums_to_one(self):
-        n = PPAWeights(2.0, 3.0, 5.0).normalized()
-        assert n.power + n.performance + n.area == pytest.approx(1.0)
-
     def test_score_uses_the_normalized_weights_exactly(self):
         for w in (PPAWeights(), PPAWeights(2.0, 3.0, 5.0), PPAWeights(0.0, 1.0, 0.7)):
-            n = w.normalized()
+            total = w.power + w.performance + w.area
+            n = (w.power / total, w.performance / total, w.area / total)
             for point in ((12.5, 1.37, 4.2e5), (0.3, 9.0, 77.0)):
                 expected = math.exp(
-                    n.power * math.log(point[0])
-                    + n.performance * math.log(point[1])
-                    + n.area * math.log(point[2])
+                    n[0] * math.log(point[0])
+                    + n[1] * math.log(point[1])
+                    + n[2] * math.log(point[2])
                 )
                 assert repr(w.score(*point)) == repr(expected)
 
@@ -125,7 +114,6 @@ class TestMacroSpec:
         assert spec.input_width == 8
         assert spec.accumulator_width == 15
         assert spec.max_weight_bits == 8
-        assert spec.ofu_stages == 3
 
     def test_fp_inputs_set_serial_width(self):
         spec = MacroSpec(

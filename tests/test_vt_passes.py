@@ -5,12 +5,15 @@ that would change a cell's logic function, a stale leakage/timing
 table — must be loudly rejected, never silently folded into the
 netlist.  Property style tests draw netlist shapes from named seeds;
 every assertion message carries the seed so a failure reproduces from
-the log alone.
+the log alone.  The Vt-grid ordering check, ``check_vt_library``, lives
+here: the compile flow never calls it, and these tests keep the shipped
+library's grid checked with it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Dict, Tuple
 
 import numpy as np
 import pytest
@@ -18,11 +21,12 @@ import pytest
 from repro.errors import LibraryError, SynthesisError
 from repro.rtl.ir import NetlistBuilder
 from repro.rtl.gen.addertree import generate_adder_tree
-from repro.sta.analysis import instance_slacks, minimum_period_ns, net_slacks
-from repro.synth.vt import check_vt_library, recover_leakage, swap_vt
+from repro.sta.analysis import instance_slacks, minimum_period_ns
+from repro.synth.vt import recover_leakage, swap_vt
 from repro.tech.stdcells import (
     DRIVE_LADDER,
     VT_ORDER,
+    Cell,
     StdCellLibrary,
     default_library,
     parse_variant_name,
@@ -41,6 +45,51 @@ def _mutant_library(**replacements) -> StdCellLibrary:
     cells = {c.name: c for c in default_library()}
     cells.update(replacements)
     return StdCellLibrary(cells)
+
+
+def check_vt_library(library: StdCellLibrary) -> int:
+    """Validate the flavor orderings across the library's Vt grid.
+
+    At every ``(base, drive)`` point where several flavors exist, delay
+    must strictly increase and leakage strictly decrease from ulvt
+    toward hvt (see :data:`repro.tech.stdcells.VT_ORDER`).  A violation
+    means a stale or inconsistent characterization table — e.g. a
+    leakage column scaled without re-deriving its neighbors — and
+    raises :class:`LibraryError` naming the offending pair.  Returns
+    the number of grid points checked.
+    """
+    grid: Dict[Tuple[str, int], Dict[str, Cell]] = {}
+    for cell in library:
+        parsed = parse_variant_name(cell.name)
+        if parsed is None:
+            continue
+        grid.setdefault((parsed[0], parsed[2]), {})[parsed[1]] = cell
+
+    def worst_d0(cell: Cell) -> float:
+        return max((a.d0_ns for a in cell.arcs), default=0.0)
+
+    checked = 0
+    for (base, drive), flavors in sorted(grid.items()):
+        present = [vt for vt in VT_ORDER if vt in flavors]
+        if len(present) < 2:
+            continue
+        checked += 1
+        for slow_vt, fast_vt in zip(present, present[1:]):
+            slow = flavors[slow_vt]
+            fast = flavors[fast_vt]
+            if slow.arcs and fast.arcs and not worst_d0(slow) > worst_d0(fast):
+                raise LibraryError(
+                    f"stale timing table: {slow.name} (d0 "
+                    f"{worst_d0(slow):.6g} ns) is not slower than "
+                    f"{fast.name} (d0 {worst_d0(fast):.6g} ns)"
+                )
+            if not slow.leakage_nw < fast.leakage_nw:
+                raise LibraryError(
+                    f"stale leakage table: {slow.name} "
+                    f"({slow.leakage_nw:.6g} nW) is not lower-leakage "
+                    f"than {fast.name} ({fast.leakage_nw:.6g} nW)"
+                )
+    return checked
 
 
 def _leakage_nw(module, library) -> float:
@@ -144,10 +193,8 @@ class TestSlacks:
         clock = 4.0
         period = minimum_period_ns(flat, library)
         inst = instance_slacks(flat, library, clock)
-        nets = net_slacks(flat, library, clock)
         finite = [s for s in inst.values() if s != float("inf")]
         assert min(finite) == pytest.approx(clock - period)
-        assert min(nets.values()) == pytest.approx(clock - period)
 
 
 class TestCheckVtLibrary:
