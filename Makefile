@@ -13,8 +13,8 @@ test:  ## tier-1 suite: unit tests + benchmark reproductions
 golden:  ## regenerate tests/data/golden_{search,implement}.jsonl; every regeneration needs a CHANGES.md line saying why
 	$(PYTHON) tests/golden_search.py
 
-chaos:  ## fault-injection suite: watchdog, retry, resume, quarantine, the result log's kill -9 and fuzz tests, the service's crashed workers
-	$(PYTHON) -m pytest tests/test_resilience.py tests/test_result_log.py tests/test_service.py::TestChaos -q
+chaos:  ## fault-injection suite: watchdog, retry, resume, quarantine, the result log's kill -9 and fuzz tests, the service's crashed workers, the worker transport's reaping and descriptor leaks
+	$(PYTHON) -m pytest tests/test_resilience.py tests/test_result_log.py tests/test_service.py::TestChaos tests/test_batch.py::TestWorkerTransport -q
 
 # The library examples (service_smoke.py boots a server and runs in
 # the CI service job on its own).

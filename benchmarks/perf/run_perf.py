@@ -262,7 +262,7 @@ def bench_implement(repeats: int = 3) -> dict:
         estimate_routing(flat, placement, session.library, session.process)
         route_samples.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        report = run_drc(flat, placement, session.library)
+        report = run_drc(placement)
         drc_samples.append(time.perf_counter() - t0)
         if not report.clean:  # never time a broken layout (-O safe)
             raise RuntimeError(f"DRC regression: {report.describe()}")

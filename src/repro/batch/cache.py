@@ -34,12 +34,12 @@ loses its index file so that every later reader counts it too.
 
 Segments are dropped whole by one compaction step shared by ``prune``
 (``repro journal --prune``, the service's ``journal_keep``) and the
-size budget (``$REPRO_CACHE_BUDGET_MB`` or ``ResultCache(budget_mb=
-...)``): the live cacheable entries of a dropped segment (for the
-budget, those this process has hit since they were last carried) move
-to the writer's segment first, and a segment holding a damaged line is
-never deleted.  The budget drops only sealed segments and the store's
-own live one, never a live run's resume state.
+size budget (``$REPRO_CACHE_BUDGET_MB``): the live cacheable entries
+of a dropped segment (for the budget, those this process has hit since
+they were last carried) move to the writer's segment first, and a
+segment holding a damaged line is never deleted.  The budget drops
+only sealed segments and the store's own live one, never a live run's
+resume state.
 
 The default root is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``; every
 CLI entry point takes ``--cache-dir`` to override it.  The
@@ -66,8 +66,7 @@ import time
 import uuid
 import warnings
 import zlib
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 #: Hashed into every job key: bump when the record schema changes
@@ -466,17 +465,13 @@ class ResultStore:
 
 
 class MemoryResultStore(ResultStore):
-    """Dict-backed :class:`ResultStore`: per-process, thread-safe,
-    optionally LRU-bounded by entry count.  The backend a cache-less
-    service uses so in-flight deduplication and result fetches still
-    work without touching the filesystem."""
+    """Dict-backed :class:`ResultStore`: per-process, thread-safe.  The
+    backend a cache-less service uses so in-flight deduplication and
+    result fetches still work without touching the filesystem."""
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self.stats = CacheStats()
-        self._records: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
+        self._records: Dict[str, Dict[str, object]] = {}
         self._lock = threading.Lock()
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
@@ -485,21 +480,13 @@ class MemoryResultStore(ResultStore):
             if record is None:
                 self.stats.misses += 1
                 return None
-            self._records.move_to_end(key)
             self.stats.hits += 1
             return copy.deepcopy(record)
 
     def put(self, key: str, record: Dict[str, object]) -> None:
         with self._lock:
             self._records[key] = copy.deepcopy(record)
-            self._records.move_to_end(key)
             self.stats.stores += 1
-            while (
-                self.max_entries is not None
-                and len(self._records) > self.max_entries
-            ):
-                self._records.popitem(last=False)
-                self.stats.evictions += 1
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -510,24 +497,20 @@ class MemoryResultStore(ResultStore):
             return len(self._records)
 
 
-@dataclass
 class ResultCache(ResultStore):
     """The log-backed, thread-safe :class:`ResultStore` under ``root``
-    (see the module docstring); records are plain dicts, never
-    inspected beyond JSON round-tripping.  ``budget_mb`` (default
-    ``$REPRO_CACHE_BUDGET_MB``, unset = unbounded) arms the size
-    budget, enforced after writes."""
+    (default :func:`default_cache_dir`; see the module docstring);
+    records are plain dicts, never inspected beyond JSON
+    round-tripping.  ``budget_mb`` (``$REPRO_CACHE_BUDGET_MB``, unset =
+    unbounded) arms the size budget, enforced after writes."""
 
-    root: pathlib.Path = field(default_factory=default_cache_dir)
-    enabled: bool = True
-    stats: CacheStats = field(default_factory=CacheStats)
-    budget_mb: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        self.root = pathlib.Path(self.root).expanduser()
+    def __init__(self, root: Optional[os.PathLike] = None) -> None:
+        self.root = (
+            pathlib.Path(root).expanduser() if root else default_cache_dir()
+        )
         self._log = log_dir(self.root)
-        if self.budget_mb is None:
-            self.budget_mb = _budget_from_env()
+        self.stats = CacheStats()
+        self.budget_mb = _budget_from_env()
         self._lock = threading.RLock()
         #: key -> (segment, offset, line length, record length) of its
         #: live cacheable ``done`` line; bytes of each segment indexed,
@@ -555,8 +538,6 @@ class ResultCache(ResultStore):
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The stored record for ``key``, or ``None`` on a miss."""
-        if not self.enabled:
-            return None
         with self._lock:
             record = self._read(key)
             if record is None:
@@ -726,9 +707,9 @@ class ResultCache(ResultStore):
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            if self.enabled and key not in self._index:
+            if key not in self._index:
                 self._refresh()
-            return self.enabled and key in self._index
+            return key in self._index
 
     def entry_count(self) -> int:
         """Keys with a live cacheable line in the log."""
@@ -754,8 +735,6 @@ class ResultCache(ResultStore):
     def put(self, key: str, record: Dict[str, object]) -> None:
         """Append ``record`` under ``key``; a storage failure (or a
         record JSON cannot encode) means "not cached", never a raise."""
-        if not self.enabled:
-            return
         try:
             data = json.dumps(record).encode()
         except (TypeError, ValueError):
@@ -899,7 +878,7 @@ class ResultCache(ResultStore):
         run's (``prune`` removes those).  Segments holding a damaged
         line survive; if they bust the budget, that is reported, not
         resolved."""
-        if self.budget_mb is None or not self.enabled:
+        if self.budget_mb is None:
             return 0
         budget = self.budget_mb * 1e6
         with self._lock:

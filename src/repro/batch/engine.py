@@ -15,11 +15,12 @@ Scheduling notes
   in this process — no workers, easier debugging, identical results.
   Watchdog timeouts, retries and fault injection are worker features;
   inline mode trades them for debuggability.
-* Pooled jobs go through a :class:`JobExecutor`: worker processes it
-  owns, each behind its own duplex pipe, and a dispatch loop that also
-  runs the watchdog and the retry loop.  The dispatching thread sends
-  each payload straight to an idle worker and reads the record
-  straight back; no helper thread relays either.
+* Every job goes through a :class:`JobExecutor`, the one record path
+  (lookups, the journal, the counts): pooled jobs run on worker
+  processes it owns, each behind its own duplex pipe, and a dispatch
+  loop that also runs the watchdog and the retry loop.  The
+  dispatching thread sends each payload straight to an idle worker and
+  reads the record straight back; no helper thread relays either.
   :meth:`BatchCompiler.run_jobs` uses one executor per call; the
   compile service (:class:`repro.service.queue.JobQueue`) uses one for
   its lifetime; :meth:`BatchCompiler.map` runs on the same worker
@@ -83,6 +84,7 @@ from typing import (
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -174,10 +176,6 @@ class BatchResult:
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def ok(self) -> List[Record]:
-        return [r for r in self.records if r.get("status") == "ok"]
-
     def describe(self) -> str:
         statuses = [r.get("status") for r in self.records]
         lines = [
@@ -212,13 +210,8 @@ class BatchCompiler:
         :class:`~repro.errors.BatchError` for an unknown id.
     journal:
         ``False`` turns the write-ahead journal off; otherwise a run
-        journals whenever a cache root exists (the store's filesystem
-        root, else an explicit ``cache_dir``).
-    store:
-        An explicit :class:`~repro.batch.cache.ResultStore` backend to
-        consult and populate instead of constructing a
-        :class:`~repro.batch.cache.ResultCache` from
-        ``cache_dir``/``use_cache``.
+        journals whenever a cache root exists (the store's root, else
+        an explicit ``cache_dir``).
     options:
         The :class:`~repro.options.CompileOptions` every job built here
         runs under (default ``CompileOptions()``): flow options such as
@@ -235,19 +228,20 @@ class BatchCompiler:
         progress: Optional[ProgressFn] = None,
         resume: Optional[str] = None,
         journal: bool = True,
-        store: Optional[ResultStore] = None,
         options: Optional[CompileOptions] = None,
     ) -> None:
         self.options = options if options is not None else CompileOptions()
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        if store is not None:
-            self.cache: Optional[ResultStore] = store if use_cache else None
-        elif use_cache:
-            self.cache = ResultCache(cache_dir) if cache_dir else ResultCache()
-        else:
-            self.cache = None
+        self.cache: Optional[ResultCache] = (
+            ResultCache(cache_dir) if use_cache else None
+        )
         self.progress = progress
-        self._journal_root = self._resolve_journal_root(journal, cache_dir)
+        # The store's root, else an explicit cache_dir; with neither, no
+        # journal rather than a surprise write under the home directory.
+        root = self.cache.root if self.cache is not None else cache_dir
+        self._journal_root: Optional[pathlib.Path] = (
+            pathlib.Path(root).expanduser() if journal and root is not None else None
+        )
         self._resume = resume
         if resume is not None and self._journal_root is None:
             raise BatchError(
@@ -261,21 +255,6 @@ class BatchCompiler:
             if resume is not None
             else (new_run_id() if self._journal_root is not None else None)
         )
-
-    def _resolve_journal_root(
-        self, journal: bool, cache_dir: Optional[os.PathLike]
-    ) -> Optional[pathlib.Path]:
-        if not journal:
-            return None
-        # Memory-backed stores have no filesystem root to journal under.
-        root = getattr(self.cache, "root", None)
-        if root is not None:
-            return pathlib.Path(root)
-        if cache_dir is not None:
-            return pathlib.Path(cache_dir).expanduser()
-        # No cache root: stay off rather than surprise-writing under
-        # the user's home directory.
-        return None
 
     # -- job construction ---------------------------------------------------
 
@@ -304,8 +283,6 @@ class BatchCompiler:
         """Dedup, consult journal + cache, execute the rest (with
         watchdog/retry when pooled), reassemble.  Each job runs under
         its own ``options``; of duplicate jobs, the first one's."""
-        from ..compiler.syndcim import CACHEABLE_STATUSES, execute_job
-
         started = time.monotonic()
         stats = BatchStats(total=len(jobs), run_id=self.run_id)
         keys = [job.key() for job in jobs]
@@ -325,55 +302,39 @@ class BatchCompiler:
 
         resolved: Dict[str, Record] = {}
         pending: Dict[str, Job] = {}
-        for key, job in by_key.items():
-            if key in resumed:
-                # Journal beats cache: it also holds the error/timeout
-                # records the cache deliberately refuses to store.
-                stats.resumed += 1
-                resolved[key] = dict(
-                    resumed[key], cached=False, resumed=True, job_key=key
-                )
-                continue
-            cached = self.cache.get(key) if self.cache is not None else None
-            if cached is not None:
-                stats.cache_hits += 1
-                resolved[key] = dict(cached, cached=True, job_key=key)
-            else:
-                pending[key] = job
 
-        done = stats.cache_hits + stats.resumed
-
-        def finish(key: str, record: Record, executed: Optional[Record]) -> None:
-            """Account one terminal record.  ``executed`` is the record
-            an execution returned (``None`` when a retry budget ran out
-            first): it counts as compiled and is what the store keeps
-            — bit-identical to a fault-free run's output, without the
-            retry bookkeeping ``record`` may carry.  With a journal,
-            its one ``done`` line also stores the record."""
-            nonlocal done
-            cacheable = (
-                executed is not None
-                and executed.get("status") in CACHEABLE_STATUSES
-            )
-            stats.compiled += executed is not None
-            if journal is not None:
-                journal.done(key, record, cacheable)
-            elif cacheable and self.cache is not None:
-                self.cache.put(key, executed)
-            record = dict(record, cached=False, job_key=key)
-            resolved[key] = record
-            done += 1
+        def landed(ticket: Ticket) -> None:
+            resolved[ticket.key] = ticket.record
             if self.progress is not None:
-                self.progress(done, stats.unique, record)
+                self.progress(len(resolved), stats.unique, ticket.record)
 
-        if self.progress is not None:
-            for i, record in enumerate(resolved.values(), start=1):
-                self.progress(i, stats.unique, record)
-
+        # One ticket per dispatch, over the misses found below: a
+        # 1,200-point sweep holds only the jobs in flight or in retry.
+        tickets: Iterator[Ticket] = iter(())
+        executor = JobExecutor(
+            self.jobs, feed=lambda: next(tickets, None),
+            store=self.cache, journal=journal,
+        )
         try:
+            for key, job in by_key.items():
+                if key in resumed:
+                    # Journal beats cache: it also holds the error/timeout
+                    # records the cache deliberately refuses to store.
+                    stats.resumed += 1
+                    resolved[key] = dict(
+                        resumed[key], cached=False, resumed=True, job_key=key
+                    )
+                elif (hit := executor.lookup(key)) is not None:
+                    resolved[key] = hit
+                else:
+                    pending[key] = job
+            if self.progress is not None:
+                for i, record in enumerate(resolved.values(), start=1):
+                    self.progress(i, stats.unique, record)
             if journal is not None:
                 journal.begin(total=stats.total, unique=stats.unique)
                 journal.submit(pending.keys())
+            tickets = (Ticket(key, job, landed) for key, job in pending.items())
             use_pool = self.jobs > 1 and (
                 len(pending) > 1
                 or any(
@@ -381,40 +342,29 @@ class BatchCompiler:
                     for job in pending.values()
                 )
             )
-            if pending and use_pool:
-                queued = iter(pending.items())
-
-                def feed() -> Optional[Ticket]:
-                    # One ticket per dispatch: a 1,200-point sweep
-                    # holds only the jobs in flight or awaiting retry.
-                    item = next(queued, None)
-                    return None if item is None else Ticket(*item, landed)
-
-                def landed(t: Ticket) -> None:
-                    stats.retried += t.attempts > 0
-                    finish(t.key, t.record, t.result)
-
-                executor = JobExecutor(min(self.jobs, len(pending)), feed=feed)
-                try:
-                    executor.drain()
-                finally:
-                    executor.close()
-                    stats.worker_spawns = executor.worker_spawns
+            if use_pool:
+                # No more workers than misses.
+                executor.workers = min(self.jobs, len(pending))
+                executor.drain()
             else:
-                for key, job in pending.items():
-                    record = execute_job(job.payload())
-                    finish(key, record, record)
+                for ticket in tickets:
+                    executor.run_inline(ticket)
             if journal is not None:
                 journal.seal()  # complete: no longer resume state
         finally:
+            executor.close()
             if journal is not None:
                 journal.close()
+        stats.cache_hits = executor.counts["cache_hits"]
+        stats.compiled = executor.counts["compiled"]
+        stats.retried = executor.counts["retried"]
+        stats.worker_spawns = executor.worker_spawns
 
         # Resumed, cached and executed records are fresh objects, so
         # only a key's second and later occurrences (duplicate input
         # specs) are copied, to keep them from aliasing nested dicts.
         # Status tallies run over the *returned* records (cache hits
-        # included — finish() never sees them).
+        # and resumed records included).
         records = []
         returned = set()
         for key in keys:
@@ -480,11 +430,8 @@ class Ticket:
 
     The caller fills in the job, whose ``options`` carry its execution
     policy (``job_timeout_s``, ``retries``); the executor keeps the
-    retry bookkeeping and, once the job is terminal, sets ``record``
-    and calls ``done(ticket)`` on its dispatching thread.
-    ``result`` is the record an execution returned — ``None`` when the
-    retry budget ran out first — without the ``attempts`` /
-    ``retry_history`` annotation ``record`` carries.
+    retry bookkeeping and, once the job is terminal and recorded, sets
+    ``record`` and calls ``done(ticket)`` on its dispatching thread.
     """
 
     key: str
@@ -494,13 +441,13 @@ class Ticket:
     attempts: int = 0
     history: List[Dict[str, object]] = field(default_factory=list)
     record: Optional[Record] = None
-    result: Optional[Record] = None
     #: Watchdog deadline of the current dispatch (monotonic seconds).
     deadline: Optional[float] = None
 
 
 class JobExecutor:
-    """Dispatch, watchdog and retry loop over worker processes it owns.
+    """Dispatch, watchdog and retry loop over worker processes it owns,
+    and the one record path of the batch engine and the service.
 
     Each worker is a process with its own duplex pipe
     (:class:`_Worker`).  The dispatching thread sends a job straight to
@@ -531,9 +478,13 @@ class JobExecutor:
     ``retry_history``.  No other job is ever killed or re-run on its
     account.
 
+    :meth:`lookup` serves hits from ``store``; every terminal ticket is
+    written once (the ``journal``'s ``done`` line, else ``store.put``),
+    stamped and counted in ``counts`` before ``done(ticket)`` runs.
+
     Work arrives through ``feed``, called whenever a worker is free
     (and no retry is due) for the next ticket, or ``None``.  Two ways
-    to drive it:
+    to drive it, besides :meth:`run_inline`:
 
     * :meth:`drain` dispatches on the calling thread until ``feed`` is
       exhausted and every ticket is terminal (the batch engine);
@@ -546,9 +497,16 @@ class JobExecutor:
         self,
         workers: int,
         feed: Callable[[], Optional[Ticket]],
+        store: Optional[ResultStore] = None,
+        journal: Optional[SweepJournal] = None,
     ) -> None:
         self.workers = max(1, workers)
         self._feed = feed
+        self._store = store
+        self._journal = journal
+        #: Hits served, executions recorded, jobs retried at least once;
+        #: written by serialized ``lookup`` callers and the dispatcher.
+        self.counts = {"cache_hits": 0, "compiled": 0, "retried": 0}
         #: Live workers; ``task`` is the ticket a busy one holds.
         self._pool: List[_Worker] = []
         self._ready: Deque[Ticket] = deque()
@@ -580,6 +538,22 @@ class JobExecutor:
                 target=self._serve, name="repro-dispatch", daemon=True
             )
             self._thread.start()
+
+    def lookup(self, key: str) -> Optional[Record]:
+        """``key``'s stored record, stamped ``cached=True`` (a counted
+        hit), or ``None``."""
+        record = None if self._store is None else self._store.get(key)
+        if record is None:
+            return None
+        self.counts["cache_hits"] += 1
+        return dict(record, cached=True, job_key=key)
+
+    def run_inline(self, ticket: Ticket) -> None:
+        """Execute ``ticket`` in this process (no watchdog, no retry),
+        then record it."""
+        from ..compiler.syndcim import execute_job
+
+        self._land(ticket, execute_job(ticket.job.payload()))
 
     def wake(self) -> None:
         """End the dispatch wait now (thread-safe): ``feed`` may have
@@ -845,12 +819,12 @@ class JobExecutor:
         )
         if fault is not None:
             ticket.record["fault"] = fault
-        ticket.done(ticket)
+        self._record(ticket, None)
 
     def _land(self, ticket: Ticket, record: Record) -> None:
         """A record came back from an execution: annotate the retry
-        bookkeeping (if any) on ``record``, never on ``result``."""
-        ticket.result = record
+        bookkeeping (if any) on the ticket's record, never on the one
+        stored."""
         ticket.record = (
             dict(
                 record,
@@ -860,6 +834,25 @@ class JobExecutor:
             if ticket.history
             else record
         )
+        self._record(ticket, record)
+
+    def _record(self, ticket: Ticket, executed: Optional[Record]) -> None:
+        """Write, stamp and count a terminal ticket, then hand it back.
+        ``executed`` (``None`` when the retry budget ran out first) is
+        what the store keeps: a fault-free run's record."""
+        from ..compiler.syndcim import CACHEABLE_STATUSES
+
+        cacheable = (
+            executed is not None
+            and executed.get("status") in CACHEABLE_STATUSES
+        )
+        if self._journal is not None:
+            self._journal.done(ticket.key, ticket.record, cacheable)
+        elif cacheable and self._store is not None:
+            self._store.put(ticket.key, executed)
+        ticket.record = dict(ticket.record, cached=False, job_key=ticket.key)
+        self.counts["compiled"] += executed is not None
+        self.counts["retried"] += ticket.attempts > 0
         ticket.done(ticket)
 
 

@@ -64,7 +64,6 @@ from ..errors import BatchError
 from .cache import (
     BOOKKEEPING,
     ResultCache,
-    ResultStore,
     SegmentWriter,
     count_damage,
     crc_ok,
@@ -110,31 +109,26 @@ class RetryPolicy:
 
 class SweepJournal(SegmentWriter):
     """One run's write-ahead journal: its segment of the result log
-    under ``root``.  When ``store`` is the
-    :class:`~repro.batch.cache.ResultCache` reading this same log, a
-    cacheable ``done`` line *is* the store entry, so each record is
-    encoded and written once; another store gets a ``put``.  Lines are
-    written as they happen, so a ``kill -9`` loses at most the record
-    in flight.  ``resumable=False`` (a service lifetime, which nothing
-    resumes) lets the store's size budget drop the live segment."""
+    under ``root``.  ``store`` is the
+    :class:`~repro.batch.cache.ResultCache` reading this same log, or
+    ``None``: a cacheable ``done`` line *is* its store entry, so each
+    record is encoded and written once (without a store, no line is
+    cacheable).  Lines are written as they happen, so a ``kill -9``
+    loses at most the record in flight.  ``resumable=False`` (a service
+    lifetime, which nothing resumes) lets the store's size budget drop
+    the live segment."""
 
     def __init__(
         self,
         root: pathlib.Path,
         run_id: Optional[str] = None,
-        store: Optional[ResultStore] = None,
+        store: Optional[ResultCache] = None,
         resumable: bool = True,
     ) -> None:
         super().__init__(root, run_id or new_run_id())
         self.resumable = resumable
-        self._log: Optional[ResultCache] = None
-        self._store = store
-        if (
-            isinstance(store, ResultCache)
-            and store.enabled
-            and store.root == self.root
-        ):
-            self._log, self._store = store, None
+        self._log = store
+        if store is not None:
             store.attach(self)
 
     def _write(self, fields: Dict[str, object]) -> None:
@@ -163,10 +157,8 @@ class SweepJournal(SegmentWriter):
             return
         if cacheable and self._log is not None:
             self._log.append_done(self, key, data, extra)
-            return
-        self.append(encode_done(key, data, False, extra))
-        if cacheable and self._store is not None:
-            self._store.put(key, record)
+        else:
+            self.append(encode_done(key, data, False, extra))
 
     def close(self) -> None:
         super().close()

@@ -92,10 +92,6 @@ class Implementation:
         return self.verification is None or self.verification.passed
 
     @property
-    def worst_corner(self) -> Optional[str]:
-        return None if self.signoff is None else self.signoff.worst.corner.name
-
-    @property
     def area_um2(self) -> float:
         return self.placement.area_um2
 
@@ -339,7 +335,7 @@ class ImplementSession:
         # load keeps the STA/power caches warm below).
         placement = self._arena.place(flat, library)
         routing = self._arena.route(flat, placement, library, process)
-        drc = run_drc(flat, placement, library)
+        drc = run_drc(placement)
         lvs = run_lvs(flat, placement)
         if not drc.clean:
             raise LayoutError(f"implementation DRC failed:\n{drc.describe()}")

@@ -52,10 +52,6 @@ class CompileResult:
     def frontier(self) -> List[MacroEstimate]:
         return self.search.frontier
 
-    @property
-    def architecture(self) -> MacroArchitecture:
-        return self.selected.arch
-
     def report(self) -> str:
         lines = [self.search.describe(), ""]
         lines.append(f"selected: {self.selected.describe()}")

@@ -28,8 +28,6 @@ from typing import List
 
 import numpy as np
 
-from ..rtl.ir import Module
-from ..tech.stdcells import StdCellLibrary
 from .geometry import overlap_pairs, rect_arrays
 from .sdp import Placement
 
@@ -76,14 +74,8 @@ class DRCReport:
         return "\n".join(head)
 
 
-def run_drc(
-    module: Module,
-    placement: Placement,
-    library: StdCellLibrary,
-    max_violations: int = 1000,
-) -> DRCReport:
-    """Check a placement; ``module``/``library`` are kept for signature
-    stability (the rules below are pure geometry)."""
+def run_drc(placement: Placement, max_violations: int = 1000) -> DRCReport:
+    """Check a placement (the rules below are pure geometry)."""
     violations: List[DRCViolation] = []
     outline = placement.outline
     eps = 1e-9

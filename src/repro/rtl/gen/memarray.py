@@ -88,9 +88,3 @@ def generate_memory_array(
         banks=mcr,
     )
     return b.finish(), stats
-
-
-def wordline_load_ff(width: int, wl_cap_ff: float, wire_cap_ff_per_um: float,
-                     cell_pitch_um: float) -> float:
-    """Capacitive load one word line presents to its driver."""
-    return width * wl_cap_ff + width * cell_pitch_um * wire_cap_ff_per_um

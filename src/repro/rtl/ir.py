@@ -216,20 +216,6 @@ class Module:
                 drivers[net] = (inst, pin)
         return drivers
 
-    def net_loads(
-        self, library: StdCellLibrary
-    ) -> Dict[str, List[Tuple[Instance, str]]]:
-        """Map net -> list of (leaf instance, input pin) reading it."""
-        loads: Dict[str, List[Tuple[Instance, str]]] = {}
-        for inst in self.instances:
-            cell = library.cell(inst.cell_name)
-            for pin in cell.input_caps_ff:
-                net = inst.conn.get(pin)
-                if net is None:
-                    continue
-                loads.setdefault(net, []).append((inst, pin))
-        return loads
-
     def total_area_um2(self, library: StdCellLibrary) -> float:
         return sum(
             library.cell(inst.cell_name).area_um2 for inst in self.instances

@@ -54,8 +54,6 @@ class SubcircuitLibrary:
             raise LibraryError(
                 f"unknown subcircuit kind {kind!r}; known: {KINDS}"
             ) from None
-        if self._sealed:
-            return table
         return table
 
     def lookup(self, kind: str, variant: str, dim: int) -> PPARecord:
@@ -147,7 +145,7 @@ def default_scl(
     return _CACHE[key]
 
 
-def install_default_scl(scl: SubcircuitLibrary, source: str = "shm") -> None:
+def install_default_scl(scl: SubcircuitLibrary) -> None:
     """Seed the in-process cache's nominal default SCL with an
     externally resolved library (e.g. one attached from a shared-memory
     segment — see :mod:`repro.shm.scl`).  Later :func:`default_scl`
@@ -159,7 +157,7 @@ def install_default_scl(scl: SubcircuitLibrary, source: str = "shm") -> None:
         raise LibraryError("install_default_scl requires a sealed library")
     key = _cache_key(GENERIC_40NM, None)
     _CACHE[key] = scl
-    _SOURCE[key] = source
+    _SOURCE[key] = "shm"
 
 
 def default_scl_source(

@@ -9,8 +9,8 @@ job compiles in a worker *process* under its own ``job_timeout_s``
 watchdog and retry budget, with the engine's deterministic fault
 injection: a crashing compilation surfaces as a terminal
 ``error``/``timeout`` record instead of taking the service down.  The
-server process itself only parses requests, deduplicates, and writes
-the store and the journal.
+server process itself only parses requests and deduplicates; the
+executor records every job, as it does for the batch engine.
 
 Deduplication
 -------------
@@ -41,7 +41,6 @@ import functools
 import heapq
 import itertools
 import os
-import pathlib
 import threading
 import time
 import uuid
@@ -156,12 +155,11 @@ class JobQueue:
     options:
         Default :class:`~repro.options.CompileOptions` applied to
         submissions that do not carry their own.
-    store / cache_dir / use_cache:
-        Result storage: an explicit :class:`ResultStore`, else a
-        :class:`ResultCache` under ``cache_dir`` (default cache root),
-        else — with ``use_cache=False`` — a process-local
-        :class:`MemoryResultStore` (dedup and fetches still work, but
-        nothing survives restarts).
+    cache_dir / use_cache:
+        Result storage: a :class:`ResultCache` under ``cache_dir``
+        (default cache root), or — with ``use_cache=False`` — a
+        process-local :class:`MemoryResultStore` (dedup and fetches
+        still work, but nothing survives restarts).
     workers:
         Processes in the one compile pool (= jobs compiling
         concurrently).  Default ``min(4, cpu)``.  The workers start
@@ -176,7 +174,6 @@ class JobQueue:
     def __init__(
         self,
         options: Optional[CompileOptions] = None,
-        store: Optional[ResultStore] = None,
         cache_dir: Optional[os.PathLike] = None,
         use_cache: bool = True,
         workers: Optional[int] = None,
@@ -185,12 +182,9 @@ class JobQueue:
         start: bool = True,
     ) -> None:
         self.options = options if options is not None else CompileOptions()
-        if store is not None:
-            self.store = store
-        elif use_cache:
-            self.store = ResultCache(cache_dir) if cache_dir else ResultCache()
-        else:
-            self.store = MemoryResultStore()
+        self.store: ResultStore = (
+            ResultCache(cache_dir) if use_cache else MemoryResultStore()
+        )
         self.workers = max(
             1, workers if workers is not None else min(4, os.cpu_count() or 1)
         )
@@ -200,16 +194,12 @@ class JobQueue:
         self.started_at = time.time()
         #: Monotonic start — the uptime reference, immune to NTP steps.
         self._started_mono = time.monotonic()
-        root = getattr(self.store, "root", None)
-        self._journal_root: Optional[pathlib.Path] = (
-            pathlib.Path(root) if journal and root is not None else None
-        )
         self._journal: Optional[SweepJournal] = (
             SweepJournal(
-                self._journal_root, run_id=self.run_id, store=self.store,
+                self.store.root, run_id=self.run_id, store=self.store,
                 resumable=False,
             )
-            if self._journal_root is not None
+            if journal and isinstance(self.store, ResultCache)
             else None
         )
         self._lock = threading.RLock()
@@ -219,16 +209,13 @@ class JobQueue:
         self._by_key: Dict[str, _JobEntry] = {}
         self._sweeps: Dict[str, _SweepEntry] = {}
         self._stopping = False
-        self._executor = JobExecutor(self.workers, feed=self._next_ticket)
-        #: Service-lifetime work accounting (see :meth:`stats`).
-        self._counters = {
-            "submitted": 0,
-            "coalesced": 0,
-            "cache_hits": 0,
-            "compiled": 0,
-            "retried": 0,
-            "cancelled": 0,
-        }
+        self._executor = JobExecutor(
+            self.workers, feed=self._next_ticket, store=self.store,
+            journal=self._journal,
+        )
+        #: Service-lifetime work accounting (see :meth:`stats`); the
+        #: executor counts hits, compiles and retries.
+        self._counters = {"submitted": 0, "coalesced": 0, "cancelled": 0}
         if start:
             self.start()
 
@@ -292,26 +279,6 @@ class JobQueue:
                         (priority, next(self._tick), existing.id),
                     )
                 return existing.snapshot()
-            cached = self.store.get(key)
-            if cached is not None:
-                entry = _JobEntry(
-                    id=_new_id("job"),
-                    key=key,
-                    job=job,
-                    priority=priority,
-                    status=str(cached.get("status", "ok")),
-                    record=dict(cached, cached=True, job_key=key),
-                    cached=True,
-                )
-                entry.started = entry.finished = entry.submitted
-                entry.started_mono = entry.finished_mono = (
-                    entry.submitted_mono
-                )
-                entry.done.set()
-                self._jobs[entry.id] = entry
-                self._by_key[key] = entry
-                self._counters["cache_hits"] += 1
-                return entry.snapshot()
             entry = _JobEntry(
                 id=_new_id("job"),
                 key=key,
@@ -320,6 +287,15 @@ class JobQueue:
             )
             self._jobs[entry.id] = entry
             self._by_key[key] = entry
+            cached = self._executor.lookup(key)
+            if cached is not None:
+                # A store hit is finished the moment it is submitted.
+                entry.status = str(cached.get("status", "ok"))
+                entry.record, entry.cached = cached, True
+                entry.started = entry.finished = entry.submitted
+                entry.started_mono = entry.finished_mono = entry.submitted_mono
+                entry.done.set()
+                return entry.snapshot()
             heapq.heappush(
                 self._heap, (priority, next(self._tick), entry.id)
             )
@@ -436,7 +412,7 @@ class JobQueue:
             by_status: Dict[str, int] = {}
             for entry in self._jobs.values():
                 by_status[entry.status] = by_status.get(entry.status, 0) + 1
-            counters = dict(self._counters)
+            counters = dict(self._counters, **self._executor.counts)
             sweeps = {
                 "total": len(self._sweeps),
                 "done": sum(
@@ -495,26 +471,12 @@ class JobQueue:
         return Ticket(entry.key, entry.job, functools.partial(self._landed, entry))
 
     def _landed(self, entry: _JobEntry, ticket: Ticket) -> None:
-        """The executor's verdict on ``entry``: journal it (which also
-        stores what is cacheable), count the work, land the terminal
-        record."""
-        from ..compiler.syndcim import CACHEABLE_STATUSES
-
-        executed = ticket.result
-        cacheable = (
-            executed is not None
-            and executed.get("status") in CACHEABLE_STATUSES
-        )
-        if self._journal is not None:
-            self._journal.done(entry.key, ticket.record, cacheable)
-        elif cacheable:
-            self.store.put(entry.key, executed)
-        record = dict(ticket.record, cached=False, job_key=entry.key)
+        """The executor's verdict on ``entry``, already journaled,
+        stored and counted: land the terminal record."""
         with self._lock:
-            self._counters["compiled"] += executed is not None
-            self._counters["retried"] += ticket.attempts > 0
             if entry.status == RUNNING:
-                self._finish(entry, str(record.get("status", "error")), record)
+                status = str(ticket.record.get("status", "error"))
+                self._finish(entry, status, ticket.record)
 
     def _finish(
         self,
@@ -527,7 +489,7 @@ class JobQueue:
         entry.status = status
         entry.mark_finished()
         if record is not None:
-            entry.record = dict(record, job_key=entry.key)
+            entry.record = record
         entry.done.set()
         for sweep in self._sweeps.values():
             if entry.id in sweep.pending:
@@ -541,7 +503,7 @@ class JobQueue:
         move into it)."""
         sweep.finished = time.time()
         sweep.finished_mono = time.monotonic()
-        if self._journal_root is not None and self.journal_keep:
+        if self._journal is not None and self.journal_keep:
             self.store.prune(keep=self.journal_keep, exclude=(self.run_id,))
 
     def _sweep_snapshot(self, sweep: _SweepEntry) -> Dict[str, object]:

@@ -169,5 +169,5 @@ def attach_default_scl() -> Optional[object]:
         scl = scl_from_tensors(meta, arrays, library, GENERIC_40NM)
     except (LibraryError, ShmFormatError, KeyError, ValueError, TypeError):
         return None
-    install_default_scl(scl, source="shm")
+    install_default_scl(scl)
     return scl

@@ -17,8 +17,7 @@ together) bit for bit:
 * sequential cells get master-slave semantics on :meth:`clock` (all D
   sampled, then all Q updated); a sequential cell without a ``Q``
   connection raises loudly;
-* memory-cell read nets are resolved roots, driven by the testbench;
-* nets can be *forced* (per-lane values override any driver).
+* memory-cell read nets are resolved roots, driven by the testbench.
 
 The compile step groups instances by (topological level, cell type),
 stacks their pin tables into integer gather matrices, and **renumbers
@@ -361,12 +360,6 @@ class VecSim:
         self._view = view
         self._nid = view.net_id
         self._n_ext = view.n_nets
-        self._forced: Dict[int, np.ndarray] = {}
-        self._forced_ids = np.empty(0, dtype=np.int64)
-        self._forced_vals = np.empty((0, self._wpad), dtype=np.uint64)
-        self._forced_mid_ids = np.empty(0, dtype=np.int64)
-        self._forced_mid_vals = np.empty((0, self._wpad), dtype=np.uint64)
-        self._forced_stale = False
         self._compile()
         # Tile-major value cube: tile t of every row is the contiguous
         # matrix self._values[t], which is what the propagate loop,
@@ -377,7 +370,7 @@ class VecSim:
         self._dirty_rows = np.zeros(self._n_rows, dtype=bool)
         #: Group indices that must re-evaluate next pass regardless of
         #: input dirtiness (their output rows were overwritten from
-        #: outside — a released force, a write to a driven net).
+        #: outside — a write to a driven net).
         self._pending_groups: set = set()
         self._all_dirty = True
         self._dirty = True
@@ -544,7 +537,6 @@ class VecSim:
 
         self._d_int = int_id[np.where(d_ext >= 0, d_ext, n_ext)]
         self._q_ids = int_id[q_ext]
-        self._q_id_set = frozenset(int(q) for q in self._q_ids)
         #: Nets whose value is testbench-owned (never written by the
         #: fabric): input ports and memory read nets.  The boolean mask
         #: lets the bulk drive path validate whole id arrays at once.
@@ -686,8 +678,7 @@ class VecSim:
         if not ok.all():
             bad = int(ids[~ok][0])
             raise SimulationError(
-                f"net {self._view.net_names[bad]} is fabric-driven; "
-                "use force() to override a driver"
+                f"net {self._view.net_names[bad]} is fabric-driven"
             )
         bits = np.asarray(bits)
         if bits.shape == (len(ids),):
@@ -706,23 +697,6 @@ class VecSim:
             )
         self._write_rows(rows, words2d)
 
-    def force(self, net: str, value: BatchValue) -> None:
-        """Pin a net to per-lane values (overrides any driver)."""
-        row = self._row(net)
-        self._forced[row] = self._pack(value)
-        self._forced_stale = True
-        self._dirty_rows[row] = True
-        self._dirty = True
-
-    def release(self, net: str) -> None:
-        row = self._row(net)
-        if self._forced.pop(row, None) is not None:
-            self._forced_stale = True
-            # The fabric value must be recomputed over the stale forced
-            # words; free nets simply keep the last forced value, as
-            # the scalar reference does.
-            self._mark_row_dirty(row)
-
     def reset_state(self, value: int = 0) -> None:
         if not len(self._state):
             return
@@ -737,23 +711,6 @@ class VecSim:
             self._dirty = True
 
     # -- evaluation ----------------------------------------------------------
-
-    def _refresh_forced(self) -> None:
-        ids = sorted(self._forced)
-        self._forced_ids = np.asarray(ids, dtype=np.int64)
-        self._forced_vals = (
-            np.stack([self._forced[i] for i in ids])
-            if ids
-            else np.empty((0, self._wpad), dtype=np.uint64)
-        )
-        mid = [i for i in ids if i not in self._q_id_set]
-        self._forced_mid_ids = np.asarray(mid, dtype=np.int64)
-        self._forced_mid_vals = (
-            np.stack([self._forced[i] for i in mid])
-            if mid
-            else np.empty((0, self._wpad), dtype=np.uint64)
-        )
-        self._forced_stale = False
 
     def evaluate(self) -> None:
         """Propagate combinational logic from current inputs/state."""
@@ -789,23 +746,10 @@ class VecSim:
         return plan
 
     def _propagate(self) -> None:
-        if self._forced_stale:
-            self._refresh_forced()
         v = self._values
-        forced = self._forced_ids.size > 0
-        # Mirror the scalar order: forced values land first, then the
-        # sequential state overwrites (a forced Q reads as state during
-        # propagation), then each level runs with forced nets
-        # re-asserted so consumers always read the forced value, and a
-        # final pass makes the forced values observable.
-        if forced:
-            self._assign_rows(self._forced_ids, self._forced_vals)
         if len(self._state):
             self._assign_rows(self._q_ids, self._state)
-        mid_ids = self._forced_mid_ids
-        mid = mid_ids.size > 0
         plan = self._plan()
-        tile = self._tile
         for t in range(self._n_tiles):
             vt = v[t]
             sbuf = self._sbuf
@@ -819,12 +763,6 @@ class VecSim:
                         for j in range(g.n_out)
                     )
                     g.kernel(inp, outs, sbuf[:, :inst])
-                if mid:
-                    vt[mid_ids] = self._forced_mid_vals[
-                        :, t * tile : (t + 1) * tile
-                    ]
-        if forced:
-            self._assign_rows(self._forced_ids, self._forced_vals)
         v[:, self._zero_int, :] = 0
         self._dirty_rows[:] = False
         self._pending_groups.clear()

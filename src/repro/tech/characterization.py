@@ -141,15 +141,11 @@ def characterize_cell(
         delays = tuple(
             tuple(arc_delay_ns(arc, s, c) * scale for c in loads_ff) for s in slews_ns
         )
-        slews = tuple(
-            tuple(arc_slew_ns(arc, c) * scale for _ in slews_ns) for c in loads_ff
-        )
         # slew table rows must be indexed by input slew too; the model is
         # slew-independent so replicate rows.
         slew_rows = tuple(
             tuple(arc_slew_ns(arc, c) * scale for c in loads_ff) for _ in slews_ns
         )
-        del slews
         characterized.append(
             CharacterizedArc(
                 arc=arc,

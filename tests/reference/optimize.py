@@ -238,3 +238,19 @@ def optimize_reference(
     )
     module.validate(library)
     return module, stats
+
+
+def net_loads(
+    module: Module, library: StdCellLibrary
+) -> Dict[str, List[Tuple[Instance, str]]]:
+    """Map net -> list of (leaf instance, input pin) reading it (the
+    method ``Module.net_loads`` was, before only tests called it)."""
+    loads: Dict[str, List[Tuple[Instance, str]]] = {}
+    for inst in module.instances:
+        cell = library.cell(inst.cell_name)
+        for pin in cell.input_caps_ff:
+            net = inst.conn.get(pin)
+            if net is None:
+                continue
+            loads.setdefault(net, []).append((inst, pin))
+    return loads

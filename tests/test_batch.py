@@ -24,7 +24,7 @@ import pytest
 
 from repro.arch import MacroArchitecture
 from repro.batch import sweep
-from repro.batch.cache import MemoryResultStore, ResultCache, encode_done, log_dir
+from repro.batch.cache import ResultCache, encode_done, log_dir
 from repro.batch.engine import (
     BatchCompiler,
     BatchResult,
@@ -411,12 +411,6 @@ class TestResultCache:
             segment.write_bytes(encode_done(key, blob.encode(), True, {}))
             assert ResultCache(tmp_path).get(key) is None
 
-    def test_disabled_cache_stores_nothing(self, tmp_path):
-        cache = ResultCache(tmp_path, enabled=False)
-        cache.put("ef" * 32, {"v": 1})
-        assert cache.get("ef" * 32) is None
-        assert cache.entry_count() == 0
-
     def test_persists_across_instances(self, tmp_path):
         ResultCache(tmp_path).put("12" * 32, {"v": 3})
         assert ResultCache(tmp_path).get("12" * 32) == {"v": 3}
@@ -547,12 +541,11 @@ class TestBatchEngine:
         assert hits.stats.cache_hits == 1
         _assert_unaliased(hits.records)
 
-    def test_memory_store_hit_survives_caller_mutation(self):
+    def test_memory_store_hit_survives_caller_mutation(self, tmp_path):
         """A record the caller mutates must not leak into the store: a
         later hit comes back as it was computed."""
-        store = MemoryResultStore()
         spec = _small_spec()
-        engine = BatchCompiler(jobs=1, store=store)
+        engine = BatchCompiler(jobs=1, cache_dir=tmp_path)
         first = engine.compile_specs([spec, spec], implement=False)
         pristine = [_strip_markers(r) for r in copy.deepcopy(first.records)]
         for record in first.records:
@@ -664,9 +657,9 @@ class TestWorkerTransport:
     """The executor talks to each worker over its own pipe from the
     dispatching thread: no helper threads, and nothing left behind."""
 
-    def _run(self, progress=None, **kwargs):
+    def _run(self, progress=None, jobs=2, **kwargs):
         return BatchCompiler(
-            jobs=2, use_cache=False, journal=False, progress=progress,
+            jobs=jobs, use_cache=False, journal=False, progress=progress,
             **kwargs,
         ).compile_specs(
             [_small_spec(), _small_spec(height=16)], implement=False
@@ -706,10 +699,18 @@ class TestWorkerTransport:
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
     )
-    @pytest.mark.parametrize("faults", ["", "crash:1.0:first"])
-    def test_repeated_runs_leak_no_descriptor(self, faults, monkeypatch):
+    @pytest.mark.parametrize(
+        "faults, jobs",
+        [
+            pytest.param("", 2, id=""),
+            pytest.param("crash:1.0:first", 2, id="crash:1.0:first"),
+            # Inline runs build an executor too: its self-pipe.
+            pytest.param("", 1, id="inline"),
+        ],
+    )
+    def test_repeated_runs_leak_no_descriptor(self, faults, jobs, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", faults)
-        self._run()  # one-time state: shared SCL segment, tracker pipe
+        self._run(jobs=jobs)  # one-time state: shared SCL segment, tracker pipe
 
         def open_fds() -> int:
             gc.collect()
@@ -717,7 +718,7 @@ class TestWorkerTransport:
 
         before = open_fds()
         for _ in range(20):
-            self._run()
+            self._run(jobs=jobs)
         assert open_fds() == before
 
     def test_wake_from_another_thread_ends_an_idle_wait(self):

@@ -75,7 +75,7 @@ class TestFlow:
         from repro.compiler.flow import ImplementSession
 
         session = ImplementSession(spec=small16)
-        arch = implemented.architecture
+        arch = implemented.selected.arch
         cold = session.implement(arch)
         warm = session.implement(arch, force=True)
         assert warm is not cold

@@ -46,7 +46,7 @@ class TestHybridReRAM:
         flat = mod.flatten()
         flat.validate(library)
         placement = place_macro(flat, library)
-        assert run_drc(flat, placement, library).clean
+        assert run_drc(placement).clean
 
     def test_rram_estimate_cuts_leakage(self, scl):
         from repro.search.estimate import estimate_macro

@@ -114,9 +114,9 @@ class TestSDP:
 
 
 class TestRouteDrcLvs:
-    def test_drc_clean(self, placed_small, library):
-        flat, placement = placed_small
-        assert run_drc(flat, placement, library).clean
+    def test_drc_clean(self, placed_small):
+        _, placement = placed_small
+        assert run_drc(placement).clean
 
     def test_lvs_clean_and_detects_tamper(self, placed_small):
         flat, placement = placed_small

@@ -31,6 +31,7 @@ import pytest
 from reference.layout import _shelf_pack, estimate_routing_reference, sweep_overlaps
 from reference.optimize import (
     buffer_high_fanout_reference,
+    net_loads,
     optimize_reference,
     propagate_constants_reference,
     sweep_dead_logic_reference,
@@ -132,30 +133,30 @@ class TestDRCTruncation:
             outline=Rect(0.0, 0.0, 50.0, 50.0),
         )
 
-    def test_report_caps_but_sweep_sees_everything(self, placed_macro, library):
-        flat, placement = placed_macro
+    def test_report_caps_but_sweep_sees_everything(self, placed_macro):
+        _, placement = placed_macro
         # 12 boundary offenders hit max_violations=10 first; the 8
         # stacked cells must STILL be swept (8*7/2 = 28 overlaps).
         broken = self._stacked_placement(placement, n=8, offenders=12)
-        report = run_drc(flat, broken, library, max_violations=10)
+        report = run_drc(broken, max_violations=10)
         assert len(report.violations) == 10
         assert report.truncated
         assert report.total_violations == 12 + 28
         assert not report.clean
         assert "reported" in report.describe()
 
-    def test_uncapped_report_counts(self, placed_macro, library):
-        flat, placement = placed_macro
+    def test_uncapped_report_counts(self, placed_macro):
+        _, placement = placed_macro
         broken = self._stacked_placement(placement, n=4, offenders=3)
-        report = run_drc(flat, broken, library)
+        report = run_drc(broken)
         assert report.count("boundary") == 3
         assert report.count("overlap") == 6
         assert not report.truncated
         assert report.total_violations == 9
 
-    def test_clean_macro(self, placed_macro, library):
-        flat, placement = placed_macro
-        report = run_drc(flat, placement, library)
+    def test_clean_macro(self, placed_macro):
+        _, placement = placed_macro
+        report = run_drc(placement)
         assert report.clean
         assert report.total_violations == 0
 
@@ -244,7 +245,7 @@ class TestSynthPassEquivalence:
     def test_all_passes_on_subcircuits(self, library):
         for m in _synth_modules():
             snapshot = [(i.name, dict(i.conn)) for i in m.instances]
-            loads = m.net_loads(library)
+            loads = net_loads(m, library)
             maxfan = max(
                 (len(v) for k, v in loads.items() if k not in m.clock_nets),
                 default=0,
@@ -326,12 +327,12 @@ class TestFanoutFixedPoint:
         m = b.finish()
 
         ref, _ = buffer_high_fanout_reference(m, library, limit=limit)
-        ref_loads = ref.net_loads(library)
+        ref_loads = net_loads(ref, library)
         assert len(ref_loads["a"]) > limit  # the bug being fixed
 
         fixed, added = buffer_high_fanout(m, library, limit=limit)
         fixed.validate(library)
-        loads = fixed.net_loads(library)
+        loads = net_loads(fixed, library)
         over = {
             net: len(sinks)
             for net, sinks in loads.items()

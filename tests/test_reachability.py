@@ -20,12 +20,16 @@ reference implementations shipped code is pinned against live in
 Below modules, definitions: every top-level function and class, and
 every method but dunders, under ``src/repro`` must be named in code
 somewhere in the package, a paper benchmark (``benchmarks/test_*.py``)
-or an example (``examples/*.py``).  Code means a name, an attribute,
-an import, or a string that is not a docstring and spells an
-identifier (a lazy-export table); a docstring or comment that mentions
-a definition does not keep it.  A definition only tests call is
-deleted with its tests, or moved beside them.  ``ALLOWED_DEFINITIONS``
-lists the few kept anyway, each with its reason.
+or an example (``examples/*.py``).  A method is named by an attribute
+(``x.name``) or a ``getattr``/``hasattr``/``setattr`` string.  A
+top-level definition is named by a bare name in its own module, by an
+import or a module attribute that resolves to it (through re-exports
+if need be), or by a lazy-export string (a module's ``__all__`` or
+``__getattr__``).  So a same-named variable, parameter, dict key or
+docstring elsewhere keeps nothing alive.  A definition only tests call
+is deleted with its tests, or moved beside them.
+``ALLOWED_DEFINITIONS`` lists the few kept anyway, each with its
+reason.
 """
 
 from __future__ import annotations
@@ -102,20 +106,24 @@ def _parse(path):
     return ast.parse(path.read_text(), str(path))
 
 
+def _module_of(target, module, level, is_package):
+    """The dotted module a ``from`` import in ``module`` names."""
+    if not level:
+        return target
+    parts = module.split(".")
+    base = parts[: len(parts) - level + is_package]
+    return ".".join(base + ([target] if target else []))
+
+
 def _imports(name, path, is_package):
     """Every dotted name one module imports (a ``from X import y`` may
     name the submodule ``X.y``)."""
-    package = name if is_package else name.rpartition(".")[0]
     names = set()
     for node in ast.walk(_parse(path)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = package.split(".")[: len(package.split(".")) - node.level + 1]
-                target = ".".join(base + ([node.module] if node.module else []))
-            else:
-                target = node.module
+            target = _module_of(node.module, name, node.level, is_package)
             names.add(target)
             names.update(f"{target}.{alias.name}" for alias in node.names)
     return names
@@ -190,28 +198,86 @@ def _docstrings(tree):
     return found
 
 
+def _is_lazy_export(node):
+    """A module's ``__all__`` or its ``__getattr__``."""
+    if isinstance(node, ast.FunctionDef):
+        return node.name == "__getattr__"
+    return isinstance(node, ast.Assign) and any(
+        getattr(target, "id", None) == "__all__" for target in node.targets
+    )
+
+
 @functools.lru_cache(maxsize=None)
-def _names_in(tree):
-    """Every identifier ``tree``'s code names (not its docstrings)."""
-    docs = _docstrings(tree)
-    names = set()
+def _names_in(tree, module="", is_package=False):
+    """What the code of ``tree`` (module ``module``, if in the package)
+    names, as ``(attributes, bindings, imported)``.
+
+    A method is named by ``attributes``: every ``x.name`` and every
+    ``getattr``/``hasattr``/``setattr`` string.  A top-level definition
+    is named by ``bindings``, ``(module, name)`` pairs: the bare names
+    in its own module, every ``from X import name``, every ``m.name``
+    where ``m`` is an imported module, and the identifier strings of a
+    module's ``__all__`` and ``__getattr__`` (lazy exports).
+    ``imported`` maps each name a ``from`` import binds to its
+    ``(module, name)``, which resolves a re-export.  Docstrings and
+    comments name nothing."""
+    attributes, bindings, imported, modules = set(), set(), {}, {}
     for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    modules[alias.asname] = alias.name
+                else:
+                    head = alias.name.partition(".")[0]
+                    modules[head] = head
+        elif isinstance(node, ast.ImportFrom):
+            source = _module_of(node.module, module, node.level, is_package)
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                imported[bound] = (source, alias.name)
+                modules[bound] = f"{source}.{alias.name}"
+    bindings.update(imported.values())
+
+    def resolve(node):
+        """The dotted module an expression names, if it is one."""
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            return modules.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = resolve(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        owner = name = None
+        if isinstance(node, ast.Name) and module:
+            bindings.add((module, node.id))
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
-            if node.asname:
-                names.add(node.asname)
+            owner, name = node.value, node.attr
         elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and node.value.isidentifier()
-            and id(node) not in docs
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("getattr", "hasattr", "setattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
         ):
-            names.add(node.value)
-    return names
+            owner, name = node.args[0], node.args[1].value
+        if name is not None:
+            attributes.add(name)
+            base = resolve(owner)
+            if base:
+                bindings.add((base, name))
+    for node in tree.body if module else ():
+        if _is_lazy_export(node):
+            docs = _docstrings(node)
+            bindings.update(
+                (module, c.value)
+                for c in ast.walk(node)
+                if isinstance(c, ast.Constant)
+                and isinstance(c.value, str)
+                and c.value.isidentifier()
+                and id(c) not in docs
+            )
+    return frozenset(attributes), frozenset(bindings), imported
 
 
 def _dunder(name):
@@ -219,16 +285,16 @@ def _dunder(name):
 
 
 def _definitions(tree):
-    """``(qualname, name)`` of every top-level function and class and
-    every method of a top-level class, dunders excepted."""
+    """``(qualname, name, is_method)`` of every top-level function and
+    class and every method of a top-level class, dunders excepted."""
     for node in tree.body:
         if not isinstance(node, DEFINITIONS) or _dunder(node.name):
             continue
-        yield node.name, node.name
+        yield node.name, node.name, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, DEFINITIONS) and not _dunder(member.name):
-                    yield f"{node.name}.{member.name}", member.name
+                    yield f"{node.name}.{member.name}", member.name, True
 
 
 @functools.lru_cache(maxsize=None)
@@ -241,23 +307,40 @@ def _outside_names():
     root = PACKAGE.parents[1]
     paths = [path for pattern in NAMING_GLOBS for path in sorted(root.glob(pattern))]
     assert paths, f"no benchmarks or examples under {root}"
-    names = set()
+    attributes, bindings = set(), set()
     for path in paths:
-        names |= _names_in(_parse(path))
-    return frozenset(names)
+        found = _names_in(_parse(path))
+        attributes |= found[0]
+        bindings |= found[1]
+    return frozenset(attributes), frozenset(bindings)
 
 
 def _unnamed(trees):
     """``module:qualname`` of every definition in ``trees`` that no code
-    in ``trees``, the paper benchmarks or the examples names."""
-    named = set(_outside_names())
-    for tree in trees.values():
-        named |= _names_in(tree)
+    in ``trees``, the paper benchmarks or the examples names: a method
+    by an attribute or a ``getattr`` string, a top-level definition by
+    a binding that resolves to it, through re-exports if need be."""
+    attributes, bindings = map(set, _outside_names())
+    packages = {name: is_package for name, (_, is_package) in _modules().items()}
+    imported, defined = {}, {}
+    for module, tree in trees.items():
+        found = _names_in(tree, module, packages.get(module, False))
+        attributes |= found[0]
+        bindings |= found[1]
+        imported[module] = found[2]
+        defined[module] = {name for _, name, method in _definitions(tree) if not method}
+    todo = list(bindings)
+    while todo:
+        module, name = todo.pop()
+        source = imported.get(module, {}).get(name)
+        if source and name not in defined.get(module, ()) and source not in bindings:
+            bindings.add(source)
+            todo.append(source)
     return sorted(
         f"{module}:{qualname}"
         for module, tree in trees.items()
-        for qualname, name in _definitions(tree)
-        if name not in named
+        for qualname, name, method in _definitions(tree)
+        if (name not in attributes if method else (module, name) not in bindings)
     )
 
 
@@ -271,16 +354,31 @@ def test_every_definition_is_named():
 
 def test_definition_check_reports_an_orphan():
     """A function nothing calls is reported, also when a docstring
-    mentions it; naming it in code clears it."""
+    mentions it or another module has a variable of its name; a method
+    is reported when a dict key spells its name.  Naming each in code
+    clears it."""
     trees = dict(_package_trees())
     source = _modules()["repro.errors"][0].read_text()
     trees["repro.rtl.orphan"] = ast.parse(
         source + "\n\ndef orphan_helper():\n    return 1\n"
+        "\n\nclass Orphan:\n    def orphan_method(self):\n        return 1\n"
     )
-    trees["repro.rtl.mention"] = ast.parse('"""See orphan_helper."""\n')
-    assert "repro.rtl.orphan:orphan_helper" in _unnamed(trees)
-    trees["repro.rtl.mention"] = ast.parse("from .orphan import orphan_helper\n")
-    assert "repro.rtl.orphan:orphan_helper" not in _unnamed(trees)
+    trees["repro.rtl.mention"] = ast.parse(
+        '"""See orphan_helper."""\n'
+        "orphan_helper = 2\n"
+        'TABLE = {"orphan_method": orphan_helper}\n'
+    )
+    unnamed = _unnamed(trees)
+    assert "repro.rtl.orphan:orphan_helper" in unnamed
+    assert "repro.rtl.orphan:Orphan.orphan_method" in unnamed
+    trees["repro.rtl.mention"] = ast.parse(
+        "from .orphan import Orphan, orphan_helper\n"
+        "orphan_helper()\n"
+        "Orphan().orphan_method()\n"
+    )
+    unnamed = _unnamed(trees)
+    assert "repro.rtl.orphan:orphan_helper" not in unnamed
+    assert "repro.rtl.orphan:Orphan.orphan_method" not in unnamed
 
 
 def test_allowed_definitions_are_current():

@@ -323,7 +323,8 @@ class TestCompaction:
         """A store's own segment may be dropped too (it is sealed each
         time it passes a quarter of the budget): its writer moves to a
         fresh segment and the hit entries move with it."""
-        cache = ResultCache(tmp_path, budget_mb=0.004)
+        cache = ResultCache(tmp_path)
+        cache.budget_mb = 0.004
         cache.put("aa" * 32, {"status": "ok", "pad": "x" * 1500})
         assert cache.get("aa" * 32) is not None
         cache.put("bb" * 32, {"status": "ok", "pad": "y" * 1500})
@@ -358,7 +359,8 @@ class TestBudget:
             return real_append(writer, data)
 
         monkeypatch.setattr(SegmentWriter, "append", append)
-        cache = ResultCache(tmp_path, budget_mb=0.02)  # 20 kB
+        cache = ResultCache(tmp_path)
+        cache.budget_mb = 0.02  # 20 kB
         assert all(cache.get(key) is not None for key in keys[:30])
         per_put = []
         for key in keys[30:]:
@@ -419,7 +421,8 @@ class TestBudget:
         for i in range(4):
             journal.done(f"{i:064x}", {"status": "ok", "pad": "q" * 2000},
                          True)
-        other = ResultCache(tmp_path, budget_mb=0.004)
+        other = ResultCache(tmp_path)
+        other.budget_mb = 0.004
         other.put("ff" * 32, {"status": "ok", "pad": "r" * 500})
         segment = journal.path
         assert segment.exists()

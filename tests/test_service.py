@@ -219,24 +219,14 @@ class TestMemoryResultStore:
         assert store.get("k")["nested"]["v"] == 1
         assert "k" in store and "missing" not in store
 
-    def test_lru_bound_evicts_oldest(self):
-        store = MemoryResultStore(max_entries=2)
-        store.put("a", _record(1))
-        store.put("b", _record(2))
-        assert store.get("a") is not None  # refresh a
-        store.put("c", _record(3))  # evicts b
-        assert store.get("b") is None
-        assert store.get("a") is not None
-        assert store.entry_count() == 2
-        assert store.stats.evictions == 1
-
 
 class TestResultCacheBudget:
     def test_eviction_is_lru_and_respects_hits(self, tmp_path):
         """Past the budget whole segments go, oldest first; an entry
         this process has hit is carried into a fresh segment, so it
         outlives an older one that was not hit."""
-        cache = ResultCache(tmp_path, budget_mb=0.01)  # 10 kB
+        cache = ResultCache(tmp_path)
+        cache.budget_mb = 0.01  # 10 kB
         keys = _keys(3)
         for i, key in enumerate(keys):
             _put_sized(cache, key, i, size=3000)
@@ -254,7 +244,8 @@ class TestResultCacheBudget:
         assert ResultCache(tmp_path).get(keys[0]) is not None
 
     def test_quarantine_counted_never_evicted(self, tmp_path):
-        cache = ResultCache(tmp_path, budget_mb=0.005)  # 5 kB
+        cache = ResultCache(tmp_path)
+        cache.budget_mb = 0.005  # 5 kB
         key = _keys(1)[0]
         _put_sized(cache, key, 0, size=1000)
         corrupt = log_dir(tmp_path) / "damaged.jsonl"
@@ -378,10 +369,8 @@ class TestJobQueue:
             q.close()
 
     def test_cached_hit_snapshot_reports_zero_durations(self):
-        store = MemoryResultStore()
-        key = FAST.compile_job(fast_spec()).key()
-        store.put(key, {"status": "ok"})
-        q = JobQueue(store=store, start=False)
+        q = JobQueue(use_cache=False, start=False)
+        q.store.put(FAST.compile_job(fast_spec()).key(), {"status": "ok"})
         try:
             snap = q.submit(fast_spec(), options=FAST)
             assert snap["cached"] and snap["status"] == "ok"

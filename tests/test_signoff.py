@@ -293,7 +293,6 @@ class TestMultiCornerSignoff:
             and implemented.lvs.clean
             and report.clean
         )
-        assert implemented.worst_corner == "SS"
 
     def test_report_projection_and_describe(self, implemented):
         data = implemented.signoff.to_dict()
@@ -324,7 +323,6 @@ class TestMultiCornerSignoff:
         arch = MSOSearcher().search(small_spec).select().arch
         impl = ImplementSession(small_spec).implement(arch)
         assert impl.signoff is None
-        assert impl.worst_corner is None
         assert impl.timing_met_signoff == impl.timing.met
 
 

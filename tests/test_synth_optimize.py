@@ -4,6 +4,7 @@ import random
 
 import pytest
 from reference.gatesim import GateSimulator
+from reference.optimize import net_loads
 
 from repro.rtl.ir import NetlistBuilder
 from repro.synth.optimize import (
@@ -70,7 +71,7 @@ def test_fanout_buffering_splits_heavy_nets(library):
     buffered, added = buffer_high_fanout(m, library, limit=30)
     assert added >= 3
     buffered.validate(library)
-    loads = buffered.net_loads(library)
+    loads = net_loads(buffered, library)
     assert len(loads.get("a", [])) <= 30 + 1  # repeaters only
 
 

@@ -3,8 +3,8 @@
 The vectorized engine's contract is *bit-for-bit* agreement with the
 pinned scalar reference (``GateSimulator``, ``tests/reference/gatesim.py``) on
 every net, for every generated module kind — adder trees, shift-adder,
-OFU, full macro — including forced nets, sequential state
-and reset, over seeded random vector batches.
+OFU, full macro — including sequential state and reset, over seeded
+random vector batches.
 """
 
 from __future__ import annotations
@@ -159,51 +159,6 @@ class TestSequentialModules:
             _assert_all_nets_equal(vec, sim, lane, "sna reset1")
 
 
-class TestForcing:
-    def test_forced_nets_match_scalar(self):
-        module, _ = generate_adder_tree(8, "mixed")
-        internal = next(
-            n for n in module.nets if n not in module.ports
-        )
-        batch = 8
-        rng = np.random.default_rng(SEED + 3)
-        stim = rng.integers(0, 2, size=(8, batch))
-        forced = rng.integers(0, 2, size=batch)
-        vec = VecSim(module, LIB, batch)
-        scalars = [GateSimulator(module, LIB) for _ in range(batch)]
-        for i in range(8):
-            _drive_both(vec, scalars, f"in[{i}]", stim[i])
-        vec.force(internal, forced)
-        for lane, sim in enumerate(scalars):
-            sim.force(internal, int(forced[lane]))
-        vec.evaluate()
-        for sim in scalars:
-            sim.evaluate()
-        for lane, sim in enumerate(scalars):
-            _assert_all_nets_equal(vec, sim, lane, "forced")
-        # Releasing restores the natural value on every lane.
-        vec.release(internal)
-        for sim in scalars:
-            sim.release(internal)
-        vec.evaluate()
-        for sim in scalars:
-            sim.evaluate()
-        for lane, sim in enumerate(scalars):
-            _assert_all_nets_equal(vec, sim, lane, "released")
-
-    def test_memory_outputs_are_forceable(self):
-        m = Module("mem")
-        m.add_port("wl", "input")
-        m.add_port("y", "output")
-        m.add_net("rd")
-        m.add_instance("cell", "DCIM6T", {"WL": "wl", "RD": "rd"})
-        m.add_instance("buf", "BUF_X2", {"A": "rd", "Y": "y"})
-        vec = VecSim(m, LIB, batch=4)
-        lanes = np.array([1, 0, 1, 0])
-        vec.force("rd", lanes)
-        assert (vec.net("y") == lanes).all()
-
-
 class TestFullMacro:
     def test_macro_matches_scalar_and_model(self, small_spec, default_arch):
         from repro.verify.testbench import VecMacroTestbench
@@ -266,8 +221,6 @@ class TestSemantics:
             vec.net("nope")
         with pytest.raises(SimulationError):
             vec.set_input("nope", 1)
-        with pytest.raises(SimulationError):
-            vec.force("nope", 1)
         with pytest.raises(SimulationError):
             vec.set_input("a", np.array([1, 0]))  # wrong lane count
         with pytest.raises(SimulationError):
@@ -343,7 +296,7 @@ class TestSemantics:
 class TestTailWordGuard:
     """Batch sizes that don't fill the last uint64 word leave unused
     high bits in every packed row.  The engine's contract: those bits
-    never reach an observable — not through forces, bulk drives,
+    never reach an observable — not through bulk drives,
     sequential state, scalar broadcasts (which set whole words to all
     ones), or ``unpack_lanes`` — and a ragged batch agrees lane for
     lane with a word-aligned batch under identical stimulus."""
@@ -357,7 +310,6 @@ class TestTailWordGuard:
         vec = VecSim(module, LIB, batch)
         ref = VecSim(module, LIB, ref_batch)
         rng = np.random.default_rng(SEED + 7)
-        internal = next(n for n in module.nets if n not in module.ports)
 
         def drive(name, bits):
             vec.set_input(name, bits)
@@ -373,15 +325,6 @@ class TestTailWordGuard:
             ctl = 1 if cyc == 0 else 0
             drive("neg", np.full(batch, ctl))
             drive("clear", np.full(batch, ctl))
-            if cyc == 2:  # forced lanes mid-sequence
-                forced = rng.integers(0, 2, size=batch)
-                vec.force(internal, forced)
-                padded = np.zeros(ref_batch, dtype=forced.dtype)
-                padded[:batch] = forced
-                ref.force(internal, padded)
-            if cyc == 4:
-                vec.release(internal)
-                ref.release(internal)
             vec.clock()
             ref.clock()
             snap = vec.lanes_snapshot()
