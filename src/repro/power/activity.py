@@ -29,8 +29,12 @@ after level.  Each cell type therefore compiles once into a
 Boolean-difference flip masks become small numpy tensors, and every
 evaluation result is memoized by the exact input-statistics tuple.  The
 propagation itself runs over the integer tables of
-:func:`repro.rtl.netview.net_view` (net-indexed state lists, precompiled
-consumer adjacency) instead of chasing ``inst.conn`` dictionaries.
+:func:`repro.rtl.netview.net_view` (net-indexed state lists) instead of
+chasing ``inst.conn`` dictionaries, in one straight loop over the
+combinational cells in the order of the view's
+:class:`~repro.rtl.netview.CellSchedule` (the levelization
+:class:`~repro.sim.vecsim.VecSim` groups its cells by, built once per
+view).
 
 ``tests/reference/activity.py`` keeps the original, obviously-correct
 per-cell walk as an executable specification; the equivalence suite
@@ -40,7 +44,6 @@ per-cell walk as an executable specification; the equivalence suite
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -48,7 +51,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..rtl.ir import Module
-from ..rtl.netview import NetView, net_view
+from ..rtl.netview import CellSchedule, NetView, cell_schedule, net_view
 from ..tech.stdcells import Cell, StdCellLibrary
 
 #: Default signal probability / transition density for unannotated inputs.
@@ -184,14 +187,14 @@ def _kernel(cell: Cell) -> _CellKernel:
 
 class _ActivitySchedule:
     """Input-statistics-independent propagation structure for one view:
-    classified instances, pin id tuples, consumer adjacency (CSR)."""
+    classified instances, and the combinational cells' pin id tuples in
+    the order of the view's :class:`~repro.rtl.netview.CellSchedule`."""
 
     __slots__ = (
-        "comb",          # [(kernel, memo, in_ids, out_ids, fully_connected)]
-        "cons_ptr",      # CSR row pointers per net id (python list)
-        "cons_idx",      # CSR column values: comb indices (python list)
-        "pair_inst",     # np arrays: one entry per (comb inst, input pin)
-        "pair_net",
+        "cells",         # the view's CellSchedule
+        "entries",       # per instance: (kernel, memo, in_ids, out_ids,
+                         # fully_connected) for combinational cells
+        "comb",          # the scheduled cells' entries, in order
         "seq",           # [(d_id, q_id)]
         "mem",           # [rd_id]
         "input_seed",    # [(net_id, is_clock)] for the primary inputs
@@ -207,9 +210,7 @@ class _ActivitySchedule:
             (net_id[p], net_id[p] in clock_ids)
             for p in module.input_ports
         ]
-        comb: List[tuple] = []
-        pair_inst: List[np.ndarray] = []
-        pair_net: List[np.ndarray] = []
+        entries: List[Optional[tuple]] = [None] * view.n_instances
         seq: List[Tuple[int, int]] = []
         mem: List[int] = []
         in_ids = view.in_ids
@@ -239,37 +240,15 @@ class _ActivitySchedule:
                 continue
             kern = _kernel(cell)
             memo = kern.memo
-            base = len(comb)
             if group.in_ids.shape[1]:
                 fully = (group.in_ids >= 0).all(axis=1).tolist()
             else:
                 fully = [True] * len(group)
             for k, idx in enumerate(group.inst_idx.tolist()):
-                comb.append(
-                    (kern, memo, in_ids[idx], out_ids[idx], fully[k])
-                )
-            ins_mat = group.in_ids
-            valid = ins_mat >= 0
-            if valid.any():
-                rows = np.nonzero(valid)[0]
-                pair_inst.append(rows + base)
-                pair_net.append(ins_mat[valid])
-        self.comb = comb
-        if pair_inst:
-            p_inst = np.concatenate(pair_inst)
-            p_net = np.concatenate(pair_net)
-        else:
-            p_inst = np.zeros(0, dtype=np.int64)
-            p_net = np.zeros(0, dtype=np.int64)
-        self.pair_inst = p_inst
-        self.pair_net = p_net
-        # Consumer adjacency in CSR form: which combinational cells wait
-        # on each net (one entry per sink pin, as in the reference).
-        order = np.argsort(p_net, kind="stable")
-        self.cons_idx = p_inst[order].tolist()
-        self.cons_ptr = np.searchsorted(
-            p_net[order], np.arange(view.n_nets + 1), side="left"
-        ).tolist()
+                entries[idx] = (kern, memo, in_ids[idx], out_ids[idx], fully[k])
+        self.entries = entries
+        self.cells = cell_schedule(view)
+        self.comb = [entries[i] for i in self.cells.order.tolist()]
         self.seq = seq
         self.mem = mem
 
@@ -312,7 +291,6 @@ def _propagate_arrays_uncached(
     view: NetView,
     input_stats: Optional[Mapping[str, NetActivity]] = None,
 ) -> Tuple[List[float], List[float], List[bool], Dict[str, NetActivity]]:
-    module = view.module
     sched = _schedule(view)
     n = view.n_nets
     prob: List[float] = [0.0] * n
@@ -347,31 +325,26 @@ def _propagate_arrays_uncached(
             prob[rd_id], dens[rd_id] = 0.5, 0.0
             known[rd_id] = True
 
-    # Kahn order over combinational cells; sequential and memory cells
-    # break cycles.  Indegrees count the not-yet-known input pins.
-    n_comb = len(sched.comb)
-    if sched.pair_net.size:
-        known_arr = np.asarray(known, dtype=bool)
-        unresolved = ~known_arr[sched.pair_net]
-        indegree_arr = np.bincount(
-            sched.pair_inst[unresolved], minlength=n_comb
+    # The combinational cells in the view's schedule order, so every
+    # input a cell reads is final when it runs (sequential and memory
+    # cells break cycles).  A cell on or behind a cycle, or reading a
+    # net that nothing resolves, stalls the pass; a net ``input_stats``
+    # names counts as resolved.
+    cells, comb = sched.cells, sched.comb
+    named = [i for i in cells.unreached.tolist() if known[i]]
+    if named:
+        cells = CellSchedule(view, named)
+        comb = [sched.entries[i] for i in cells.order.tolist()]
+    if cells.order.size != cells.n_comb:
+        raise SimulationError(
+            f"activity propagation stalled: {cells.order.size} of "
+            f"{cells.n_comb} combinational cells resolved "
+            "(combinational cycle?)"
         )
-        indegree = indegree_arr.tolist()
-    else:
-        indegree = [0] * n_comb
-
-    queue = deque(ci for ci in range(n_comb) if indegree[ci] == 0)
-    cons_ptr = sched.cons_ptr
-    cons_idx = sched.cons_idx
-    comb = sched.comb
-    resolved_cells = 0
     pget = prob.__getitem__
     dget = dens.__getitem__
-    # In Kahn order every connected input net is resolved by the time a
-    # cell leaves the queue (a driverless input would have stalled it),
-    # so only unconnected pins (-1) need the defaults.
-    while queue:
-        kernel, memo, in_ids, out_ids, fully_connected = comb[queue.popleft()]
+    # Only unconnected pins (-1) need the defaults.
+    for kernel, memo, in_ids, out_ids, fully_connected in comb:
         if fully_connected:
             key = tuple(map(pget, in_ids)) + tuple(map(dget, in_ids))
         else:
@@ -386,23 +359,10 @@ def _propagate_arrays_uncached(
         if acts is None:
             acts = kernel.evaluate_key(key)
         for net, act in zip(out_ids, acts):
-            if net < 0:
-                continue
-            prob[net] = act.probability
-            dens[net] = act.density
-            if not known[net]:
+            if net >= 0:
+                prob[net] = act.probability
+                dens[net] = act.density
                 known[net] = True
-                for consumer in cons_idx[cons_ptr[net]:cons_ptr[net + 1]]:
-                    indegree[consumer] -= 1
-                    if indegree[consumer] == 0:
-                        queue.append(consumer)
-        resolved_cells += 1
-    if resolved_cells != n_comb:
-        raise SimulationError(
-            f"activity propagation stalled: {resolved_cells} of "
-            f"{n_comb} combinational cells resolved "
-            "(combinational cycle?)"
-        )
 
     # Two-pass refinement: register outputs seeded at p=0.5 get their real
     # data probability now that the fabric has been evaluated once.

@@ -30,7 +30,7 @@ goes through :class:`NetView`'s constructor, which is the one walk.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -256,6 +256,115 @@ def _reflavored(view: NetView):
         list(map(cell_of.__getitem__, refs)), *pin_matrices(view),
         rows=(view.in_ids, view.out_ids),
     )
+
+
+def levelize(n: int, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Levels and FIFO-Kahn order of ``n`` nodes joined by the edges
+    ``src[k] -> dst[k]``, found by frontier peeling.
+
+    Level 0 is every node with no in-edge, in id order.  Level ``L + 1``
+    is every node whose last in-edge leaves level ``L``, ordered by the
+    (position of the source, edge index) of that edge: the order a
+    first-in-first-out Kahn queue that walks each node's out-edges in
+    edge-index order pops the nodes in.  Returns ``(level, order)``:
+    ``level`` is -1 for each node a cycle holds back (on it or
+    downstream of it), and ``order`` lists the placed nodes in pop
+    order.  A pass that places nothing ends the loop, so it runs at
+    most ``n + 1`` times.
+    """
+    level = np.full(n, -1, dtype=np.int64)
+    indeg = np.bincount(dst, minlength=n)
+    last = np.full(n, -1, dtype=np.int64)
+    by_src = np.argsort(src, kind="stable")
+    fanout = np.bincount(src, minlength=n)
+    ptr = np.cumsum(fanout) - fanout
+    frontier = np.flatnonzero(indeg == 0)
+    placed = []
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        placed.append(frontier)
+        depth += 1
+        count = fanout[frontier]
+        # The frontier's out-edges in (source position, edge index) order.
+        at = np.repeat(ptr[frontier] - np.cumsum(count) + count, count)
+        heads = dst[by_src[at + np.arange(at.size)]]
+        np.subtract.at(indeg, heads, 1)
+        # Each completed node once, at its last in-edge, in that order.
+        at = np.flatnonzero(indeg[heads] == 0)
+        heads = heads[at]
+        np.maximum.at(last, heads, at)
+        frontier = heads[last[heads] == at]
+    order = np.concatenate(placed) if placed else np.zeros(0, dtype=np.int64)
+    return level, order
+
+
+class CellSchedule:
+    """The combinational cells of a view in dependency order.
+
+    Cell A precedes cell B when an output of A feeds an input of B
+    through a net that is not a root; the roots are the input ports,
+    the register ``Q`` nets and the memory read nets, plus ``known``.
+    ``order`` lists the combinational instances in :func:`levelize`'s
+    order and ``level`` gives each one's level.  A cell on or behind a
+    combinational cycle, or reading a net that neither a root nor a
+    combinational cell drives (``unreached``), is left out, so
+    ``len(order) < n_comb`` exactly when a Kahn pass would stall.
+    """
+
+    __slots__ = ("order", "level", "n_comb", "unreached")
+
+    def __init__(self, view: NetView, known: Sequence[int] = ()) -> None:
+        module, net_id = view.module, view.net_id
+        in_mat, out_mat = pin_matrices(view)
+        comb = np.zeros(view.n_instances, dtype=bool)
+        root = np.zeros(view.n_nets + 1, dtype=bool)  # slot -1: no net
+        root[[net_id[p] for p in module.input_ports]] = True
+        root[np.asarray(known, dtype=np.int64)] = True
+        for g in view.groups:
+            if g.cell.is_sequential:
+                if "Q" in g.cell.outputs:
+                    root[g.out_ids[:, g.cell.outputs.index("Q")]] = True
+            elif g.cell.is_memory:
+                root[g.out_ids] = True
+            else:
+                comb[g.inst_idx] = True
+        root[-1] = False
+        cells = np.flatnonzero(comb)
+        m = cells.size
+        cin, cout = in_mat[cells], out_mat[cells]
+        # Each net's combinational driver and the output pin it leaves on.
+        driver = np.full(view.n_nets + 1, -1, dtype=np.int64)
+        pin = np.zeros(view.n_nets + 1, dtype=np.int64)
+        rows, cols = np.nonzero(cout >= 0)
+        driver[cout[rows, cols]] = rows
+        pin[cout[rows, cols]] = cols
+        rows, cols = np.nonzero(cin >= 0)
+        nets = cin[rows, cols]
+        keep = ~root[nets]
+        rows, cols, nets = rows[keep], cols[keep], nets[keep]
+        src = driver[nets]
+        # An unreached input hangs off node m, which its self-loop keeps
+        # unplaced, so everything behind it stays unplaced too.
+        self.unreached = np.unique(nets[src < 0])
+        src = np.where(src < 0, m, src)
+        # A driver's edges go out in the order its consumers wait on it:
+        # by output pin, then consuming cell, then input pin.
+        edges = np.lexsort((cols, rows, pin[nets], src))
+        level, order = levelize(
+            m + 1, np.append(src[edges], m), np.append(rows[edges], m)
+        )
+        self.order = cells[order]
+        self.level = level[order]
+        self.n_comb = m
+
+
+def cell_schedule(view: NetView) -> CellSchedule:
+    """The view's :class:`CellSchedule`, built once."""
+    sched = view.derived.get("cells")
+    if sched is None:
+        sched = view.derived["cells"] = CellSchedule(view)
+    return sched
 
 
 def view_driver_counts(view: NetView) -> np.ndarray:

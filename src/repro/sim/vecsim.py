@@ -13,7 +13,9 @@ Semantics mirror the scalar ``GateSimulator`` it replaced (kept in
 ``tests/reference/gatesim.py``; ``tests/test_vecsim.py`` pins the two
 together) bit for bit:
 
-* combinational cells are levelized once (cycle ⇒ :class:`SimulationError`);
+* combinational cells are levelized once, by the view's
+  :class:`~repro.rtl.netview.CellSchedule` (a cycle, or an input that
+  no port, register or memory reaches ⇒ :class:`SimulationError`);
 * sequential cells get master-slave semantics on :meth:`clock` (all D
   sampled, then all Q updated); a sequential cell without a ``Q``
   connection raises loudly;
@@ -55,7 +57,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import SimulationError
-from ..rtl.netview import net_view
+from ..rtl.netview import cell_schedule, net_view
 from ..tech import stdcells as _std
 from ..tech.stdcells import Cell, StdCellLibrary
 
@@ -417,60 +419,22 @@ class VecSim:
         self._d_hold = d_ext < 0
         self._state = np.zeros((len(seq_idx), self._wpad), dtype=np.uint64)
 
-        # Kahn levelization over integer net ids, mirroring the scalar
-        # simulator's pass (including its per-pin indegree accounting).
-        cells = view.cells
-        in_ids = view.in_ids
-        out_ids = view.out_ids
-        indegree: Dict[int, int] = {}
-        consumers: Dict[int, List[int]] = {}
-        schedule_members: List[int] = []
-        expected = 0
-        for idx, cell in enumerate(cells):
-            if cell.is_sequential or cell.is_memory:
-                continue
-            expected += 1
-            missing = 0
-            for net in in_ids[idx]:
-                if net >= 0 and net not in resolved:
-                    missing += 1
-                    consumers.setdefault(net, []).append(idx)
-            indegree[idx] = missing
-        from collections import deque
-
-        queue = deque(idx for idx, deg in indegree.items() if deg == 0)
-        net_level: Dict[int, int] = {net: 0 for net in resolved}
-        inst_level: Dict[int, int] = {}
-        seen_nets = set(resolved)
-        while queue:
-            idx = queue.popleft()
-            schedule_members.append(idx)
-            level = 0
-            for net in in_ids[idx]:
-                if net >= 0:
-                    level = max(level, net_level.get(net, 0))
-            inst_level[idx] = level
-            for net in out_ids[idx]:
-                if net < 0 or net in seen_nets:
-                    continue
-                seen_nets.add(net)
-                net_level[net] = level + 1
-                for consumer in consumers.get(net, ()):
-                    indegree[consumer] -= 1
-                    if indegree[consumer] == 0:
-                        queue.append(consumer)
-        if len(schedule_members) != expected:
+        # The view's cell schedule levelizes the combinational cells
+        # with the scalar simulator's roots: ports, Q and memory nets.
+        sched = cell_schedule(view)
+        if sched.order.size != sched.n_comb:
             raise SimulationError(
-                f"levelization failed: {len(schedule_members)} of "
-                f"{expected} combinational cells ordered (cycle?)"
+                f"levelization failed: {sched.order.size} of "
+                f"{sched.n_comb} combinational cells ordered (cycle?)"
             )
 
         # Group by (level, cell ref) and stack the pin tables.
+        cells = view.cells
+        in_ids = view.in_ids
+        out_ids = view.out_ids
         grouping: Dict[Tuple[int, str], List[int]] = {}
-        for idx in schedule_members:
-            grouping.setdefault(
-                (inst_level[idx], cells[idx].name), []
-            ).append(idx)
+        for idx, level in zip(sched.order.tolist(), sched.level.tolist()):
+            grouping.setdefault((level, cells[idx].name), []).append(idx)
         kernels: Dict[str, object] = {}
         max_level = max((lv for lv, _ in grouping), default=-1)
 

@@ -4,8 +4,8 @@ Implements the PrimeTime-style checks the paper's flow relies on
 ("we evaluate the PPA of the netlist through gate-level simulation" and
 post-layout STA, Section III.D):
 
-* topological (Kahn) longest-path propagation of arrival times and
-  slews over the combinational graph;
+* longest-path propagation of arrival times and slews over the
+  combinational graph, one net level at a time;
 * setup checks at register data pins and output ports against the clock
   period;
 * worst-negative-slack, per-endpoint slack and critical-path traceback.
@@ -18,7 +18,6 @@ Post-layout runs pass a wire-load function built from the placement.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from ..errors import TimingError
 from ..rtl.ir import Module
-from ..rtl.netview import NetView, net_view
+from ..rtl.netview import NetView, levelize, net_view
 from ..tech.characterization import SLEW_GAIN, SLEW_SENSITIVITY
 from ..tech.stdcells import StdCellLibrary
 from .graph import WireLoadFn, net_loads_vector
@@ -112,18 +111,18 @@ class _TimingArrays:
 
     Everything load- and derate-independent is precomputed once per
     flat module: the edge list as parallel numpy columns (source net,
-    destination net, intrinsic delay, drive resistance), a topological
-    level schedule grouping edges by source level, launch/capture
-    boundary tables, and per-edge provenance for path traceback.  The
-    per-call work in :func:`_analyze_view` is then a handful of
-    vectorized passes over these arrays.
+    destination net, intrinsic delay, drive resistance), the level
+    schedules :func:`~repro.rtl.netview.levelize` gives the nets,
+    launch/capture boundary tables, and per-edge provenance for path
+    traceback.  The per-call work in :func:`_analyze_view` is then a
+    handful of vectorized passes over these arrays, one per level.
     """
 
     __slots__ = (
         "n_nets", "src", "dst", "d0", "r", "edge_inst", "arc_block_ends",
-        "arc_blocks", "fanin", "edge_order", "src_list", "dst_list",
+        "arc_blocks", "no_fanin", "fwd", "fwd_levels", "bwd", "bwd_levels",
         "input_start_ids", "seq_q_ids", "seq_q_clk2q", "seq_q_r",
-        "endpoints", "is_start",
+        "ep_ids", "ep_setup", "ep_kinds", "is_start",
     )
 
     def __init__(self, view: NetView) -> None:
@@ -188,49 +187,29 @@ class _TimingArrays:
         self.arc_blocks = arc_blocks
         self.arc_block_ends = np.asarray(block_ends, dtype=np.int64)
 
-        self.fanin = np.bincount(self.dst, minlength=n).astype(np.int64)
-
-        # Flat topological edge order (Kahn): an edge appears only after
-        # every edge into its source net, so one in-order scalar relax
-        # pass computes final arrivals.  Processing order matches the
-        # queue discipline of the graph-based reference
-        # (tests/reference/sta.py), tie-breaks included.
-        edge_order: List[int] = []
-        n_edges = int(self.src.size)
-        src_list: List[int] = []
-        dst_list: List[int] = []
-        if n_edges:
-            order_src = np.argsort(self.src, kind="stable")
-            row_ptr = np.searchsorted(
-                self.src[order_src], np.arange(n + 1), side="left"
-            ).tolist()
-            adj = order_src.tolist()
-            indeg = self.fanin.tolist()
-            dst_l = self.dst.tolist()
-            ready = deque(i for i in range(n) if indeg[i] == 0)
-            while ready:
-                net = ready.popleft()
-                lo = row_ptr[net]
-                hi = row_ptr[net + 1]
-                if hi <= lo:
-                    continue
-                for ei in adj[lo:hi]:
-                    edge_order.append(ei)
-                    d = dst_l[ei]
-                    left = indeg[d] - 1
-                    indeg[d] = left
-                    if left == 0:
-                        ready.append(d)
-            if len(edge_order) != n_edges:
-                raise TimingError(
-                    f"combinational cycle detected: relaxed "
-                    f"{len(edge_order)} of {n_edges} arcs"
-                )
-            src_list = self.src.tolist()
-            dst_list = dst_l
-        self.edge_order = edge_order
-        self.src_list = src_list
-        self.dst_list = dst_list
+        # Net levels and the FIFO-Kahn net order of the graph-based
+        # reference (tests/reference/sta.py): an edge's rank in that
+        # queue walk is (position of its source, edge index).
+        src, dst = self.src, self.dst
+        n_edges = int(src.size)
+        level, order = levelize(n, src, dst)
+        relaxed = int(np.count_nonzero(level[src] >= 0))
+        if relaxed != n_edges:
+            raise TimingError(
+                f"combinational cycle detected: relaxed "
+                f"{relaxed} of {n_edges} arcs"
+            )
+        self.no_fanin = level == 0
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(order.size)
+        # Forward: the edges into each level's nets, by destination, then
+        # by rank, so a destination's first best candidate is the queue's
+        # winner (positions are level-major).  Backward: the edges out of
+        # each level's nets.
+        self.fwd = np.argsort(position[dst] * n + position[src], kind="stable")
+        self.fwd_levels = _level_slices(level[dst[self.fwd]], dst[self.fwd])
+        self.bwd = np.argsort(level[src], kind="stable")
+        self.bwd_levels = _level_slices(level[src[self.bwd]], None)[::-1]
 
         # Launch points: non-clock input ports at offset 0, register Q
         # pins at clock-to-Q plus the (load-dependent) output RC term.
@@ -253,15 +232,18 @@ class _TimingArrays:
             if group.cell.is_sequential:
                 seq_idx.extend(group.inst_idx.tolist())
         seq_idx.sort()  # endpoint insertion order = instance order
+        q_drive: Dict[str, float] = {}
         for idx in seq_idx:
             cell = view.cells[idx]
             conn = module.instances[idx].conn
             q_net = conn.get("Q")
             if q_net is not None:
-                arc = cell.worst_arc_to("Q")
+                r = q_drive.get(cell.name)
+                if r is None:
+                    r = q_drive[cell.name] = cell.worst_arc_to("Q").r_kohm
                 q_ids.append(net_id[q_net])
                 q_clk2q.append(cell.clk_to_q_ns)
-                q_r.append(arc.r_kohm)
+                q_r.append(r)
             d_net = conn.get("D")
             if d_net is not None:
                 d_id = net_id[d_net]
@@ -271,13 +253,35 @@ class _TimingArrays:
         self.seq_q_ids = np.asarray(q_ids, dtype=np.int64)
         self.seq_q_clk2q = np.asarray(q_clk2q)
         self.seq_q_r = np.asarray(q_r)
-        self.endpoints = endpoints
+        self.ep_ids = np.fromiter(endpoints, dtype=np.int64, count=len(endpoints))
+        self.ep_setup = np.asarray([setup for _, setup in endpoints.values()])
+        self.ep_kinds = [kind for kind, _ in endpoints.values()]
         is_start = np.zeros(n, dtype=bool)
         if self.input_start_ids.size:
             is_start[self.input_start_ids] = True
         if self.seq_q_ids.size:
             is_start[self.seq_q_ids] = True
         self.is_start = is_start
+
+
+def _level_slices(levels: np.ndarray, heads: Optional[np.ndarray]) -> list:
+    """``(lo, hi, starts, counts, heads)`` per level of a level-sorted
+    edge order: the level's slice and, given the edges' ``heads``, each
+    run of equal heads in it (relative start, length, head)."""
+    if not levels.size:
+        return []
+    cuts = [0, *(np.flatnonzero(np.diff(levels)) + 1).tolist(), levels.size]
+    if heads is None:
+        return [(lo, hi, None, None, None) for lo, hi in zip(cuts, cuts[1:])]
+    runs = np.flatnonzero(np.concatenate(([True], heads[1:] != heads[:-1])))
+    counts = np.diff(np.append(runs, heads.size))
+    at = np.searchsorted(runs, cuts)
+    starts = runs - np.repeat(cuts[:-1], np.diff(at))
+    heads, at = heads[runs], at.tolist()
+    return [
+        (lo, hi, starts[a:b], counts[a:b], heads[a:b])
+        for lo, hi, a, b in zip(cuts, cuts[1:], at, at[1:])
+    ]
 
 
 def _timing_arrays(view: NetView) -> _TimingArrays:
@@ -291,7 +295,7 @@ def _propagate_view(
     view: NetView,
     derate: float,
     wire_load: Optional[WireLoadFn],
-) -> Tuple[List[float], List[int], List[float]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrival propagation over a view: ``(arrivals, parent, slews)``.
 
     Arrivals are independent of the clock period, so the pass is cached
@@ -319,34 +323,32 @@ def _propagate_view(
         launch = ta.seq_q_clk2q + ta.seq_q_r * load[ta.seq_q_ids] * 1e-3
         np.maximum.at(offset, ta.seq_q_ids, launch)
 
-    arr0 = np.full(n, -np.inf)
-    arr0[ta.fanin == 0] = 0.0
-    arr0[ta.is_start] = offset[ta.is_start]
-    arrivals: List[float] = arr0.tolist()
-    slews: List[float] = [START_SLEW_NS] * n
-    parent: List[int] = [-1] * n
+    arrivals = np.where(ta.no_fanin, 0.0, -np.inf)
+    arrivals[ta.is_start] = offset[ta.is_start]
+    slews = np.full(n, START_SLEW_NS)
+    parent = np.full(n, -1, dtype=np.int64)
 
-    if ta.edge_order:
-        # Load-dependent edge terms as vectors (same expression order as
-        # arc_delay_ns/arc_slew_ns); the relax pass itself runs scalar
-        # over the precomputed topological edge order — at subcircuit
-        # sizes that beats per-wave numpy dispatch and reproduces the
-        # reference queue discipline exactly, tie-breaks included.
-        base = ta.d0 + ta.r * load[ta.dst] * 1e-3
-        eslew_l = (SLEW_GAIN * base).tolist()
-        base_l = base.tolist()
-        src_l = ta.src_list
-        dst_l = ta.dst_list
-        for ei in ta.edge_order:
-            s = src_l[ei]
-            t = dst_l[ei]
-            cand = arrivals[s] + (
-                base_l[ei] + SLEW_SENSITIVITY * slews[s]
-            ) * derate
-            if cand > arrivals[t]:
-                arrivals[t] = cand
-                slews[t] = eslew_l[ei]
-                parent[t] = ei
+    # One vectorized relax per level, in the reference queue's
+    # arithmetic (arc_delay_ns/arc_slew_ns expression order).  Each
+    # destination takes its largest candidate, the first in queue order
+    # on ties, and only when it beats the arrival it has.  Subcircuits
+    # of a few hundred arcs run slower than a scalar relax would;
+    # macros of 8x8 and up break even or win.
+    fwd = ta.fwd
+    src = ta.src[fwd]
+    base = ta.d0[fwd] + ta.r[fwd] * load[ta.dst[fwd]] * 1e-3
+    eslew = SLEW_GAIN * base
+    for lo, hi, starts, counts, heads in ta.fwd_levels:
+        s = src[lo:hi]
+        cand = arrivals[s] + (base[lo:hi] + SLEW_SENSITIVITY * slews[s]) * derate
+        best = np.fmax.reduceat(cand, starts)
+        hits = np.flatnonzero(cand == np.repeat(best, counts))
+        up = best > arrivals[heads]
+        win = hits[np.searchsorted(hits, starts[up])]
+        heads = heads[up]
+        arrivals[heads] = cand[win]
+        slews[heads] = eslew[win + lo]
+        parent[heads] = fwd[win + lo]
 
     view.derived["sta_prop"] = (arrivals, parent, wire_load, derate, slews)
     return arrivals, parent, slews
@@ -366,26 +368,15 @@ def _analyze_view(
     ta = _timing_arrays(view)
     arrivals, parent, _ = _propagate_view(view, derate, wire_load)
 
-    if not ta.endpoints:
+    if not ta.ep_ids.size:
         raise TimingError("design has no timing endpoints")
     names = view.net_names
-    neg_inf = float("-inf")
-    worst_slack = float("inf")
-    worst_id = -1
-    worst_kind = ""
-    worst_arrival = 0.0
-    endpoint_slacks: Dict[str, float] = {}
-    for ep_id, (kind, setup) in ta.endpoints.items():
-        arrival = arrivals[ep_id]
-        if arrival == neg_inf:
-            arrival = 0.0
-        slack = clock_period_ns - setup - arrival
-        endpoint_slacks[names[ep_id]] = slack
-        if slack < worst_slack:
-            worst_slack = slack
-            worst_id = ep_id
-            worst_kind = kind
-            worst_arrival = arrival + setup
+    ep_arrival = arrivals[ta.ep_ids]
+    ep_arrival[ep_arrival == -np.inf] = 0.0
+    slacks = clock_period_ns - ta.ep_setup - ep_arrival
+    worst = int(np.argmin(slacks))
+    worst_id = int(ta.ep_ids[worst])
+    endpoint_slacks = dict(zip([names[i] for i in ta.ep_ids.tolist()], slacks.tolist()))
 
     # Traceback over parent edge ids.
     path: List[PathStep] = []
@@ -393,7 +384,7 @@ def _analyze_view(
     instances = view.module.instances
     guard = 0
     while parent[net] >= 0:
-        e = parent[net]
+        e = int(parent[net])
         block = int(np.searchsorted(ta.arc_block_ends, e, side="right"))
         cell, arc = ta.arc_blocks[block]
         path.append(
@@ -403,10 +394,10 @@ def _analyze_view(
                 input_pin=arc.input_pin,
                 output_pin=arc.output_pin,
                 net=names[net],
-                arrival_ns=arrivals[net],
+                arrival_ns=float(arrivals[net]),
             )
         )
-        net = ta.src_list[e]
+        net = int(ta.src[e])
         guard += 1
         if guard > 1_000_000:  # pragma: no cover - defensive
             raise TimingError("path traceback did not terminate")
@@ -414,10 +405,10 @@ def _analyze_view(
 
     return TimingReport(
         clock_period_ns=clock_period_ns,
-        critical_path_ns=worst_arrival,
-        wns_ns=worst_slack,
+        critical_path_ns=float(ep_arrival[worst] + ta.ep_setup[worst]),
+        wns_ns=float(slacks[worst]),
         endpoint=names[worst_id],
-        endpoint_kind=worst_kind,
+        endpoint_kind=ta.ep_kinds[worst],
         path=tuple(path),
         endpoint_slacks=endpoint_slacks,
     )
@@ -428,13 +419,13 @@ def _required_times(
     clock_period_ns: float,
     derate: float,
     wire_load: Optional[WireLoadFn],
-) -> Tuple[List[float], List[float], List[float], List[float]]:
-    """Forward + backward pass: per-net arrivals, requireds, slews and
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward + backward pass: per-net arrivals and requireds, and
     per-edge delays.
 
-    The backward pass relaxes required times over the *reversed*
-    topological edge order — each edge's destination is final before
-    the edge is visited, mirroring the forward discipline exactly, so
+    The backward pass pulls required times back one source level at a
+    time, deepest first — every edge's destination is final before the
+    edge is visited, mirroring the forward discipline exactly, so
     ``required - arrival`` is the classic per-net slack.
     """
     if clock_period_ns <= 0.0:
@@ -442,35 +433,20 @@ def _required_times(
     if derate <= 0.0:
         raise TimingError("derate must be positive")
     ta = _timing_arrays(view)
-    if not ta.endpoints:
+    if not ta.ep_ids.size:
         raise TimingError("design has no timing endpoints")
     arrivals, _, slews = _propagate_view(view, derate, wire_load)
 
     load = net_loads_vector(view, wire_load)
-    inf = float("inf")
-    required: List[float] = [inf] * ta.n_nets
-    for ep_id, (_kind, setup) in ta.endpoints.items():
-        req = clock_period_ns - setup
-        if req < required[ep_id]:
-            required[ep_id] = req
-
-    delays: List[float] = []
-    if ta.edge_order:
-        base_l = (ta.d0 + ta.r * load[ta.dst] * 1e-3).tolist()
-        src_l = ta.src_list
-        dst_l = ta.dst_list
-        delays = [0.0] * len(base_l)
-        for ei in reversed(ta.edge_order):
-            s = src_l[ei]
-            d = (base_l[ei] + SLEW_SENSITIVITY * slews[s]) * derate
-            delays[ei] = d
-            req = required[dst_l[ei]]
-            if req == inf:
-                continue
-            cand = req - d
-            if cand < required[s]:
-                required[s] = cand
-    return arrivals, required, slews, delays
+    required = np.full(ta.n_nets, np.inf)
+    required[ta.ep_ids] = clock_period_ns - ta.ep_setup
+    base = ta.d0 + ta.r * load[ta.dst] * 1e-3
+    delays = (base + SLEW_SENSITIVITY * slews[ta.src]) * derate
+    bwd = ta.bwd
+    src, dst, delay = ta.src[bwd], ta.dst[bwd], delays[bwd]
+    for lo, hi, *_ in ta.bwd_levels:
+        np.minimum.at(required, src[lo:hi], required[dst[lo:hi]] - delay[lo:hi])
+    return arrivals, required, delays
 
 
 def instance_slacks(
@@ -492,28 +468,14 @@ def instance_slacks(
     """
     view = net_view(module, library)
     ta = _timing_arrays(view)
-    arrivals, required, _, delays = _required_times(
+    arrivals, required, delays = _required_times(
         view, clock_period_ns, derate, wire_load
     )
-    inf = float("inf")
-    slacks: Dict[int, float] = {}
-    src_l = ta.src_list
-    dst_l = ta.dst_list
-    einst = ta.edge_inst
-    for ei in range(len(src_l)):
-        req = required[dst_l[ei]]
-        if req == inf:
-            continue
-        slack = req - arrivals[src_l[ei]] - delays[ei]
-        idx = int(einst[ei])
-        prev = slacks.get(idx)
-        if prev is None or slack < prev:
-            slacks[idx] = slack
-    instances = module.instances
-    out: Dict[str, float] = {}
-    for idx, inst in enumerate(instances):
-        out[inst.name] = slacks.get(idx, inf)
-    return out
+    slacks = np.full(view.n_instances, np.inf)
+    np.minimum.at(
+        slacks, ta.edge_inst, required[ta.dst] - arrivals[ta.src] - delays
+    )
+    return dict(zip([inst.name for inst in module.instances], slacks.tolist()))
 
 
 def minimum_period_ns(

@@ -52,6 +52,25 @@ def walks(monkeypatch):
 
 
 @pytest.fixture
+def builds(monkeypatch):
+    """Records the view of every timing-structure build
+    (``builds["sta"]``) and cell-schedule build (``builds["cells"]``),
+    wrapping their constructors by name as ``walks`` does."""
+    from repro.rtl.netview import CellSchedule
+    from repro.sta.analysis import _TimingArrays
+
+    views = {"sta": [], "cells": []}
+    for key, cls in (("sta", _TimingArrays), ("cells", CellSchedule)):
+
+        def counted(self, view, *args, _init=cls.__init__, _key=key, **kwargs):
+            views[_key].append(view)
+            _init(self, view, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return views
+
+
+@pytest.fixture
 def small_spec():
     """8x8, MCR=2, INT4: the smallest spec with all datapath features."""
     return MacroSpec(

@@ -7,10 +7,12 @@ queue of net names.  That version is kept here verbatim: the setup
 check (``analyze_graph``, ``propagate``, ``_trace_path``), the graph
 build (``build_timing_graph``, ``net_capacitance``) and the hold check
 (``analyze_hold``) the flow never ran.  ``tests/test_vector_kernels.py``
-pins the shipped ``analyze``, ``minimum_period_ns`` and
-``net_loads_vector`` to it.  Only the imports (absolute; the report
+pins the shipped ``analyze``, ``minimum_period_ns``, ``instance_slacks``
+and ``net_loads_vector`` to it.  Only the imports (absolute; the report
 types and delay model come from the shipped modules) and one docstring
-cross-reference differ.
+cross-reference differ.  The backward pass (``required_times``,
+``instance_slacks``) was written for the tests: the same queue walk,
+run in reverse.
 """
 
 from __future__ import annotations
@@ -247,6 +249,66 @@ def _trace_path(
             raise TimingError("path traceback did not terminate")
     path.reverse()
     return path
+
+
+def _topological_edges(graph: TimingGraph) -> List[TimingEdge]:
+    """Every arc in the order :func:`propagate`'s Kahn queue relaxes it."""
+    indegree = dict(graph.fanin_count)
+    queue: deque = deque(
+        net for net in graph.module.nets if indegree.get(net, 0) == 0
+    )
+    order: List[TimingEdge] = []
+    while queue:
+        net = queue.popleft()
+        for edge in graph.edges_from.get(net, ()):  # type: ignore[arg-type]
+            order.append(edge)
+            indegree[edge.dst_net] -= 1
+            if indegree[edge.dst_net] == 0:
+                queue.append(edge.dst_net)
+    return order
+
+
+def required_times(
+    graph: TimingGraph, clock_period_ns: float, derate: float = 1.0
+) -> Dict[str, float]:
+    """Per-net required time: ``period - setup`` at each endpoint, pulled
+    back through every arc in reverse topological order (each arc's
+    destination is final before the arc is visited).  Nets that reach no
+    endpoint are absent."""
+    _arrivals, slews, _parent = propagate(graph, derate)
+    required: Dict[str, float] = {}
+    for net, (_kind, setup) in graph.endpoints.items():
+        required[net] = clock_period_ns - setup
+    for edge in reversed(_topological_edges(graph)):
+        req = required.get(edge.dst_net)
+        if req is None:
+            continue
+        load = graph.net_load_ff[edge.dst_net]
+        delay = arc_delay_ns(edge.arc, slews[edge.src_net], load) * derate
+        cand = req - delay
+        if cand < required.get(edge.src_net, float("inf")):
+            required[edge.src_net] = cand
+    return required
+
+
+def instance_slacks(
+    graph: TimingGraph, clock_period_ns: float, derate: float = 1.0
+) -> Dict[str, float]:
+    """Worst ``required[dst] - arrival[src] - delay`` over each
+    instance's arcs; ``inf`` for instances with no constrained arc."""
+    arrivals, slews, _parent = propagate(graph, derate)
+    required = required_times(graph, clock_period_ns, derate)
+    slacks = {inst.name: float("inf") for inst in graph.module.instances}
+    for edge in _topological_edges(graph):
+        req = required.get(edge.dst_net)
+        if req is None:
+            continue
+        load = graph.net_load_ff[edge.dst_net]
+        delay = arc_delay_ns(edge.arc, slews[edge.src_net], load) * derate
+        slack = req - arrivals[edge.src_net] - delay
+        if slack < slacks[edge.inst.name]:
+            slacks[edge.inst.name] = slack
+    return slacks
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ intended, regenerate with ``make golden`` and say why in CHANGES.md.
 Each compile also walks its netlist into a ``NetView`` exactly once per
 implement attempt, and the view its final netlist carries (installed by
 ``optimize``, re-resolved by ref-only edits) equals a fresh walk field
-by field.
+by field.  It levelizes each attempt's cells once (activity and the
+simulator share the schedule) and builds one timing structure per view
+it times.
 """
 
 from __future__ import annotations
@@ -26,8 +28,13 @@ from repro.compiler import syndcim
 from repro.rtl.netview import NetView, net_view
 
 #: Full NetView walks per compile where not 1: one per implement
-#: attempt, and the fig7 spec misses timing once and escalates.
+#: attempt, and the fig7 spec misses timing once and escalates.  Each
+#: attempt also builds one cell schedule.
 WALKS = {"fig7-escalates": 2}
+#: Timing structures built per compile where not 1: one per view timed.
+#: Vt recovery times the view its swaps re-resolve (a ref-only edit
+#: carries no timing structure over), and each fig7 attempt its own.
+TIMED = {"vt-auto-64x64": 3, "fig7-escalates": 2}
 
 
 def _pinned():
@@ -45,7 +52,7 @@ def test_every_case_is_pinned_once():
 @pytest.mark.parametrize(
     "case", IMPLEMENT_CASES, ids=[case for case, _, _ in IMPLEMENT_CASES]
 )
-def test_implemented_record_matches_golden(case, library, walks, monkeypatch):
+def test_implemented_record_matches_golden(case, library, walks, builds, monkeypatch):
     netlists = []
     to_record = syndcim.result_to_record
 
@@ -57,6 +64,10 @@ def test_implemented_record_matches_golden(case, library, walks, monkeypatch):
     assert golden_line(*case, implement=True) == PINNED[case[0]]
     expected = WALKS.get(case[0], 1)
     assert walks[0] == expected
+    assert len(builds["cells"]) == expected
+    timed = builds["sta"]
+    assert len(timed) == TIMED.get(case[0], 1)
+    assert len({id(view) for view in timed}) == len(timed)
     (netlist,) = netlists
     view = net_view(netlist, library)
     assert walks[0] == expected  # the flow left a current view
