@@ -33,12 +33,13 @@ trajectory is tracked PR over PR:
     decision and reuses the routing estimate, so this is the
     incremental-recompile latency.  Floored at 100 ms by the gate.
 ``vecsim_tiled_vectors_per_s``
-    raw ``run_mac`` throughput of the tile-major vectorized simulator
-    on the quickstart netlist (4096-lane batch, weight loads and
-    golden-model checking excluded), counted as driven input vectors
-    clocked through the netlist per wall second (lanes x pipeline
-    cycles) — the number the word-tiled propagate loop moves.  Floored
-    at 100k vector-cycles/s by the gate.
+    the 4,096-lane ``run_mac`` rate: raw throughput of the vectorized
+    simulator on the quickstart netlist (weight loads and golden-model
+    checking excluded), counted as driven input vectors clocked
+    through the netlist per wall second (lanes x pipeline cycles).
+    The key keeps its historical ``tiled`` name; the simulator stores
+    one untiled ``(rows, words)`` array.  Floored at 100k
+    vector-cycles/s by the gate.
 ``shm_worker_scl_source`` / ``shm_workers_zero_copy``
     zero-copy worker warmup proof: where each real pool worker's
     default SCL resolved from (``"shm"`` = tensor attach, no disk
@@ -349,9 +350,9 @@ def bench_vecsim(vectors: int = 4096) -> dict:
         spec, arch, netlist=flat, shape=shape, vectors=vectors, seed=1
     )
 
-    # Raw tiled-propagate throughput: run_mac only (no weight loads, no
-    # golden model, no mismatch bookkeeping) on a 4096-lane batch — the
-    # number the word-tiled value cube moves.
+    # The 4,096-lane run_mac rate: run_mac only (no weight loads, no
+    # golden model, no mismatch bookkeeping) — the simulator's raw
+    # propagate throughput.
     import numpy as np
 
     from repro.sim.formats import int_range
@@ -371,21 +372,21 @@ def bench_vecsim(vectors: int = 4096) -> dict:
     tb.run_mac(xs)  # warm the compiled schedule
     # Every clock() consumes one driven input row per lane, and one MAC
     # result costs latency_cycles clocks — so lane-cycles per wall
-    # second is the tiled kernel's raw rate (a 4096-lane batch at 12
+    # second is the simulator's raw rate (a 4096-lane batch at 12
     # pipeline cycles is 49k simulated vector-cycles per run_mac).
     cycles = batch * shape.latency_cycles
-    tiled_samples = []
+    rate_samples = []
     for _ in range(3):
         gc.collect()
         t0 = time.perf_counter()
         tb.run_mac(xs)
-        tiled_samples.append(cycles / (time.perf_counter() - t0))
+        rate_samples.append(cycles / (time.perf_counter() - t0))
     return {
         "vecsim_vectors": vectors,
         "vecsim_verify_s": round(report.elapsed_s, 4),
         "vecsim_vectors_per_s": round(report.vectors_per_s, 1),
         "vecsim_tiled_vectors_per_s": round(
-            statistics.median(tiled_samples), 1
+            statistics.median(rate_samples), 1
         ),
         "vecsim_verified_clean": bool(report.passed),
     }

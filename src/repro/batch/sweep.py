@@ -16,13 +16,16 @@ down).  Format axes use comma-joined groups, one group per token:
 cartesian product as :class:`~repro.spec.MacroSpec` objects in a
 deterministic row-major order (height, width, mcr, formats, frequency,
 vdd) — the order results appear in JSONL outputs and summaries.
+:func:`expand_axes` is the front ends' one entry: raw tokens per axis
+in, an absent axis filled from :data:`AXIS_DEFAULTS`, the grid out.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import SpecificationError
+from ..options import PPA_PRESETS
 from ..spec import DataFormat, MacroSpec, PPAWeights, parse_format
 
 #: Cap on the values one axis's tokens generate, duplicates included
@@ -33,6 +36,16 @@ MAX_AXIS_POINTS = 4096
 #: Cap on the whole grid (the product of the axis lengths), checked
 #: before any spec is built: two capped axes would make 16.7M specs.
 MAX_GRID_POINTS = 65536
+#: The tokens an axis sweeps when the caller leaves it out: the
+#: defaults of ``repro sweep`` and of ``POST /v1/sweeps``.
+AXIS_DEFAULTS: Dict[str, Tuple[str, ...]] = {
+    "height": ("64",),
+    "width": ("64",),
+    "mcr": ("2",),
+    "formats": ("INT4,INT8",),
+    "frequency": ("800",),
+    "vdd": ("0.9",),
+}
 
 
 def parse_range(token: str, integer: bool = True) -> List[float]:
@@ -186,6 +199,41 @@ def expand_grid(
                                 )
                             )
     return specs
+
+
+def expand_axes(
+    axes: Mapping[str, Union[str, Sequence[str]]], ppa: str = "balanced"
+) -> List[MacroSpec]:
+    """The grid of raw axis tokens, as both sweep front ends take them:
+    a string is one token, an absent axis sweeps its
+    :data:`AXIS_DEFAULTS`, and ``ppa`` names a preset of
+    :data:`repro.options.PPA_PRESETS`."""
+    unknown = sorted(set(axes) - set(AXIS_DEFAULTS))
+    if unknown:
+        raise SpecificationError(
+            f"unknown sweep axis(es) {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(AXIS_DEFAULTS))}"
+        )
+    try:
+        weights = PPA_PRESETS[ppa]
+    except KeyError:
+        raise SpecificationError(
+            f"unknown ppa preset {ppa!r}; "
+            f"known: {', '.join(sorted(PPA_PRESETS))}"
+        ) from None
+    tokens = {}
+    for name, default in AXIS_DEFAULTS.items():
+        value = axes.get(name, default)
+        tokens[name] = [value] if isinstance(value, str) else [str(v) for v in value]
+    return expand_grid(
+        heights=parse_axis(tokens["height"]),
+        widths=parse_axis(tokens["width"]),
+        mcrs=parse_axis(tokens["mcr"]),
+        format_sets=parse_format_sets(tokens["formats"]),
+        frequencies=parse_axis(tokens["frequency"], integer=False),
+        vdds=parse_axis(tokens["vdd"], integer=False),
+        ppa=weights,
+    )
 
 
 def grid_summary(specs: Sequence[MacroSpec]) -> str:

@@ -50,7 +50,7 @@ import json
 import os
 import pathlib
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .errors import SynDCIMError
 from .options import DEFAULT_VERIFY_VECTORS, PPA_PRESETS, CompileOptions
@@ -177,21 +177,22 @@ def build_parser() -> argparse.ArgumentParser:
             "pool, results streamed to JSONL."
         ),
     )
+    # An axis left out sweeps its default from
+    # repro.batch.sweep.AXIS_DEFAULTS, locally and on a server alike.
     p_sweep.add_argument(
-        "--height", nargs="+", default=["64"],
-        help="values or ranges, e.g. 32:256:x2",
+        "--height", nargs="+", help="values or ranges, e.g. 32:256:x2"
     )
-    p_sweep.add_argument("--width", nargs="+", default=["64"])
-    p_sweep.add_argument("--mcr", nargs="+", default=["2"])
+    p_sweep.add_argument("--width", nargs="+")
+    p_sweep.add_argument("--mcr", nargs="+")
     p_sweep.add_argument(
-        "--formats", nargs="+", default=["INT4,INT8"],
+        "--formats", nargs="+",
         help="comma-joined format groups, e.g. INT4,INT8 INT8,FP8",
     )
     p_sweep.add_argument(
-        "--frequency", nargs="+", default=["800"],
+        "--frequency", nargs="+",
         help="MAC MHz values or ranges, e.g. 400:1000:+200",
     )
-    p_sweep.add_argument("--vdd", nargs="+", default=["0.9"])
+    p_sweep.add_argument("--vdd", nargs="+")
     p_sweep.add_argument(
         "--ppa", choices=sorted(PPA_PRESETS), default="balanced"
     )
@@ -637,25 +638,25 @@ def _run_journal(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_axes(args: argparse.Namespace) -> Dict[str, List[str]]:
+    """The axis tokens given on the command line (both sweep paths)."""
+    given = {
+        "height": args.height,
+        "width": args.width,
+        "mcr": args.mcr,
+        "formats": args.formats,
+        "frequency": args.frequency,
+        "vdd": args.vdd,
+    }
+    return {name: tokens for name, tokens in given.items() if tokens is not None}
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     if args.server:
         return _run_remote_sweep(args)
-    from .batch.sweep import (
-        expand_grid,
-        grid_summary,
-        parse_axis,
-        parse_format_sets,
-    )
+    from .batch.sweep import expand_axes, grid_summary
 
-    specs = expand_grid(
-        heights=parse_axis(args.height),
-        widths=parse_axis(args.width),
-        mcrs=parse_axis(args.mcr),
-        format_sets=parse_format_sets(args.formats),
-        frequencies=parse_axis(args.frequency, integer=False),
-        vdds=parse_axis(args.vdd, integer=False),
-        ppa=PPA_PRESETS[args.ppa],
-    )
+    specs = expand_axes(_sweep_axes(args), args.ppa)
     human = sys.stderr if args.output == "-" else sys.stdout
     print(f"sweep: {grid_summary(specs)}", file=human)
     return _execute_batch(specs, args)
@@ -699,14 +700,7 @@ def _run_remote_sweep(args: argparse.Namespace) -> int:
     client = ServiceClient(args.server)
     human = sys.stderr if args.output == "-" else sys.stdout
     sweep = client.submit_sweep(
-        axes={
-            "height": args.height,
-            "width": args.width,
-            "mcr": args.mcr,
-            "formats": args.formats,
-            "frequency": args.frequency,
-            "vdd": args.vdd,
-        },
+        axes=_sweep_axes(args),
         options=_options_from_args(args),
         ppa=args.ppa,
     )

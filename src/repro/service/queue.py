@@ -50,10 +50,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set
 from ..errors import (
     ServiceError,
     ShuttingDownError,
-    SpecificationError,
     UnknownJobError,
 )
-from ..options import PPA_PRESETS, CompileOptions
+from ..options import CompileOptions
 from ..spec import MacroSpec
 from ..batch.cache import MemoryResultStore, ResultCache, ResultStore
 from ..batch.engine import JobExecutor, Ticket
@@ -316,37 +315,9 @@ class JobQueue:
         and content hashes).  Duplicate points — within the sweep or
         against other clients' in-flight work — coalesce exactly like
         :meth:`submit` singles."""
-        from ..batch.sweep import expand_grid, parse_axis, parse_format_sets
+        from ..batch.sweep import expand_axes
 
-        def axis(name: str, default: List[str]) -> List[str]:
-            value = axes.get(name, default)
-            if isinstance(value, str):
-                value = [value]
-            return [str(v) for v in value]
-
-        known = {"height", "width", "mcr", "formats", "frequency", "vdd"}
-        unknown = sorted(set(axes) - known)
-        if unknown:
-            raise SpecificationError(
-                f"unknown sweep axis(es) {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(known))}"
-            )
-        try:
-            weights = PPA_PRESETS[ppa]
-        except KeyError:
-            raise SpecificationError(
-                f"unknown ppa preset {ppa!r}; "
-                f"known: {', '.join(sorted(PPA_PRESETS))}"
-            ) from None
-        specs = expand_grid(
-            heights=parse_axis(axis("height", ["64"])),
-            widths=parse_axis(axis("width", ["64"])),
-            mcrs=parse_axis(axis("mcr", ["2"])),
-            format_sets=parse_format_sets(axis("formats", ["INT4,INT8"])),
-            frequencies=parse_axis(axis("frequency", ["800"]), integer=False),
-            vdds=parse_axis(axis("vdd", ["0.9"]), integer=False),
-            ppa=weights,
-        )
+        specs = expand_axes(axes, ppa)
         snapshots = [
             self.submit(spec, options=options, priority=priority)
             for spec in specs

@@ -21,9 +21,11 @@ together) bit for bit:
   connection raises loudly;
 * memory-cell read nets are resolved roots, driven by the testbench.
 
-The compile step groups instances by (topological level, cell type),
-stacks their pin tables into integer gather matrices, and **renumbers
-the value rows** so each group's output pins occupy contiguous blocks:
+The compile step works on the view's group tables and its cell
+schedule with array operations, never per instance: it groups the
+combinational instances by (topological level, cell type), stacks
+their pin tables into integer gather matrices, and **renumbers the
+value rows** so each group's output pins occupy contiguous blocks:
 kernels write straight into the value array through ``out=`` views and
 the scatter pass disappears entirely.  Cells whose scalar logic
 function is one of the library's known functions get a hand-written
@@ -31,22 +33,14 @@ allocation-free bitwise kernel; any other function falls back to an
 automatically derived sum-of-minterms kernel over its truth table, so
 custom cells simulate correctly without registration.
 
-The value array is stored **tile-major**: shape ``(n_tiles, rows,
-tile_words)``, so one word-tile of every net is a single contiguous
-matrix.  Wide batches evaluate tile by tile (64 words, 4096 lanes, per
-block) with every gather and kernel write
-operating on contiguous memory; the per-level working set stays inside
-the fast cache levels as the batch grows instead of sliding down the
-memory hierarchy, which is what lets verification throughput scale
-with batch width.
-
-Evaluation is lazy *and* change-driven.  Stimulus writes compare
-against the stored words and mark only genuinely changed nets dirty;
-propagation plans one boolean pass over the levelized groups and
-evaluates exactly the groups that can see a dirty input (plus any group
-whose output rows were overwritten from outside), so a drain cycle that
-re-drives constant zeros costs almost nothing while remaining
-observationally identical to a full pass.
+The values are one ``(rows, words)`` uint64 array.  Evaluation is lazy
+*and* change-driven.  Stimulus goes only to free nets (input ports and
+memory read nets); each write compares against the stored words and
+marks only genuinely changed nets dirty.  Propagation plans one
+boolean pass over the levelized groups and evaluates exactly the
+groups that can see a dirty input, so a drain cycle that re-drives
+constant zeros costs almost nothing while remaining observationally
+identical to a full pass.
 """
 
 from __future__ import annotations
@@ -62,11 +56,6 @@ from ..tech import stdcells as _std
 from ..tech.stdcells import Cell, StdCellLibrary
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: Word-tile width of the propagate loop: 64 words = 4096 lanes per
-#: block keeps each level's gather sources and output block
-#: cache-resident on wide batches.
-_TILE_WORDS = 64
 
 BatchValue = Union[int, Sequence[int], np.ndarray]
 
@@ -272,27 +261,27 @@ def _kernel_for(cell: Cell):
 class _Group:
     """One compiled (level, cell-type) instance group.
 
-    Inputs gather through the ``gather`` index matrix (internal value
-    rows, one row of pin indices per instance); output pin ``j`` owns
-    the contiguous row block ``[out_base + j*inst, out_base +
-    (j+1)*inst)``, which is what lets kernels write results in place
-    with no scatter pass.
+    Inputs gather through the ``gather`` index matrix (value rows, one
+    row of pin indices per instance); output pin ``j`` owns the
+    contiguous row block ``[out_base + j*inst, out_base + (j+1)*inst)``
+    of the value array, held in ``outs`` as views, which is what lets
+    kernels write results in place with no scatter pass.
     """
 
-    __slots__ = (
-        "kernel", "gather", "pins", "inst", "n_out", "out_base",
-        "rows", "index",
-    )
+    __slots__ = ("kernel", "gather", "pins", "out_base", "rows", "outs", "tmp")
 
     def __init__(self, kernel, gather: np.ndarray, out_base: int,
-                 n_out: int, index: int) -> None:
+                 n_out: int, values: np.ndarray, sbuf: np.ndarray) -> None:
         self.kernel = kernel
-        self.inst, self.pins = gather.shape
+        inst, self.pins = gather.shape
         self.gather = np.ascontiguousarray(gather)
         self.out_base = out_base
-        self.n_out = n_out
-        self.rows = self.inst * n_out
-        self.index = index
+        self.rows = inst * n_out
+        self.outs = tuple(
+            values[out_base + j * inst : out_base + (j + 1) * inst]
+            for j in range(n_out)
+        )
+        self.tmp = sbuf[:, :inst]
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +307,13 @@ def unpack_lanes(words_arr: np.ndarray, batch: int) -> np.ndarray:
     return bits[..., :batch]
 
 
+def _twos_complement(bits: np.ndarray) -> np.ndarray:
+    """(batch, width) LSB-first bits → per-lane two's-complement ints."""
+    weights = 1 << np.arange(bits.shape[1], dtype=np.int64)
+    weights[-1] = -weights[-1]
+    return bits.astype(np.int64) @ weights
+
+
 class VecSim:
     """Simulate one flat module over a batch of stimulus vectors.
 
@@ -328,12 +324,12 @@ class VecSim:
     library:
         Cell library supplying logic functions.
     batch:
-        Number of simultaneous stimulus lanes ``B``; batches wider than
-        one word-tile (4096 lanes) evaluate tile by tile over the
-        tile-major value array.
+        Number of simultaneous stimulus lanes ``B``.
 
     Lane-indexed arguments accept either a scalar (broadcast to every
-    lane) or a length-``B`` sequence of 0/1 values.
+    lane) or a length-``B`` sequence of 0/1 values.  Only free nets
+    (input ports and memory read nets) take stimulus; a write to a
+    fabric-driven net raises.
     """
 
     def __init__(
@@ -348,76 +344,56 @@ class VecSim:
         self.library = library
         self.batch = int(batch)
         self.words = (self.batch + 63) // 64
-        self._tile = min(self.words, _TILE_WORDS)
-        self._n_tiles = -(-self.words // self._tile)
-        #: Padded word count: every full-width array spans whole tiles
-        #: (pad words stay zero) so the tile-major value cube and the
-        #: flat (rows, words) bookkeeping views stay interchangeable.
-        self._wpad = self._n_tiles * self._tile
         tail_bits = self.batch - 64 * (self.words - 1)
-        self._tail_mask = (
-            _ONES if tail_bits == 64 else np.uint64((1 << tail_bits) - 1)
-        )
+        #: A scalar 1 in canonical word form: all ones but the bits past
+        #: the batch, so change detection never trips on unused bits.
+        self._ones = np.full(self.words, _ONES, dtype=np.uint64)
+        self._ones[-1] >>= np.uint64(64 - tail_bits)
         view = net_view(module, library)
         self._view = view
         self._nid = view.net_id
         self._n_ext = view.n_nets
         self._compile()
-        # Tile-major value cube: tile t of every row is the contiguous
-        # matrix self._values[t], which is what the propagate loop,
-        # gathers and kernels operate on.
-        self._values = np.zeros(
-            (self._n_tiles, self._n_rows, self._tile), dtype=np.uint64
-        )
-        self._dirty_rows = np.zeros(self._n_rows, dtype=bool)
-        #: Group indices that must re-evaluate next pass regardless of
-        #: input dirtiness (their output rows were overwritten from
-        #: outside — a write to a driven net).
-        self._pending_groups: set = set()
+        self._dirty_rows = np.zeros(len(self._values), dtype=bool)
         self._all_dirty = True
         self._dirty = True
-        max_inst = max((g.inst for g in self._groups), default=1)
-        self._sbuf = np.empty((2, max_inst, self._tile), dtype=np.uint64)
 
     # -- compilation ---------------------------------------------------------
 
     def _compile(self) -> None:
-        view = self._view
-        module = self.module
-        n_ext = self._n_ext
-        resolved: set = {self._nid[p] for p in module.input_ports}
-        seq_idx: List[int] = []
-        for idx, cell in enumerate(view.cells):
+        view, n_ext = self._view, self._n_ext
+        # Free nets (testbench-owned): input ports and memory read nets
+        # that no register or combinational output drives.
+        free = np.zeros(n_ext + 1, dtype=bool)  # slot -1: no net
+        free[[self._nid[p] for p in self.module.input_ports]] = True
+        comb = []
+        regs = [np.zeros((3, 0), dtype=np.int64)]
+        faults = []
+        for g in view.groups:
+            cell = g.cell
             if cell.is_sequential:
-                q_pos = cell.outputs.index("Q") if "Q" in cell.outputs else -1
-                q = view.out_ids[idx][q_pos] if q_pos >= 0 else -1
-                if q < 0:
-                    inst = module.instances[idx]
-                    raise SimulationError(
-                        f"{module.name}: sequential cell {inst.name} "
-                        f"({cell.name}) has no Q connection — its state "
-                        "would be invisible to the fabric"
-                    )
-                resolved.add(q)
-                seq_idx.append(idx)
+                # Q must be connected; an absent D holds the state.
+                none = np.full(len(g), -1, dtype=np.int64)
+                pins = tuple(cell.input_caps_ff)
+                q = g.out_ids[:, cell.outputs.index("Q")] if "Q" in cell.outputs else none
+                d = g.in_ids[:, pins.index("D")] if "D" in pins else none
+                regs.append(np.stack([g.inst_idx, d, q]))
+                if (q < 0).any():
+                    faults.append((int(g.inst_idx[q < 0][0]), cell.name))
             elif cell.is_memory:
-                for out in view.out_ids[idx]:
-                    if out >= 0:
-                        resolved.add(out)
-
-        # Sequential pin tables: D may be absent (state holds), Q exists.
-        d_ids = []
-        q_ids = []
-        for idx in seq_idx:
-            cell = view.cells[idx]
-            pins = tuple(cell.input_caps_ff)
-            d_pos = pins.index("D") if "D" in pins else -1
-            d_ids.append(view.in_ids[idx][d_pos] if d_pos >= 0 else -1)
-            q_ids.append(view.out_ids[idx][cell.outputs.index("Q")])
-        d_ext = np.asarray(d_ids, dtype=np.int64)
-        q_ext = np.asarray(q_ids, dtype=np.int64)
-        self._d_hold = d_ext < 0
-        self._state = np.zeros((len(seq_idx), self._wpad), dtype=np.uint64)
+                free[g.out_ids] = True
+            else:
+                comb.append(g)
+        if faults:
+            idx, name = min(faults)
+            raise SimulationError(
+                f"{self.module.name}: sequential cell "
+                f"{self.module.instances[idx].name} ({name}) has no Q "
+                "connection — its state would be invisible to the fabric"
+            )
+        # The register tables in instance order.
+        reg = np.concatenate(regs, axis=1)
+        _, d_ext, q_ext = reg[:, np.argsort(reg[0], kind="stable")]
 
         # The view's cell schedule levelizes the combinational cells
         # with the scalar simulator's roots: ports, Q and memory nets.
@@ -428,122 +404,92 @@ class VecSim:
                 f"{sched.n_comb} combinational cells ordered (cycle?)"
             )
 
-        # Group by (level, cell ref) and stack the pin tables.
-        cells = view.cells
-        in_ids = view.in_ids
-        out_ids = view.out_ids
-        grouping: Dict[Tuple[int, str], List[int]] = {}
-        for idx, level in zip(sched.order.tolist(), sched.level.tolist()):
-            grouping.setdefault((level, cells[idx].name), []).append(idx)
-        kernels: Dict[str, object] = {}
-        max_level = max((lv for lv, _ in grouping), default=-1)
+        # Group by (level, cell type), keeping the schedule's order
+        # inside a group: one stable sort of a combined key.
+        comb.sort(key=lambda g: g.cell.name)
+        kind = np.zeros(view.n_instances, dtype=np.int64)
+        pos = np.zeros(view.n_instances, dtype=np.int64)
+        for k, g in enumerate(comb):
+            kind[g.inst_idx] = k
+            pos[g.inst_idx] = np.arange(len(g))
+        key = sched.level * len(comb) + kind[sched.order]
+        by = np.argsort(key, kind="stable")
+        order, key = sched.order[by], key[by]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        ends = np.append(starts[1:], key.size)
 
-        # Internal row renumbering: each group's output pin j gets a
-        # contiguous row block (unconnected outputs get private trash
-        # slots inside the block), so kernels write value rows directly
-        # and no scatter pass exists.  Roots — ports, Q nets, memory
-        # read nets, undriven nets — take the rows after all blocks,
-        # and one shared constant-zero row (for unconnected input pins)
-        # closes the table.
+        # Row numbering: each group's output pin j gets a contiguous row
+        # block (unconnected outputs get private trash slots inside the
+        # block), so kernels write value rows directly and no scatter
+        # pass exists.  Roots — ports, Q nets, memory read nets,
+        # undriven nets — take the rows after all blocks in net-id
+        # order, and one shared constant-zero row (for unconnected
+        # input pins) closes the table.
+        specs, blocks, base = [], [], 0
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            level, k = divmod(int(key[s]), len(comb))
+            g = comb[k]
+            at = pos[order[s:e]]
+            blocks.append(g.out_ids[at].T.ravel())
+            specs.append((level, g.cell, g.in_ids[at], base, len(g.cell.outputs)))
+            base += blocks[-1].size
+        drives = np.concatenate(blocks) if blocks else np.zeros(0, np.int64)
+        rows = np.flatnonzero(drives >= 0)
+        nets = drives[rows]
         int_id = np.full(n_ext + 1, -1, dtype=np.int64)
-        next_row = 0
-        specs: List[tuple] = []  # (level, kernel, gather_ext, out_base, n_out)
-        for (level, ref), idxs in sorted(grouping.items()):
-            cell = cells[idxs[0]]
-            kernel = kernels.get(ref)
-            if kernel is None:
-                kernel = kernels[ref] = _kernel_for(cell)
-            gather_ext = np.asarray(
-                [in_ids[i] for i in idxs], dtype=np.int64
-            ).reshape(len(idxs), len(cell.input_caps_ff))
-            gather_ext[gather_ext < 0] = n_ext  # constant-zero source
-            out_base = next_row
-            for j in range(len(cell.outputs)):
-                for i in idxs:
-                    ext = out_ids[i][j]
-                    if ext >= 0:
-                        if int_id[ext] != -1:
-                            raise SimulationError(
-                                f"net {view.net_names[ext]} has multiple "
-                                "combinational drivers"
-                            )
-                        int_id[ext] = next_row
-                    next_row += 1
-            specs.append((level, kernel, gather_ext, out_base,
-                          len(cell.outputs)))
-        for ext in range(n_ext):
-            if int_id[ext] == -1:
-                int_id[ext] = next_row
-                next_row += 1
-        self._zero_int = next_row
-        int_id[n_ext] = next_row
-        next_row += 1
-        self._n_rows = next_row
+        int_id[nets] = rows
+        free[q_ext] = free[nets] = free[-1] = False
+        self._free = free
+        # The first row whose net an earlier row already drives.
+        dup = -1
+        if nets.size and np.bincount(nets).max() > 1:
+            later = np.ones(nets.size, dtype=bool)
+            later[np.unique(nets, return_index=True)[1]] = False
+            dup = int(rows[np.argmax(later)])
+        roots = np.flatnonzero(int_id[:n_ext] < 0)
+        int_id[roots] = base + np.arange(roots.size)
+        int_id[n_ext] = base + roots.size
         self._int = int_id
 
-        groups: List[_Group] = []
-        levels: List[List[_Group]] = [[] for _ in range(max_level + 1)]
-        for level, kernel, gather_ext, out_base, n_out in specs:
-            group = _Group(
-                kernel, int_id[gather_ext], out_base, n_out, len(groups)
+        self._values = np.zeros((base + roots.size + 1, self.words), dtype=np.uint64)
+        max_inst = int((ends - starts).max(initial=1))
+        sbuf = np.empty((2, max_inst, self.words), dtype=np.uint64)
+        kernels: Dict[str, object] = {}
+        n_levels = specs[-1][0] + 1 if specs else 0
+        self._levels: List[List[_Group]] = [[] for _ in range(n_levels)]
+        for level, cell, gin, out_base, n_out in specs:
+            kernel = kernels.get(cell.name)
+            if kernel is None:
+                kernel = kernels[cell.name] = _kernel_for(cell)
+            if out_base <= dup < out_base + len(gin) * n_out:
+                raise SimulationError(
+                    f"net {view.net_names[drives[dup]]} has multiple "
+                    "combinational drivers"
+                )
+            self._levels[level].append(
+                _Group(kernel, int_id[gin], out_base, n_out, self._values, sbuf)
             )
-            groups.append(group)
-            levels[level].append(group)
-        self._groups = groups
-        self._levels = levels
-        #: Internal row → index of the group that drives it (-1 for
-        #: roots); lets writes to fabric-driven rows schedule the
-        #: honest recomputation that restores the driver's value.
-        driver_group = np.full(self._n_rows, -1, dtype=np.int64)
-        for g in groups:
-            driver_group[g.out_base : g.out_base + g.rows] = g.index
-        self._driver_group = driver_group
 
-        self._d_int = int_id[np.where(d_ext >= 0, d_ext, n_ext)]
+        # Register tables; an absent D reads the constant-zero row and
+        # is masked out of every sample.
+        self._d_hold = d_ext < 0
+        self._d_int = int_id[d_ext]
         self._q_ids = int_id[q_ext]
-        #: Nets whose value is testbench-owned (never written by the
-        #: fabric): input ports and memory read nets.  The boolean mask
-        #: lets the bulk drive path validate whole id arrays at once.
-        free_ext = resolved - {int(q) for q in q_ext}
-        self._free_mask = np.zeros(self._n_rows, dtype=bool)
-        if free_ext:
-            self._free_mask[int_id[np.asarray(sorted(free_ext))]] = True
-
-    # -- value-cube access ---------------------------------------------------
-
-    def _read_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Full-width words of the given rows, shape (k, wpad) copy."""
-        return (
-            self._values[:, rows, :]
-            .transpose(1, 0, 2)
-            .reshape(len(rows), self._wpad)
-        )
-
-    def _assign_rows(self, rows: np.ndarray, words2d: np.ndarray) -> None:
-        """Write (k, wpad) full-width words into the given rows."""
-        self._values[:, rows, :] = words2d.reshape(
-            -1, self._n_tiles, self._tile
-        ).swapaxes(0, 1)
+        self._state = np.zeros((len(q_ext), self.words), dtype=np.uint64)
 
     # -- stimulus ------------------------------------------------------------
 
     def _pack(self, value: BatchValue) -> np.ndarray:
-        """Canonical padded word form of a stimulus: bits past the
-        batch (the last word's tail and any pad words) are always zero,
-        so change detection never trips on unused high bits."""
+        """Canonical word form of one net's stimulus."""
         if isinstance(value, (int, np.integer, bool)):
-            word = _ONES if value else np.uint64(0)
-            out = np.full(self._wpad, word, dtype=np.uint64)
-            out[self.words - 1] &= self._tail_mask
-            out[self.words :] = 0
-            return out
+            return self._ones if value else np.zeros_like(self._ones)
         bits = np.asarray(value)
         if bits.shape != (self.batch,):
             raise SimulationError(
                 f"expected a scalar or {self.batch} lane values, "
                 f"got shape {bits.shape}"
             )
-        return pack_lanes(bits != 0, self._wpad)
+        return pack_lanes(bits != 0, self.words)
 
     def net_id(self, net: str) -> int:
         try:
@@ -551,47 +497,29 @@ class VecSim:
         except KeyError:
             raise SimulationError(f"unknown net {net}") from None
 
-    def _row(self, net: str) -> int:
-        return int(self._int[self.net_id(net)])
-
-    def _mark_row_dirty(self, row: int) -> None:
-        """One net's stored words changed: flag it for the planner and,
-        if the row belongs to a fabric driver's block, schedule that
-        group so the fabric honestly recomputes (matching the scalar
-        semantics where every pass overwrites driven nets)."""
-        self._dirty_rows[row] = True
-        g = self._driver_group[row]
-        if g >= 0:
-            self._pending_groups.add(int(g))
-        self._dirty = True
-
-    def _write_rows(self, rows: np.ndarray, words2d: np.ndarray) -> None:
-        """Compare-and-write a block of value rows, marking only the
-        rows whose stored words actually changed."""
-        changed = np.any(self._read_rows(rows) != words2d, axis=1)
-        if not changed.any():
-            return
-        rows_c = rows[changed]
-        self._assign_rows(rows_c, words2d[changed])
-        self._dirty_rows[rows_c] = True
-        driven = self._driver_group[rows_c]
-        driven = driven[driven >= 0]
-        if driven.size:
-            self._pending_groups.update(int(g) for g in driven)
-        self._dirty = True
+    def _write(self, ids: np.ndarray, words2d: np.ndarray) -> None:
+        """The one stimulus write: refuse fabric-driven nets, then
+        compare-and-write, marking only the rows whose stored words
+        actually changed."""
+        ok = self._free[ids]
+        if not ok.all():
+            bad = int(ids[~ok][0])
+            raise SimulationError(
+                f"net {self._view.net_names[bad]} is fabric-driven"
+            )
+        rows = self._int[ids]
+        changed = np.any(self._values[rows] != words2d, axis=1)
+        if changed.any():
+            rows = rows[changed]
+            self._values[rows] = words2d[changed]
+            self._dirty_rows[rows] = True
+            self._dirty = True
 
     def set_input(self, net: str, value: BatchValue) -> None:
         """Drive a port with a scalar (broadcast) or per-lane values."""
         if net not in self.module.ports:
             raise SimulationError(f"{net} is not a port")
-        row = int(self._int[self._nid[net]])
-        packed = self._pack(value)
-        current = self._values[:, row, :].reshape(self._wpad)
-        if not np.array_equal(current, packed):
-            self._values[:, row, :] = packed.reshape(
-                self._n_tiles, self._tile
-            )
-            self._mark_row_dirty(row)
+        self._write(np.array([self._nid[net]]), self._pack(value)[None])
 
     def set_bus(self, base: str, value_bits: Sequence[BatchValue]) -> None:
         for i, bit in enumerate(value_bits):
@@ -614,16 +542,11 @@ class VecSim:
         if vals.min() < lo or vals.max() > hi:
             raise SimulationError(f"values exceed INT{width} range")
         bits = (vals[None, :] >> np.arange(width)[:, None]) & 1
-        ids = np.asarray(
-            [self.net_id(f"{base}[{i}]") for i in range(width)],
-            dtype=np.int64,
-        )
+        ids = self._bus_ids(base, width)
         for i in range(width):
             if f"{base}[{i}]" not in self.module.ports:
                 raise SimulationError(f"{base}[{i}] is not a port")
-        self._write_rows(
-            self._int[ids], pack_lanes(bits.astype(np.uint8), self._wpad)
-        )
+        self._write(ids, pack_lanes(bits.astype(np.uint8), self.words))
 
     def drive_nets(
         self, net_ids: np.ndarray, bits: np.ndarray
@@ -637,40 +560,23 @@ class VecSim:
         weight image) marks nothing dirty and costs one comparison.
         """
         ids = np.asarray(net_ids, dtype=np.int64)
-        rows = self._int[ids]
-        ok = self._free_mask[rows]
-        if not ok.all():
-            bad = int(ids[~ok][0])
-            raise SimulationError(
-                f"net {self._view.net_names[bad]} is fabric-driven"
-            )
         bits = np.asarray(bits)
         if bits.shape == (len(ids),):
-            words2d = np.where(
-                bits.astype(bool)[:, None], _ONES, np.uint64(0)
-            ).astype(np.uint64)
-            words2d = np.repeat(words2d, self._wpad, axis=1)
-            words2d[:, self.words - 1] &= self._tail_mask
-            words2d[:, self.words :] = 0
+            words2d = np.where(bits.astype(bool)[:, None], self._ones, np.uint64(0))
         elif bits.shape == (len(ids), self.batch):
-            words2d = pack_lanes(bits != 0, self._wpad)
+            words2d = pack_lanes(bits != 0, self.words)
         else:
             raise SimulationError(
                 f"bits shape {bits.shape} matches neither (n,) nor "
                 f"(n, {self.batch})"
             )
-        self._write_rows(rows, words2d)
+        self._write(ids, words2d)
 
     def reset_state(self, value: int = 0) -> None:
-        if not len(self._state):
-            return
-        word = _ONES if value else np.uint64(0)
-        new = np.full_like(self._state, word)
-        new[:, self.words - 1] &= self._tail_mask
-        new[:, self.words :] = 0
-        changed = np.any(new != self._state, axis=1)
+        new = self._pack(int(bool(value)))
+        changed = np.any(self._state != new, axis=1)
         if changed.any():
-            self._state[changed] = new[changed]
+            self._state[changed] = new
             self._dirty_rows[self._q_ids[changed]] = True
             self._dirty = True
 
@@ -687,8 +593,7 @@ class VecSim:
     def _plan(self) -> List[List[_Group]]:
         """Decide which groups must evaluate this pass.
 
-        A group runs when any of its gathered source rows is dirty, or
-        when its output rows were externally overwritten (pending).
+        A group runs when any of its gathered source rows is dirty.
         Runs cascade level by level: an evaluated group marks its
         output block dirty so downstream groups see the change.  The
         pass is pure boolean work over precomputed index arrays —
@@ -696,14 +601,9 @@ class VecSim:
         if self._all_dirty:
             return self._levels
         dirty = self._dirty_rows
-        pending = self._pending_groups
         plan: List[List[_Group]] = []
         for groups in self._levels:
-            run = [
-                g
-                for g in groups
-                if g.index in pending or dirty[g.gather].any()
-            ]
+            run = [g for g in groups if dirty[g.gather].any()]
             for g in run:
                 dirty[g.out_base : g.out_base + g.rows] = True
             plan.append(run)
@@ -711,25 +611,11 @@ class VecSim:
 
     def _propagate(self) -> None:
         v = self._values
-        if len(self._state):
-            self._assign_rows(self._q_ids, self._state)
-        plan = self._plan()
-        for t in range(self._n_tiles):
-            vt = v[t]
-            sbuf = self._sbuf
-            for run in plan:
-                for g in run:
-                    inst = g.inst
-                    inp = vt[g.gather] if g.pins else None
-                    base = g.out_base
-                    outs = tuple(
-                        vt[base + j * inst : base + (j + 1) * inst]
-                        for j in range(g.n_out)
-                    )
-                    g.kernel(inp, outs, sbuf[:, :inst])
-        v[:, self._zero_int, :] = 0
+        v[self._q_ids] = self._state
+        for run in self._plan():
+            for g in run:
+                g.kernel(v[g.gather] if g.pins else None, g.outs, g.tmp)
         self._dirty_rows[:] = False
-        self._pending_groups.clear()
         self._all_dirty = False
         self._dirty = False
 
@@ -741,60 +627,47 @@ class VecSim:
         whose sampled D equals its held state marks nothing dirty, so
         quiescent registers cost nothing downstream."""
         self._ensure()
-        if len(self._state):
-            sampled = self._read_rows(self._d_int)
-            hold = self._d_hold
-            if hold.any():
-                sampled[hold] = self._state[hold]
-            changed = np.any(sampled != self._state, axis=1)
-            if changed.any():
-                self._state = sampled
-                self._dirty_rows[self._q_ids[changed]] = True
-                self._dirty = True
+        sampled = self._values[self._d_int]
+        hold = self._d_hold
+        if hold.any():
+            sampled[hold] = self._state[hold]
+        changed = np.any(sampled != self._state, axis=1)
+        if changed.any():
+            self._state = sampled
+            self._dirty_rows[self._q_ids[changed]] = True
+            self._dirty = True
 
     # -- observation ---------------------------------------------------------
+
+    def _bus_ids(self, base: str, width: int) -> np.ndarray:
+        return np.asarray(
+            [self.net_id(f"{base}[{i}]") for i in range(width)], dtype=np.int64
+        )
 
     def net(self, net: str) -> np.ndarray:
         """Per-lane values of one net, shape (batch,) uint8."""
         self._ensure()
-        words = self._values[:, self._row(net), :].reshape(self._wpad)
-        return unpack_lanes(words, self.batch)
+        return unpack_lanes(self._values[self._int[self.net_id(net)]], self.batch)
 
     def bus(self, base: str, width: int) -> np.ndarray:
         """Per-lane bus bits, shape (batch, width), LSB first."""
         self._ensure()
-        rows = self._int[
-            np.asarray(
-                [self.net_id(f"{base}[{i}]") for i in range(width)],
-                dtype=np.int64,
-            )
-        ]
-        return unpack_lanes(self._read_rows(rows), self.batch).T
+        rows = self._int[self._bus_ids(base, width)]
+        return unpack_lanes(self._values[rows], self.batch).T
 
     def bus_int(self, base: str, width: int) -> np.ndarray:
         """Per-lane two's-complement bus values, shape (batch,) int64."""
-        bits = self.bus(base, width).astype(np.int64)
-        weights = (1 << np.arange(width, dtype=np.int64)).copy()
-        weights[-1] = -weights[-1]
-        return bits @ weights
+        return _twos_complement(self.bus(base, width))
 
     def bus_ids_int(self, ids: np.ndarray) -> np.ndarray:
         """Two's-complement decode over precomputed net ids (LSB first);
         the bulk-observation twin of :meth:`bus_int`."""
         self._ensure()
         rows = self._int[np.asarray(ids, dtype=np.int64)]
-        bits = unpack_lanes(self._read_rows(rows), self.batch).T.astype(
-            np.int64
-        )
-        width = rows.shape[0]
-        weights = (1 << np.arange(width, dtype=np.int64)).copy()
-        weights[-1] = -weights[-1]
-        return bits @ weights
+        return _twos_complement(unpack_lanes(self._values[rows], self.batch).T)
 
     def lanes_snapshot(self) -> np.ndarray:
         """Every net's per-lane value, shape (n_nets, batch) uint8,
         rows in NetView net-id order — the differential-test view."""
         self._ensure()
-        return unpack_lanes(
-            self._read_rows(self._int[: self._n_ext]), self.batch
-        )
+        return unpack_lanes(self._values[self._int[: self._n_ext]], self.batch)

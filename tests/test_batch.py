@@ -35,6 +35,7 @@ from repro.batch.jobs import CompileJob, ImplementJob
 from repro.batch.sweep import (
     MAX_AXIS_POINTS,
     MAX_GRID_POINTS,
+    expand_axes,
     expand_grid,
     grid_summary,
     parse_axis,
@@ -43,7 +44,7 @@ from repro.batch.sweep import (
 )
 from repro.cli import main as cli_main
 from repro.errors import SpecificationError
-from repro.options import CompileOptions
+from repro.options import PPA_PRESETS, CompileOptions
 from repro.spec import FP8, INT4, INT8, MacroSpec, PPAWeights
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -303,6 +304,24 @@ class TestSweepGrammar:
             (64, 800.0),
         ]
         assert "4-point grid" in grid_summary(specs)
+
+    def test_expand_axes_fills_defaults_for_both_front_ends(self):
+        """`repro sweep` and `POST /v1/sweeps` expand raw tokens through
+        one function: an absent axis sweeps its default, a string is one
+        token, and unknown axes and presets are refused by name."""
+        assert expand_axes({}) == expand_grid(
+            [64], [64], [2], parse_format_sets(["INT4,INT8"]), [800.0], [0.9]
+        )
+        specs = expand_axes({"height": "32:64:x2", "vdd": [1.1]}, "energy")
+        assert [(s.height, s.vdd) for s in specs] == [(32, 1.1), (64, 1.1)]
+        assert specs[0].ppa == PPA_PRESETS["energy"]
+        with pytest.raises(SpecificationError, match=(
+            r"^unknown sweep axis\(es\) altitude; "
+            r"known: formats, frequency, height, mcr, vdd, width$"
+        )):
+            expand_axes({"altitude": ["3"]}, "nope")
+        with pytest.raises(SpecificationError, match=r"^unknown ppa preset 'nope'"):
+            expand_axes({}, "nope")
 
     def test_expand_grid_rejects_empty_axis(self):
         with pytest.raises(SpecificationError):

@@ -231,6 +231,70 @@ class TestSemantics:
                 np.array([vec.net_id("y")]), np.array([1])
             )
 
+    def test_port_writes_refuse_fabric_driven_nets(self):
+        """An output port a cell drives is a port but not a free net:
+        every stimulus path refuses it instead of letting the next
+        pass silently undo the write."""
+        b = NetlistBuilder("x")
+        a = b.inputs("a")[0]
+        d = b.inputs("d", 2)
+        y = b.outputs("y")[0]
+        q = b.outputs("q", 2)
+        b.cell("BUF_X2", A=a, Y=y)
+        for i in range(2):
+            b.cell("BUF_X2", A=d[i], Y=q[i])
+        vec = VecSim(b.finish(), LIB, batch=4)
+        with pytest.raises(SimulationError, match=r"^net y is fabric-driven$"):
+            vec.set_input("y", 1)
+        with pytest.raises(SimulationError, match=r"^net q\[0\] is fabric-driven$"):
+            vec.set_bus_int("q", 1, 2)
+        vec.set_input("a", 1)
+        assert (vec.net("y") == 1).all()
+
+    def test_multiple_combinational_drivers_raise(self):
+        m = Module("two_drivers")
+        m.add_port("a", "input")
+        m.add_port("y", "output")
+        m.add_instance("u1", "BUF_X2", {"A": "a", "Y": "y"})
+        m.add_instance("u2", "INV_X1", {"A": "a", "Y": "y"})
+        with pytest.raises(
+            SimulationError, match=r"^net y has multiple combinational drivers$"
+        ):
+            VecSim(m, LIB, batch=4)
+
+    def test_register_without_d_holds_its_reset_value(self):
+        """A register whose D is unconnected keeps its reset value on
+        every clock while its neighbour samples, lane for lane as in
+        the scalar reference."""
+        m = Module("hold")
+        for p in ("d", "clk"):
+            m.add_port(p, "input")
+        for p in ("held", "sampled"):
+            m.add_port(p, "output")
+        m.set_clocks(["clk"])
+        m.add_net("q0")
+        m.add_net("q1")
+        m.add_instance("ff0", "DFF_X1", {"CK": "clk", "Q": "q0"})
+        m.add_instance("ff1", "DFF_X1", {"D": "d", "CK": "clk", "Q": "q1"})
+        m.add_instance("b0", "BUF_X2", {"A": "q0", "Y": "held"})
+        m.add_instance("b1", "BUF_X2", {"A": "q1", "Y": "sampled"})
+        batch = 5
+        rng = np.random.default_rng(SEED + 9)
+        for reset in (0, 1):
+            vec = VecSim(m, LIB, batch)
+            scalars = [GateSimulator(m, LIB) for _ in range(batch)]
+            vec.reset_state(reset)
+            for sim in scalars:
+                sim.reset_state(reset)
+            for cyc in range(4):
+                _drive_both(vec, scalars, "d", rng.integers(0, 2, size=batch))
+                vec.clock()
+                for sim in scalars:
+                    sim.clock()
+                for lane, sim in enumerate(scalars):
+                    _assert_all_nets_equal(vec, sim, lane, f"hold{reset} cyc{cyc}")
+                assert (vec.net("held") == reset).all()
+
     def test_scalar_broadcast_and_bus_helpers(self):
         b = NetlistBuilder("bus")
         d = b.inputs("d", 4)
