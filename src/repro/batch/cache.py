@@ -24,13 +24,18 @@ own ``key -> (offset, length)`` index.
 
 :class:`ResultCache` keeps ``key -> (segment, offset, length)`` in
 memory.  It loads the index file of each sealed segment, streams (in
-bounded chunks, checking every line's CRC) the segments that are not
-sealed, and on a miss streams the new tails of those that grew; a hit
-is one ``pread``, a CRC check and one ``json.loads``.  A damaged line
-is a miss, counted once per process (:func:`cache_corruption_count`)
-and per store in :meth:`ResultCache.occupancy`, with one warning per
-segment; it stays in place as quarantine evidence, and its segment
-loses its index file so that every later reader counts it too.
+bounded chunks) the segments that are not sealed, and on a miss
+streams the new tails of those that grew.  Streaming checks each
+line's layout only, unless the segment is marked damaged
+(``<run id>.bad``): then it checks every line's CRC.  Every read checks
+its line's CRC: a hit is one ``pread``, a CRC check and one
+``json.loads``, and a read that fails the check streams its segment
+again with every line's CRC checked.  A damaged line is a miss, counted
+once per process (:func:`cache_corruption_count`) and per store in
+:meth:`ResultCache.occupancy`, with one warning per segment; it stays
+in place as quarantine evidence, and its segment is marked damaged
+(the mark replaces the index file) so that every later reader counts it
+too.
 
 Segments are dropped whole by one compaction step shared by ``prune``
 (``repro journal --prune``, the service's ``journal_keep``) and the

@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--no-cache", action="store_true",
-        help="serve from a bounded in-memory store (nothing persists)",
+        help="serve from an in-memory store that keeps every record "
+        "for the service's lifetime (nothing persists)",
     )
     p_serve.add_argument(
         "--job-timeout", type=float, default=None, metavar="S",
@@ -403,16 +404,18 @@ def _add_batch_exec_args(
     )
     parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="S",
-        help="per-job watchdog deadline in seconds: an overdue worker "
-        "is killed (with its pool) and the job retried; after the "
-        "retry budget it records status='timeout' instead of hanging "
-        "the sweep (pool mode only; see docs/robustness.md)",
+        help="per-job watchdog deadline in seconds: an overdue job's "
+        "worker, and no other, is killed and replaced and that job "
+        "retried; after the retry budget it records status='timeout' "
+        "instead of hanging the sweep (pool mode only; see "
+        "docs/robustness.md)",
     )
     parser.add_argument(
         "--retries", type=int, default=1, metavar="N",
-        help="transient-failure retry budget per job — pool breaks, "
-        "watchdog timeouts and single-worker failures re-run up to N "
-        "times with exponential backoff before going terminal "
+        help="transient-failure retry budget per job: a job whose "
+        "worker died, overran --job-timeout or returned no record "
+        "re-runs, alone, up to N times with exponential backoff before "
+        "going terminal; a compile error is a record and never retried "
         "(default 1; see docs/robustness.md)",
     )
     parser.add_argument(

@@ -227,14 +227,12 @@ class ImplementSession:
                 self.spec, arch, array=self.array_module(arch)
             )
             flat = module.flatten()
-            # The freshly flattened module is owned by this session, so
-            # the passes may rewrite it in place (no bulk copy).
-            # ``optimize`` validates its output, which covers the flat
-            # netlist the rest of the flow consumes.
+            # ``optimize`` rewrites the freshly flattened module (owned
+            # by this session) in place and validates it, which covers
+            # the flat netlist the rest of the flow consumes.
             flat, synth_stats = optimize(
                 flat,
                 self.library,
-                inplace=True,
                 vt=None if arch.vt == "svt" else arch.vt,
             )
             if self.vt_recovery:

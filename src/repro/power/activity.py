@@ -269,12 +269,15 @@ def _propagate_arrays(
 
     Returns (probability, density, known) lists indexed by net id plus
     the pass-through stats for ``input_stats`` keys naming no net.
-    Callers must treat the returned lists as read-only: repeated power
-    estimates with identical input statistics (the common case — a
-    session's sparsity knobs are fixed) return the cached propagation.
-    Like STA's ``sta_prop`` cache the memo holds a single entry, so
-    sweeps that alternate between two stat sets recompute each time
-    instead of growing without bound.
+    Callers must treat the returned lists as read-only: a repeated
+    power estimate with identical input statistics returns the cached
+    propagation.  A compile estimates power once per view (corner
+    signoff rescales that report), so only a forced re-implement
+    (``ImplementSession.implement(force=True)``, the path the
+    ``implement_warm_ms`` perf gate times) hits it.  Like STA's
+    ``sta_prop`` cache the memo holds a single entry, so sweeps that
+    alternate between two stat sets recompute each time instead of
+    growing without bound.
     """
     key = (
         None if input_stats is None else frozenset(input_stats.items())

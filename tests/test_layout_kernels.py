@@ -33,7 +33,6 @@ from reference.optimize import (
     buffer_high_fanout_reference,
     net_loads,
     optimize_reference,
-    propagate_constants_reference,
     sweep_dead_logic_reference,
 )
 
@@ -47,7 +46,6 @@ from repro.spec import INT4, INT8, MacroSpec
 from repro.synth.optimize import (
     buffer_high_fanout,
     optimize,
-    propagate_constants,
     sweep_dead_logic,
 )
 
@@ -243,52 +241,40 @@ class TestSynthPassEquivalence:
     """The NetView in-place passes vs the retained rebuild references."""
 
     def test_all_passes_on_subcircuits(self, library):
-        for m in _synth_modules():
-            snapshot = [(i.name, dict(i.conn)) for i in m.instances]
-            loads = net_loads(m, library)
-            maxfan = max(
-                (len(v) for k, v in loads.items() if k not in m.clock_nets),
-                default=0,
-            )
-            # limit**2 >= max fanout keeps the reference single round a
-            # fixed point, so the outputs must match exactly.
-            limit = max(3, int(maxfan**0.5) + 1)
-
-            for fast_fn, ref_fn, kwargs in (
-                (propagate_constants, propagate_constants_reference, {}),
-                (sweep_dead_logic, sweep_dead_logic_reference, {}),
-                (
-                    buffer_high_fanout,
-                    buffer_high_fanout_reference,
-                    {"limit": limit},
-                ),
-            ):
-                fast, n_fast = fast_fn(m, library, **kwargs)
+        """Each in-place pass edits its own copy of every subcircuit;
+        the reference rebuilds from another, which it leaves as is."""
+        for fast_fn, ref_fn in (
+            (sweep_dead_logic, sweep_dead_logic_reference),
+            (buffer_high_fanout, buffer_high_fanout_reference),
+        ):
+            for m, own in zip(_synth_modules(), _synth_modules()):
+                loads = net_loads(m, library)
+                maxfan = max(
+                    (len(v) for k, v in loads.items() if k not in m.clock_nets),
+                    default=0,
+                )
+                # limit**2 >= max fanout keeps the reference single round
+                # a fixed point, so the outputs must match exactly.
+                kwargs = (
+                    {"limit": max(3, int(maxfan**0.5) + 1)}
+                    if fast_fn is buffer_high_fanout else {}
+                )
+                snapshot = [(i.name, dict(i.conn)) for i in m.instances]
                 ref, n_ref = ref_fn(m, library, **kwargs)
+                assert snapshot == [(i.name, dict(i.conn)) for i in m.instances]
+                fast, n_fast = fast_fn(own, library, **kwargs)
+                assert fast is own and fast is not m
                 assert n_fast == n_ref, (m.name, fast_fn.__name__)
-                if ref is m:
-                    assert fast is m, (m.name, fast_fn.__name__)
-                else:
-                    _module_equal(fast, ref)
-            # Input module untouched by any pass.
-            assert snapshot == [(i.name, dict(i.conn)) for i in m.instances]
+                _module_equal(fast, ref)
 
     def test_full_pipeline_on_macro(self, library, small_spec, default_arch):
         mac, _ = generate_macro(small_spec, default_arch)
         flat = mac.flatten()
         fast, stats_fast = optimize(flat, library)
         ref, stats_ref = optimize_reference(mac.flatten(), library)
+        assert fast is flat  # edited in place, no copy
         assert stats_fast == stats_ref
         _module_equal(fast, ref)
-
-    def test_inplace_pipeline_matches(self, library, small_spec, default_arch):
-        mac, _ = generate_macro(small_spec, default_arch)
-        ref, stats_ref = optimize(mac.flatten(), library)
-        flat = mac.flatten()
-        out, stats = optimize(flat, library, inplace=True)
-        assert out is flat  # mutated in place, no copy
-        assert stats == stats_ref
-        _module_equal(out, ref)
 
 
 class TestMultiplyDrivenGuard:
@@ -306,8 +292,7 @@ class TestMultiplyDrivenGuard:
         b.cell("INV_X1", A=a, Y=y)
         b.cell("BUF_X2", A=a, Y=y)  # second driver on y
         m = b.finish()
-        for pass_fn in (propagate_constants, sweep_dead_logic,
-                        buffer_high_fanout, optimize):
+        for pass_fn in (sweep_dead_logic, buffer_high_fanout, optimize):
             with pytest.raises(SynthesisError, match="multiply driven"):
                 pass_fn(m, library)
 
@@ -345,13 +330,17 @@ class TestFanoutFixedPoint:
         from repro.rtl.ir import NetlistBuilder
         from reference.gatesim import GateSimulator
 
-        b = NetlistBuilder("wide2")
-        a = b.inputs("a")[0]
-        outs = b.outputs("y", 40)
-        for i in range(40):
-            b.cell("INV_X1", A=a, Y=outs[i])
-        m = b.finish()
-        buffered, _ = buffer_high_fanout(m, library, limit=3)
+        def fan():
+            b = NetlistBuilder("wide2")
+            a = b.inputs("a")[0]
+            outs = b.outputs("y", 40)
+            for i in range(40):
+                b.cell("INV_X1", A=a, Y=outs[i])
+            return b.finish()
+
+        m = fan()
+        buffered, added = buffer_high_fanout(fan(), library, limit=3)
+        assert added and buffered is not m
         s1, s2 = GateSimulator(m, library), GateSimulator(buffered, library)
         for val in (0, 1):
             s1.set_input("a", val)

@@ -55,9 +55,6 @@ ALLOWED_DEFINITIONS = {
     "repro.service.server:_Handler.do_POST": "BaseHTTPRequestHandler hook",
     "repro.service.server:_Handler.do_DELETE": "BaseHTTPRequestHandler hook",
     "repro.service.server:_Handler.log_message": "BaseHTTPRequestHandler hook",
-    "repro.synth.optimize:propagate_constants": (
-        "per-pass entry point the synthesis tests call"
-    ),
     "repro.synth.optimize:sweep_dead_logic": (
         "per-pass entry point the synthesis tests call"
     ),
