@@ -64,12 +64,14 @@ e2e-trace-smoke:  ## traced dse-sweep for 5 s; fails unless correct with non-zer
 
 # The flow's counterpart: spans of the names e2ebench/spans.py wraps in
 # a traced `repro compile` (repro.compiler.flow's module globals such as
-# verify_macro and write_gds_json, generate_memory_array, Module.flatten,
-# NetView.__init__, optimize, recover_leakage).  A function-local import
-# or a rename zeroes one.  One NetView walk per implement attempt: the
-# median per compile must read exactly 1.
+# run_drc, analyze, verify_macro and write_gds_json, LayoutArena.place
+# and .route, generate_memory_array, Module.flatten, NetView.__init__,
+# optimize, recover_leakage).  A function-local import or a rename
+# zeroes one.  One NetView walk per implement attempt: the median per
+# compile must read exactly 1.
 CLI_TRACE_GUARDS := rtl.generate_s rtl.flatten_s rtl.netview_s synth.optimize_s \
-	synth.vt_recover_s signoff.s verify.s rtl.verilog_s layout.gds_s
+	synth.vt_recover_s layout.place_s layout.route_s layout.drc_s layout.lvs_s \
+	sta.s power.s signoff.s verify.s rtl.verilog_s layout.gds_s
 
 e2e-trace-cli-smoke:  ## traced cli-compile for 5 s; fails unless correct, one NetView walk, non-zero $(CLI_TRACE_GUARDS)
 	@mkdir -p .bench_tmp

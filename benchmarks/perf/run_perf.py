@@ -252,7 +252,7 @@ def bench_implement(repeats: int = 3) -> dict:
 
     # Isolated hot stages on a fresh optimized netlist.
     session = ImplementSession(spec)
-    flat, _shape, _stats = session.netlist(impl.arch)
+    flat, _shape = session.netlist(impl.arch)
     place_samples, drc_samples, route_samples = [], [], []
     for _ in range(repeats):
         gc.collect()

@@ -13,8 +13,7 @@ import pytest
 from repro.arch import MacroArchitecture
 from repro.compiler.report import format_table
 from repro.layout.route import estimate_routing
-from repro.layout.sdp import Placement, place_macro
-from repro.layout.geometry import Rect
+from repro.layout.sdp import place_macro
 from repro.rtl.gen.macro import generate_macro_with_array
 from repro.spec import INT4, INT8, MacroSpec
 from repro.sta.analysis import minimum_period_ns
@@ -28,7 +27,8 @@ def _scatter(flat, placement, library, seed=7):
     outline = placement.outline
     row_h = 1.8
     n_rows = int(outline.height // row_h)
-    cells = {}
+    names = []
+    rows = []
     cursor = [outline.x0] * n_rows
     order = list(flat.instances)
     rng.shuffle(order)
@@ -38,24 +38,16 @@ def _scatter(flat, placement, library, seed=7):
         for attempt in range(64):
             r = int(rng.integers(0, n_rows))
             if cursor[r] + w <= outline.x1:
-                x = cursor[r]
-                cursor[r] += w
-                cells[inst.name] = Rect(
-                    x, outline.y0 + r * row_h, x + w,
-                    outline.y0 + (r + 1) * row_h,
-                )
                 break
         else:  # fall back to the least-filled row
             r = int(np.argmin(cursor))
-            x = cursor[r]
-            cursor[r] += w
-            cells[inst.name] = Rect(
-                x, outline.y0 + r * row_h, x + w,
-                outline.y0 + (r + 1) * row_h,
-            )
+        x = cursor[r]
+        cursor[r] += w
+        names.append(inst.name)
+        rows.append([x, outline.y0 + r * row_h, x + w, outline.y0 + (r + 1) * row_h])
     import dataclasses
 
-    return dataclasses.replace(placement, cells=cells)
+    return dataclasses.replace(placement, names=names, coords=np.array(rows))
 
 
 @pytest.mark.benchmark(group="ablation")
@@ -80,7 +72,7 @@ def test_sdp_vs_scattered_placement(
     for name, pl in (("SDP (structured)", sdp), ("scattered", scattered)):
         route = estimate_routing(flat, pl, library, process)
         period = minimum_period_ns(
-            flat, library, wire_load=route.wire_load_fn()
+            flat, library, wire_load=route.net_caps_ff
         )
         results[name] = (route.total_wirelength_um, period)
         rows.append(

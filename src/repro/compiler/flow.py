@@ -190,9 +190,7 @@ class ImplementSession:
 
     def __post_init__(self) -> None:
         self._arrays: Dict[tuple, Module] = {}
-        self._netlists: Dict[
-            MacroArchitecture, Tuple[Module, MacroShape, Dict[str, int]]
-        ] = {}
+        self._netlists: Dict[MacroArchitecture, Tuple[Module, MacroShape]] = {}
         self._implementations: Dict[MacroArchitecture, Implementation] = {}
         #: Persistent place/route arena: warm re-implements replay the
         #: winning floorplan and reuse the routing estimate instead of
@@ -214,11 +212,9 @@ class ImplementSession:
             self._arrays[key] = array
         return array
 
-    def netlist(
-        self, arch: MacroArchitecture
-    ) -> Tuple[Module, MacroShape, Dict[str, int]]:
-        """Optimized flat netlist (+ shape, synthesis stats) for one
-        architecture, cached per architecture."""
+    def netlist(self, arch: MacroArchitecture) -> Tuple[Module, MacroShape]:
+        """Optimized flat netlist (+ shape) for one architecture, cached
+        per architecture."""
         from ..synth.optimize import optimize
 
         entry = self._netlists.get(arch)
@@ -230,17 +226,17 @@ class ImplementSession:
             # ``optimize`` rewrites the freshly flattened module (owned
             # by this session) in place and validates it, which covers
             # the flat netlist the rest of the flow consumes.
-            flat, synth_stats = optimize(
+            flat, _ = optimize(
                 flat,
                 self.library,
                 vt=None if arch.vt == "svt" else arch.vt,
             )
             if self.vt_recovery:
-                synth_stats["vt_recovered"] = self._recover_leakage(flat)
-            entry = self._netlists[arch] = (flat, shape, synth_stats)
+                self._recover_leakage(flat)
+            entry = self._netlists[arch] = (flat, shape)
         return entry
 
-    def _recover_leakage(self, flat: Module) -> int:
+    def _recover_leakage(self, flat: Module) -> None:
         """Demote slack-rich combinational cells to hvt, budgeting for
         post-layout wires and the worst signoff corner."""
         from ..search.estimate import WIRE_DERATE
@@ -250,7 +246,7 @@ class ImplementSession:
         if self.corners is not None:
             worst = self.corners.worst_timing(self.process)
             derate = worst.timing_derate(self.process)
-        return recover_leakage(
+        recover_leakage(
             flat,
             self.library,
             clock_period_ns=self.spec.mac_period_ns / WIRE_DERATE,
@@ -324,13 +320,13 @@ class ImplementSession:
         spec = self.spec
         library = self.library
         process = self.process
-        flat, shape, _synth_stats = self.netlist(arch)
+        flat, shape = self.netlist(arch)
 
         # SDP place & route through the persistent arena: the first
         # implement of an architecture pays the full floorplan scan and
         # HPWL reduction; re-implements replay the winning floorplan and
-        # reuse the routing estimate (same object — its memoized wire
-        # load keeps the STA/power caches warm below).
+        # reuse the routing estimate (same object — its cap array keeps
+        # STA's identity-keyed propagation memo warm below).
         placement = self._arena.place(flat, library)
         routing = self._arena.route(flat, placement, library, process)
         drc = run_drc(placement)
@@ -340,8 +336,8 @@ class ImplementSession:
         if not lvs.clean:
             raise LayoutError(f"implementation LVS failed:\n{lvs.describe()}")
 
-        # Post-layout signoff analyses.
-        wire_load = routing.wire_load_fn()
+        # Post-layout signoff analyses, all on the routed wire caps.
+        wire_load = routing.net_caps_ff
         min_period = minimum_period_ns(flat, library, wire_load)
         timing = analyze(flat, library, spec.mac_period_ns, wire_load)
         stats = sparsity_input_stats(

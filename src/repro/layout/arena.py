@@ -18,16 +18,15 @@ identity:
   scan's result bit-for-bit (the arena still verifies success and falls
   back to a full scan if the replay ever fails).
 * **route (warm)** — reuse the cached :class:`~repro.layout.route.
-  RoutingEstimate` when the new placement's rect arrays are bit-equal
-  to the ones the estimate was computed from.  Crucially this hands
-  back the *same object*, whose memoized ``wire_load_fn`` keeps STA's
-  identity-keyed propagation cache warm downstream.
+  RoutingEstimate` when the new placement's names and coordinates are
+  bit-equal to the ones the estimate was computed from.  This hands
+  back the *same object*, so its ``net_caps_ff`` array — the wire load
+  STA's propagation memo keys on by identity — keeps that memo warm
+  downstream.
 
 DRC and LVS are deliberately *not* cached: they are the checks that
 placer or database bugs would trip, so a warm implement re-runs them
-honestly against the replayed coordinates (the rect arrays themselves
-are shared through :class:`~repro.layout.sdp.CellRects`, so the checks
-pay no re-extraction cost).
+honestly against the replayed placement's names and coordinates.
 
 The arena holds strong references to the modules it has seen — it is
 meant to live inside an :class:`~repro.compiler.flow.ImplementSession`,
@@ -37,14 +36,13 @@ which already owns those netlists for its own caches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..rtl.ir import Module
 from ..tech.process import Process
 from ..tech.stdcells import StdCellLibrary
-from .geometry import rect_arrays
 from .route import RoutingEstimate, estimate_routing
 from .sdp import (
     ROW_HEIGHT_UM,
@@ -65,11 +63,9 @@ class _ArenaEntry:
     data: object  # _PartitionArrays
     #: Winning (width, height) of the floorplan scan, once known.
     floorplan: Optional[Tuple[float, float]] = None
-    #: Routing estimate + the rect arrays it was computed from.
+    #: Routing estimate + the placement and process it was computed from.
     routing: Optional[RoutingEstimate] = None
-    routing_names: Optional[List[str]] = None
-    routing_coords: Optional[np.ndarray] = None
-    routing_outline: Optional[object] = None
+    routed: Optional[Placement] = None
     routing_process: Optional[Process] = None
     #: Counters exposed so the perf harness can prove warm-path behavior.
     stats: Dict[str, int] = field(
@@ -129,25 +125,23 @@ class LayoutArena:
         """Routing estimate, reused when the placement is bit-identical.
 
         Congestion depends on the outline and the caps on the process,
-        so both participate in the staleness check alongside the rect
-        arrays themselves.
+        so both participate in the staleness check alongside the names
+        and coordinates themselves.
         """
         entry = self._entry(module, library)
-        names, coords = rect_arrays(placement.cells)
+        routed = entry.routed
         if (
             entry.routing is not None
             and entry.routing_process is process
-            and entry.routing_outline == placement.outline
-            and (entry.routing_names is names or entry.routing_names == names)
-            and np.array_equal(entry.routing_coords, coords)
+            and routed.outline == placement.outline
+            and routed.names == placement.names
+            and np.array_equal(routed.coords, placement.coords)
         ):
             entry.stats["route_reuses"] += 1
             return entry.routing
         routing = estimate_routing(module, placement, library, process)
         entry.routing = routing
-        entry.routing_names = names
-        entry.routing_coords = coords
-        entry.routing_outline = placement.outline
+        entry.routed = placement
         entry.routing_process = process
         entry.stats["route_computes"] += 1
         return routing

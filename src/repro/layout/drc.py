@@ -10,9 +10,8 @@ into the congestion estimate):
 (Row-offset legality is guaranteed by construction: the SDP placer only
 emits shelf rows and SRAM grid sites, so there is no separate row rule.)
 
-The checks run over the placement's coordinate arrays (see
-:func:`repro.layout.geometry.rect_arrays`): boundary and site rules are
-single vectorized comparisons, and the overlap rule uses the
+The checks run over the placement's coordinate array: boundary and site
+rules are single vectorized comparisons, and the overlap rule uses the
 grid-binned :func:`repro.layout.geometry.overlap_pairs` sweep, which
 reproduces the pair set of the scalar sort-and-sweep it replaced
 (``sweep_overlaps`` in ``tests/reference/layout.py``) exactly.  Every rect is always checked — ``max_violations``
@@ -28,7 +27,7 @@ from typing import List
 
 import numpy as np
 
-from .geometry import overlap_pairs, rect_arrays
+from .geometry import overlap_pairs
 from .sdp import Placement
 
 
@@ -80,7 +79,7 @@ def run_drc(placement: Placement, max_violations: int = 1000) -> DRCReport:
     outline = placement.outline
     eps = 1e-9
 
-    names, coords = rect_arrays(placement.cells)
+    names, coords = placement.names, placement.coords
     x0, y0, x1, y1 = (coords[:, i] for i in range(4))
 
     # Boundary + site rules: one vectorized comparison each, reported in

@@ -15,7 +15,6 @@ from typing import Dict, List
 
 from ..errors import LayoutError
 from ..rtl.ir import Module
-from .geometry import rect_arrays
 from .sdp import Placement
 
 FORMAT_VERSION = 1
@@ -32,7 +31,7 @@ def write_gds_json(
     """Serialize the placed design; one JSON record per line.
 
     SREF records are formatted directly (the bytes ``json.dumps`` gives
-    each record) from the placement's coordinate arrays, with each cell
+    each record) from the placement's coordinate array, with each cell
     master's name and layer resolved once."""
     records: List[str] = []
     records.append(
@@ -52,9 +51,8 @@ def write_gds_json(
         )
     )
     ref_of = {inst.name: inst.ref for inst in module.instances}
-    names, coords = rect_arrays(placement.cells)
     masters: Dict[str, str] = {}
-    for name, (x0, y0, x1, y1) in zip(names, coords.tolist()):
+    for name, (x0, y0, x1, y1) in zip(placement.names, placement.coords.tolist()):
         ref = ref_of.get(name)
         if ref is None:
             raise LayoutError(f"placed instance {name} missing from netlist")
@@ -67,7 +65,7 @@ def write_gds_json(
             f'{{"record": "SREF", "name": {_json_str(name)}, {master}, '
             f'"xy": [{x0!r}, {y0!r}, {x1!r}, {y1!r}]}}'
         )
-    records.append(json.dumps({"record": "ENDLIB", "cells": len(placement.cells)}))
+    records.append(json.dumps({"record": "ENDLIB", "cells": len(placement.names)}))
     return "\n".join(records) + "\n"
 
 

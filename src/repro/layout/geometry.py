@@ -2,21 +2,19 @@
 
 Two tiers live here:
 
-* scalar :class:`Rect` objects: floorplan regions, and the cells a
-  placement's cell map materializes when indexed;
-* the vectorized kernels :func:`rect_arrays` / :func:`overlap_pairs`
-  that DRC and routing run on whole placements — a grid-binned sweep
-  over coordinate arrays that replaces the per-pair overlap tests (the
-  single hottest loop of the implementation flow) while producing the
-  exact pair set, in the exact emission order, of the scalar
-  sort-and-sweep it replaced (``sweep_overlaps`` and its ``overlaps``
-  predicate, in ``tests/reference/layout.py``).
+* scalar :class:`Rect` objects: the outline and floorplan regions;
+* the vectorized :func:`overlap_pairs` kernel DRC runs on a placement's
+  coordinate array — a grid-binned sweep that replaces the per-pair
+  overlap tests (the single hottest loop of the implementation flow)
+  while producing the exact pair set, in the exact emission order, of
+  the scalar sort-and-sweep it replaced (``sweep_overlaps`` and its
+  ``overlaps`` predicate, in ``tests/reference/layout.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -52,28 +50,6 @@ class Rect:
 # ---------------------------------------------------------------------------
 # Vectorized kernels (coordinate-array tier).
 # ---------------------------------------------------------------------------
-
-
-def rect_arrays(cells: Mapping[str, Rect]) -> Tuple[List[str], np.ndarray]:
-    """``(names, coords)`` for a name->Rect mapping.
-
-    ``coords`` is an ``(n, 4)`` float64 array of ``x0, y0, x1, y1``
-    rows.  Mappings that natively carry their coordinate arrays (the
-    placer's lazy cell map) hand them over without materializing any
-    :class:`Rect`; plain dicts are converted.
-    """
-    native = getattr(cells, "coord_arrays", None)
-    if native is not None:
-        return native()
-    names = list(cells)
-    coords = np.empty((len(names), 4), dtype=np.float64)
-    for i, name in enumerate(names):
-        r = cells[name]
-        coords[i, 0] = r.x0
-        coords[i, 1] = r.y0
-        coords[i, 2] = r.x1
-        coords[i, 3] = r.y1
-    return names, coords
 
 
 def _expand_runs(starts: np.ndarray, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

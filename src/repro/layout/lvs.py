@@ -54,13 +54,13 @@ def run_lvs(module: Module, placement: Placement) -> LVSReport:
     connection dict, which matters on hundred-thousand-cell layouts.
     """
     mismatches: List[LVSMismatch] = []
-    placed = placement.cells
+    placed = set(placement.names)
     source_names = {inst.name for inst in module.instances}
 
     for inst in module.instances:
         if inst.name not in placed:
             mismatches.append(LVSMismatch("missing", inst.name, "not in layout"))
-    for name in placed:
+    for name in placement.names:
         if name not in source_names:
             mismatches.append(LVSMismatch("extra", name, "not in schematic"))
     return LVSReport(

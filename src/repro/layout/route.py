@@ -13,16 +13,18 @@ estimates:
 
 :func:`estimate_routing` computes the per-net reductions over the
 compiled :class:`~repro.rtl.netview.NetView` pin tables and the
-placement's coordinate arrays — min/max reductions grouped by net index
-instead of a Python dict of point lists.  The original scalar walk is
-kept in ``tests/reference/layout.py``; the equivalence suite pins the
-per-net lengths and caps of the two bit-for-bit.
+placement's coordinate array — min/max reductions grouped by net index
+instead of a Python dict of point lists — and hands the lengths and
+caps on as arrays over the view's net ids, the indexing STA and power
+already use.  The original scalar walk is kept in
+``tests/reference/layout.py``; the equivalence suite pins the per-net
+lengths and caps of the two bit-for-bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -31,47 +33,24 @@ from ..rtl.ir import Module
 from ..rtl.netview import net_view
 from ..tech.process import Process
 from ..tech.stdcells import StdCellLibrary
-from .geometry import rect_arrays
 from .sdp import Placement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutingEstimate:
-    """Routing summary for one placed design."""
+    """Routing summary for one placed design.
+
+    ``net_lengths_um`` and ``net_caps_ff`` are float64 arrays over the
+    net ids of ``net_view(module, library)``; a net with fewer than two
+    placed pins reads 0.  ``net_caps_ff`` is the ``wire_load`` that
+    post-layout STA and power take.
+    """
 
     total_wirelength_um: float
-    net_lengths_um: Dict[str, float]
-    net_caps_ff: Dict[str, float]
+    net_lengths_um: np.ndarray
+    net_caps_ff: np.ndarray
     congestion: float
     layers_assumed: int = 4
-
-    def wire_load_fn(self) -> Callable[[str], float]:
-        """Adapter for :func:`repro.sta.analysis.analyze` and the power
-        estimator: net name -> wire capacitance (fF).
-
-        The closure is memoized on the estimate, so every caller holding
-        the same :class:`RoutingEstimate` sees the same function object.
-        STA's propagation cache is keyed by wire-load *identity* (see
-        :func:`repro.sta.analysis._propagate_view`), so handing out a
-        fresh closure per call would silently defeat it.
-        """
-        fn = self.__dict__.get("_wire_load_fn")
-        if fn is None:
-            caps = self.net_caps_ff
-
-            def load(net: str) -> float:
-                return caps.get(net, 0.0)
-
-            object.__setattr__(self, "_wire_load_fn", load)
-            fn = load
-        return fn
-
-    def describe(self) -> str:
-        return (
-            f"wirelength {self.total_wirelength_um / 1e3:.1f} mm over "
-            f"{len(self.net_lengths_um)} nets, congestion "
-            f"{self.congestion:.2f}"
-        )
 
 
 def _supply_and_congestion(
@@ -97,13 +76,12 @@ def estimate_routing(
 ) -> RoutingEstimate:
     """HPWL-based routing estimate for a placed flat module (vectorized).
 
-    Pin positions come from the placement coordinate arrays; per-net
+    Pin positions come from the placement's coordinate array; per-net
     bounding boxes are ``minimum/maximum.reduceat`` reductions over the
     pin-center arrays sorted by net id.
     """
     view = net_view(module, library)
-    names, coords = rect_arrays(placement.cells)
-    pos = dict(zip(names, range(len(names))))
+    pos = dict(zip(placement.names, range(len(placement.names))))
     try:
         rows = np.fromiter(
             map(pos.__getitem__, (inst.name for inst in module.instances)),
@@ -117,6 +95,7 @@ def estimate_routing(
         raise LayoutError(
             f"instance {missing} missing from placement"
         ) from None
+    coords = placement.coords
     cx = 0.5 * (coords[:, 0] + coords[:, 2])
     cy = 0.5 * (coords[:, 1] + coords[:, 3])
 
@@ -140,6 +119,9 @@ def estimate_routing(
         enet = np.empty(0, dtype=np.int64)
         erow = np.empty(0, dtype=np.int64)
 
+    net_lengths = np.zeros(view.n_nets)
+    net_caps = np.zeros(view.n_nets)
+    total = 0.0
     if len(enet):
         grouping = np.argsort(enet, kind="stable")
         sorted_nets = enet[grouping]
@@ -154,15 +136,13 @@ def estimate_routing(
         lengths = (max_x - min_x) + (max_y - min_y)
         multi = counts >= 2
         lengths[~multi] = 0.0
-        caps = np.where(multi, process.wire_cap_ff_per_um * lengths, 0.0)
-        net_names = [view.net_names[i] for i in net_ids]
-        net_lengths = dict(zip(net_names, lengths.tolist()))
-        net_caps = dict(zip(net_names, caps.tolist()))
+        net_lengths[net_ids] = lengths
+        net_caps[net_ids] = np.where(
+            multi, process.wire_cap_ff_per_um * lengths, 0.0
+        )
+        # Summed over the pinned nets only, in net-id order: the
+        # pairwise sum of the compact array is what the records pin.
         total = float(lengths.sum())
-    else:
-        net_lengths = {}
-        net_caps = {}
-        total = 0.0
 
     layers, congestion = _supply_and_congestion(placement, process, total)
     return RoutingEstimate(

@@ -28,19 +28,17 @@ index arithmetic.  The per-instance scalar packer it replaced,
 reference the layout-kernel equivalence suite packs against.
 
 The result is a :class:`Placement` the router, DRC, LVS and GDS writer
-consume; its cell map is backed by the raw coordinate arrays and only
-materializes :class:`Rect` objects when something indexes into it, so
-the array-consuming kernels (DRC overlap sweep, routing reductions)
-never pay for a hundred thousand rectangle objects.
+consume: the instance names in placement order and one ``(n, 4)``
+coordinate array, which every one of them reads directly, so no
+per-instance rectangle object is ever built.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,72 +60,15 @@ SRAM_ROW_HEIGHT_UM = 1.0
 MAX_ITERATIONS = 8
 
 
-class CellRects(Mapping):
-    """Lazy ``name -> Rect`` mapping backed by coordinate arrays.
-
-    Iteration and membership never build :class:`Rect` objects; the
-    full dict materializes on the first item access (GDS export, tests)
-    and is then served directly.  The DRC/routing kernels pull the raw
-    arrays through :meth:`coord_arrays`.
-    """
-
-    __slots__ = ("_names", "_coords", "_dict", "_members")
-
-    def __init__(self, names: List[str], coords: np.ndarray) -> None:
-        self._names = names
-        self._coords = coords
-        self._dict: Optional[Dict[str, Rect]] = None
-        self._members: Optional[Dict[str, None]] = None
-
-    def coord_arrays(self) -> Tuple[List[str], np.ndarray]:
-        return self._names, self._coords
-
-    def _materialize(self) -> Dict[str, Rect]:
-        if self._dict is None:
-            self._dict = {
-                name: Rect(*row)
-                for name, row in zip(self._names, self._coords.tolist())
-            }
-        return self._dict
-
-    def __getitem__(self, key: str) -> Rect:
-        return self._materialize()[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __contains__(self, key: object) -> bool:
-        if self._dict is not None:
-            return key in self._dict
-        if self._members is None:
-            self._members = dict.fromkeys(self._names)
-        return key in self._members
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Mapping):
-            return dict(self.items()) == dict(other.items())
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __repr__(self) -> str:
-        return f"CellRects({len(self._names)} cells)"
-
-    def __reduce__(self):
-        return (CellRects, (self._names, self._coords))
-
-
-@dataclass
+@dataclass(eq=False)
 class Placement:
-    """Placed design: per-instance rectangles and region map."""
+    """Placed design: the outline, one ``x0, y0, x1, y1`` row of the
+    ``(n, 4)`` float64 ``coords`` per instance in ``names`` (placement
+    order), and the region map."""
 
     outline: Rect
-    cells: Mapping[str, Rect]
+    names: List[str]
+    coords: np.ndarray
     regions: Dict[str, Rect]
     utilization: float
     fold: int
@@ -491,7 +432,8 @@ def _try_place(
     outline = Rect(0.0, 0.0, width, height)
     return Placement(
         outline=outline,
-        cells=CellRects(names, coords),
+        names=names,
+        coords=coords,
         regions=regions,
         utilization=data.total_cell_area / outline.area,
         fold=fold,

@@ -137,8 +137,14 @@ class CompileOptions:
             raise SpecificationError("seed must be an integer or None")
         for name in ("input_sparsity", "weight_sparsity"):
             value = getattr(self, name)
-            if not 0.0 <= float(value) <= 1.0:
-                raise SpecificationError(f"{name} must be in [0, 1]")
+            # Stored as float(value) so an int keys like its float; the
+            # chained comparison also refuses NaN.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0.0 <= value <= 1.0
+            ):
+                raise SpecificationError(f"{name} must be a number in [0, 1]")
             object.__setattr__(self, name, float(value))
         timeout = self.job_timeout_s
         if timeout is not None and (

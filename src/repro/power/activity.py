@@ -186,7 +186,8 @@ def _kernel(cell: Cell) -> _CellKernel:
 
 
 class _ActivitySchedule:
-    """Input-statistics-independent propagation structure for one view:
+    """Input-statistics-independent propagation structure for one view,
+    built by each propagation the ``activity_prop`` memo misses:
     classified instances, and the combinational cells' pin id tuples in
     the order of the view's :class:`~repro.rtl.netview.CellSchedule`."""
 
@@ -253,13 +254,6 @@ class _ActivitySchedule:
         self.mem = mem
 
 
-def _schedule(view: NetView) -> _ActivitySchedule:
-    sched = view.derived.get("activity")
-    if sched is None:
-        sched = view.derived["activity"] = _ActivitySchedule(view)
-    return sched
-
-
 def _propagate_arrays(
     view: NetView,
     input_stats: Optional[Mapping[str, NetActivity]] = None,
@@ -294,7 +288,7 @@ def _propagate_arrays_uncached(
     view: NetView,
     input_stats: Optional[Mapping[str, NetActivity]] = None,
 ) -> Tuple[List[float], List[float], List[bool], Dict[str, NetActivity]]:
-    sched = _schedule(view)
+    sched = _ActivitySchedule(view)
     n = view.n_nets
     prob: List[float] = [0.0] * n
     dens: List[float] = [0.0] * n

@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..rtl.ir import Module
 from ..rtl.netview import NetView, net_view
-from ..sta.graph import WireLoadFn, net_loads_vector
+from ..sta.graph import net_loads_vector
 from ..tech.process import Process
 from ..tech.stdcells import StdCellLibrary
 from .activity import NetActivity, _propagate_arrays
@@ -67,10 +67,11 @@ class PowerReport:
 class _PowerTerms:
     """Activity-independent power tables for one compiled net view.
 
-    Built once per flat module: total leakage, the registers' clock-pin
-    capacitance, and flat (net id, energy) arrays for cell internal
-    energy and memory read energy — so each :func:`estimate_power` call
-    reduces to a few dot products against the density vector.
+    Built by each :func:`estimate_power` call (a compile estimates power
+    once per view; corner signoff rescales that report): total leakage,
+    the registers' clock-pin capacitance, and flat (net id, energy)
+    arrays for cell internal energy and memory read energy, so the
+    estimate reduces to a few dot products against the density vector.
     """
 
     __slots__ = (
@@ -131,13 +132,6 @@ class _PowerTerms:
             self.memory_fj = np.zeros(0)
 
 
-def _power_terms(view: NetView) -> _PowerTerms:
-    terms = view.derived.get("power")
-    if terms is None:
-        terms = view.derived["power"] = _PowerTerms(view)
-    return terms
-
-
 def estimate_power(
     module: Module,
     library: StdCellLibrary,
@@ -145,7 +139,7 @@ def estimate_power(
     frequency_mhz: float,
     vdd: float = 0.0,
     input_stats: Optional[Mapping[str, NetActivity]] = None,
-    wire_load: Optional[WireLoadFn] = None,
+    wire_load: Optional[np.ndarray] = None,
 ) -> PowerReport:
     """Estimate power of a flat module, propagating switching activity
     from ``input_stats``."""
@@ -157,7 +151,7 @@ def estimate_power(
     known = np.asarray(known_l, dtype=bool)
     density = np.where(known, np.asarray(dens_l), 0.0)
     loads = net_loads_vector(view, wire_load)
-    terms = _power_terms(view)
+    terms = _PowerTerms(view)
     e_scale = process.energy_scale(vdd)
     l_scale = process.leakage_scale(vdd)
 

@@ -3,10 +3,10 @@
 :func:`multi_corner_signoff` is the signoff engine: it takes the flat
 post-layout netlist once and re-judges it at every corner of a
 :class:`~repro.signoff.corners.CornerSet`.  The expensive, structure-
-only work (the compiled :class:`~repro.rtl.netview.NetView`, the STA
-edge arrays, the activity schedule) is shared across corners through
-the per-view caches — each additional corner costs one derated arrival
-propagation plus a handful of scalar multiplies:
+only work (the compiled :class:`~repro.rtl.netview.NetView` and the STA
+edge arrays) is shared across corners through the per-view caches —
+each additional corner costs one derated arrival propagation plus a
+handful of scalar multiplies:
 
 * **timing** — :func:`repro.sta.analysis.analyze` with the corner's
   composed :meth:`~repro.signoff.corners.Corner.timing_derate`; the
@@ -30,11 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from ..errors import TimingError
 from ..power.estimator import PowerReport, estimate_power
 from ..rtl.ir import Module
 from ..sta.analysis import TimingReport, analyze
-from ..sta.graph import WireLoadFn
 from ..tech.process import Process
 from ..tech.stdcells import StdCellLibrary
 from .corners import Corner, CornerSet
@@ -179,7 +180,7 @@ def multi_corner_signoff(
     process: Process,
     corners: CornerSet,
     clock_period_ns: float,
-    wire_load: Optional[WireLoadFn] = None,
+    wire_load: Optional[np.ndarray] = None,
     nominal_power: Optional[PowerReport] = None,
     nominal_timing: Optional[TimingReport] = None,
 ) -> SignoffReport:
@@ -193,9 +194,9 @@ def multi_corner_signoff(
     whose composed derate is the nominal point, saving their arrival
     propagation — with the ``typical`` preset the whole signoff then
     costs nothing extra.
-    ``wire_load`` should be the same post-layout load function the
-    nominal signoff used so corner timing differs from nominal only by
-    the derate.
+    ``wire_load`` should be the same post-layout wire-cap array the
+    nominal signoff used (the routing estimate's ``net_caps_ff``), so
+    corner timing differs from nominal only by the derate.
     """
     if nominal_power is None:
         nominal_power = estimate_power(

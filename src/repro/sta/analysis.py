@@ -13,7 +13,8 @@ post-layout STA, Section III.D):
 Delays come from the same equation the characterization flow tabulates
 (:func:`repro.tech.characterization.arc_delay_ns`), so pre-layout STA,
 Liberty views and the subcircuit-library LUTs are mutually consistent.
-Post-layout runs pass a wire-load function built from the placement.
+Post-layout runs pass the routed wire caps, one per net id of the
+module's view (:attr:`repro.layout.route.RoutingEstimate.net_caps_ff`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..rtl.ir import Module
 from ..rtl.netview import NetView, levelize, net_view
 from ..tech.characterization import SLEW_GAIN, SLEW_SENSITIVITY
 from ..tech.stdcells import StdCellLibrary
-from .graph import WireLoadFn, net_loads_vector
+from .graph import net_loads_vector
 
 #: Assumed transition time at startpoints (registered outputs / ports).
 START_SLEW_NS = 0.02
@@ -90,11 +91,13 @@ def analyze(
     module: Module,
     library: StdCellLibrary,
     clock_period_ns: float,
-    wire_load: Optional[WireLoadFn] = None,
+    wire_load: Optional[np.ndarray] = None,
     derate: float = 1.0,
 ) -> TimingReport:
     """Run STA on a flat module against ``clock_period_ns``.
 
+    ``wire_load`` holds one wire capacitance (fF) per net id of the
+    module's view, or is ``None`` for the pre-layout wire-load model.
     ``derate`` is a global delay multiplier for corner analysis — e.g.
     pass ``CORNERS["SS"].delay_factor`` for slow-corner signoff.
 
@@ -294,16 +297,17 @@ def _timing_arrays(view: NetView) -> _TimingArrays:
 def _propagate_view(
     view: NetView,
     derate: float,
-    wire_load: Optional[WireLoadFn],
+    wire_load: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrival propagation over a view: ``(arrivals, parent, slews)``.
 
     Arrivals are independent of the clock period, so the pass is cached
-    on the view for the latest ``(wire_load, derate)`` pair — ``analyze``
-    and ``minimum_period_ns`` on the same placed design (the signoff
-    pair the implementation flow always runs) propagate once.  The
-    cache holds a single entry, so callers cycling through fresh
-    wire-load closures replace rather than accumulate state.
+    on the view for the latest ``(wire_load, derate)`` pair, the wire
+    load by identity — ``analyze`` and ``minimum_period_ns`` on the same
+    placed design (the signoff pair the implementation flow always
+    runs, both handed the routing estimate's one cap array) propagate
+    once.  The cache holds a single entry, so callers cycling through
+    fresh wire-load arrays replace rather than accumulate state.
     """
     cached = view.derived.get("sta_prop")
     if (
@@ -358,7 +362,7 @@ def _analyze_view(
     view: NetView,
     clock_period_ns: float,
     derate: float = 1.0,
-    wire_load: Optional[WireLoadFn] = None,
+    wire_load: Optional[np.ndarray] = None,
 ) -> TimingReport:
     """Vectorized arrival propagation + slack extraction over a view."""
     if clock_period_ns <= 0.0:
@@ -418,7 +422,7 @@ def _required_times(
     view: NetView,
     clock_period_ns: float,
     derate: float,
-    wire_load: Optional[WireLoadFn],
+    wire_load: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward + backward pass: per-net arrivals and requireds, and
     per-edge delays.
@@ -453,7 +457,7 @@ def instance_slacks(
     module: Module,
     library: StdCellLibrary,
     clock_period_ns: float,
-    wire_load: Optional[WireLoadFn] = None,
+    wire_load: Optional[np.ndarray] = None,
     derate: float = 1.0,
 ) -> Dict[str, float]:
     """Worst setup slack through each combinational instance.
@@ -481,7 +485,7 @@ def instance_slacks(
 def minimum_period_ns(
     module: Module,
     library: StdCellLibrary,
-    wire_load: Optional[WireLoadFn] = None,
+    wire_load: Optional[np.ndarray] = None,
     derate: float = 1.0,
 ) -> float:
     """Smallest period with non-negative slack (critical path + setup)."""

@@ -3,8 +3,9 @@
 Every net of a *flat* module carries the input capacitance of its sink
 pins plus a wire load: before layout, :data:`DEFAULT_WLM_FF_PER_SINK`
 per sink (the wire-load model); after layout, the routed wire
-capacitance through a :data:`WireLoadFn`.  :func:`net_loads_vector`
-returns the total per net id of a compiled
+capacitance, an array over the view's net ids
+(:attr:`repro.layout.route.RoutingEstimate.net_caps_ff`).
+:func:`net_loads_vector` returns the total per net id of a compiled
 :class:`~repro.rtl.netview.NetView`, which STA
 (:mod:`repro.sta.analysis`) and power analysis consume.
 
@@ -14,28 +15,26 @@ The explicit pin-level timing graph STA once walked lives on in
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
+from ..errors import TimingError
 from ..rtl.netview import NetView
 
 #: Extra wire capacitance per fanout pin when no placement data exists
 #: (pre-layout wire-load model, fF per sink).
 DEFAULT_WLM_FF_PER_SINK = 0.35
 
-WireLoadFn = Callable[[str], float]
-
 
 def net_loads_vector(
-    view: NetView, wire_load: Optional[WireLoadFn] = None
+    view: NetView, wire_load: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Per-net total load (fF) as a dense vector over the view's net ids.
 
     The sink-capacitance and fanout-count accumulations are structural
-    and cached on the view; only the wire-load model is applied per
-    call (the default WLM vectorizes, a custom function is evaluated
-    once per net)."""
+    and cached on the view; only the wire load is applied per call:
+    the default WLM, or ``wire_load``, one wire capacitance per net id."""
     cached = view.derived.get("net_loads")
     if cached is None:
         n = view.n_nets
@@ -53,18 +52,9 @@ def net_loads_vector(
     sink_cap, sink_count = cached
     if wire_load is None:
         return sink_cap + DEFAULT_WLM_FF_PER_SINK * sink_count
-    # One custom wire-load function is typically applied several times
-    # per view (min-period, clocked STA and power of the signoff pass),
-    # so its per-net evaluation is cached too.  The cache holds a
-    # single entry — the latest function — keyed by identity, so a
-    # caller cycling through fresh closures replaces rather than
-    # accumulates entries.
-    entry = view.derived.get("wire_vec")
-    if entry is None or entry[1] is not wire_load:
-        wire = np.fromiter(
-            (wire_load(name) for name in view.net_names),
-            dtype=np.float64,
-            count=view.n_nets,
+    if len(wire_load) != view.n_nets:
+        raise TimingError(
+            f"wire load has {len(wire_load)} entries but the netlist has "
+            f"{view.n_nets} nets"
         )
-        entry = view.derived["wire_vec"] = (wire, wire_load)
-    return sink_cap + entry[0]
+    return sink_cap + wire_load

@@ -29,10 +29,11 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import LibraryError, SynthesisError
 from ..rtl.ir import Module
 from ..sta.analysis import instance_slacks, minimum_period_ns
-from ..sta.graph import WireLoadFn
 from ..tech.stdcells import (
     VT_FLAVORS,
     Cell,
@@ -133,7 +134,7 @@ def recover_leakage(
     module: Module,
     library: StdCellLibrary,
     clock_period_ns: float,
-    wire_load: Optional[WireLoadFn] = None,
+    wire_load: Optional[np.ndarray] = None,
     derate: float = 1.0,
     margin_ns: float = RECOVERY_MARGIN_NS,
     target_vt: str = "hvt",

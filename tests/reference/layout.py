@@ -6,21 +6,25 @@
 per-net walks the vectorized kernels replaced, kept verbatim so
 ``tests/test_layout_kernels.py`` can pin ``overlap_pairs``, the placer's
 ``_pack_rows`` and ``estimate_routing`` to them.  Only the imports
-(absolute; the shapes and result types come from the shipped modules)
-and the docstring cross-references, now fully qualified, differ, and
-the scalar geometry they call (``Rect.overlaps``, ``Rect.center``,
-``bounding_box`` and ``Process.wire_cap_ff``, which nothing in the
-package calls) sits here as the functions ``overlaps``, ``center``,
-``bounding_box`` and ``wire_cap_ff``.
+(absolute; the shapes come from the shipped modules) and the docstring
+cross-references, now fully qualified, differ, and the scalar geometry
+they call (``Rect.overlaps``, ``Rect.center``, ``bounding_box`` and
+``Process.wire_cap_ff``, which nothing in the package calls) sits here
+as the functions ``overlaps``, ``center``, ``bounding_box`` and
+``wire_cap_ff``.  ``estimate_routing_reference`` also reads each cell's
+``Rect`` from the placement's name and coordinate arrays, and returns
+its per-net dicts in a :class:`RoutingReference`, because the shipped
+estimate now carries arrays over net ids.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import LayoutError
 from repro.layout.geometry import Rect
-from repro.layout.route import RoutingEstimate, _supply_and_congestion
+from repro.layout.route import _supply_and_congestion
 from repro.layout.sdp import Placement
 from repro.rtl.ir import Instance, Module
 from repro.tech.process import Process
@@ -107,17 +111,32 @@ def _shelf_pack(
     return True
 
 
+@dataclass(frozen=True)
+class RoutingReference:
+    """The reference estimate: per-net dicts keyed by net name."""
+
+    total_wirelength_um: float
+    net_lengths_um: Dict[str, float]
+    net_caps_ff: Dict[str, float]
+    congestion: float
+    layers_assumed: int = 4
+
+
 def estimate_routing_reference(
     module: Module,
     placement: Placement,
     library: StdCellLibrary,
     process: Process,
-) -> RoutingEstimate:
+) -> RoutingReference:
     """Scalar reference implementation (per-net Python dict walk), kept
     verbatim to pin :func:`repro.layout.route.estimate_routing`."""
+    cells = {
+        name: Rect(*row)
+        for name, row in zip(placement.names, placement.coords.tolist())
+    }
     pin_positions: Dict[str, List[Tuple[float, float]]] = {}
     for inst in module.instances:
-        rect = placement.cells.get(inst.name)
+        rect = cells.get(inst.name)
         if rect is None:
             raise LayoutError(f"instance {inst.name} missing from placement")
         pin = center(rect)
@@ -139,7 +158,7 @@ def estimate_routing_reference(
         total += length
 
     layers, congestion = _supply_and_congestion(placement, process, total)
-    return RoutingEstimate(
+    return RoutingReference(
         total_wirelength_um=total,
         net_lengths_um=net_lengths,
         net_caps_ff=net_caps,

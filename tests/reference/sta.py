@@ -9,8 +9,10 @@ build (``build_timing_graph``, ``net_capacitance``) and the hold check
 (``analyze_hold``) the flow never ran.  ``tests/test_vector_kernels.py``
 pins the shipped ``analyze``, ``minimum_period_ns``, ``instance_slacks``
 and ``net_loads_vector`` to it.  Only the imports (absolute; the report
-types and delay model come from the shipped modules) and one docstring
-cross-reference differ.  The backward pass (``required_times``,
+types and delay model come from the shipped modules), one docstring
+cross-reference and the type of ``wire_load`` (one wire cap per net id,
+as the shipped analyses take it, instead of a net-name function)
+differ.  The backward pass (``required_times``,
 ``instance_slacks``) was written for the tests: the same queue walk,
 run in reverse.
 """
@@ -21,11 +23,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import TimingError
 from repro.rtl.ir import Instance, Module
 from repro.rtl.netview import net_view
 from repro.sta.analysis import START_SLEW_NS, PathStep, TimingReport
-from repro.sta.graph import WireLoadFn, net_loads_vector
+from repro.sta.graph import net_loads_vector
 from repro.tech.characterization import arc_delay_ns, arc_slew_ns
 from repro.tech.stdcells import Cell, StdCellLibrary, TimingArc
 
@@ -62,7 +66,7 @@ class TimingGraph:
 def net_capacitance(
     module: Module,
     library: StdCellLibrary,
-    wire_load: Optional[WireLoadFn] = None,
+    wire_load: Optional[np.ndarray] = None,
 ) -> Dict[str, float]:
     """Total load on each net: sink pin caps plus the wire model."""
     view = net_view(module, library)
@@ -73,7 +77,7 @@ def net_capacitance(
 def build_timing_graph(
     module: Module,
     library: StdCellLibrary,
-    wire_load: Optional[WireLoadFn] = None,
+    wire_load: Optional[np.ndarray] = None,
 ) -> TimingGraph:
     """Construct the graph; raises on combinational cycles at traversal
     time (see :func:`propagate`)."""
@@ -326,7 +330,7 @@ class HoldReport:
 def analyze_hold(
     module: Module,
     library: StdCellLibrary,
-    wire_load: Optional[WireLoadFn] = None,
+    wire_load: Optional[np.ndarray] = None,
 ) -> HoldReport:
     """Shortest-path (early-arrival) check against register hold times.
 

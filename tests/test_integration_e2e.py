@@ -40,7 +40,7 @@ class TestPipelineCoherence:
 
         impl = compiled_32.implementation
         back = read_gds_json(impl.gds())
-        assert len(back["instances"]) == len(impl.placement.cells)
+        assert len(back["instances"]) == len(impl.placement.names)
         outline = back["header"]["outline"]
         assert outline[2] == pytest.approx(impl.placement.width_um)
 
@@ -59,7 +59,7 @@ class TestPipelineCoherence:
 
         impl = compiled_32.implementation
         report = analyze_hold(
-            impl.netlist, library, impl.routing.wire_load_fn()
+            impl.netlist, library, impl.routing.net_caps_ff
         )
         assert report.met
 

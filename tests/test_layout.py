@@ -1,5 +1,7 @@
 """Layout substrate: geometry, SDP placement, routing, DRC, LVS, GDS."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.layout.lvs import run_lvs
 from repro.layout.route import estimate_routing
 from repro.layout.sdp import place_macro
 from repro.rtl.gen.macro import generate_macro_with_array
+from repro.rtl.netview import net_view
 from repro.spec import INT4, MacroSpec
 
 
@@ -75,18 +78,24 @@ class TestGeometry:
             bounding_box([])
 
 
+def _rows(placement):
+    """name -> [x0, y0, x1, y1]"""
+    return dict(zip(placement.names, placement.coords.tolist()))
+
+
 class TestSDP:
     def test_all_instances_placed(self, placed_small):
         flat, placement = placed_small
-        assert set(placement.cells) == {i.name for i in flat.instances}
+        assert placement.coords.shape == (len(placement.names), 4)
+        assert set(placement.names) == {i.name for i in flat.instances}
 
     def test_sram_cells_on_grid(self, placed_small, library):
         flat, placement = placed_small
+        rows = _rows(placement)
         ys = set()
         for inst in flat.instances:
             if library.cell(inst.cell_name).is_memory:
-                rect = placement.cells[inst.name]
-                ys.add(round(rect.y0, 4))
+                ys.add(round(rows[inst.name][1], 4))
         # Grid: row pitch equals the SRAM cell height (1.0 um).
         ys = sorted(ys)
         steps = {round(b - a, 4) for a, b in zip(ys, ys[1:])}
@@ -94,9 +103,10 @@ class TestSDP:
 
     def test_columns_ordered_left_to_right(self, placed_small):
         flat, placement = placed_small
+        rows = _rows(placement)
         def col_x(c):
             xs = [
-                placement.cells[i.name].x0
+                rows[i.name][0]
                 for i in flat.instances
                 if f"/col{c}_" in i.name or i.name.startswith(f"core_") and f"col{c}_" in i.name
             ]
@@ -123,15 +133,28 @@ class TestRouteDrcLvs:
         report = run_lvs(flat, placement)
         assert report.clean
         # Tamper: drop an instance from the layout.
-        broken_cells = dict(placement.cells)
-        victim = next(iter(broken_cells))
-        del broken_cells[victim]
-        import dataclasses
-
-        broken = dataclasses.replace(placement, cells=broken_cells)
+        broken = dataclasses.replace(
+            placement, names=placement.names[1:], coords=placement.coords[1:]
+        )
         bad = run_lvs(flat, broken)
         assert not bad.clean
         assert any(m.kind == "missing" for m in bad.mismatches)
+
+    def test_lvs_reports_missing_then_extra(self, placed_small):
+        """A placed instance swapped for one the schematic lacks: one
+        ``missing`` (schematic order), then one ``extra`` (placement
+        order), each naming its instance."""
+        flat, placement = placed_small
+        victim = placement.names[3]
+        names = list(placement.names)
+        names[3] = "ghost_cell"
+        swapped = dataclasses.replace(placement, names=names)
+        bad = run_lvs(flat, swapped)
+        assert [(m.kind, m.instance) for m in bad.mismatches] == [
+            ("missing", victim),
+            ("extra", "ghost_cell"),
+        ]
+        assert bad.compared_instances == len(flat.instances)
 
     def test_routing_estimate(self, placed_small, library, process):
         flat, placement = placed_small
@@ -139,16 +162,28 @@ class TestRouteDrcLvs:
         assert est.total_wirelength_um > 0
         assert 0 < est.congestion < 1.0
         # wire loads are consistent with lengths
-        some_net = max(est.net_lengths_um, key=est.net_lengths_um.get)
+        some_net = int(np.argmax(est.net_lengths_um))
         assert est.net_caps_ff[some_net] == pytest.approx(
             wire_cap_ff(process, est.net_lengths_um[some_net])
         )
 
     def test_wire_load_fn_defaults_to_zero(self, placed_small, library, process):
+        """The wire load is one length and cap per net id of the view,
+        and a net with fewer than two pins (an unloaded output, an
+        unused port) reads 0."""
         flat, placement = placed_small
         est = estimate_routing(flat, placement, library, process)
-        fn = est.wire_load_fn()
-        assert fn("nonexistent_net") == 0.0
+        view = net_view(flat, library)
+        assert est.net_lengths_um.shape == est.net_caps_ff.shape == (view.n_nets,)
+        pins = np.zeros(view.n_nets, dtype=np.int64)
+        for group in view.groups:
+            for table in (group.in_ids, group.out_ids):
+                ids = table[table >= 0]
+                np.add.at(pins, ids, 1)
+        lonely = pins < 2
+        assert lonely.any()
+        assert not est.net_lengths_um[lonely].any()
+        assert not est.net_caps_ff[lonely].any()
 
 
 class TestGDS:
@@ -156,7 +191,7 @@ class TestGDS:
         flat, placement = placed_small
         text = write_gds_json(flat, placement, library)
         back = read_gds_json(text)
-        assert len(back["instances"]) == len(placement.cells)
+        assert len(back["instances"]) == len(placement.names)
         assert back["header"]["design"] == flat.name
 
     def test_layers_distinguish_sram(self, placed_small, library):
@@ -181,11 +216,9 @@ class TestLayoutArena:
         arena = LayoutArena()
         cold = arena.place(flat, library)
         warm = arena.place(flat, library)
-        rn, rc = reference.cells.coord_arrays()
         for placement in (cold, warm):
-            names, coords = placement.cells.coord_arrays()
-            assert names == rn
-            assert np.array_equal(coords, rc)
+            assert placement.names == reference.names
+            assert np.array_equal(placement.coords, reference.coords)
             assert placement.outline == reference.outline
         stats = arena.stats(flat, library)
         assert stats["place_scans"] == 1
@@ -202,21 +235,13 @@ class TestLayoutArena:
         r1 = arena.route(flat, p1, library, process)
         p2 = arena.place(flat, library)
         r2 = arena.route(flat, p2, library, process)
-        # Bit-identical replay -> the same estimate object, whose
-        # memoized wire_load_fn keeps STA identity caches warm.
+        # Bit-identical replay -> the same estimate object, whose cap
+        # array keeps STA's identity-keyed propagation memo warm.
+        assert p2 is not p1
         assert r2 is r1
-        assert r1.wire_load_fn() is r1.wire_load_fn()
 
         # A genuinely different placement must be re-estimated.
-        import dataclasses
-
-        nudged = dataclasses.replace(
-            p2,
-            cells=type(p2.cells)(
-                p2.cells.coord_arrays()[0],
-                p2.cells.coord_arrays()[1] + 0.1,
-            ),
-        )
+        nudged = dataclasses.replace(p2, coords=p2.coords + 0.1)
         r3 = arena.route(flat, nudged, library, process)
         assert r3 is not r1
         assert arena.stats(flat, library)["route_computes"] == 2

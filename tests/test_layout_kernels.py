@@ -23,7 +23,7 @@ for the analysis kernels:
 
 from __future__ import annotations
 
-import pickle
+import dataclasses
 import random
 
 import numpy as np
@@ -38,10 +38,11 @@ from reference.optimize import (
 
 from repro.arch import MacroArchitecture
 from repro.layout.drc import run_drc
-from repro.layout.geometry import Rect, overlap_pairs, rect_arrays
+from repro.layout.geometry import Rect, overlap_pairs
 from repro.layout.route import estimate_routing
-from repro.layout.sdp import CellRects, _pack_rows, place_macro
+from repro.layout.sdp import _pack_rows, place_macro
 from repro.rtl.gen.macro import generate_macro, generate_macro_with_array
+from repro.rtl.netview import net_view
 from repro.spec import INT4, INT8, MacroSpec
 from repro.synth.optimize import (
     buffer_high_fanout,
@@ -109,9 +110,10 @@ class TestOverlapPairsEquivalence:
 
     def test_macro_placement_is_clean_in_both(self, placed_macro):
         _, placement = placed_macro
-        names, coords = rect_arrays(placement.cells)
+        names, coords = placement.names, placement.coords
         fast = overlap_pairs(names, coords)
-        ref = list(sweep_overlaps(list(placement.cells.items())))
+        rects = [(name, Rect(*row)) for name, row in zip(names, coords.tolist())]
+        ref = list(sweep_overlaps(rects))
         assert fast == ref == []
 
 
@@ -123,11 +125,10 @@ class TestDRCTruncation:
         coords[:n] = [1.0, 1.0, 2.0, 2.0]
         for j in range(offenders):
             coords[n + j] = [-10.0 - j, -10.0, -9.0 - j, -9.0]
-        import dataclasses
-
         return dataclasses.replace(
             placement,
-            cells=CellRects(names, coords),
+            names=names,
+            coords=coords,
             outline=Rect(0.0, 0.0, 50.0, 50.0),
         )
 
@@ -163,10 +164,17 @@ class TestRoutingEquivalence:
     def _check(self, flat, placement, library, process):
         fast = estimate_routing(flat, placement, library, process)
         ref = estimate_routing_reference(flat, placement, library, process)
-        assert set(fast.net_lengths_um) == set(ref.net_lengths_um)
-        for net, length in ref.net_lengths_um.items():
-            assert fast.net_lengths_um[net] == length, net  # bit-for-bit
-            assert fast.net_caps_ff[net] == ref.net_caps_ff[net], net
+        # Every net the reference wires is a net of the view, and every
+        # net id reads the reference's length and cap bit-for-bit (0 for
+        # a net no pin touches, which the reference never lists).
+        view = net_view(flat, library)
+        assert set(ref.net_lengths_um) <= set(view.net_id)
+        assert len(fast.net_lengths_um) == len(fast.net_caps_ff) == view.n_nets
+        lengths = fast.net_lengths_um.tolist()
+        caps = fast.net_caps_ff.tolist()
+        for i, net in enumerate(view.net_names):
+            assert lengths[i] == ref.net_lengths_um.get(net, 0.0), net
+            assert caps[i] == ref.net_caps_ff.get(net, 0.0), net
         assert fast.total_wirelength_um == pytest.approx(
             ref.total_wirelength_um, rel=1e-12
         )
@@ -178,29 +186,32 @@ class TestRoutingEquivalence:
         self._check(flat, placement, library, process)
 
     def test_randomized_scatter(self, placed_macro, library, process):
-        """Same netlist, pseudo-random placement (plain-dict cell map)."""
+        """Same netlist, pseudo-random placement in netlist order."""
         flat, placement = placed_macro
         rng = random.Random(3)
-        cells = {}
+        rows = []
         for inst in flat.instances:
             x = rng.uniform(0, 300)
             y = rng.uniform(0, 150)
-            cells[inst.name] = Rect(x, y, x + rng.uniform(0.2, 3), y + 1.8)
-        import dataclasses
-
-        scattered = dataclasses.replace(placement, cells=cells)
+            rows.append([x, y, x + rng.uniform(0.2, 3), y + 1.8])
+        scattered = dataclasses.replace(
+            placement,
+            names=[inst.name for inst in flat.instances],
+            coords=np.array(rows),
+        )
         self._check(flat, scattered, library, process)
 
     def test_missing_instance_raises(self, placed_macro, library, process):
         from repro.errors import LayoutError
 
         flat, placement = placed_macro
-        cells = dict(placement.cells)
         victim = flat.instances[5].name
-        del cells[victim]
-        import dataclasses
-
-        broken = dataclasses.replace(placement, cells=cells)
+        keep = [i for i, name in enumerate(placement.names) if name != victim]
+        broken = dataclasses.replace(
+            placement,
+            names=[placement.names[i] for i in keep],
+            coords=placement.coords[keep],
+        )
         with pytest.raises(LayoutError, match="missing from placement"):
             estimate_routing(flat, broken, library, process)
         with pytest.raises(LayoutError, match="missing from placement"):
@@ -408,42 +419,6 @@ class TestPackRowsEquivalence:
         # Vertical overflow: 4 rows of 1.8 in a 3.0-tall region.
         widths = np.array([3.0, 3.0, 3.0, 3.0])
         assert _pack_rows(widths, Rect(0, 0, 4, 3.0), 1.8) is None
-
-
-class TestCellRects:
-    def test_mapping_semantics(self):
-        names = ["a", "b"]
-        coords = np.array([[0.0, 0.0, 1.0, 1.0], [2.0, 0.0, 3.0, 1.8]])
-        cm = CellRects(names, coords)
-        assert len(cm) == 2
-        assert list(cm) == names
-        assert "a" in cm and "z" not in cm
-        assert cm["b"] == Rect(2.0, 0.0, 3.0, 1.8)
-        assert dict(cm) == {
-            "a": Rect(0.0, 0.0, 1.0, 1.0),
-            "b": Rect(2.0, 0.0, 3.0, 1.8),
-        }
-        assert cm == {
-            "a": Rect(0.0, 0.0, 1.0, 1.0),
-            "b": Rect(2.0, 0.0, 3.0, 1.8),
-        }
-        assert cm.get("missing") is None
-
-    def test_pickle_roundtrip(self):
-        names = ["x"]
-        coords = np.array([[0.0, 0.0, 1.0, 1.0]])
-        cm = CellRects(names, coords)
-        back = pickle.loads(pickle.dumps(cm))
-        assert dict(back) == dict(cm)
-
-    def test_rect_arrays_fast_path_and_fallback(self, placed_macro):
-        _, placement = placed_macro
-        names, coords = rect_arrays(placement.cells)
-        assert len(names) == len(placement.cells)
-        # Fallback from a plain dict gives identical arrays.
-        names2, coords2 = rect_arrays(dict(placement.cells))
-        assert names == names2
-        assert np.array_equal(coords, coords2)
 
 
 class TestImplementSession:

@@ -139,9 +139,7 @@ def test_recovery_revert_reuses_the_view(library, walks):
     b.cell("INV_X2", A=node, Y=y)
     chain = b.finish()
 
-    def wire(net):
-        return 8.0
-
+    wire = np.full(len(chain.nets), 8.0)
     clock = 1.05 * minimum_period_ns(chain, library, wire_load=wire)
     kept = recover_leakage(chain, library, clock_period_ns=clock, wire_load=wire)
     assert 0 < kept < len(chain.instances)

@@ -120,6 +120,8 @@ class TestCompileOptions:
             CompileOptions(retries=-1)
         with pytest.raises(SpecificationError):
             CompileOptions(input_sparsity=1.5)
+        with pytest.raises(SpecificationError, match="weight_sparsity"):
+            CompileOptions(weight_sparsity=float("nan"))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -136,6 +138,9 @@ class TestCompileOptions:
             ("verify_vectors", 128.0),
             ("job_timeout_s", True),
             ("job_timeout_s", "5"),
+            ("weight_sparsity", "x"),
+            ("weight_sparsity", "0.5"),
+            ("input_sparsity", True),
         ],
     )
     def test_rejects_wrong_types(self, field, value):
@@ -553,7 +558,8 @@ class TestServiceHTTP:
             assert "error" in json.loads(err.value.read())
 
     @pytest.mark.parametrize(
-        "options", [{"implement": "false"}, {"job_timeout_s": True}]
+        "options",
+        [{"implement": "false"}, {"job_timeout_s": True}, {"weight_sparsity": "x"}],
     )
     def test_wrong_typed_option_is_400(self, service, options):
         import urllib.error

@@ -1,12 +1,15 @@
 """Static timing analysis: arrival propagation, slack, paths."""
 
+import numpy as np
 import pytest
 from reference.sta import build_timing_graph, net_capacitance
 
-from repro.errors import TimingError
+from repro.errors import SynDCIMError, TimingError
+from repro.power.estimator import estimate_power
 from repro.rtl.ir import Module, NetlistBuilder
 from repro.sta.analysis import analyze, minimum_period_ns
 from repro.tech.characterization import SLEW_SENSITIVITY, arc_delay_ns
+from repro.tech.process import GENERIC_40NM
 
 
 def _inv_chain(n):
@@ -39,7 +42,7 @@ def _registered_pipeline():
 class TestGraph:
     def test_net_capacitance_counts_sinks(self, library):
         m = _inv_chain(3)
-        caps = net_capacitance(m, library, wire_load=lambda n: 0.0)
+        caps = net_capacitance(m, library, wire_load=np.zeros(len(m.nets)))
         # each internal net drives one INV_X1 pin (0.9 fF)
         internal = [n for n in m.nets if n not in ("a", "y")]
         for net in internal:
@@ -89,8 +92,21 @@ class TestAnalysis:
     def test_wire_load_slows_paths(self, library):
         m = _inv_chain(6)
         base = minimum_period_ns(m, library)
-        loaded = minimum_period_ns(m, library, wire_load=lambda n: 20.0)
+        loaded = minimum_period_ns(
+            m, library, wire_load=np.full(len(m.nets), 20.0)
+        )
         assert loaded > base * 1.5
+
+    def test_wire_load_must_cover_every_net(self, library):
+        """A wire-load array from another netlist (here one net short)
+        is refused, naming both lengths, not read out of bounds."""
+        m = _inv_chain(6)
+        n = len(m.nets)
+        short = np.full(n - 1, 20.0)
+        with pytest.raises(SynDCIMError, match=f"has {n - 1} entries .* {n} nets"):
+            minimum_period_ns(m, library, wire_load=short)
+        with pytest.raises(SynDCIMError, match=f"has {n - 1} entries .* {n} nets"):
+            estimate_power(m, library, GENERIC_40NM, 500.0, wire_load=short)
 
     def test_slew_affects_delay(self, library):
         cell = library.cell("NAND2_X1")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 from reference.activity import (
     _cell_output_stats,
@@ -121,8 +122,10 @@ class TestActivityEquivalence:
         assert set(fast) == set(ref)
 
 
-def _wire_load(net):
-    return 0.1 * (hash(net) % 7)
+def _wire_load(module):
+    """A custom wire cap per net id (the view's ids follow
+    ``module.nets``)."""
+    return np.array([0.1 * (hash(net) % 7) for net in module.nets])
 
 
 class TestStaEquivalence:
@@ -160,19 +163,19 @@ class TestStaEquivalence:
 
     def test_derate_and_wire_load_paths(self, library):
         for flat in _modules():
-            graph = build_timing_graph(flat, library, wire_load=_wire_load)
+            wire = _wire_load(flat)
+            graph = build_timing_graph(flat, library, wire_load=wire)
             ref = analyze_graph(graph, 4.0, derate=1.18)
-            fast = analyze(flat, library, 4.0, wire_load=_wire_load, derate=1.18)
+            fast = analyze(flat, library, 4.0, wire_load=wire, derate=1.18)
             assert fast == ref, flat.name
 
     def test_instance_slacks_match_reverse_topological_reference(self, library):
         unconstrained = 0
         for flat in _modules():
-            graph = build_timing_graph(flat, library, wire_load=_wire_load)
+            wire = _wire_load(flat)
+            graph = build_timing_graph(flat, library, wire_load=wire)
             ref = instance_slacks_reference(graph, 4.0, derate=1.18)
-            fast = instance_slacks(
-                flat, library, 4.0, wire_load=_wire_load, derate=1.18
-            )
+            fast = instance_slacks(flat, library, 4.0, wire_load=wire, derate=1.18)
             assert fast == ref, flat.name
             unconstrained += sum(s == float("inf") for s in fast.values())
         assert unconstrained  # registers and unloaded logic read inf
