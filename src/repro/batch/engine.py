@@ -107,6 +107,11 @@ Record = Dict[str, object]
 #: progress(done, total, record) — called after every job completion.
 ProgressFn = Callable[[int, int, Record], None]
 
+#: Longest single wait of the dispatch loop: a far deadline (a long job
+#: timeout or retry backoff) only wakes it to look again, and no wait
+#: overflows the selector's millisecond timeout.
+_MAX_WAIT_S = 60.0
+
 
 @dataclass
 class BatchStats:
@@ -629,8 +634,8 @@ class JobExecutor:
     def _next_timer(self) -> Optional[float]:
         """Seconds until the loop must look again although nothing
         completed: the earliest watchdog deadline, backoff expiry or
-        close deadline (``None``: wait for a reply, a death or a
-        wake)."""
+        close deadline, at most ``_MAX_WAIT_S`` (``None``: wait for a
+        reply, a death or a wake)."""
         deadlines = (w.task.deadline for w in self._busy())
         times = [d for d in deadlines if d is not None]
         if self._delayed:
@@ -640,7 +645,8 @@ class JobExecutor:
         if not times:
             return None
         # A hair past the earliest, so it has passed when checked.
-        return max(0.0, min(times) - time.monotonic()) + 1e-3
+        wait_s = max(0.0, min(times) - time.monotonic()) + 1e-3
+        return min(wait_s, _MAX_WAIT_S)
 
     # -- dispatch -----------------------------------------------------------
 

@@ -53,7 +53,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .errors import SynDCIMError
-from .options import DEFAULT_VERIFY_VECTORS, PPA_PRESETS, CompileOptions
+from .options import DEFAULT_VERIFY_VECTORS, PPA_PRESETS, VT_CHOICES, CompileOptions
 from .spec import MacroSpec, parse_format
 
 
@@ -319,7 +319,7 @@ def _add_verify_args(parser: argparse.ArgumentParser) -> None:
 def _add_vt_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--vt",
-        choices=("svt", "hvt", "lvt", "ulvt", "auto"),
+        choices=VT_CHOICES,
         default="svt",
         help="threshold-voltage flavor for the logic fabric: a fixed "
         "flavor pins every laddered cell, 'auto' lets the search trade "

@@ -147,10 +147,11 @@ class CompileOptions:
                 raise SpecificationError(f"{name} must be a number in [0, 1]")
             object.__setattr__(self, name, float(value))
         timeout = self.job_timeout_s
+        # The chained comparison refuses NaN and infinity too.
         if timeout is not None and (
             isinstance(timeout, bool)
             or not isinstance(timeout, (int, float))
-            or timeout <= 0
+            or not 0 < timeout < float("inf")
         ):
             raise SpecificationError(
                 "job_timeout_s must be a positive number or None"

@@ -24,9 +24,10 @@ Implementation notes (the SCL-build hot path)
 Characterizing the default subcircuit library evaluates ~70 k cells, but
 only ~2 k *distinct* ``(cell, input statistics)`` combinations — deep
 regular fabrics feed identical statistics into identical cells level
-after level.  Each cell type therefore compiles once into a
-:class:`_CellKernel`: its truth table, per-assignment output values and
-Boolean-difference flip masks become small numpy tensors, and every
+after level.  Each distinct logic function therefore compiles once into
+a :class:`_CellKernel`, keyed by the cell's truth table so every
+(vt, drive) variant of a family shares it: the table's output values
+and Boolean-difference flip masks become small numpy tensors, and every
 evaluation result is memoized by the exact input-statistics tuple.  The
 propagation itself runs over the integer tables of
 :func:`repro.rtl.netview.net_view` (net-indexed state lists) instead of
@@ -43,7 +44,6 @@ per-cell walk as an executable specification; the equivalence suite
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -52,7 +52,7 @@ import numpy as np
 from ..errors import SimulationError
 from ..rtl.ir import Module
 from ..rtl.netview import CellSchedule, NetView, cell_schedule, net_view
-from ..tech.stdcells import Cell, StdCellLibrary
+from ..tech.stdcells import Cell, StdCellLibrary, TruthTable, input_assignments
 
 #: Default signal probability / transition density for unannotated inputs.
 DEFAULT_PROBABILITY = 0.5
@@ -76,42 +76,26 @@ class NetActivity:
 #: a pathological workload ever produces this many distinct stat tuples.
 _MEMO_LIMIT = 65536
 
-#: Compiled kernels keyed by cell identity.  The kernel holds a strong
-#: reference to its cell, so the id() key can never be recycled while
-#: the entry is alive.
-_KERNELS: Dict[int, "_CellKernel"] = {}
+#: Compiled kernels keyed by truth table: one per logic function.
+_KERNELS: Dict[TruthTable, "_CellKernel"] = {}
 
 
 class _CellKernel:
-    """Truth-table tensors + memoized evaluations for one cell type."""
+    """Truth-table tensors + memoized evaluations for one logic function."""
 
-    __slots__ = ("cell", "pins", "n", "n_out", "assign", "out_vals",
-                 "flip_diff", "memo")
+    __slots__ = ("n", "n_out", "assign", "out_vals", "flip_diff", "memo")
 
-    def __init__(self, cell: Cell) -> None:
-        if cell.function is None:
-            raise SimulationError(
-                f"{cell.name} has no logic function for activity"
-            )
-        self.cell = cell
-        pins = tuple(cell.input_caps_ff)
-        self.pins = pins
-        n = len(pins)
+    def __init__(self, table: TruthTable) -> None:
+        m = len(table)
+        n = m.bit_length() - 1
         self.n = n
-        outs = cell.outputs
-        self.n_out = len(outs)
-        m = 1 << n
-        out_vals = np.zeros((m, self.n_out), dtype=np.float64)
-        for idx, assignment in enumerate(itertools.product((0, 1), repeat=n)):
-            result = cell.function(dict(zip(pins, assignment)))
-            for oi, name in enumerate(outs):
-                if result.get(name, 0):
-                    out_vals[idx, oi] = 1.0
+        self.n_out = len(table[0])
+        out_vals = np.array(table, dtype=np.float64)
         self.out_vals = out_vals
-        #: (2^n, n) matrix of assignment bits; itertools.product order,
-        #: i.e. pin 0 is the most significant bit of the row index.
+        #: (2^n, n) matrix of assignment bits, in the table's row order
+        #: (pin 0 is the most significant bit of the row index).
         self.assign = np.array(
-            list(itertools.product((0.0, 1.0), repeat=n)), dtype=np.float64
+            input_assignments(n), dtype=np.float64
         ).reshape(m, n)
         #: flip_diff[i, a, o] = 1 when toggling pin i flips output o
         #: under assignment a (the Boolean difference indicator).
@@ -123,16 +107,11 @@ class _CellKernel:
         self.flip_diff = flip_diff
         self.memo: Dict[tuple, Tuple[NetActivity, ...]] = {}
 
-    def evaluate(
-        self, probs: Tuple[float, ...], densities: Tuple[float, ...]
-    ) -> Tuple[NetActivity, ...]:
-        """Exact output activity for the given input statistics, one
-        :class:`NetActivity` per cell output (memoized)."""
-        return self.evaluate_key(tuple(probs) + tuple(densities))
-
     def evaluate_key(self, key: Tuple[float, ...]) -> Tuple[NetActivity, ...]:
-        """Like :meth:`evaluate` with the memo key pre-built: the first
-        ``n`` entries are pin probabilities, the rest pin densities."""
+        """Exact output activity for the given input statistics, one
+        :class:`NetActivity` per cell output (memoized by ``key``): the
+        first ``n`` entries are pin probabilities, the rest pin
+        densities."""
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -179,9 +158,12 @@ class _CellKernel:
 
 
 def _kernel(cell: Cell) -> _CellKernel:
-    kernel = _KERNELS.get(id(cell))
+    table = cell.truth_table
+    if table is None:
+        raise SimulationError(f"{cell.name} has no logic function for activity")
+    kernel = _KERNELS.get(table)
     if kernel is None:
-        kernel = _KERNELS[id(cell)] = _CellKernel(cell)
+        kernel = _KERNELS[table] = _CellKernel(table)
     return kernel
 
 

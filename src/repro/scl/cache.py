@@ -9,7 +9,7 @@ batch-engine worker.  The sealed library, however, is a pure function of
   and, for corner libraries, the signoff corner tuple
   (name, process sigma, supply scale, temperature),
 * the standard-cell library (geometry, arcs, energies **and** logic
-  behaviour — truth tables are enumerated into the fingerprint so a
+  behaviour — each cell's truth table is in the fingerprint so a
   changed cell function invalidates the artifact), and
 * the builder configuration (characterization grids, port statistics,
   reference frequency) plus the shared delay/slew/wire-model constants.
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import json
 import os
 import pathlib
@@ -54,11 +53,12 @@ import pickle
 import sys
 import tempfile
 import time
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Set
 
 from ..errors import LibraryError
 from ..tech.process import Process
-from ..tech.stdcells import Cell, StdCellLibrary
+from ..tech.stdcells import Cell, StdCellLibrary, TruthTable
 from .lut import PPARecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,33 +99,17 @@ def scl_cache_dir() -> pathlib.Path:
 # --------------------------------------------------------------------------
 
 
-def _truth_table(cell: Cell, _memo: Optional[dict] = None) -> Optional[str]:
-    """Exhaustive behaviour of the cell's logic function (inputs are at
-    most five wide, so 32 rows bound the enumeration), packed into one
-    row-major bit string (``"01|10"`` for an inverter) — a flat string
-    keeps the serialized fingerprint small enough that hashing a
-    279-cell variant grid stays in the low milliseconds.
-
-    ``_memo`` deduplicates the enumeration across cells that share one
-    function callable — every (vt, drive) variant of a base cell does.
-    """
-    if cell.function is None:
-        return None
-    pins = tuple(cell.input_caps_ff)
-    key = (cell.function, pins, tuple(cell.outputs))
-    if _memo is not None and key in _memo:
-        return _memo[key]
-    rows = []
-    for assignment in itertools.product((0, 1), repeat=len(pins)):
-        outs = cell.function(dict(zip(pins, assignment)))
-        rows.append("".join(str(int(outs.get(o, 0))) for o in cell.outputs))
-    table = "|".join(rows)
-    if _memo is not None:
-        _memo[key] = table
-    return table
+@lru_cache(maxsize=None)
+def _table_string(table: TruthTable) -> str:
+    """A cell's truth table as one row-major bit string (``"01|10"``
+    for an inverter) — a flat string keeps the serialized fingerprint
+    small enough that hashing a 279-cell variant grid stays in the low
+    milliseconds.  Cached per table: every (vt, drive) variant of a
+    family shares one."""
+    return "|".join("".join(map(str, row)) for row in table)
 
 
-def cell_fingerprint(cell: Cell, _truth_memo: Optional[dict] = None) -> dict:
+def cell_fingerprint(cell: Cell) -> dict:
     """Everything characterization can observe about one cell."""
     return {
         "name": cell.name,
@@ -138,7 +122,9 @@ def cell_fingerprint(cell: Cell, _truth_memo: Optional[dict] = None) -> dict:
         ],
         "leakage_nw": cell.leakage_nw,
         "internal_energy_fj": dict(cell.internal_energy_fj),
-        "truth_table": _truth_table(cell, _truth_memo),
+        "truth_table": (
+            None if cell.truth_table is None else _table_string(cell.truth_table)
+        ),
         "is_sequential": cell.is_sequential,
         "clk_pin": cell.clk_pin,
         "clk_to_q_ns": cell.clk_to_q_ns,
@@ -159,11 +145,7 @@ def cell_fingerprint(cell: Cell, _truth_memo: Optional[dict] = None) -> dict:
 
 
 def library_fingerprint(library: StdCellLibrary) -> dict:
-    memo: dict = {}
-    return {
-        name: cell_fingerprint(library.cell(name), _truth_memo=memo)
-        for name in library.names
-    }
+    return {name: cell_fingerprint(library.cell(name)) for name in library.names}
 
 
 def process_fingerprint(process: Process) -> dict:

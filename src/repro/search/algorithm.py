@@ -320,37 +320,26 @@ class MSOSearcher:
             if est.met:
                 return est
             crit = est.critical_segment.name
-            fixes = self.ofu_fixes if crit.startswith("ofu") else self.mac_fixes
+            primary = (
+                self.ofu_fixes if crit.startswith("ofu") else self.mac_fixes
+            )
+            # Cross-path fallback: the other fix family, tried after.
+            fallback = (
+                self.mac_fixes if crit.startswith("ofu") else self.ofu_fixes
+            )
             improved = None
-            for name, move in fixes:
+            for name, move in primary + fallback:
                 candidate_arch = move(spec, est.arch)
                 if candidate_arch is None:
                     continue
                 try:
                     candidate = self._estimate(spec, candidate_arch, memo)
                 except Exception:
+                    # One invalid candidate must not kill the search.
                     continue
                 if candidate.critical_path_ns < est.critical_path_ns - 1e-6:
                     improved = (name, candidate)
                     break
-            if improved is None:
-                # Cross-path fallback: try the other fix family once.
-                fallback = (
-                    self.mac_fixes if crit.startswith("ofu") else self.ofu_fixes
-                )
-                for name, move in fallback:
-                    candidate_arch = move(spec, est.arch)
-                    if candidate_arch is None:
-                        continue
-                    try:
-                        candidate = self._estimate(spec, candidate_arch, memo)
-                    except Exception:
-                        # Same tolerance as the primary loop: one invalid
-                        # cross-path candidate must not kill the search.
-                        continue
-                    if candidate.critical_path_ns < est.critical_path_ns - 1e-6:
-                        improved = (name, candidate)
-                        break
             if improved is None:
                 record(seed_name, "infeasible", est)
                 return None

@@ -14,6 +14,7 @@ from typing import Callable, Optional, Tuple
 
 from ..arch import MacroArchitecture
 from ..spec import MacroSpec
+from ..tech.stdcells import VT_ORDER
 
 Move = Callable[[MacroSpec, MacroArchitecture], Optional[MacroArchitecture]]
 
@@ -221,19 +222,15 @@ TUNING_MOVES: Tuple[Tuple[str, Move], ...] = (
 # Vt-flavor moves (multi-Vt search mode).
 # --------------------------------------------------------------------------
 
-#: Slow/low-leakage -> fast/leaky, mirroring stdcells.VT_ORDER without
-#: importing it (fixes stay dependency-light for the batch workers).
-_VT_LADDER = ("hvt", "svt", "lvt", "ulvt")
-
-
 def lower_vt(
     spec: MacroSpec, arch: MacroArchitecture
 ) -> Optional[MacroArchitecture]:
     """Timing fix: step the logic flavor one notch faster (and leakier)
-    on the Vt ladder — the cheapest structural-change-free speedup."""
-    idx = _VT_LADDER.index(arch.vt)
-    if idx + 1 < len(_VT_LADDER):
-        return arch.replace(vt=_VT_LADDER[idx + 1])
+    on the Vt ladder (``VT_ORDER``, slow -> fast) — the cheapest
+    structural-change-free speedup."""
+    idx = VT_ORDER.index(arch.vt)
+    if idx + 1 < len(VT_ORDER):
+        return arch.replace(vt=VT_ORDER[idx + 1])
     return None
 
 
@@ -242,9 +239,9 @@ def raise_vt(
 ) -> Optional[MacroArchitecture]:
     """Tuning move: step the flavor one notch slower to shed leakage
     where slack allows (the searcher re-checks timing as usual)."""
-    idx = _VT_LADDER.index(arch.vt)
+    idx = VT_ORDER.index(arch.vt)
     if idx > 0:
-        return arch.replace(vt=_VT_LADDER[idx - 1])
+        return arch.replace(vt=VT_ORDER[idx - 1])
     return None
 
 

@@ -27,11 +27,12 @@ combinational instances by (topological level, cell type), stacks
 their pin tables into integer gather matrices, and **renumbers the
 value rows** so each group's output pins occupy contiguous blocks:
 kernels write straight into the value array through ``out=`` views and
-the scatter pass disappears entirely.  Cells whose scalar logic
-function is one of the library's known functions get a hand-written
-allocation-free bitwise kernel; any other function falls back to an
-automatically derived sum-of-minterms kernel over its truth table, so
-custom cells simulate correctly without registration.
+the scatter pass disappears entirely.  A cell whose truth table (see
+:attr:`~repro.tech.stdcells.Cell.truth_table`) is one of the 16 the
+hand-written allocation-free bitwise kernels compute gets that kernel,
+whichever library it came from; any other table gets a sum-of-minterms
+kernel built from it, so custom cells simulate correctly without
+registration.
 
 The values are one ``(rows, words)`` uint64 array.  Evaluation is lazy
 *and* change-driven.  Stimulus goes only to free nets (input ports and
@@ -45,15 +46,13 @@ identical to a full pass.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..rtl.netview import cell_schedule, net_view
-from ..tech import stdcells as _std
-from ..tech.stdcells import Cell, StdCellLibrary
+from ..tech.stdcells import Cell, StdCellLibrary, TruthTable, input_assignments
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -180,46 +179,55 @@ def _k_tie1(i, o, t):
     o[0].fill(_ONES)
 
 
-#: Known scalar logic functions → (expected input-pin order, expected
-#: output order, kernel).  The pin orders guard against a custom cell
-#: reusing a library function with reordered pins — any mismatch falls
-#: back to the derived truth-table kernel.
-_SPECIALIZED = {
-    _std._inv: (("A",), ("Y",), _k_inv),
-    _std._buf: (("A",), ("Y",), _k_buf),
-    _std._nand2: (("A", "B"), ("Y",), _k_nand2),
-    _std._nor2: (("A", "B"), ("Y",), _k_nor2),
-    _std._and2: (("A", "B"), ("Y",), _k_and2),
-    _std._or2: (("A", "B"), ("Y",), _k_or2),
-    _std._xor2: (("A", "B"), ("Y",), _k_xor2),
-    _std._xnor2: (("A", "B"), ("Y",), _k_xnor2),
-    _std._aoi22: (("A", "B", "C", "D"), ("Y",), _k_aoi22),
-    _std._oai22: (("A", "B", "C", "D"), ("Y",), _k_oai22),
-    _std._mux2: (("D0", "D1", "S"), ("Y",), _k_mux2),
-    _std._ha: (("A", "B"), ("S", "CO"), _k_ha),
-    _std._fa: (("A", "B", "CI"), ("S", "CO"), _k_fa),
-    _std._cmp42: (("A", "B", "C", "D", "CI"), ("S", "CY", "CO"), _k_cmp42),
-    _std._tie0: ((), ("Y",), _k_tie0),
-    _std._tie1: ((), ("Y",), _k_tie1),
+def _kernel_table(kernel, k: int, n_out: int) -> TruthTable:
+    """A hand-written kernel's truth table: the kernel run once, with
+    input assignment ``r`` in lane ``r`` (k <= 5, so one word)."""
+    rows = input_assignments(k)
+    words = [sum(a[i] << r for r, a in enumerate(rows)) for i in range(k)]
+    inp = np.array(words, dtype=np.uint64).reshape(1, k, 1)
+    outs = tuple(np.zeros((1, 1), dtype=np.uint64) for _ in range(n_out))
+    kernel(inp, outs, np.zeros((2, 1, 1), dtype=np.uint64))
+    return tuple(
+        tuple(int(o[0, 0]) >> r & 1 for o in outs) for r in range(len(rows))
+    )
+
+
+#: The hand-written kernels by the truth table each computes, so a cell
+#: gets one exactly when its table (inputs in ``input_caps_ff`` order,
+#: outputs in ``outputs`` order) matches: Liberty-imported copies of the
+#: library's cells included.
+_BUILTIN = {
+    _kernel_table(kernel, k, n_out): kernel
+    for kernel, k, n_out in (
+        (_k_inv, 1, 1),
+        (_k_buf, 1, 1),
+        (_k_nand2, 2, 1),
+        (_k_nor2, 2, 1),
+        (_k_and2, 2, 1),
+        (_k_or2, 2, 1),
+        (_k_xor2, 2, 1),
+        (_k_xnor2, 2, 1),
+        (_k_aoi22, 4, 1),
+        (_k_oai22, 4, 1),
+        (_k_mux2, 3, 1),
+        (_k_ha, 2, 2),
+        (_k_fa, 3, 2),
+        (_k_cmp42, 5, 3),
+        (_k_tie0, 0, 1),
+        (_k_tie1, 0, 1),
+    )
 }
 
 
-def _truth_table_kernel(cell: Cell):
-    """Sum-of-minterms kernel derived from the cell's scalar function.
-
-    Enumerates the 2^k input assignments once at compile time; the
-    kernel is then pure bitwise numpy over the caller's scratch rows.
-    Handles any combinational cell with a logic function, at worst 2^k
-    AND/OR terms per output.
-    """
-    pins = tuple(cell.input_caps_ff)
-    k = len(pins)
-    minterms: List[List[Tuple[int, ...]]] = [[] for _ in cell.outputs]
-    for assignment in product((0, 1), repeat=k):
-        outs = cell.evaluate(dict(zip(pins, assignment)))
-        for oi, opin in enumerate(cell.outputs):
-            if outs.get(opin, 0):
-                minterms[oi].append(assignment)
+def _minterm_kernel(table: TruthTable):
+    """Sum-of-minterms kernel over any truth table: pure bitwise numpy
+    over the caller's scratch rows, at worst 2^k AND/OR terms per
+    output."""
+    assignments = input_assignments(len(table).bit_length() - 1)
+    minterms: List[List[Tuple[int, ...]]] = [
+        [a for a, row in zip(assignments, table) if row[oi]]
+        for oi in range(len(table[0]))
+    ]
 
     def kernel(inp, outs, tmp):
         term, scratch = tmp[0], tmp[1]
@@ -248,14 +256,10 @@ def _truth_table_kernel(cell: Cell):
 
 
 def _kernel_for(cell: Cell):
-    entry = _SPECIALIZED.get(cell.function)
-    if entry is not None:
-        pins, outs, kernel = entry
-        if tuple(cell.input_caps_ff) == pins and cell.outputs == outs:
-            return kernel
-    if cell.function is None:
+    table = cell.truth_table
+    if table is None:
         raise SimulationError(f"{cell.name} has no logic function")
-    return _truth_table_kernel(cell)
+    return _BUILTIN.get(table) or _minterm_kernel(table)
 
 
 class _Group:
@@ -581,10 +585,6 @@ class VecSim:
             self._dirty = True
 
     # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self) -> None:
-        """Propagate combinational logic from current inputs/state."""
-        self._propagate()
 
     def _ensure(self) -> None:
         if self._dirty:

@@ -26,7 +26,6 @@ signoff.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,26 +46,13 @@ from ..tech.stdcells import (
 RECOVERY_MARGIN_NS = 0.0
 
 
-def _truth_table(cell: Cell) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """Exhaustive truth table over the cell's inputs, or None when the
-    cell has no simulation function."""
-    if cell.function is None:
-        return None
-    pins = cell.inputs
-    rows: List[Tuple[int, ...]] = []
-    for bits in product((0, 1), repeat=len(pins)):
-        out = cell.function(dict(zip(pins, bits)))
-        rows.append(tuple(int(out[o]) for o in cell.outputs))
-    return tuple(rows)
-
-
 def _same_function(a: Cell, b: Cell) -> bool:
     """True when two cells compute the same logic on the same pins."""
-    if a.inputs != b.inputs or a.outputs != b.outputs:
-        return False
-    if a.function is b.function:
-        return True
-    return _truth_table(a) == _truth_table(b)
+    return (
+        a.inputs == b.inputs
+        and a.outputs == b.outputs
+        and a.truth_table == b.truth_table
+    )
 
 
 def _swap_target(

@@ -29,6 +29,12 @@ without them fall back to defaults.
 External .lib files that only carry NLDM tables (no intrinsic
 attributes) are accepted too: the linear model is re-fitted from the
 table corners, which is exact for any table this writer produced.
+
+A ``function`` attribute is carried verbatim into
+``Cell.pin_functions``, which *is* the cell's logic: building the
+cell parses it into a truth table, so an expression that is malformed
+or names a pin the cell lacks is refused with a ``LibraryError`` at
+import.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..errors import LibraryError
 from .characterization import (
@@ -48,7 +54,6 @@ from .characterization import (
 from .process import Process
 from .stdcells import (
     Cell,
-    LogicFn,
     StdCellLibrary,
     TimingArc,
     parse_variant_name,
@@ -266,104 +271,6 @@ def _num_list(arg: str) -> Tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Boolean function expressions (Liberty ``function`` attribute).
-# ---------------------------------------------------------------------------
-
-_FN_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\[\]]*|[01]|[!&|^()'*+]")
-
-_Eval = Callable[[Mapping[str, int]], int]
-
-
-def _compile_expr(expr: str) -> _Eval:
-    """Compile one Liberty boolean expression to an evaluator.
-
-    Grammar (precedence low -> high): ``| +`` (or), ``^`` (xor),
-    ``& *`` (and), ``!``/postfix ``'`` (not), identifiers and the
-    constants ``0``/``1``.
-    """
-    tokens = _FN_TOKEN_RE.findall(expr)
-    if "".join(tokens).replace(" ", "") != expr.replace(" ", ""):
-        raise LibraryError(f"bad function expression {expr!r}")
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_or() -> _Eval:
-        left = parse_xor()
-        while peek() in ("|", "+"):
-            take()
-            right = parse_xor()
-            left = (lambda a, b: lambda p: a(p) | b(p))(left, right)
-        return left
-
-    def parse_xor() -> _Eval:
-        left = parse_and()
-        while peek() == "^":
-            take()
-            right = parse_and()
-            left = (lambda a, b: lambda p: a(p) ^ b(p))(left, right)
-        return left
-
-    def parse_and() -> _Eval:
-        left = parse_unary()
-        while peek() in ("&", "*"):
-            take()
-            right = parse_unary()
-            left = (lambda a, b: lambda p: a(p) & b(p))(left, right)
-        return left
-
-    def parse_unary() -> _Eval:
-        tok = peek()
-        if tok is None:
-            raise LibraryError(f"truncated function expression {expr!r}")
-        if tok == "!":
-            take()
-            inner = parse_unary()
-            node: _Eval = (lambda a: lambda p: 1 - a(p))(inner)
-        elif tok == "(":
-            take()
-            node = parse_or()
-            if peek() != ")":
-                raise LibraryError(f"unbalanced parens in {expr!r}")
-            take()
-        elif tok in ("0", "1"):
-            take()
-            value = int(tok)
-            node = lambda p, _v=value: _v  # noqa: E731
-        else:
-            name = take()
-            node = (lambda n: lambda p: 1 if p[n] else 0)(name)
-        while peek() == "'":  # postfix negation (classic Liberty)
-            take()
-            node = (lambda a: lambda p: 1 - a(p))(node)
-        return node
-
-    result = parse_or()
-    if pos != len(tokens):
-        raise LibraryError(f"trailing tokens in function expression {expr!r}")
-    return result
-
-
-def compile_functions(pin_functions: Mapping[str, str]) -> Optional[LogicFn]:
-    """Build a cell :data:`LogicFn` from per-output-pin expressions."""
-    if not pin_functions:
-        return None
-    evals = {pin: _compile_expr(e) for pin, e in pin_functions.items()}
-
-    def fn(pins: Mapping[str, int]) -> Dict[str, int]:
-        return {pin: ev(pins) for pin, ev in evals.items()}
-
-    return fn
-
-
-# ---------------------------------------------------------------------------
 # Cell reconstruction.
 # ---------------------------------------------------------------------------
 
@@ -480,7 +387,6 @@ def _cell_from_group(group: _Group) -> Cell:
         arcs=tuple(arcs),
         leakage_nw=_num(attrs.get("cell_leakage_power", "0")),
         internal_energy_fj=energy,
-        function=compile_functions(pin_functions),
         is_sequential=is_sequential,
         clk_pin=clk_pin,
         clk_to_q_ns=clk_to_q,

@@ -14,7 +14,11 @@ Each :class:`Cell` carries
   kOhm and C in fF so ``r * C`` is ps — converted inside);
 * leakage power (nW) and internal switching energy per output toggle
   (fJ);
-* an optional boolean ``function`` used by the gate-level simulator.
+* for combinational cells, one Liberty ``function`` expression per
+  output pin (``pin_functions``) — the one spelling of the cell's
+  logic.  It is parsed once per distinct expression set into
+  :attr:`Cell.truth_table`, which the simulator, activity propagation,
+  the Vt-swap check and the SCL fingerprint all read.
 
 Per-pin arcs matter: the paper's CSA optimization exploits the fact that
 a compressor's carry output is faster than its sum output and reorders
@@ -26,11 +30,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from functools import lru_cache
+from itertools import product
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..errors import LibraryError
 
-LogicFn = Callable[[Mapping[str, int]], Dict[str, int]]
+#: One row per input assignment, in :func:`input_assignments` order;
+#: row ``r`` holds the output bits in the cell's ``outputs`` order.
+TruthTable = Tuple[Tuple[int, ...], ...]
 
 
 # --------------------------------------------------------------------------
@@ -119,7 +127,6 @@ class Cell:
     arcs: Tuple[TimingArc, ...]
     leakage_nw: float
     internal_energy_fj: Dict[str, float]
-    function: Optional[LogicFn] = None
     is_sequential: bool = False
     clk_pin: str = ""
     clk_to_q_ns: float = 0.0
@@ -133,12 +140,18 @@ class Cell:
     vt: str = "svt"
     #: Drive strength on the family ladder (the ``_X<n>`` suffix).
     drive: int = 1
-    #: Per-output-pin boolean expressions (Liberty ``function`` attrs);
-    #: semantically redundant with ``function`` but textual, so the
-    #: library survives a .lib round trip with its logic intact.
+    #: Per-output-pin boolean expressions (Liberty ``function`` attrs)
+    #: over the input pins: the cell's logic, and what a .lib round
+    #: trip carries.  Empty for cells without logic (memories, flops).
     pin_functions: Dict[str, str] = field(default_factory=dict)
+    #: ``pin_functions`` evaluated over every input assignment (None
+    #: when there are none), set when the cell is built.
+    truth_table: Optional[TruthTable] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "truth_table", _cell_table(self))
         if self.vt not in VT_FLAVORS:
             raise LibraryError(f"{self.name}: unknown vt flavor {self.vt!r}")
         for arc in self.arcs:
@@ -171,9 +184,13 @@ class Cell:
         return max(arcs, key=lambda a: a.d0_ns)
 
     def evaluate(self, pins: Mapping[str, int]) -> Dict[str, int]:
-        if self.function is None:
+        """Output values for one input assignment (a truth-table row)."""
+        if self.truth_table is None:
             raise LibraryError(f"{self.name} has no logic function")
-        return self.function(pins)
+        row = 0
+        for pin in self.input_caps_ff:
+            row = (row << 1) | (1 if pins[pin] else 0)
+        return dict(zip(self.outputs, self.truth_table[row]))
 
 
 def _full_arcs(
@@ -239,7 +256,6 @@ def derive_variant(
             p: e * (0.5 + 0.5 * k)
             for p, e in reference.internal_energy_fj.items()
         },
-        function=reference.function,
         is_sequential=reference.is_sequential,
         clk_pin=reference.clk_pin,
         clk_to_q_ns=reference.clk_to_q_ns * dly,
@@ -256,83 +272,117 @@ def derive_variant(
 
 
 # --------------------------------------------------------------------------
-# Logic functions (used by the gate-level simulator and LVS equivalence).
+# Logic: Liberty function expressions parsed into truth tables.
 # --------------------------------------------------------------------------
 
 
-def _inv(p: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": 1 - p["A"]}
+@lru_cache(maxsize=None)
+def input_assignments(k: int) -> Tuple[Tuple[int, ...], ...]:
+    """The 2^k assignments of ``k`` input pins in ``itertools.product``
+    order (pin 0 the most significant bit of the row index): the row
+    order of every :data:`TruthTable`."""
+    return tuple(product((0, 1), repeat=k))
 
 
-def _buf(p: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": p["A"]}
+_EXPR_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\[\]]*|[01]|[!&|^()'*+]")
+
+#: Parsed tables by (input pins, per-output expressions): every
+#: (vt, drive) variant of a family shares its anchor's parse.
+_TABLES: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], TruthTable] = {}
 
 
-def _nand2(p: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": 1 - (p["A"] & p["B"])}
+def _cell_table(cell: Cell) -> Optional[TruthTable]:
+    if not cell.pin_functions:
+        return None
+    exprs = tuple(cell.pin_functions.get(pin) for pin in cell.outputs)
+    if None in exprs or len(cell.pin_functions) != len(exprs):
+        raise LibraryError(
+            f"{cell.name}: functions for pins {sorted(cell.pin_functions)} "
+            f"do not match outputs {list(cell.outputs)}"
+        )
+    key = (cell.inputs, exprs)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _parse_table(cell.name, *key)
+    return table
 
 
-def _nor2(p: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": 1 - (p["A"] | p["B"])}
+def _parse_table(
+    name: str, inputs: Tuple[str, ...], exprs: Tuple[str, ...]
+) -> TruthTable:
+    rows = 1 << len(inputs)
+    pin_cols = dict.fromkeys(inputs, 0)
+    for r, assignment in enumerate(input_assignments(len(inputs))):
+        for pin, bit in zip(inputs, assignment):
+            pin_cols[pin] |= bit << r
+    cols = [_parse_expr(name, expr, pin_cols, (1 << rows) - 1) for expr in exprs]
+    return tuple(tuple((col >> r) & 1 for col in cols) for r in range(rows))
 
 
-def _and2(p: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": p["A"] & p["B"]}
+def _parse_expr(name: str, expr: str, pin_cols: Dict[str, int], ones: int) -> int:
+    """Evaluate one expression over all input assignments at once: every
+    value is a bit column (bit ``r`` = the value under assignment ``r``).
 
-
-def _or2(p: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": p["A"] | p["B"]}
-
-
-def _xor2(p: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": p["A"] ^ p["B"]}
-
-
-def _xnor2(p: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": 1 - (p["A"] ^ p["B"])}
-
-
-def _aoi22(p: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": 1 - ((p["A"] & p["B"]) | (p["C"] & p["D"]))}
-
-
-def _oai22(p: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": 1 - ((p["A"] | p["B"]) & (p["C"] | p["D"]))}
-
-
-def _mux2(p: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": p["D1"] if p["S"] else p["D0"]}
-
-
-def _fa(p: Mapping[str, int]) -> Dict[str, int]:
-    s = p["A"] + p["B"] + p["CI"]
-    return {"S": s & 1, "CO": (s >> 1) & 1}
-
-
-def _ha(p: Mapping[str, int]) -> Dict[str, int]:
-    s = p["A"] + p["B"]
-    return {"S": s & 1, "CO": (s >> 1) & 1}
-
-
-def _cmp42(p: Mapping[str, int]) -> Dict[str, int]:
-    """4-2 compressor used as a 5-3 carry-save counter (paper [14]).
-
-    Inputs A..D plus horizontal carry-in CI; outputs sum S (weight 1),
-    carry C (weight 2) and horizontal carry-out CO (weight 2, a function
-    of A..D only, which keeps the horizontal chain from rippling).
+    Grammar, precedence low -> high: ``| +`` (or), ``^`` (xor), ``& *``
+    (and), prefix ``!`` and postfix ``'`` (not), parentheses, input
+    pins and the constants ``0``/``1``.
     """
-    co = 1 if (p["A"] + p["B"] + p["C"]) >= 2 else 0
-    s3 = (p["A"] + p["B"] + p["C"]) & 1
-    total = s3 + p["D"] + p["CI"]
-    return {"S": total & 1, "CY": (total >> 1) & 1, "CO": co}
+    tokens = _EXPR_TOKEN_RE.findall(expr)
+    if "".join(tokens) != "".join(expr.split()):
+        raise LibraryError(f"{name}: bad function expression {expr!r}")
+    pos = 0
 
+    def peek() -> Optional[str]:
+        return tokens[pos] if pos < len(tokens) else None
 
-def _tie0(_: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": 0}
+    def take() -> str:
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
 
+    def binary(ops: Tuple[str, ...], operand, combine):
+        def parse() -> int:
+            value = operand()
+            while peek() in ops:
+                take()
+                value = combine(value, operand())
+            return value
 
-def _tie1(_: Mapping[str, int]) -> Dict[str, int]:
-    return {"Y": 1}
+        return parse
+
+    def unary() -> int:
+        if peek() is None:
+            raise LibraryError(f"{name}: truncated function expression {expr!r}")
+        tok = take()
+        if tok == "!":
+            value = ones ^ unary()
+        elif tok == "(":
+            value = parse_or()
+            if peek() != ")":
+                raise LibraryError(f"{name}: unbalanced parens in {expr!r}")
+            take()
+        elif tok in ("0", "1"):
+            value = ones if tok == "1" else 0
+        elif tok in pin_cols:
+            value = pin_cols[tok]
+        elif tok[0].isalpha() or tok[0] == "_":
+            raise LibraryError(
+                f"{name}: function {expr!r} names {tok!r}, which is not an input pin"
+            )
+        else:
+            raise LibraryError(f"{name}: bad function expression {expr!r}")
+        while peek() == "'":
+            take()
+            value ^= ones
+        return value
+
+    parse_and = binary(("&", "*"), unary, lambda a, b: a & b)
+    parse_xor = binary(("^",), parse_and, lambda a, b: a ^ b)
+    parse_or = binary(("|", "+"), parse_xor, lambda a, b: a | b)
+    value = parse_or()
+    if pos != len(tokens):
+        raise LibraryError(f"{name}: trailing tokens in function expression {expr!r}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -357,10 +407,9 @@ def _make_cells() -> Dict[str, Cell]:
         leak: float,
         e_int: float,
         n_inputs: int,
-        fn: LogicFn,
+        expr: str,
         tags: Tuple[str, ...] = (),
         caps: Optional[Dict[str, float]] = None,
-        expr: str = "",
     ) -> Cell:
         pin_names = tuple("ABCD"[:n_inputs])
         input_caps = caps or {p: cap for p in pin_names}
@@ -372,38 +421,30 @@ def _make_cells() -> Dict[str, Cell]:
             arcs=_full_arcs(tuple(input_caps), "Y", d0, r),
             leakage_nw=leak,
             internal_energy_fj={"Y": e_int},
-            function=fn,
             width_um=area / 1.8,
             height_um=1.8,
             tags=tags,
-            pin_functions={"Y": expr} if expr else {},
+            pin_functions={"Y": expr},
         )
 
     # Inverters/buffers at three drive strengths.
-    add(simple("INV_X1", 0.8, 0.9, 0.010, 1.40, 1.5, 0.40, 1, _inv, expr="!A"))
-    add(simple("INV_X2", 1.1, 1.8, 0.010, 0.70, 3.0, 0.70, 1, _inv, expr="!A"))
-    add(simple("INV_X4", 1.8, 3.6, 0.011, 0.35, 6.0, 1.30, 1, _inv, expr="!A"))
-    add(simple("BUF_X2", 1.6, 1.0, 0.022, 0.70, 3.2, 0.90, 1, _buf, expr="A"))
-    add(simple("BUF_X4", 2.4, 1.1, 0.024, 0.35, 5.5, 1.60, 1, _buf, expr="A"))
-    add(simple("BUF_X8", 3.8, 1.2, 0.026, 0.18, 9.5, 2.90, 1, _buf, expr="A"))
+    add(simple("INV_X1", 0.8, 0.9, 0.010, 1.40, 1.5, 0.40, 1, "!A"))
+    add(simple("INV_X2", 1.1, 1.8, 0.010, 0.70, 3.0, 0.70, 1, "!A"))
+    add(simple("INV_X4", 1.8, 3.6, 0.011, 0.35, 6.0, 1.30, 1, "!A"))
+    add(simple("BUF_X2", 1.6, 1.0, 0.022, 0.70, 3.2, 0.90, 1, "A"))
+    add(simple("BUF_X4", 2.4, 1.1, 0.024, 0.35, 5.5, 1.60, 1, "A"))
+    add(simple("BUF_X8", 3.8, 1.2, 0.026, 0.18, 9.5, 2.90, 1, "A"))
 
     # Basic combinational gates.
-    add(simple("NAND2_X1", 1.2, 1.1, 0.014, 1.60, 2.2, 0.60, 2, _nand2,
-               expr="!(A & B)"))
-    add(simple("NAND2_X2", 1.7, 2.2, 0.014, 0.80, 4.2, 1.05, 2, _nand2,
-               expr="!(A & B)"))
-    add(simple("NOR2_X1", 1.2, 1.1, 0.016, 1.80, 2.0, 0.60, 2, _nor2,
-               expr="!(A | B)"))
-    add(simple("AND2_X1", 1.5, 1.0, 0.022, 1.50, 2.6, 0.75, 2, _and2,
-               expr="A & B"))
-    add(simple("OR2_X1", 1.5, 1.0, 0.024, 1.60, 2.6, 0.80, 2, _or2,
-               expr="A | B"))
-    add(simple("XOR2_X1", 2.6, 1.9, 0.030, 1.70, 3.5, 1.20, 2, _xor2,
-               expr="A ^ B"))
-    add(simple("XNOR2_X1", 2.6, 1.9, 0.030, 1.70, 3.5, 1.20, 2, _xnor2,
-               expr="!(A ^ B)"))
-    add(simple("AOI22_X1", 1.9, 1.2, 0.020, 1.90, 2.8, 0.85, 4, _aoi22,
-               expr="!((A & B) | (C & D))"))
+    add(simple("NAND2_X1", 1.2, 1.1, 0.014, 1.60, 2.2, 0.60, 2, "!(A & B)"))
+    add(simple("NAND2_X2", 1.7, 2.2, 0.014, 0.80, 4.2, 1.05, 2, "!(A & B)"))
+    add(simple("NOR2_X1", 1.2, 1.1, 0.016, 1.80, 2.0, 0.60, 2, "!(A | B)"))
+    add(simple("AND2_X1", 1.5, 1.0, 0.022, 1.50, 2.6, 0.75, 2, "A & B"))
+    add(simple("OR2_X1", 1.5, 1.0, 0.024, 1.60, 2.6, 0.80, 2, "A | B"))
+    add(simple("XOR2_X1", 2.6, 1.9, 0.030, 1.70, 3.5, 1.20, 2, "A ^ B"))
+    add(simple("XNOR2_X1", 2.6, 1.9, 0.030, 1.70, 3.5, 1.20, 2, "!(A ^ B)"))
+    add(simple("AOI22_X1", 1.9, 1.2, 0.020, 1.90, 2.8, 0.85, 4,
+               "!((A & B) | (C & D))"))
     add(
         simple(
             "OAI22_X1",
@@ -414,13 +455,12 @@ def _make_cells() -> Dict[str, Cell]:
             2.8,
             0.85,
             4,
-            _oai22,
+            "!((A | B) & (C | D))",
             tags=("mult_mux",),
-            expr="!((A | B) & (C | D))",
         )
     )
-    add(simple("TIE0", 0.4, 0.0, 0.0, 0.0, 0.2, 0.0, 0, _tie0, expr="0"))
-    add(simple("TIE1", 0.4, 0.0, 0.0, 0.0, 0.2, 0.0, 0, _tie1, expr="1"))
+    add(simple("TIE0", 0.4, 0.0, 0.0, 0.0, 0.2, 0.0, 0, "0"))
+    add(simple("TIE1", 0.4, 0.0, 0.0, 0.0, 0.2, 0.0, 0, "1"))
 
     # Transmission-gate mux (paper option 3 for MCR selection).
     add(
@@ -436,7 +476,6 @@ def _make_cells() -> Dict[str, Cell]:
             ),
             leakage_nw=1.6,
             internal_energy_fj={"Y": 0.50},
-            function=_mux2,
             width_um=0.5,
             height_um=1.8,
             tags=("mult_mux",),
@@ -457,7 +496,6 @@ def _make_cells() -> Dict[str, Cell]:
             ),
             leakage_nw=3.0,
             internal_energy_fj={"Y": 0.95},
-            function=_mux2,
             width_um=2.2 / 1.8,
             height_um=1.8,
             pin_functions={"Y": "(D1 & S) | (D0 & !S)"},
@@ -478,7 +516,6 @@ def _make_cells() -> Dict[str, Cell]:
             ),
             leakage_nw=2.4,
             internal_energy_fj={"Y": 0.90},
-            function=_mux2,
             width_um=0.2,
             height_um=1.8,
             tags=("mult_mux",),
@@ -501,7 +538,6 @@ def _make_cells() -> Dict[str, Cell]:
             ),
             leakage_nw=5.0,
             internal_energy_fj={"S": 1.40, "CO": 0.90},
-            function=_ha,
             width_um=3.4 / 1.8,
             height_um=1.8,
             tags=("adder",),
@@ -524,7 +560,6 @@ def _make_cells() -> Dict[str, Cell]:
             ),
             leakage_nw=9.0,
             internal_energy_fj={"S": 2.80, "CO": 1.90},
-            function=_fa,
             width_um=6.8 / 1.8,
             height_um=1.8,
             tags=("adder",),
@@ -536,7 +571,10 @@ def _make_cells() -> Dict[str, Cell]:
     )
     # 4-2 compressor: smaller and lower-energy than the two FAs it
     # replaces (6.8*2 = 13.6 um^2, 9.4 fJ), but its sum path is slower
-    # than one FA — exactly the trade the mixed CSA exploits.
+    # than one FA — exactly the trade the mixed CSA exploits.  Used as a
+    # 5-3 carry-save counter (paper [14]): sum S (weight 1), carry CY
+    # and horizontal carry-out CO (weight 2 each); CO is the majority
+    # of A..C only, which keeps the horizontal chain from rippling.
     add(
         Cell(
             name="CMP42_X1",
@@ -560,7 +598,6 @@ def _make_cells() -> Dict[str, Cell]:
             ),
             leakage_nw=13.0,
             internal_energy_fj={"S": 2.40, "CY": 1.40, "CO": 0.80},
-            function=_cmp42,
             width_um=10.5 / 1.8,
             height_um=1.8,
             tags=("adder", "compressor"),

@@ -5,8 +5,9 @@ enumeration per cell and a dictionary-driven topological propagation —
 kept verbatim as the executable specification
 ``tests/test_vector_kernels.py`` pins the vectorized path to, plus
 ``_cell_output_stats``, the per-cell entry into the shipped kernel the
-same tests compare it with.  Only the imports differ: absolute, and the
-constants and the kernel cache come from the shipped module.
+same tests compare it with.  Only the imports differ (absolute, and the
+constants and the kernel cache come from the shipped module), and each
+truth-table row is read through ``Cell.evaluate``, the cell's logic.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ def _cell_output_stats(
     """Exact probability and Najm density for every cell output."""
     kernel = _kernel(cell)
     probs = tuple(
-        in_probs.get(pin, DEFAULT_PROBABILITY) for pin in kernel.pins
+        in_probs.get(pin, DEFAULT_PROBABILITY) for pin in cell.inputs
     )
     densities = tuple(
-        in_densities.get(pin, DEFAULT_DENSITY) for pin in kernel.pins
+        in_densities.get(pin, DEFAULT_DENSITY) for pin in cell.inputs
     )
-    acts = kernel.evaluate(probs, densities)
+    acts = kernel.evaluate_key(probs + densities)
     return dict(zip(cell.outputs, acts))
 
 
@@ -52,7 +53,7 @@ def _cell_output_stats_reference(
 ) -> Dict[str, NetActivity]:
     """Scalar truth-table walk the vectorized kernel must agree with."""
     pins = list(cell.input_caps_ff)
-    if cell.function is None:
+    if cell.truth_table is None:
         raise SimulationError(f"{cell.name} has no logic function for activity")
     n = len(pins)
     out_prob: Dict[str, float] = {o: 0.0 for o in cell.outputs}
@@ -67,7 +68,7 @@ def _cell_output_stats_reference(
             weight *= p if val else (1.0 - p)
         if weight == 0.0:
             continue
-        outs = cell.function(vec)
+        outs = cell.evaluate(vec)
         for o, val in outs.items():
             if val:
                 out_prob[o] += weight
@@ -81,7 +82,7 @@ def _cell_output_stats_reference(
             if base == 0.0:
                 continue
             other_weight = weight / base
-            outs_f = cell.function(flipped)
+            outs_f = cell.evaluate(flipped)
             for o in cell.outputs:
                 if outs.get(o, 0) != outs_f.get(o, 0):
                     sens_prob[(o, pin)] += 0.5 * other_weight

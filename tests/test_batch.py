@@ -707,6 +707,12 @@ class TestWorkerTransport:
             assert multiprocessing.active_children() != []
         assert multiprocessing.active_children() == []
 
+    def test_far_job_timeout_still_dispatches(self):
+        """A watchdog deadline past what the selector's millisecond
+        timeout holds (about 2.1e6 s) only caps the loop's wait."""
+        batch = self._run(options=CompileOptions(job_timeout_s=1e7))
+        assert [r["status"] for r in batch] == ["ok", "ok"]
+
     @pytest.mark.parametrize("faults", ["crash:1.0:first", "hang:1.0:first"])
     def test_crashed_and_killed_workers_are_reaped(self, faults, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", faults)

@@ -29,7 +29,6 @@ from repro.scl.cache import cell_fingerprint
 from repro.sta.analysis import analyze, minimum_period_ns
 from repro.tech.characterization import SLEW_SENSITIVITY
 from repro.tech.liberty import (
-    compile_functions,
     export_liberty,
     library_from_liberty,
     parse_liberty_cells,
@@ -80,7 +79,6 @@ def _random_comb_cell(rng: random.Random, name: str) -> Cell:
         ),
         leakage_nw=rng.uniform(0.1, 30.0),
         internal_energy_fj={"Y": rng.uniform(0.2, 5.0)},
-        function=compile_functions(fns),
         width_um=area / height,
         height_um=height,
         tags=("gen", "logic") if rng.random() < 0.5 else (),
@@ -166,7 +164,7 @@ class TestRoundTripFixedPoint:
         library = _random_library(seed)
         imported = library_from_liberty(export_liberty(library, GENERIC_40NM))
         for cell in library:
-            if cell.function is None:
+            if cell.truth_table is None:
                 continue
             twin = imported.cell(cell.name)
             for _ in range(8):
@@ -238,6 +236,29 @@ class TestParserErrors:
         )
         with pytest.raises(LibraryError):
             parse_liberty_cells(text)
+
+    def test_function_naming_an_unknown_pin(self):
+        """Refused when the cell is imported, naming the cell and the
+        pin, not a bare ``KeyError`` when something first evaluates
+        it."""
+        text = (
+            "library (x) { cell (BAD_X1) { "
+            "pin (A) { direction : input; capacitance : 1.0; } "
+            'pin (Y) { direction : output; function : "!(A & Z)"; } } }'
+        )
+        with pytest.raises(LibraryError, match=r"BAD_X1.*'Z'"):
+            library_from_liberty(text)
+
+    def test_output_without_function(self):
+        """A combinational cell's logic covers every output pin."""
+        text = (
+            "library (x) { cell (HALF_X1) { "
+            "pin (A) { direction : input; capacitance : 1.0; } "
+            'pin (S) { direction : output; function : "!A"; } '
+            "pin (CO) { direction : output; } } }"
+        )
+        with pytest.raises(LibraryError, match=r"HALF_X1.*CO"):
+            library_from_liberty(text)
 
     def test_timing_without_related_pin(self):
         text = (

@@ -80,6 +80,10 @@ ALLOWED_DEFINITIONS = {
     "repro.scl.cache:scl_cache_corruption_count": (
         "the SCL cache tests count quarantined artifacts with it"
     ),
+    "repro.tech.stdcells:Cell.evaluate": (
+        "the scalar oracles in tests/reference read a cell's logic "
+        "through it, one truth-table row at a time"
+    ),
     "repro.tech.stdcells:single_vt_library": (
         "benchmarks/perf/run_perf.py imports it inside a code string"
     ),

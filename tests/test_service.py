@@ -122,6 +122,9 @@ class TestCompileOptions:
             CompileOptions(input_sparsity=1.5)
         with pytest.raises(SpecificationError, match="weight_sparsity"):
             CompileOptions(weight_sparsity=float("nan"))
+        for timeout in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(SpecificationError, match="job_timeout_s"):
+                CompileOptions(job_timeout_s=timeout)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -576,6 +579,30 @@ class TestServiceHTTP:
             )
         assert err.value.code == 400
         assert next(iter(options)) in json.loads(err.value.read())["error"]
+
+    def test_infinite_timeout_is_400_and_dispatch_goes_on(self, service):
+        """``1e999`` reads as infinity: refused where it enters, so it
+        never reaches (and stops) the dispatch loop."""
+        import urllib.error
+        import urllib.request
+
+        body = (
+            '{"spec": %s, "options": {"job_timeout_s": 1e999}}'
+            % json.dumps(SPEC_PAYLOAD)
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(
+                urllib.request.Request(
+                    service["base_url"] + "/v1/jobs",
+                    data=body.encode(),
+                    method="POST",
+                )
+            )
+        assert err.value.code == 400
+        assert "job_timeout_s" in json.loads(err.value.read())["error"]
+        client = service["client"]
+        snap = client.submit(dict(SPEC_PAYLOAD, mac_frequency_mhz=410.0), options=FAST)
+        assert client.wait(snap["id"], timeout=300)["status"] == "ok"
 
     def test_int1_only_inputs_are_400(self, service):
         """Rejected where it enters, not accepted and compiled (to an

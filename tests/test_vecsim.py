@@ -20,7 +20,7 @@ from repro.rtl.gen.ofu import OFUConfig, generate_ofu
 from repro.rtl.gen.shiftadder import accumulator_width, generate_shift_adder
 from repro.rtl.ir import Module, NetlistBuilder
 from repro.sim.formats import int_range
-from repro.sim.vecsim import VecSim, pack_lanes, unpack_lanes
+from repro.sim.vecsim import _BUILTIN, VecSim, _kernel_for, pack_lanes, unpack_lanes
 from repro.spec import INT4, MacroSpec
 from repro.tech.stdcells import Cell, StdCellLibrary, default_library
 
@@ -70,7 +70,6 @@ class TestCombinationalModules:
             vec.set_input(f"in[{i}]", stim[i])
             for lane, sim in enumerate(scalars):
                 sim.set_input(f"in[{i}]", int(stim[i, lane]))
-        vec.evaluate()
         for sim in scalars:
             sim.evaluate()
         for lane, sim in enumerate(scalars):
@@ -114,7 +113,6 @@ class TestCombinationalModules:
                 for sim in scalars:
                     sim.clock()
             else:
-                vec.evaluate()
                 for sim in scalars:
                     sim.evaluate()
         for lane, sim in enumerate(scalars):
@@ -152,7 +150,6 @@ class TestSequentialModules:
         vec.reset_state(1)
         for sim in scalars:
             sim.reset_state(1)
-        vec.evaluate()
         for sim in scalars:
             sim.evaluate()
         for lane, sim in enumerate(scalars):
@@ -317,13 +314,17 @@ class TestSemantics:
             assert packed.shape == (3, words)
             assert (unpack_lanes(packed, batch) == bits).all()
 
+    def test_every_builtin_kernel_serves_a_library_cell(self):
+        """Kernels are picked by truth table: each of the 16 hand-written
+        ones is some default-library cell's, and no library cell falls
+        back to the minterm kernel."""
+        kernels = {_kernel_for(c) for c in LIB if c.truth_table is not None}
+        assert len(_BUILTIN) == 16
+        assert kernels == set(_BUILTIN.values())
+
     def test_truth_table_fallback_for_custom_cell(self):
-        """A cell whose function is unknown to the kernel registry must
-        still simulate, via the derived minterm kernel."""
-
-        def majority3(p):
-            return {"Y": 1 if (p["A"] + p["B"] + p["C"]) >= 2 else 0}
-
+        """A cell whose function no hand-written kernel computes must
+        still simulate, via the minterm kernel built from its table."""
         lib = StdCellLibrary()
         lib.add(
             Cell(
@@ -334,7 +335,7 @@ class TestSemantics:
                 arcs=(),
                 leakage_nw=1.0,
                 internal_energy_fj={"Y": 1.0},
-                function=majority3,
+                pin_functions={"Y": "(A & B) | (A & C) | (B & C)"},
             )
         )
         m = Module("maj")

@@ -30,7 +30,7 @@ from reference.sta import instance_slacks as instance_slacks_reference
 from test_result_log import _deadline
 
 from repro.errors import SimulationError, TimingError
-from repro.power.activity import NetActivity, propagate_activity
+from repro.power.activity import NetActivity, _kernel, propagate_activity
 from repro.rtl.gen.addertree import generate_adder_tree
 from repro.rtl.gen.drivers import generate_wl_driver
 from repro.rtl.gen.multiplier import generate_mult_mux
@@ -59,7 +59,7 @@ def _modules():
 class TestActivityEquivalence:
     def test_cell_stats_match_reference(self, library):
         for cell in library:
-            if cell.function is None:
+            if cell.truth_table is None:
                 continue
             pins = list(cell.input_caps_ff)
             probs = {p: 0.1 + 0.15 * i for i, p in enumerate(pins)}
@@ -74,6 +74,16 @@ class TestActivityEquivalence:
                 assert fast[out].density == pytest.approx(
                     ref[out].density, rel=1e-12, abs=1e-15
                 )
+
+    def test_one_kernel_per_function(self, library):
+        """Activity kernels (and their memos) are keyed by truth table,
+        so every vt/drive variant of a function shares one."""
+        assert _kernel(library.cell("INV_X1")) is _kernel(
+            library.cell("INV_LVT_X4")
+        )
+        assert _kernel(library.cell("INV_X1")) is not _kernel(
+            library.cell("BUF_X2")
+        )
 
     def test_cell_stats_degenerate_probabilities(self, library):
         """p in {0, 1} hits the reference's zero-weight skip rules."""

@@ -25,6 +25,7 @@ from repro.rtl.gen.addertree import generate_adder_tree
 from repro.scl.cache import cell_fingerprint, scl_cache_key
 from repro.search.algorithm import MSOSearcher
 from repro.search.estimate import estimate_macro
+from repro.sim.vecsim import _kernel_for
 from repro.sta.analysis import minimum_period_ns
 from repro.synth.vt import swap_vt
 from repro.tech.liberty import export_liberty, library_from_liberty
@@ -61,6 +62,16 @@ class TestImportedLibraryIdentity:
             assert cell_fingerprint(imported.cell(cell.name)) == (
                 cell_fingerprint(cell)
             ), f"cell {cell.name} drifted across the Liberty round trip"
+
+    def test_same_truth_table_and_sim_kernel(self, library, imported):
+        """The Liberty ``function`` text is the logic: every imported
+        cell has the built-in cell's truth table and simulates on the
+        same hand-written kernel."""
+        for cell in library:
+            twin = imported.cell(cell.name)
+            assert twin.truth_table == cell.truth_table, cell.name
+            if cell.truth_table is not None:
+                assert _kernel_for(twin) is _kernel_for(cell), cell.name
 
     def test_scl_cache_key_identical(self, library, imported, process):
         """Field-identical cells hash to the same SCL artifact: the

@@ -137,7 +137,6 @@ class TestSwapVt:
         nor = lib.cell("NOR2_X1")
         broken = dataclasses.replace(
             lib.cell("NAND2_HVT_X1"),
-            function=nor.function,
             pin_functions=dict(nor.pin_functions),
         )
         mutant = _mutant_library(NAND2_HVT_X1=broken)
