@@ -7,40 +7,11 @@ text lands in ``benchmarks/results/<name>.txt`` (and on stdout with
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def batch_engine():
-    """Opt-in batch engine for the multi-point benches.
-
-    ``REPRO_BENCH_JOBS=N`` (N >= 2) makes the Fig. 8 frontier
-    implementations and the Fig. 9 variation sweep run through
-    :class:`repro.batch.BatchCompiler`'s process pool; unset (the
-    default, and what CI uses) they run serially in-process so bench
-    timings stay comparable.  The engine's disk cache stays off — the
-    benches must measure real compilations.
-    """
-    raw = os.environ.get("REPRO_BENCH_JOBS", "")
-    try:
-        jobs = int(raw.strip() or 0)
-    except ValueError:
-        import warnings
-
-        warnings.warn(
-            f"REPRO_BENCH_JOBS={raw!r} is not an integer; running serially"
-        )
-        return None
-    if jobs < 2:
-        return None
-    from repro.batch import BatchCompiler
-
-    return BatchCompiler(jobs=jobs, use_cache=False)
 
 
 @pytest.fixture(scope="session")

@@ -25,40 +25,20 @@ from repro.search.pareto import dominates
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8_pareto_frontier(
-    benchmark, scl, library, process, paper_spec, save_result, batch_engine
+    benchmark, scl, library, process, paper_spec, save_result
 ):
     searcher = MSOSearcher(scl)
     result = searcher.search(paper_spec)
     assert result.frontier, "paper spec must be feasible"
 
-    # Implement up to four representative frontier points — through the
-    # batch engine's process pool when REPRO_BENCH_JOBS enables it,
-    # serially otherwise (identical records either way).
+    # Implement up to four representative frontier points.
     picks = result.frontier[:: max(1, len(result.frontier) // 4)][:4]
-    if batch_engine is not None:
-        # Batch workers rebuild the *default* toolchain; if these
-        # fixtures are ever parameterized away from the defaults, the
-        # env-var path would silently measure a different library.
-        from repro.tech.process import GENERIC_40NM
-        from repro.tech.stdcells import default_library
-
-        assert process is GENERIC_40NM and library is default_library(), (
-            "REPRO_BENCH_JOBS batch path only supports the default "
-            "library/process fixtures"
+    impl_records = [
+        implementation_record(
+            implement(paper_spec, est.arch, library=library, process=process)
         )
-        batch = batch_engine.implement_archs(
-            paper_spec, [est.arch for est in picks]
-        )
-        for record in batch:
-            assert record["status"] == "ok", record["error"]
-        impl_records = [r["implementation"] for r in batch]
-    else:
-        impl_records = [
-            implementation_record(
-                implement(paper_spec, est.arch, library=library, process=process)
-            )
-            for est in picks
-        ]
+        for est in picks
+    ]
     impl_rows = []
     impl_points = []
     for est, impl in zip(picks, impl_records):

@@ -53,24 +53,15 @@ def test_fig9_shmoo(benchmark, testchip_implementation, process, save_result):
 SIGMAS = (0.0, 0.02, 0.05, 0.10)
 
 
-def _shmoo_at(args):
-    """Top-level so the batch engine's process pool can pickle it."""
-    crit, process, sigma = args
-    return run_shmoo(crit, process, VOLTAGES, FREQS, sigma=sigma)
-
-
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_variation_sensitivity(benchmark, testchip_implementation,
-                                    process, save_result, batch_engine):
+                                    process, save_result):
     """The ragged edge: more on-die variation erodes the pass region but
     never violates monotonicity of the boundary."""
     crit = testchip_implementation.implementation.min_period_ns
-    if batch_engine is not None:
-        sweeps = batch_engine.map(
-            _shmoo_at, [(crit, process, s) for s in SIGMAS]
-        )
-    else:
-        sweeps = [_shmoo_at((crit, process, s)) for s in SIGMAS]
+    sweeps = [
+        run_shmoo(crit, process, VOLTAGES, FREQS, sigma=s) for s in SIGMAS
+    ]
     rows = []
     prev_pass = None
     for sigma, res in zip(SIGMAS, sweeps):

@@ -142,8 +142,8 @@ class MacroArchitecture:
 
     def to_dict(self) -> dict:
         """JSON-serializable description (inverse of :meth:`from_dict`);
-        lets the batch engine ship explicit architecture choices to
-        worker processes and store them in cached results."""
+        how compile records carry the selected and implemented
+        architectures."""
         return dataclasses.asdict(self)
 
     @classmethod

@@ -5,7 +5,8 @@ compiler serving many (height, width, MCR, format, frequency) points.
 This package turns the single-spec :class:`~repro.compiler.syndcim.SynDCIM`
 facade into a design-space instrument:
 
-* :mod:`repro.batch.jobs` — content-hashed job descriptions;
+* :mod:`repro.batch.jobs` — :class:`CompileJob`, the content-hashed
+  job description;
 * :mod:`repro.batch.cache` — the result store, an append-only log
   of one segment per run (``~/.cache/repro`` by default) that makes
   repeated sweeps free;
@@ -35,7 +36,7 @@ from .cache import (
 )
 from .engine import BatchCompiler, BatchResult, BatchStats
 from .faults import FaultPlan, active_plan
-from .jobs import CompileJob, ImplementJob
+from .jobs import CompileJob
 from .resilience import (
     RetryPolicy,
     SweepJournal,
@@ -52,7 +53,6 @@ __all__ = [
     "CacheStats",
     "CompileJob",
     "FaultPlan",
-    "ImplementJob",
     "MemoryResultStore",
     "ResultCache",
     "ResultStore",

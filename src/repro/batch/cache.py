@@ -64,6 +64,7 @@ import contextlib
 import copy
 import itertools
 import json
+import math
 import os
 import pathlib
 import threading
@@ -73,6 +74,8 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+from ..errors import BatchError
 
 #: Hashed into every job key: bump when the record schema changes
 #: incompatibly, and old entries are simply never looked up again.
@@ -847,11 +850,19 @@ class ResultCache(ResultStore):
         (mtime) than ``older_than_s`` seconds, except the runs in
         ``exclude``, carrying their live cacheable entries over.  With
         no policy nothing is touched: resume state is never
-        surprise-deleted."""
+        surprise-deleted.  A negative ``keep``, or an ``older_than_s``
+        that is negative or not finite, is a :class:`BatchError` before
+        any segment is touched."""
+        if keep is not None and keep < 0:
+            raise BatchError(f"keep must be >= 0, got {keep}")
+        if older_than_s is not None and not (
+            math.isfinite(older_than_s) and older_than_s >= 0
+        ):
+            raise BatchError(
+                f"older_than_s must be finite and >= 0, got {older_than_s}"
+            )
         if keep is None and older_than_s is None:
             return []
-        if keep is not None and keep < 0:
-            raise ValueError("keep must be >= 0")
         drop, now = [], time.time()
         for index, path in enumerate(list_journals(self.root)):
             if path.stem.split(".")[0] in exclude:

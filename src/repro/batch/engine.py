@@ -1,7 +1,7 @@
 """The batch compilation engine.
 
 :class:`BatchCompiler` takes many jobs (full compiles of different
-specs, or implement-only runs of explicit architectures), deduplicates
+specs, each a :class:`~repro.batch.jobs.CompileJob`), deduplicates
 identical ones by content hash, satisfies what it can from the
 persistent :class:`~repro.batch.cache.ResultCache`, and schedules the
 remainder across worker processes.  Workers receive plain-dict
@@ -90,19 +90,16 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
-from ..arch import MacroArchitecture
 from ..errors import BatchError
 from ..options import CompileOptions
 from ..spec import MacroSpec
 from .cache import ResultCache, ResultStore
 from .faults import active_plan
-from .jobs import CompileJob, ImplementJob
+from .jobs import CompileJob
 from .resilience import SweepJournal, new_run_id
 
-Job = Union[CompileJob, ImplementJob]
 Record = Dict[str, object]
 #: progress(done, total, record) — called after every job completion.
 ProgressFn = Callable[[int, int, Record], None]
@@ -273,25 +270,16 @@ class BatchCompiler:
             options = options.replace(implement=implement)
         return self.run_jobs([options.compile_job(spec) for spec in specs])
 
-    def implement_archs(
-        self, spec: MacroSpec, archs: Sequence[MacroArchitecture]
-    ) -> BatchResult:
-        """Implementation-only jobs for explicit architectures (used by
-        benchmarks that already ran the search and picked points)."""
-        return self.run_jobs(
-            [ImplementJob(spec, arch, self.options) for arch in archs]
-        )
-
     # -- execution ----------------------------------------------------------
 
-    def run_jobs(self, jobs: Sequence[Job]) -> BatchResult:
+    def run_jobs(self, jobs: Sequence[CompileJob]) -> BatchResult:
         """Dedup, consult journal + cache, execute the rest (with
         watchdog/retry when pooled), reassemble.  Each job runs under
         its own ``options``; of duplicate jobs, the first one's."""
         started = time.monotonic()
         stats = BatchStats(total=len(jobs), run_id=self.run_id)
         keys = [job.key() for job in jobs]
-        by_key: Dict[str, Job] = {}
+        by_key: Dict[str, CompileJob] = {}
         for key, job in zip(keys, jobs):
             by_key.setdefault(key, job)
         stats.unique = len(by_key)
@@ -306,7 +294,7 @@ class BatchCompiler:
             )
 
         resolved: Dict[str, Record] = {}
-        pending: Dict[str, Job] = {}
+        pending: Dict[str, CompileJob] = {}
 
         def landed(ticket: Ticket) -> None:
             resolved[ticket.key] = ticket.record
@@ -440,7 +428,7 @@ class Ticket:
     """
 
     key: str
-    job: Job
+    job: CompileJob
     done: Callable[["Ticket"], None]
     #: Transient failures charged so far, one ``history`` entry each.
     attempts: int = 0

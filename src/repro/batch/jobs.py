@@ -1,10 +1,10 @@
 """Job descriptions for the batch engine.
 
 A *job* is everything a worker process needs to reproduce one
-compilation: the spec, the flow options and (for implement-only jobs)
-the explicit architecture.  Jobs convert to plain-dict payloads for the
-pool (consumed by :func:`repro.compiler.syndcim.execute_job`) and to a
-stable content-hash :meth:`key` for deduplication and the on-disk
+compilation: the spec and the flow options.  :class:`CompileJob`, the
+one job type, converts to a plain-dict payload for the pool (consumed
+by :func:`repro.compiler.syndcim.execute_job`) and to a stable
+content-hash :meth:`~CompileJob.key` for deduplication and the on-disk
 :class:`~repro.batch.cache.ResultCache`.
 
 Two jobs get the same key iff a compliant compiler would produce the
@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict
 
-from ..arch import MacroArchitecture
 from ..options import CompileOptions
 from ..spec import MacroSpec
 from .cache import CACHE_SCHEMA_VERSION
@@ -67,58 +66,20 @@ class CompileJob:
         }
 
     def key(self) -> str:
-        return _hash_payload(self.payload())
+        """sha256 over the canonical JSON of (payload, schema, compiler
+        version); the payload already carries the process name.
 
+        The version term is what ties "same key" to "same result": when
+        a later release changes the estimation or search models, its
+        results land under fresh keys instead of being served stale
+        from a cache populated by an older compiler.
+        """
+        from .. import __version__
 
-@dataclass(frozen=True)
-class ImplementJob:
-    """Implementation flow only, for an explicit architecture choice.
-
-    The architecture carries its own ``vt`` knob; ``options.vt ==
-    "auto"`` adds netlist-level hvt leakage recovery, as in a full
-    compile.  The search-only options (``seed``, ``implement``) do not
-    apply and stay out of the payload."""
-
-    spec: MacroSpec
-    arch: MacroArchitecture
-    options: CompileOptions = CompileOptions()
-
-    def payload(self) -> Dict[str, object]:
-        o = self.options
-        return {
-            "type": "implement",
-            "spec": self.spec.to_dict(),
-            "arch": self.arch.to_dict(),
-            "process": o.process,
-            "options": {
-                "input_sparsity": o.input_sparsity,
-                "weight_sparsity": o.weight_sparsity,
-                "corners": None if o.corners is None else list(o.corners),
-                "verify": o.verify,
-                "verify_vectors": o.verify_vectors,
-                "vt_recovery": o.vt == "auto",
-            },
+        keyed = {
+            "schema": CACHE_SCHEMA_VERSION,
+            "compiler": __version__,
+            "payload": self.payload(),
         }
-
-    def key(self) -> str:
-        return _hash_payload(self.payload())
-
-
-def _hash_payload(payload: Dict[str, object]) -> str:
-    """sha256 over the canonical JSON of (payload, schema, compiler
-    version); the payload already carries the process name.
-
-    The version term is what ties "same key" to "same result": when a
-    later release changes the estimation or search models, its results
-    land under fresh keys instead of being served stale from a cache
-    populated by an older compiler.
-    """
-    from .. import __version__
-
-    keyed = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "compiler": __version__,
-        "payload": payload,
-    }
-    blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+        blob = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()

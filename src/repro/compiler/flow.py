@@ -11,11 +11,10 @@ reports, and the summary PPA numbers the benchmarks consume.
 :class:`ImplementSession` is the incremental entry point used by the
 compiler's timing-escalation loop: one session per spec caches the
 artifacts that survive an architecture change — the bitcell array
-module (with its primed flatten template), the optimized flat netlist
-per architecture, and the finished :class:`Implementation` per
-architecture — so re-implementing after a timing fix rebuilds only what
-the fix actually touched instead of re-running the whole flow from RTL
-generation.
+module, the optimized flat netlist per architecture, and the finished
+:class:`Implementation` per architecture — so re-implementing after a
+timing fix rebuilds only what the fix actually touched instead of
+re-running the whole flow from RTL generation.
 """
 
 from __future__ import annotations
@@ -159,10 +158,9 @@ class ImplementSession:
     an architecture change cannot invalidate:
 
     * the **bitcell array** module depends only on ``(height, width,
-      mcr, memcell)`` — none of the searcher's timing fixes touch it.
-      It is generated once, its flatten leaf-template is primed, and
-      every attempt's :meth:`~repro.rtl.ir.Module.flatten` replays the
-      cached template instead of re-walking the 10k-cell array subtree;
+      mcr, memcell)`` — none of the searcher's timing fixes touch it,
+      so it is generated once and every attempt's macro instantiates
+      the same module;
     * the **optimized flat netlist** per architecture (generation,
       flattening, validation and the synthesis passes are the front half
       of the flow) — revisiting an architecture skips it entirely;
@@ -208,7 +206,6 @@ class ImplementSession:
         array = self._arrays.get(key)
         if array is None:
             array, _ = generate_memory_array(*key)
-            array._leaf_template()  # prime: every attempt replays it
             self._arrays[key] = array
         return array
 
@@ -394,26 +391,10 @@ def implement(
     arch: MacroArchitecture,
     library: Optional[StdCellLibrary] = None,
     process: Optional[Process] = None,
-    input_sparsity: float = 0.0,
-    weight_sparsity: float = 0.0,
-    corners: Optional[CornerSet] = None,
-    verify: bool = False,
-    verify_vectors: int = DEFAULT_VECTORS,
-    vt_recovery: bool = False,
 ) -> Implementation:
-    """Run the complete implementation flow for one design point;
-    ``verify=True`` adds the functional-verification stage
-    (:meth:`ImplementSession.verify_implementation`)."""
-    session = ImplementSession(
+    """Run the complete implementation flow for one design point."""
+    return ImplementSession(
         spec,
         library=library or default_library(),
         process=process or GENERIC_40NM,
-        input_sparsity=input_sparsity,
-        weight_sparsity=weight_sparsity,
-        corners=corners,
-        vt_recovery=vt_recovery,
-    )
-    impl = session.implement(arch)
-    if verify:
-        session.verify_implementation(impl, verify_vectors)
-    return impl
+    ).implement(arch)

@@ -32,7 +32,7 @@ from ..spec import MacroSpec, PPAWeights
 from ..tech.process import GENERIC_40NM, Process
 from ..tech.stdcells import StdCellLibrary, default_library
 from ..verify.harness import DEFAULT_VECTORS as DEFAULT_VERIFY_VECTORS
-from .flow import Implementation, ImplementSession, implement
+from .flow import Implementation, ImplementSession
 
 #: Implementation attempts per compile: the first, plus up to three
 #: timing escalations after post-layout STA misses.
@@ -225,10 +225,10 @@ class SynDCIM:
         and the standard digital flow.
 
         All attempts share one :class:`ImplementSession`, so escalation
-        is incremental: the bitcell array (and its flatten template) is
-        generated once, and revisited architectures reuse their cached
-        netlist and implementation outright instead of re-running the
-        flow from RTL generation.
+        is incremental: the bitcell array is generated once, and
+        revisited architectures reuse their cached netlist and
+        implementation outright instead of re-running the flow from RTL
+        generation.
         """
         from ..search.fixes import MAC_FIXES, OFU_FIXES, VT_TIMING_FIXES
 
@@ -410,11 +410,9 @@ def execute_job(payload: Dict[str, object]) -> Dict[str, object]:
     direction, so this function is safe to hand to a worker process
     regardless of start method.
 
-    Payload types:
-
-    * ``"compile"`` — full search + selection (+ implementation);
-    * ``"implement"`` — implementation flow only, for an explicit
-      architecture (used by benchmarks that already searched).
+    The one payload type is ``"compile"`` (a
+    :class:`~repro.batch.jobs.CompileJob`): full search + selection
+    (+ implementation).  Any other type is an ``error`` record.
 
     Deterministic failures (infeasible specs) come back as
     ``status="infeasible"`` records so sweeps keep going and the result
@@ -443,48 +441,27 @@ def execute_job(payload: Dict[str, object]) -> Dict[str, object]:
 
     def runner() -> Dict[str, object]:
         # Rebuilt here, not before: an unknown process or corner name
-        # lands in this job's record, not in a dead worker.
-        options = _payload_options(payload)
+        # lands in this job's record, not in a dead worker.  The
+        # inverse of :meth:`repro.batch.jobs.CompileJob.payload`.
+        options = CompileOptions.from_dict(
+            dict(
+                payload.get("options") or {},  # type: ignore[call-overload]
+                process=payload.get("process", GENERIC_40NM.name),
+            )
+        )
         compiler = SynDCIM.from_options(options)
         job_type = payload.get("type", "compile")
-        if job_type == "implement":
-            arch = MacroArchitecture.from_dict(payload["arch"])  # type: ignore[arg-type]
-            impl = implement(
-                spec,
-                arch,
-                library=compiler.library,
-                process=compiler.process,
-                input_sparsity=options.input_sparsity,
-                weight_sparsity=options.weight_sparsity,
-                corners=compiler.corners,
-                verify=options.verify,
-                verify_vectors=options.verify_vectors,
-                vt_recovery=options.vt == "auto",
-            )
-            return dict(
-                _base_record(spec), implementation=implementation_record(impl)
-            )
-        if job_type == "compile":
-            result = compiler.compile(
-                spec,
-                implement_design=options.implement,
-                input_sparsity=options.input_sparsity,
-                weight_sparsity=options.weight_sparsity,
-                verify=options.verify,
-                verify_vectors=options.verify_vectors,
-            )
-            return result_to_record(result)
-        raise ValueError(f"unknown job type {job_type!r}")
+        if job_type != "compile":
+            raise ValueError(f"unknown job type {job_type!r}")
+        result = compiler.compile(
+            spec,
+            implement_design=options.implement,
+            input_sparsity=options.input_sparsity,
+            weight_sparsity=options.weight_sparsity,
+            verify=options.verify,
+            verify_vectors=options.verify_vectors,
+        )
+        return result_to_record(result)
 
     return _run_to_record(spec, runner)
 
-
-def _payload_options(payload: Dict[str, object]) -> CompileOptions:
-    """The :class:`CompileOptions` a job payload was built from (the
-    inverse of :meth:`repro.batch.jobs.CompileJob.payload`; an implement
-    payload's ``vt_recovery`` is ``vt="auto"``)."""
-    options = dict(payload.get("options") or {})  # type: ignore[call-overload]
-    if options.pop("vt_recovery", False):
-        options["vt"] = "auto"
-    options["process"] = payload.get("process", GENERIC_40NM.name)
-    return CompileOptions.from_dict(options)

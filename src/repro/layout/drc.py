@@ -58,11 +58,6 @@ class DRCReport:
     def truncated(self) -> bool:
         return self.total_violations > len(self.violations)
 
-    def count(self, rule: str) -> int:
-        """Occurrences of ``rule`` among the *reported* violations (the
-        report may be capped — check :attr:`truncated`)."""
-        return sum(1 for v in self.violations if v.rule == rule)
-
     def describe(self) -> str:
         if self.clean:
             return "DRC clean"

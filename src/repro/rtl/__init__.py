@@ -13,7 +13,7 @@ from .ir import (
     Port,
     bus,
 )
-from .verilog import count_instances, emit_verilog
+from .verilog import emit_verilog
 
 __all__ = [
     "CONST0",
@@ -23,6 +23,5 @@ __all__ = [
     "NetlistBuilder",
     "Port",
     "bus",
-    "count_instances",
     "emit_verilog",
 ]

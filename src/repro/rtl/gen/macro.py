@@ -328,8 +328,8 @@ def generate_macro_with_array(
 
     ``array`` lets a caller supply a pre-built bitcell array module for
     the same ``(height, width, mcr, memcell)`` — the incremental
-    escalation loop reuses one array (and its cached flatten template)
-    across implementation attempts, since timing fixes never touch it.
+    escalation loop reuses one array across implementation attempts,
+    since timing fixes never touch it.
     """
     digital, shape = generate_macro(spec, arch)
     if array is None:

@@ -18,7 +18,7 @@ RTL generators use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from ..errors import SynthesisError
 from ..tech.stdcells import StdCellLibrary
@@ -88,14 +88,12 @@ class Module:
         self._revision = 0
         # (first, last) revision of the latest run of set_refs edits.
         self._ref_edits = (-1, -1)
-        # (revision, entries, [(child, template)]) — see _leaf_template.
-        self._leaf_template_cache: Optional[tuple] = None
 
     @property
     def revision(self) -> int:
         """Mutation counter: bumped by every structural change, so caches
-        keyed on a module (flatten templates, compiled net views) can
-        detect staleness without hashing the netlist."""
+        keyed on a module (compiled net views) can detect staleness
+        without hashing the netlist."""
         return self._revision
 
     # -- construction -----------------------------------------------------
@@ -232,11 +230,13 @@ class Module:
 
         The expansion runs over precomputed leaf tables: every resolved
         net name is computed once and memoized per instantiation (not
-        once per sink pin), children instantiated repeatedly replay
-        their cached :meth:`_leaf_template`, and the flat module is
-        assembled through a bulk path that skips the per-instance
-        bookkeeping of :meth:`add_instance` (name uniqueness holds by
-        construction: hierarchical paths of unique sibling names).
+        once per sink pin), a child instantiated repeatedly is walked
+        once into a leaf template that every instantiation replays (the
+        templates live for this call only, so a later mutation anywhere
+        shows up in the next flatten), and the flat module is assembled
+        through a bulk path that skips the per-instance bookkeeping of
+        :meth:`add_instance` (name uniqueness holds by construction:
+        hierarchical paths of unique sibling names).
         """
         flat = Module(self.name)
         for port in self.ports.values():
@@ -247,7 +247,7 @@ class Module:
                 nets[net] = None
         flat.set_clocks(self.clock_nets)
         entries: List[tuple] = []
-        self._expand_into(entries, "", {}, [])
+        self._expand_into(entries, "", {}, {})
         instances = flat.instances
         names = flat._instance_names
         append = instances.append
@@ -263,54 +263,25 @@ class Module:
         flat._revision += len(entries) + 1
         return flat
 
-    def _leaf_template(self) -> List[tuple]:
-        """Cached, module-relative table of every leaf under this module:
-        ``(relative_name, cell_ref, {pin: relative_net})``.
-
-        Internal nets carry their hierarchical path; nets bound to this
-        module's ports appear under the port name, so an instantiation
-        only has to splice port nets and prefix the rest.
-
-        Staleness is checked against the whole subtree: the cache
-        records ``(module, revision)`` for every module whose instances
-        the expansion read — this one, direct-recursed descendants and
-        template-consumed children alike — so a mutation anywhere below
-        rebuilds the table.
-        """
-        if self._template_fresh():
-            return self._leaf_template_cache[0]
-        entries: List[tuple] = []
-        deps: List[tuple] = []
-        self._expand_into(entries, "", {}, deps)
-        uniq = {id(m): (m, rev) for m, rev in deps}
-        self._leaf_template_cache = (entries, list(uniq.values()))
-        return entries
-
-    def _template_fresh(self) -> bool:
-        """Whether the cached leaf template matches the current subtree."""
-        cached = self._leaf_template_cache
-        return cached is not None and all(
-            m._revision == rev for m, rev in cached[1]
-        )
-
     def _expand_into(
         self,
         out: List[tuple],
         prefix: str,
         net_map: Dict[str, str],
-        deps: List[tuple],
+        templates: Dict["Module", List[tuple]],
     ) -> None:
         """Append resolved leaf entries for everything under ``self``.
 
         ``net_map`` maps local net names to their names in the target
         namespace; unmapped nets are prefixed once and memoized into it.
-        Children whose Module object is instantiated more than once in
-        this module expand through their cached leaf template instead of
-        re-walking their hierarchy per instantiation.  ``deps`` collects
-        ``(module, revision)`` for every module this expansion reads, so
-        template caches can detect staleness anywhere in the subtree.
+        A child whose Module object is instantiated more than once in
+        this module, or whose template this flatten already built,
+        expands through its leaf template in ``templates``: a
+        module-relative table ``(relative_name, cell_ref, {pin:
+        relative_net})`` in which internal nets carry their
+        hierarchical path and port nets appear under the port name, so
+        an instantiation only splices port nets and prefixes the rest.
         """
-        deps.append((self, self._revision))
         counts: Dict[int, int] = {}
         for inst in self.instances:
             if not inst.is_leaf:
@@ -341,25 +312,22 @@ class Module:
                         )
                     cmap[pname] = r
             cprefix = iname + "/"
-            # Children instantiated repeatedly expand through their
-            # cached leaf template; so does any child whose template is
-            # already cached and fresh (e.g. a bitcell array shared by
-            # successive escalation attempts) — the replay skips its
-            # whole-subtree re-walk.
-            if counts[id(child)] > 1 or child._template_fresh():
-                tmpl = child._leaf_template()
-                deps.extend(child._leaf_template_cache[1])
-                cget = cmap.get
-                for rname, ref, rconn in tmpl:
-                    resolved: Dict[str, str] = {}
-                    for pin, net in rconn.items():
-                        r = cget(net)
-                        if r is None:
-                            r = cmap[net] = cprefix + net
-                        resolved[pin] = r
-                    out.append((cprefix + rname, ref, resolved))
-            else:
-                child._expand_into(out, cprefix, cmap, deps)
+            tmpl = templates.get(child)
+            if tmpl is None and counts[id(child)] > 1:
+                tmpl = templates[child] = []
+                child._expand_into(tmpl, "", {}, templates)
+            if tmpl is None:
+                child._expand_into(out, cprefix, cmap, templates)
+                continue
+            cget = cmap.get
+            for rname, ref, rconn in tmpl:
+                resolved: Dict[str, str] = {}
+                for pin, net in rconn.items():
+                    r = cget(net)
+                    if r is None:
+                        r = cmap[net] = cprefix + net
+                    resolved[pin] = r
+                out.append((cprefix + rname, ref, resolved))
 
     def validate(self, library: StdCellLibrary) -> None:
         """Structural sanity check on a flat module.

@@ -101,14 +101,3 @@ def emit_verilog(module: Module) -> str:
         lines.append(f"  {esc(ref)} {esc(inst.name)} ({conns});")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
-
-
-def count_instances(verilog: str) -> int:
-    """Count instantiation statements in emitted Verilog (test helper)."""
-    body = verilog.split(");", 1)[-1]
-    return sum(
-        1
-        for line in body.splitlines()
-        if line.strip().endswith(");")
-        and not line.strip().startswith(("input", "output", "wire", "module"))
-    )

@@ -69,19 +69,6 @@ class SubcircuitLibrary:
     def entry_count(self) -> int:
         return sum(len(t) for t in self._tables.values())
 
-    def summary(self) -> str:
-        at = self.process.name
-        if self.corner is not None:
-            at += f" @ corner {self.corner.name}"
-        lines = [f"subcircuit library @ {at}:"]
-        for kind in KINDS:
-            t = self._tables[kind]
-            lines.append(
-                f"  {kind:12s} {len(t):4d} entries, "
-                f"variants: {', '.join(t.variants)}"
-            )
-        return "\n".join(lines)
-
 
 _CACHE: Dict[Tuple, SubcircuitLibrary] = {}
 

@@ -115,10 +115,6 @@ class MacroEstimate:
     def tops_per_watt(self) -> float:
         return self.tops / (self.power_mw * 1e-3)
 
-    @property
-    def tops_per_mm2(self) -> float:
-        return self.tops / (self.area_um2 * 1e-6)
-
     def describe(self) -> str:
         segs = ", ".join(f"{s.name}={s.delay_ns:.3f}" for s in self.segments)
         return (

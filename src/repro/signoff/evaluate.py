@@ -109,11 +109,6 @@ class SignoffReport:
         """Timing met at the worst corner (hence at every corner)."""
         return self.worst.met
 
-    @property
-    def fmax_mhz(self) -> float:
-        """Frequency sustainable across all corners."""
-        return self.worst.fmax_mhz
-
     def corner(self, name: str) -> CornerResult:
         for result in self.results:
             if result.corner.name == name:

@@ -237,8 +237,12 @@ class MacroSpec:
                 "at least one input format needs 2 or more serial bits "
                 "(INT1 inputs are supported only beside a wider format)"
             )
-        if self.mac_frequency_mhz <= 0 or self.update_frequency_mhz <= 0:
-            raise SpecificationError("frequencies must be positive")
+        for name in ("mac_frequency_mhz", "update_frequency_mhz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise SpecificationError(
+                    f"{name} must be finite and positive, got {value}"
+                )
         if not 0.5 <= self.vdd <= 1.3:
             raise SpecificationError(f"vdd {self.vdd} outside supported 0.5..1.3 V")
 
@@ -294,15 +298,6 @@ class MacroSpec:
         """Bit-width of the per-column S&A accumulator: the tree sum
         grows by one position per serial input bit."""
         return self.tree_sum_width + self.input_width
-
-    @property
-    def sram_rows(self) -> int:
-        """Physical SRAM rows including the MCR storage banks."""
-        return self.height * self.mcr
-
-    @property
-    def storage_bits(self) -> int:
-        return self.sram_rows * self.width
 
     @property
     def mac_period_ns(self) -> float:

@@ -18,7 +18,6 @@ STA and the LUT-based search numerically consistent with one another.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -51,9 +50,9 @@ def arc_slew_ns(arc: TimingArc, load_ff: float) -> float:
 class NLDMTable:
     """A 2-D lookup table indexed by (input slew, output load).
 
-    ``values[i][j]`` corresponds to ``slews[i]`` and ``loads[j]``.
-    Lookup uses bilinear interpolation with clamped extrapolation, the
-    same policy Liberty consumers apply.
+    ``values[i][j]`` corresponds to ``slews[i]`` and ``loads[j]``; a
+    Liberty consumer interpolates it bilinearly, clamping outside the
+    axes.
     """
 
     slews_ns: Tuple[float, ...]
@@ -70,29 +69,6 @@ class NLDMTable:
         if list(self.loads_ff) != sorted(self.loads_ff):
             raise LibraryError("NLDM load axis must be ascending")
 
-    @staticmethod
-    def _bracket(axis: Sequence[float], x: float) -> Tuple[int, int, float]:
-        """Indices and interpolation weight for ``x`` on ``axis``."""
-        if x <= axis[0]:
-            return 0, 0, 0.0
-        if x >= axis[-1]:
-            return len(axis) - 1, len(axis) - 1, 0.0
-        hi = bisect.bisect_right(axis, x)
-        lo = hi - 1
-        t = (x - axis[lo]) / (axis[hi] - axis[lo])
-        return lo, hi, t
-
-    def lookup(self, slew_ns: float, load_ff: float) -> float:
-        i0, i1, ti = self._bracket(self.slews_ns, slew_ns)
-        j0, j1, tj = self._bracket(self.loads_ff, load_ff)
-        v00 = self.values[i0][j0]
-        v01 = self.values[i0][j1]
-        v10 = self.values[i1][j0]
-        v11 = self.values[i1][j1]
-        top = v00 + (v01 - v00) * tj
-        bot = v10 + (v11 - v10) * tj
-        return top + (bot - top) * ti
-
 
 @dataclass(frozen=True)
 class CharacterizedArc:
@@ -108,16 +84,6 @@ class CharacterizedCell:
     cell: Cell
     corner_vdd: float
     arcs: Tuple[CharacterizedArc, ...]
-
-    def delay_ns(
-        self, input_pin: str, output_pin: str, slew_ns: float, load_ff: float
-    ) -> float:
-        for ca in self.arcs:
-            if ca.arc.input_pin == input_pin and ca.arc.output_pin == output_pin:
-                return ca.delay_table.lookup(slew_ns, load_ff)
-        raise LibraryError(
-            f"{self.cell.name}: arc {input_pin}->{output_pin} not characterized"
-        )
 
 
 def characterize_cell(

@@ -102,18 +102,15 @@ class TimingArc:
     """Propagation arc from ``input_pin`` to ``output_pin``.
 
     ``d0_ns`` is the unloaded (intrinsic) delay; ``r_kohm`` the effective
-    drive resistance seen when charging the output load.
+    drive resistance seen when charging the output load
+    (:func:`repro.tech.characterization.arc_delay_ns` is the delay
+    model every analysis uses).
     """
 
     input_pin: str
     output_pin: str
     d0_ns: float
     r_kohm: float
-
-    def delay_ns(self, load_ff: float, slew_factor: float = 1.0) -> float:
-        """Linear-model delay for a given load; ``slew_factor`` derates
-        the intrinsic term for slow input edges (see characterization)."""
-        return self.d0_ns * slew_factor + self.r_kohm * load_ff * 1e-3
 
 
 @dataclass(frozen=True)
@@ -170,12 +167,6 @@ class Cell:
 
     def arcs_to(self, output_pin: str) -> Tuple[TimingArc, ...]:
         return tuple(a for a in self.arcs if a.output_pin == output_pin)
-
-    def arc(self, input_pin: str, output_pin: str) -> TimingArc:
-        for a in self.arcs:
-            if a.input_pin == input_pin and a.output_pin == output_pin:
-                return a
-        raise LibraryError(f"{self.name}: no arc {input_pin}->{output_pin}")
 
     def worst_arc_to(self, output_pin: str) -> TimingArc:
         arcs = self.arcs_to(output_pin)
@@ -794,11 +785,6 @@ class StdCellLibrary:
             return self._cells[name]
         except KeyError:
             raise LibraryError(f"unknown cell {name!r}") from None
-
-    def add(self, cell: Cell) -> None:
-        if cell.name in self._cells:
-            raise LibraryError(f"cell {cell.name} already in library")
-        self._cells[cell.name] = cell
 
 
 _DEFAULT: Optional[StdCellLibrary] = None

@@ -31,7 +31,7 @@ from repro.batch.engine import (
     BatchStats,
     JobExecutor,
 )
-from repro.batch.jobs import CompileJob, ImplementJob
+from repro.batch.jobs import CompileJob
 from repro.batch.sweep import (
     MAX_AXIS_POINTS,
     MAX_GRID_POINTS,
@@ -163,15 +163,6 @@ class TestJobKeys:
         )
         assert record["status"] == "error"
         assert "bogus" in record["error"]
-
-    def test_implement_job_keyed_by_arch(self):
-        spec = _small_spec()
-        a = ImplementJob(spec=spec, arch=MacroArchitecture())
-        b = ImplementJob(
-            spec=spec, arch=MacroArchitecture(driver_strength=8)
-        )
-        assert a.key() != b.key()
-        assert a.key() != CompileJob(spec=spec).key()
 
 
 # -- sweep grammar ----------------------------------------------------------

@@ -2,9 +2,9 @@
 including the post-layout escalation loop and artifact coherence."""
 
 import pytest
+from test_rtl_verilog import count_instances
 
 from repro import SynDCIM
-from repro.rtl.verilog import count_instances
 from repro.spec import FP8, INT4, INT8, MacroSpec
 
 

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arch import default_architecture
 from repro.batch.engine import BatchCompiler
-from repro.batch.jobs import ImplementJob
 from repro.options import CompileOptions
 from repro.service.queue import JobQueue
 from repro.spec import spec_from_strings
@@ -51,10 +49,6 @@ PINNED = {
     ),
 }
 
-IMPLEMENT_DEFAULT_KEY = (
-    "fb8934312992f4459e33bb5c8303922abc6171be47ad03395905e5fdbb23d565"
-)
-
 #: Per-run fields, at any depth: store/dedup markers and wall-clock
 #: timings (the verification report times its own simulation).
 BOOKKEEPING = {"cached", "job_key", "elapsed_s", "vectors_per_s"}
@@ -76,11 +70,6 @@ def _without_bookkeeping(value):
 def test_compile_job_key_is_pinned(name):
     kwargs, key = PINNED[name]
     assert CompileOptions(**kwargs).compile_job(SPEC).key() == key
-
-
-def test_default_implement_job_key_is_pinned():
-    job = ImplementJob(spec=SPEC, arch=default_architecture(SPEC))
-    assert job.key() == IMPLEMENT_DEFAULT_KEY
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

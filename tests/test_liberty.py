@@ -300,7 +300,8 @@ class TestGoldenFixture:
         """The GINV_X1 arc carries only an NLDM table; the linear model
         is recovered from its corners (constructed for d0=0.03, r=2.0,
         with SLEW_SENSITIVITY * slew baked into the first row)."""
-        arc = golden.cell("GINV_X1").arc("A", "Y")
+        (arc,) = golden.cell("GINV_X1").arcs_to("Y")
+        assert arc.input_pin == "A"
         assert arc.r_kohm == pytest.approx(2.0)
         assert arc.d0_ns == pytest.approx(
             0.037 - 2.0e-3 - SLEW_SENSITIVITY * 0.02

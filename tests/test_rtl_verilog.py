@@ -3,8 +3,19 @@
 import re
 
 from repro.rtl.ir import NetlistBuilder
-from repro.rtl.verilog import count_instances, emit_verilog
+from repro.rtl.verilog import emit_verilog
 from repro.rtl.gen.addertree import generate_adder_tree
+
+
+def count_instances(verilog: str) -> int:
+    """Count instantiation statements in emitted Verilog."""
+    body = verilog.split(");", 1)[-1]
+    return sum(
+        1
+        for line in body.splitlines()
+        if line.strip().endswith(");")
+        and not line.strip().startswith(("input", "output", "wire", "module"))
+    )
 
 
 def _small_module():

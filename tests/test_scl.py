@@ -66,7 +66,7 @@ class TestBuiltLibrary:
 
     def test_entry_counts(self, scl):
         assert scl.entry_count() > 150
-        assert "adder_tree" in scl.summary()
+        assert len(scl.table("adder_tree")) > 0
 
     def test_tree_delay_grows_with_inputs(self, scl):
         d = [

@@ -109,20 +109,17 @@ class TestCacheKey:
         assert keys == {scl_cache_key(library, process)}
 
     def test_changes_with_cell_library(self, library, process):
-        extra = StdCellLibrary(
-            {name: library.cell(name) for name in library.names}
+        cells = {name: library.cell(name) for name in library.names}
+        cells["XCELL"] = Cell(
+            name="XCELL",
+            area_um2=1.0,
+            input_caps_ff={"A": 1.0},
+            outputs=("Y",),
+            arcs=(TimingArc("A", "Y", 0.01, 1.0),),
+            leakage_nw=1.0,
+            internal_energy_fj={"Y": 0.1},
         )
-        extra.add(
-            Cell(
-                name="XCELL",
-                area_um2=1.0,
-                input_caps_ff={"A": 1.0},
-                outputs=("Y",),
-                arcs=(TimingArc("A", "Y", 0.01, 1.0),),
-                leakage_nw=1.0,
-                internal_energy_fj={"Y": 0.1},
-            )
-        )
+        extra = StdCellLibrary(cells)
         assert scl_cache_key(extra, process) != scl_cache_key(
             library, process
         )

@@ -580,6 +580,35 @@ class TestServiceHTTP:
         assert err.value.code == 400
         assert next(iter(options)) in json.loads(err.value.read())["error"]
 
+    @pytest.mark.parametrize(
+        "field, literal",
+        [("mac_frequency_mhz", "1e999"), ("mac_frequency_mhz", "NaN"),
+         ("update_frequency_mhz", "Infinity")],
+    )
+    def test_non_finite_frequency_is_400(self, service, field, literal):
+        """JSON reads ``1e999`` as infinity and accepts ``NaN`` and
+        ``Infinity``: each frequency is refused where it enters, and
+        nothing is queued."""
+        import urllib.error
+        import urllib.request
+
+        spec = json.dumps(dict(SPEC_PAYLOAD, **{field: 0.0}))
+        body = '{"spec": %s}' % spec.replace(
+            '"%s": 0.0' % field, '"%s": %s' % (field, literal)
+        )
+        submitted = service["client"].stats()["submitted"]
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(
+                urllib.request.Request(
+                    service["base_url"] + "/v1/jobs",
+                    data=body.encode(),
+                    method="POST",
+                )
+            )
+        assert err.value.code == 400
+        assert field in json.loads(err.value.read())["error"]
+        assert service["client"].stats()["submitted"] == submitted
+
     def test_infinite_timeout_is_400_and_dispatch_goes_on(self, service):
         """``1e999`` reads as infinity: refused where it enters, so it
         never reaches (and stops) the dispatch loop."""
@@ -1050,6 +1079,30 @@ class TestJournals:
              "--keep", "1"]
         ) == 0
         assert [p.stem for p in list_journals(tmp_path)] == ["run-2"]
+
+    @pytest.mark.parametrize(
+        "policy",
+        [["--keep", "-1"], ["--older-than", "-5"], ["--older-than", "nan"],
+         ["--older-than", "inf"]],
+    )
+    def test_journal_cli_refuses_bad_retention(self, tmp_path, capsys, policy):
+        """A negative count or age, or a non-finite age, is an ``error:``
+        line and exit 1 before any segment is touched: ``--older-than
+        -5`` used to prune every segment, and ``--keep -1`` ended in a
+        traceback."""
+        from repro.cli import main
+
+        for i in range(2):
+            _make_journal(tmp_path, f"run-{i}", age_s=100 * (2 - i))
+        before = {p.name: p.read_bytes() for p in list_journals(tmp_path)}
+        assert main(
+            ["journal", "--cache-dir", str(tmp_path), "--prune", *policy]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        after = {p.name: p.read_bytes() for p in list_journals(tmp_path)}
+        assert after == before
 
 
 class TestServeCLI:

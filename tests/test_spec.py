@@ -150,14 +150,32 @@ class TestMacroSpec:
         assert "serial bits" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
-    def test_sram_rows_with_mcr(self):
-        spec = MacroSpec(height=64, width=64, mcr=4)
-        assert spec.sram_rows == 256
-        assert spec.storage_bits == 256 * 64
-
     def test_mac_period(self):
         spec = MacroSpec(mac_frequency_mhz=800.0)
         assert spec.mac_period_ns == pytest.approx(1.25)
+
+    @pytest.mark.parametrize("field", ["mac_frequency_mhz", "update_frequency_mhz"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_frequency_must_be_finite(self, field, value):
+        """A NaN passes a ``<= 0`` check and infinity is positive: both
+        are refused, as ``MacroSpec.from_dict`` reads them from the JSON
+        ``NaN`` and ``1e999``."""
+        with pytest.raises(SpecificationError, match=field):
+            MacroSpec(**{field: value})
+        with pytest.raises(SpecificationError, match=field):
+            MacroSpec.from_dict(dict(MacroSpec().to_dict(), **{field: value}))
+
+    def test_nan_frequency_rejected_by_compile_cli(self, capsys):
+        """Refused before the search runs: exit 1 with an ``error:``
+        line, not a search that ends in "no feasible design"."""
+        from repro.cli import main
+
+        rc = main(["compile", "--height", "8", "--width", "8", "--formats",
+                   "INT4", "--frequency", "nan", "--no-implement"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: mac_frequency_mhz must be finite" in captured.err
+        assert "feasible" not in captured.err + captured.out
 
     def test_replace_creates_new(self):
         spec = MacroSpec()

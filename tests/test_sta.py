@@ -110,7 +110,7 @@ class TestAnalysis:
 
     def test_slew_affects_delay(self, library):
         cell = library.cell("NAND2_X1")
-        arc = cell.arc("A", "Y")
+        arc = next(a for a in cell.arcs_to("Y") if a.input_pin == "A")
         fast = arc_delay_ns(arc, 0.0, 2.0)
         slow = arc_delay_ns(arc, 0.2, 2.0)
         assert slow - fast == pytest.approx(SLEW_SENSITIVITY * 0.2)

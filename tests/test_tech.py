@@ -1,6 +1,7 @@
 """Technology substrate: process scaling, standard cells,
 characterization, Liberty views."""
 
+import bisect
 import math
 
 import pytest
@@ -16,6 +17,46 @@ from repro.tech.characterization import (
 from repro.tech.liberty import parse_liberty_cells, write_liberty
 from repro.tech.process import CORNERS, GENERIC_40NM, Process
 from repro.tech.stdcells import TimingArc, default_library
+
+
+def _arc(cell, input_pin, output_pin):
+    """The cell's one timing arc from ``input_pin`` to ``output_pin``."""
+    (arc,) = [
+        a for a in cell.arcs
+        if (a.input_pin, a.output_pin) == (input_pin, output_pin)
+    ]
+    return arc
+
+
+def _bracket(axis, x):
+    """Indices and interpolation weight for ``x`` on ``axis``, clamped."""
+    if x <= axis[0]:
+        return 0, 0, 0.0
+    if x >= axis[-1]:
+        return len(axis) - 1, len(axis) - 1, 0.0
+    hi = bisect.bisect_right(axis, x)
+    lo = hi - 1
+    return lo, hi, (x - axis[lo]) / (axis[hi] - axis[lo])
+
+
+def _lookup(table, slew_ns, load_ff):
+    """Read an NLDM table as a Liberty consumer does: bilinear
+    interpolation, clamped outside the axes."""
+    i0, i1, ti = _bracket(table.slews_ns, slew_ns)
+    j0, j1, tj = _bracket(table.loads_ff, load_ff)
+    v = table.values
+    top = v[i0][j0] + (v[i0][j1] - v[i0][j0]) * tj
+    bot = v[i1][j0] + (v[i1][j1] - v[i1][j0]) * tj
+    return top + (bot - top) * ti
+
+
+def _delay_ns(characterized, input_pin, output_pin, slew_ns, load_ff):
+    """Delay of one characterized arc, read from its delay table."""
+    (ca,) = [
+        ca for ca in characterized.arcs
+        if (ca.arc.input_pin, ca.arc.output_pin) == (input_pin, output_pin)
+    ]
+    return _lookup(ca.delay_table, slew_ns, load_ff)
 
 
 class TestProcess:
@@ -91,7 +132,7 @@ class TestStdCells:
             fa.internal_energy_fj.values()
         )
         assert (
-            cmp42.arc("A", "S").d0_ns > fa.arc("A", "S").d0_ns
+            _arc(cmp42, "A", "S").d0_ns > _arc(fa, "A", "S").d0_ns
         ), "compressor sum path must be slower than a full adder's"
 
     def test_carry_faster_than_sum(self, library):
@@ -110,7 +151,7 @@ class TestStdCells:
         pg = library.cell("PGMUX2_X1")
         tg = library.cell("TGMUX2_X1")
         assert pg.area_um2 < tg.area_um2
-        assert pg.arc("D0", "Y").d0_ns > tg.arc("D0", "Y").d0_ns
+        assert _arc(pg, "D0", "Y").d0_ns > _arc(tg, "D0", "Y").d0_ns
 
     def test_logic_functions(self, library):
         fa = library.cell("FA_X1")
@@ -159,10 +200,10 @@ class TestCharacterization:
             loads_ff=(0.0, 2.0),
             values=((0.0, 2.0), (1.0, 3.0)),
         )
-        assert table.lookup(0.5, 1.0) == pytest.approx(1.5)
-        assert table.lookup(0.0, 0.0) == pytest.approx(0.0)
+        assert _lookup(table, 0.5, 1.0) == pytest.approx(1.5)
+        assert _lookup(table, 0.0, 0.0) == pytest.approx(0.0)
         # Clamped extrapolation.
-        assert table.lookup(5.0, 5.0) == pytest.approx(3.0)
+        assert _lookup(table, 5.0, 5.0) == pytest.approx(3.0)
 
     def test_nldm_rejects_bad_axes(self):
         with pytest.raises(LibraryError):
@@ -171,9 +212,9 @@ class TestCharacterization:
     def test_characterized_cell_matches_equation(self, library, process):
         cell = library.cell("NAND2_X1")
         cc = characterize_cell(cell, process)
-        arc = cell.arc("A", "Y")
+        arc = _arc(cell, "A", "Y")
         for slew, load in ((0.01, 1.0), (0.04, 8.0)):
-            assert cc.delay_ns("A", "Y", slew, load) == pytest.approx(
+            assert _delay_ns(cc, "A", "Y", slew, load) == pytest.approx(
                 arc_delay_ns(arc, slew, load), rel=1e-6
             )
 
@@ -181,8 +222,8 @@ class TestCharacterization:
         cell = library.cell("INV_X1")
         nom = characterize_cell(cell, process)
         low = characterize_cell(cell, process, vdd=0.7)
-        d_nom = nom.delay_ns("A", "Y", 0.01, 2.0)
-        d_low = low.delay_ns("A", "Y", 0.01, 2.0)
+        d_nom = _delay_ns(nom, "A", "Y", 0.01, 2.0)
+        d_low = _delay_ns(low, "A", "Y", 0.01, 2.0)
         assert d_low / d_nom == pytest.approx(
             process.delay_scale(0.7), rel=1e-6
         )

@@ -325,19 +325,17 @@ class TestSemantics:
     def test_truth_table_fallback_for_custom_cell(self):
         """A cell whose function no hand-written kernel computes must
         still simulate, via the minterm kernel built from its table."""
-        lib = StdCellLibrary()
-        lib.add(
-            Cell(
-                name="MAJ3",
-                area_um2=3.0,
-                input_caps_ff={"A": 1.0, "B": 1.0, "C": 1.0},
-                outputs=("Y",),
-                arcs=(),
-                leakage_nw=1.0,
-                internal_energy_fj={"Y": 1.0},
-                pin_functions={"Y": "(A & B) | (A & C) | (B & C)"},
-            )
+        maj = Cell(
+            name="MAJ3",
+            area_um2=3.0,
+            input_caps_ff={"A": 1.0, "B": 1.0, "C": 1.0},
+            outputs=("Y",),
+            arcs=(),
+            leakage_nw=1.0,
+            internal_energy_fj={"Y": 1.0},
+            pin_functions={"Y": "(A & B) | (A & C) | (B & C)"},
         )
+        lib = StdCellLibrary(dict({c.name: c for c in LIB}, MAJ3=maj))
         m = Module("maj")
         for p in ("a", "b", "c"):
             m.add_port(p, "input")

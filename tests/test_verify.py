@@ -347,20 +347,6 @@ class TestFlowWiring:
         assert impl.verification.vectors_run == 128
         assert len(calls) == 1
 
-    def test_implement_archs_honors_engine_verify(self, scl, small_spec):
-        """Engine-level verify applies to implement-only jobs too, not
-        just full compiles."""
-        engine = BatchCompiler(
-            jobs=1,
-            use_cache=False,
-            options=CompileOptions(verify=True, verify_vectors=128),
-        )
-        result = engine.implement_archs(small_spec, [MacroArchitecture()])
-        rec = result.records[0]
-        assert rec["status"] == "ok"
-        assert rec["implementation"]["verified"] is True
-        assert rec["implementation"]["verification"]["vectors_run"] == 128
-
     def test_job_key_covers_verify_options(self, small_spec):
         base = CompileJob(spec=small_spec)
         verified = CompileJob(small_spec, CompileOptions(verify=True))
