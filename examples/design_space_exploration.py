@@ -17,7 +17,7 @@ import argparse
 
 from repro import CompileOptions
 from repro.baselines.autodcim import AutoDCIMCompiler
-from repro.batch import BatchCompiler
+from repro.batch.engine import BatchCompiler
 from repro.batch.summarize import summarize
 from repro.batch.sweep import expand_grid, grid_summary, parse_axis, parse_format_sets
 from repro.compiler.report import format_pareto_ascii, format_table

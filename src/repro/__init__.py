@@ -18,13 +18,16 @@ Quickstart::
 
 Stable API
 ----------
-The names re-exported here — :class:`MacroSpec`, :class:`SynDCIM`,
-:class:`BatchCompiler`, :class:`CompileOptions`,
-:class:`ImplementSession`, :func:`verify_macro`,
-:func:`multi_corner_signoff`, :class:`ServiceClient`, the data formats
-and the exception hierarchy — are the blessed surface: they keep
-working across minor versions, and anything reachable only through a
-submodule path is internal and may move without notice.  New code
+The names re-exported here — :class:`MacroSpec`, :class:`PPAWeights`,
+:class:`MacroArchitecture`, :class:`SynDCIM`, :class:`BatchCompiler`,
+:class:`CompileOptions`, :class:`ImplementSession`,
+:func:`verify_macro`, :func:`multi_corner_signoff`,
+:class:`ServiceClient`, the data formats with :func:`parse_format` and
+:func:`spec_from_strings`, and the exception hierarchy — are the
+blessed surface: they keep working across minor versions.  This is the
+package's one re-export surface: every subpackage is a bare namespace,
+so any other name is imported from the module that defines it, is
+internal and may move without notice.  New code
 should steer compilation through :class:`CompileOptions` (the one
 canonical spelling of corners/vt/verify/seed across the library, the
 CLI and the HTTP service) rather than per-call keyword soup.
@@ -44,7 +47,7 @@ from .spec import (
     parse_format,
     spec_from_strings,
 )
-from .arch import MacroArchitecture, architecture_space, default_architecture
+from .arch import MacroArchitecture
 from .errors import (
     BatchError,
     LayoutError,
@@ -75,8 +78,6 @@ __all__ = [
     "parse_format",
     "spec_from_strings",
     "MacroArchitecture",
-    "architecture_space",
-    "default_architecture",
     "BatchError",
     "LayoutError",
     "LibraryError",

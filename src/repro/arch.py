@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Tuple
 
 from .errors import SpecificationError
 from .spec import MacroSpec
@@ -141,15 +140,10 @@ class MacroArchitecture:
         return new
 
     def to_dict(self) -> dict:
-        """JSON-serializable description (inverse of :meth:`from_dict`);
-        how compile records carry the selected and implemented
-        architectures."""
+        """JSON-serializable description (``MacroArchitecture(**d)``
+        rebuilds it); how compile records carry the selected and
+        implemented architectures."""
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MacroArchitecture":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
     def knob_summary(self) -> str:
         parts = [
@@ -170,40 +164,3 @@ class MacroArchitecture:
 
 
 _ARCH_FIELDS = tuple(f.name for f in dataclasses.fields(MacroArchitecture))
-
-
-def default_architecture(spec: MacroSpec) -> MacroArchitecture:
-    """The template-assembly starting point (what AutoDCIM would build)."""
-    arch = MacroArchitecture()
-    arch.validate_against(spec)
-    return arch
-
-
-def architecture_space(spec: MacroSpec) -> Tuple[MacroArchitecture, ...]:
-    """Enumerate the full discrete design space valid for ``spec``.
-
-    The searcher does not brute-force this set (it walks Algorithm 1's
-    heuristic moves), but baselines and ablations sample from it and
-    tests use it to validate space construction.
-    """
-    points = []
-    for memcell in MEMCELLS:
-        for mult in MULT_STYLES:
-            if mult == "oai22" and spec.mcr > 2:
-                continue
-            for style in TREE_STYLES:
-                fa_options = (0,) if style != "mixed" else (0, 1, 2, 3)
-                for fa in fa_options:
-                    for split in (1, 2, 4):
-                        if spec.height // split < 4:
-                            continue
-                        points.append(
-                            MacroArchitecture(
-                                memcell=memcell,
-                                mult_style=mult,
-                                tree_style=style,
-                                tree_fa_levels=fa,
-                                column_split=split,
-                            )
-                        )
-    return tuple(points)

@@ -2,19 +2,8 @@
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.baselines.autodcim``, ``repro.baselines.arctic``,
+``repro.baselines.manual``).
 """
-
-from .autodcim import AutoDCIMCompiler, AutoDCIMResult, template_architecture
-from .arctic import ArcticCompiler, ArcticResult
-from .manual import SOTA_MACROS, PublishedMacro, table2_rows
-
-__all__ = [
-    "AutoDCIMCompiler",
-    "AutoDCIMResult",
-    "template_architecture",
-    "ArcticCompiler",
-    "ArcticResult",
-    "SOTA_MACROS",
-    "PublishedMacro",
-    "table2_rows",
-]

@@ -16,7 +16,7 @@ Numbers are the headline figures of those publications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -117,22 +117,3 @@ SOTA_MACROS: Tuple[PublishedMacro, ...] = (
         handcrafted=False,
     ),
 )
-
-
-def table2_rows() -> List[List[object]]:
-    """Rows for the Table II bench: published numbers + normalization."""
-    rows: List[List[object]] = []
-    for m in SOTA_MACROS:
-        row: List[object] = [
-            m.name,
-            f"{m.node_nm}nm",
-            m.array,
-            m.precision,
-            f"{m.supply_v:.2f}V",
-            m.tops_per_watt,
-            m.tops_per_mm2,
-            m.tops_per_watt_1b,
-            m.tops_per_mm2_1b,
-        ]
-        rows.append(row)
-    return rows

@@ -24,53 +24,8 @@ facade into a design-space instrument:
 
 See ``docs/architecture.md`` for how this package sits on top of the
 search and implementation layers.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.batch.engine``, ``repro.batch.summarize``, ...),
+so a process loads only the modules it runs.
 """
-
-from .cache import (
-    CACHE_SCHEMA_VERSION,
-    CacheStats,
-    MemoryResultStore,
-    ResultCache,
-    ResultStore,
-    cache_corruption_count,
-)
-from .engine import BatchCompiler, BatchResult, BatchStats
-from .faults import FaultPlan, active_plan
-from .jobs import CompileJob
-from .resilience import (
-    RetryPolicy,
-    SweepJournal,
-    list_journals,
-    prune_journals,
-)
-from .sweep import expand_grid, parse_axis, parse_format_sets, parse_range
-
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "BatchCompiler",
-    "BatchResult",
-    "BatchStats",
-    "CacheStats",
-    "CompileJob",
-    "FaultPlan",
-    "MemoryResultStore",
-    "ResultCache",
-    "ResultStore",
-    "RetryPolicy",
-    "SweepJournal",
-    "active_plan",
-    "cache_corruption_count",
-    "expand_grid",
-    "list_journals",
-    "parse_axis",
-    "parse_format_sets",
-    "parse_range",
-    "prune_journals",
-]
-
-# NOTE: `summarize` is deliberately NOT re-exported here.  A lazy
-# function re-export would be shadowed by the submodule of the same
-# name the moment `from repro.batch import summarize` runs (the import
-# system binds the module over the package attribute), leaving the
-# name resolving to two different objects.  Use
-# `from repro.batch.summarize import summarize`.

@@ -95,10 +95,10 @@ from typing import (
 from ..errors import BatchError
 from ..options import CompileOptions
 from ..spec import MacroSpec
-from .cache import ResultCache, ResultStore
+from .cache import ResultCache, ResultStore, new_run_id
 from .faults import active_plan
 from .jobs import CompileJob
-from .resilience import SweepJournal, new_run_id
+from .resilience import SweepJournal
 
 Record = Dict[str, object]
 #: progress(done, total, record) — called after every job completion.

@@ -48,11 +48,6 @@ AXIS_DEFAULTS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def parse_range(token: str, integer: bool = True) -> List[float]:
-    """Expand one axis token into its list of values (see module doc)."""
-    return list(_capped([token], integer))
-
-
 def parse_axis(tokens: Sequence[str], integer: bool = True) -> List[float]:
     """Expand a whole axis (several tokens), deduplicated, order kept.
     The tokens may generate at most :data:`MAX_AXIS_POINTS` values in

@@ -607,8 +607,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_journal(args: argparse.Namespace) -> int:
-    from .batch.cache import default_cache_dir
-    from .batch.resilience import list_journals, prune_journals
+    from .batch.cache import default_cache_dir, list_journals
+    from .batch.resilience import prune_journals
 
     root = pathlib.Path(args.cache_dir) if args.cache_dir \
         else default_cache_dir()
@@ -679,13 +679,6 @@ def _run_batch_file(args: argparse.Namespace) -> int:
             specs.append(MacroSpec.from_dict(entry))
         except SynDCIMError as exc:
             print(f"error: {args.specs} entry {i}: {exc}", file=sys.stderr)
-            return 1
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            print(
-                f"error: {args.specs} entry {i}: malformed spec "
-                f"({type(exc).__name__}: {exc})",
-                file=sys.stderr,
-            )
             return 1
     human = sys.stderr if args.output == "-" else sys.stdout
     print(f"batch: {len(specs)} specs from {args.specs}", file=human)

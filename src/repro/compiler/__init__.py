@@ -2,18 +2,9 @@
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.compiler.syndcim``, ``repro.compiler.flow``,
+``repro.compiler.report``), so a process that only formats a report
+loads no part of the flow.
 """
-
-from .flow import Implementation, ImplementSession, implement
-from .report import format_pareto_ascii, format_table
-from .syndcim import CompileResult, SynDCIM
-
-__all__ = [
-    "Implementation",
-    "ImplementSession",
-    "implement",
-    "format_pareto_ascii",
-    "format_table",
-    "CompileResult",
-    "SynDCIM",
-]

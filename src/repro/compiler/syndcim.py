@@ -28,7 +28,7 @@ from ..scl.library import SubcircuitLibrary, default_scl
 from ..search.algorithm import MSOSearcher, SearchResult
 from ..search.estimate import MacroEstimate
 from ..signoff.corners import CornerSet
-from ..spec import MacroSpec, PPAWeights
+from ..spec import MacroSpec
 from ..tech.process import GENERIC_40NM, Process
 from ..tech.stdcells import StdCellLibrary, default_library
 from ..verify.harness import DEFAULT_VECTORS as DEFAULT_VERIFY_VECTORS
@@ -160,7 +160,6 @@ class SynDCIM:
     def compile(
         self,
         spec: MacroSpec,
-        ppa: Optional[PPAWeights] = None,
         choose: Optional[MacroArchitecture] = None,
         implement_design: bool = True,
         input_sparsity: float = 0.0,
@@ -170,7 +169,8 @@ class SynDCIM:
     ) -> CompileResult:
         """Full performance-to-layout compilation.
 
-        ``choose`` overrides the PPA-based selection with an explicit
+        The frontier point that best fits the spec's PPA weights is
+        implemented; ``choose`` overrides that selection with an explicit
         frontier architecture ("one is finally selected by the user",
         Section III.A).  ``verify=True`` adds the post-synthesis
         functional-verification stage: the optimized netlist is driven
@@ -192,7 +192,7 @@ class SynDCIM:
                 )
             selected = matches[0]
         else:
-            selected = result.select(ppa)
+            selected = result.select()
         impl = None
         if implement_design:
             impl = self._implement_with_escalation(

@@ -33,6 +33,7 @@ imported lazily.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
@@ -147,11 +148,12 @@ class CompileOptions:
                 raise SpecificationError(f"{name} must be a number in [0, 1]")
             object.__setattr__(self, name, float(value))
         timeout = self.job_timeout_s
-        # The chained comparison refuses NaN and infinity too.
+        # The chained comparison refuses NaN, infinity and an integer
+        # too large for a float (the dispatcher adds it to a clock).
         if timeout is not None and (
             isinstance(timeout, bool)
             or not isinstance(timeout, (int, float))
-            or not 0 < timeout < float("inf")
+            or not 0 < timeout <= sys.float_info.max
         ):
             raise SpecificationError(
                 "job_timeout_s must be a positive number or None"

@@ -2,24 +2,7 @@
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.power.estimator``, ``repro.power.activity``).
 """
-
-from .activity import (
-    CLOCK_DENSITY,
-    DEFAULT_DENSITY,
-    DEFAULT_PROBABILITY,
-    NetActivity,
-    propagate_activity,
-)
-from .estimator import PowerReport, estimate_power, sparsity_input_stats
-
-__all__ = [
-    "CLOCK_DENSITY",
-    "DEFAULT_DENSITY",
-    "DEFAULT_PROBABILITY",
-    "NetActivity",
-    "propagate_activity",
-    "PowerReport",
-    "estimate_power",
-    "sparsity_input_stats",
-]

@@ -50,9 +50,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..errors import SimulationError
-from ..rtl.ir import Module
-from ..rtl.netview import CellSchedule, NetView, cell_schedule, net_view
-from ..tech.stdcells import Cell, StdCellLibrary, TruthTable, input_assignments
+from ..rtl.netview import CellSchedule, NetView, cell_schedule
+from ..tech.stdcells import Cell, TruthTable, input_assignments
 
 #: Default signal probability / transition density for unannotated inputs.
 DEFAULT_PROBABILITY = 0.5
@@ -352,25 +351,3 @@ def _propagate_arrays_uncached(
             dens[q_id] = 2.0 * p * (1.0 - p)
             known[q_id] = True
     return prob, dens, known, extra
-
-
-def propagate_activity(
-    module: Module,
-    library: StdCellLibrary,
-    input_stats: Optional[Mapping[str, NetActivity]] = None,
-) -> Dict[str, NetActivity]:
-    """Topologically propagate activity across a flat module.
-
-    ``input_stats`` maps primary-input nets (and optionally any net to
-    force) to their statistics; unannotated inputs default to
-    probability/density 0.5.
-    """
-    view = net_view(module, library)
-    prob, dens, known, extra = _propagate_arrays(view, input_stats)
-    stats: Dict[str, NetActivity] = {}
-    names = view.net_names
-    for i, name in enumerate(names):
-        if known[i]:
-            stats[name] = NetActivity(prob[i], dens[i])
-    stats.update(extra)
-    return stats

@@ -2,26 +2,8 @@
 
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline.
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.rtl.ir``, ``repro.rtl.verilog``, ...), so a process
+loads only the modules it runs.
 """
-
-from .ir import (
-    CONST0,
-    CONST1,
-    Instance,
-    Module,
-    NetlistBuilder,
-    Port,
-    bus,
-)
-from .verilog import emit_verilog
-
-__all__ = [
-    "CONST0",
-    "CONST1",
-    "Instance",
-    "Module",
-    "NetlistBuilder",
-    "Port",
-    "bus",
-    "emit_verilog",
-]

@@ -4,33 +4,8 @@ and timing-relevant variants.
 See ``docs/architecture.md`` for how this package fits the
 spec-to-layout pipeline, and ``docs/performance.md`` for the persistent
 characterization cache (:mod:`repro.scl.cache`).
+
+The package re-exports nothing: import each name from the module that
+defines it (``repro.scl.library``, ``repro.scl.builder``, ...), so a
+process loads only the modules it runs.
 """
-
-from .lut import PPARecord, PPATable, interpolate_records
-from .library import KINDS, SubcircuitLibrary, default_scl, default_scl_source
-from .builder import build_default_scl, characterize_module, tree_variant
-from .cache import (
-    load_cached_scl,
-    scl_cache_dir,
-    scl_cache_enabled,
-    scl_cache_key,
-    store_cached_scl,
-)
-
-__all__ = [
-    "PPARecord",
-    "PPATable",
-    "interpolate_records",
-    "KINDS",
-    "SubcircuitLibrary",
-    "default_scl",
-    "default_scl_source",
-    "build_default_scl",
-    "characterize_module",
-    "tree_variant",
-    "load_cached_scl",
-    "scl_cache_dir",
-    "scl_cache_enabled",
-    "scl_cache_key",
-    "store_cached_scl",
-]

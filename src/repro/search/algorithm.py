@@ -42,13 +42,6 @@ MAX_REPAIR_STEPS = 24
 Memo = Dict[Tuple[SubcircuitLibrary, MacroArchitecture], MacroEstimate]
 
 
-@dataclass(frozen=True)
-class SearchTraceEntry:
-    seed: str
-    move: str
-    estimate: MacroEstimate
-
-
 @dataclass
 class SearchResult:
     """Everything the searcher produced for one specification."""
@@ -56,7 +49,6 @@ class SearchResult:
     spec: MacroSpec
     candidates: List[MacroEstimate]
     frontier: List[MacroEstimate]
-    trace: List[SearchTraceEntry] = field(default_factory=list)
     fix_counts: Dict[str, int] = field(default_factory=dict)
     #: Signoff-corner slack (ns) per candidate architecture (keyed by
     #: ``arch.knob_summary()``), filled only when the searcher was
@@ -255,7 +247,6 @@ class MSOSearcher:
         seen: Set[MacroArchitecture] = set()
 
         def record(seed: str, move: str, est: MacroEstimate) -> None:
-            result.trace.append(SearchTraceEntry(seed, move, est))
             if move not in ("seed", "reject"):
                 result.fix_counts[move] = result.fix_counts.get(move, 0) + 1
             if est.met and est.arch not in seen:
@@ -286,26 +277,23 @@ class MSOSearcher:
 
     # -- phases ---------------------------------------------------------------
 
-    # The phases take the running search's memo; called on their own
-    # (memo=None) they price every architecture afresh.
-
     def _estimate(
-        self, spec: MacroSpec, arch: MacroArchitecture, memo: Optional[Memo] = None
+        self, spec: MacroSpec, arch: MacroArchitecture, memo: Memo
     ) -> MacroEstimate:
         return _price(spec, arch, self.scl, memo)
 
     def _signoff_estimate(
-        self, spec: MacroSpec, arch: MacroArchitecture, memo: Optional[Memo] = None
+        self, spec: MacroSpec, arch: MacroArchitecture, memo: Memo
     ) -> MacroEstimate:
         return _price(spec, arch, self.signoff_scl, memo)
 
     def _signoff_slack(
-        self, spec: MacroSpec, arch: MacroArchitecture, memo: Optional[Memo] = None
+        self, spec: MacroSpec, arch: MacroArchitecture, memo: Memo
     ) -> float:
         return self._signoff_estimate(spec, arch, memo).slack_ns
 
     def _signoff_ok(
-        self, spec: MacroSpec, est: MacroEstimate, memo: Optional[Memo] = None
+        self, spec: MacroSpec, est: MacroEstimate, memo: Memo
     ) -> bool:
         """Timing at the signoff corner, when one is configured."""
         if self.signoff_scl is None:
@@ -313,7 +301,7 @@ class MSOSearcher:
         return self._signoff_estimate(spec, est.arch, memo).met
 
     def _repair_timing(
-        self, spec, est, seed_name, record, memo=None
+        self, spec, est, seed_name, record, memo
     ) -> Optional[MacroEstimate]:
         """Escalating MAC-path then OFU-path repair (paper Fig. 5)."""
         for _ in range(MAX_REPAIR_STEPS):
@@ -348,7 +336,7 @@ class MSOSearcher:
         return est if est.met else None
 
     def _repair_signoff(
-        self, spec, est, seed_name, record, memo=None
+        self, spec, est, seed_name, record, memo
     ) -> MacroEstimate:
         """Escalate on signoff-corner slack (paper loop, worst corner).
 
@@ -398,7 +386,7 @@ class MSOSearcher:
         return est
 
     def _merge_registers(
-        self, spec, est, seed_name, record, memo=None
+        self, spec, est, seed_name, record, memo
     ) -> MacroEstimate:
         """Remove boundary registers while the merged path meets timing
         (and, when a signoff corner is configured, does not fall out of
@@ -421,7 +409,7 @@ class MSOSearcher:
         return est
 
     def _fine_tune(
-        self, spec, est, seed_name, record, memo=None
+        self, spec, est, seed_name, record, memo
     ) -> MacroEstimate:
         """Greedy power/area substitutions holding timing; records every
         feasible intermediate as a candidate for the frontier.  A
@@ -467,12 +455,10 @@ def _price(
     spec: MacroSpec,
     arch: MacroArchitecture,
     scl: SubcircuitLibrary,
-    memo: Optional[Memo],
+    memo: Memo,
 ) -> MacroEstimate:
     """``estimate_macro`` of ``arch``, at most once per memo.  A pricing
     that raises is not stored, so the next visit raises again."""
-    if memo is None:
-        return estimate_macro(spec, arch, scl)
     key = (scl, arch)
     est = memo.get(key)
     if est is None:

@@ -23,31 +23,8 @@ everywhere, so a job submitted over HTTP hashes — and therefore caches
 — identically to one compiled locally.  Start a server with
 ``python -m repro serve`` (see ``docs/service.md``).
 
-Exports are lazy: importing :class:`ServiceClient` does not pull the
-batch engine (or numpy) into a thin client process.
+The package re-exports nothing: import each name from the module that
+defines it (``repro.service.client``, ...), so a thin client process
+that imports :class:`ServiceClient` loads neither the batch engine nor
+numpy.
 """
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .client import ServiceClient
-    from .queue import JobQueue
-    from .server import ServiceServer, create_server
-
-__all__ = ["JobQueue", "ServiceClient", "ServiceServer", "create_server"]
-
-
-def __getattr__(name: str):
-    if name == "JobQueue":
-        from .queue import JobQueue
-
-        return JobQueue
-    if name == "ServiceClient":
-        from .client import ServiceClient
-
-        return ServiceClient
-    if name in ("ServiceServer", "create_server"):
-        from . import server
-
-        return getattr(server, name)
-    raise AttributeError(f"module 'repro.service' has no attribute {name!r}")

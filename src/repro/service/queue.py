@@ -54,10 +54,10 @@ from ..errors import (
 )
 from ..options import CompileOptions
 from ..spec import MacroSpec
-from ..batch.cache import MemoryResultStore, ResultCache, ResultStore
+from ..batch.cache import MemoryResultStore, ResultCache, ResultStore, new_run_id
 from ..batch.engine import JobExecutor, Ticket
 from ..batch.jobs import CompileJob
-from ..batch.resilience import SweepJournal, new_run_id
+from ..batch.resilience import SweepJournal
 
 #: Statuses a job can report; the first two are live, the rest terminal.
 QUEUED = "queued"

@@ -64,14 +64,7 @@ def _spec_from_payload(data: Dict[str, object]) -> MacroSpec:
             parse_format(item).to_dict() if isinstance(item, str) else item
             for item in value
         ]
-    try:
-        return MacroSpec.from_dict(payload)
-    except SynDCIMError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise _BadRequest(
-            f"malformed spec ({type(exc).__name__}: {exc})"
-        ) from None
+    return MacroSpec.from_dict(payload)
 
 
 class ServiceServer(ThreadingHTTPServer):

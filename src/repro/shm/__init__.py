@@ -1,10 +1,10 @@
 """Zero-copy shared-memory transport for the sealed subcircuit library.
 
-Each pool worker would otherwise load the sealed subcircuit library
-from its disk JSON artifact.  This package publishes the library's
-tensors in a ``multiprocessing.shared_memory`` segment from the batch
-parent; workers find the segment by content key, attach the raw bytes
-and wrap them in ``numpy`` views without copying.
+Without it, each pool worker would load the sealed subcircuit
+library from its disk JSON artifact.  This package publishes the
+library's tensors in a ``multiprocessing.shared_memory`` segment from
+the batch parent; workers find the segment by content key, attach the
+raw bytes and wrap them in ``numpy`` views without copying.
 
 Layout
 ------

@@ -141,7 +141,7 @@ class PPAWeights:
 
     The searcher scores candidate macros with a weighted geometric mean,
     so only the ratios between the weights matter.  All weights must be
-    non-negative and at least one positive.
+    finite and non-negative, and at least one positive.
     """
 
     power: float = 1.0
@@ -150,8 +150,10 @@ class PPAWeights:
 
     def __post_init__(self) -> None:
         weights = (self.power, self.performance, self.area)
-        if any(w < 0 for w in weights):
-            raise SpecificationError(f"PPA weights must be >= 0, got {weights}")
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise SpecificationError(
+                f"PPA weights must be finite and >= 0, got {weights}"
+            )
         if all(w == 0 for w in weights):
             raise SpecificationError("at least one PPA weight must be positive")
 
@@ -339,21 +341,31 @@ class MacroSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "MacroSpec":
-        return cls(
-            height=int(data["height"]),  # type: ignore[arg-type]
-            width=int(data["width"]),  # type: ignore[arg-type]
-            mcr=int(data.get("mcr", 2)),  # type: ignore[arg-type]
-            input_formats=tuple(
-                DataFormat.from_dict(d) for d in data["input_formats"]  # type: ignore[union-attr]
-            ),
-            weight_formats=tuple(
-                DataFormat.from_dict(d) for d in data["weight_formats"]  # type: ignore[union-attr]
-            ),
-            mac_frequency_mhz=float(data.get("mac_frequency_mhz", 800.0)),  # type: ignore[arg-type]
-            update_frequency_mhz=float(data.get("update_frequency_mhz", 800.0)),  # type: ignore[arg-type]
-            vdd=float(data.get("vdd", 0.9)),  # type: ignore[arg-type]
-            ppa=PPAWeights.from_dict(data.get("ppa", {})),  # type: ignore[arg-type]
-        )
+        """Build from outside data (a JSONL line, an HTTP body).  A
+        missing key, a wrong type and a number too large for a float
+        (JSON reads ``1e999`` as infinity, and an integer has no size
+        limit) are each a :class:`SpecificationError`, like any spec
+        the constructor refuses."""
+        try:
+            return cls(
+                height=int(data["height"]),  # type: ignore[arg-type]
+                width=int(data["width"]),  # type: ignore[arg-type]
+                mcr=int(data.get("mcr", 2)),  # type: ignore[arg-type]
+                input_formats=tuple(
+                    DataFormat.from_dict(d) for d in data["input_formats"]  # type: ignore[union-attr]
+                ),
+                weight_formats=tuple(
+                    DataFormat.from_dict(d) for d in data["weight_formats"]  # type: ignore[union-attr]
+                ),
+                mac_frequency_mhz=float(data.get("mac_frequency_mhz", 800.0)),  # type: ignore[arg-type]
+                update_frequency_mhz=float(data.get("update_frequency_mhz", 800.0)),  # type: ignore[arg-type]
+                vdd=float(data.get("vdd", 0.9)),  # type: ignore[arg-type]
+                ppa=PPAWeights.from_dict(data.get("ppa", {})),  # type: ignore[arg-type]
+            )
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise SpecificationError(
+                f"malformed spec ({type(exc).__name__}: {exc})"
+            ) from None
 
     def canonical_json(self) -> str:
         """Deterministic JSON encoding: sorted keys, no whitespace.

@@ -1,15 +1,43 @@
 """Architecture knobs and design-space enumeration."""
 
+from typing import Tuple
+
 import pytest
 from reference.estimate import subtree_inputs
 
-from repro.arch import (
-    MacroArchitecture,
-    architecture_space,
-    default_architecture,
-)
+from repro.arch import MEMCELLS, MULT_STYLES, TREE_STYLES, MacroArchitecture
 from repro.errors import SpecificationError
 from repro.spec import INT4, MacroSpec
+
+
+def architecture_space(spec: MacroSpec) -> Tuple[MacroArchitecture, ...]:
+    """Enumerate the full discrete design space valid for ``spec``.
+
+    The searcher does not brute-force this set (it walks Algorithm 1's
+    heuristic moves); the tests sample from it to check the estimator,
+    the synthesis passes and space construction.
+    """
+    points = []
+    for memcell in MEMCELLS:
+        for mult in MULT_STYLES:
+            if mult == "oai22" and spec.mcr > 2:
+                continue
+            for style in TREE_STYLES:
+                fa_options = (0,) if style != "mixed" else (0, 1, 2, 3)
+                for fa in fa_options:
+                    for split in (1, 2, 4):
+                        if spec.height // split < 4:
+                            continue
+                        points.append(
+                            MacroArchitecture(
+                                memcell=memcell,
+                                mult_style=mult,
+                                tree_style=style,
+                                tree_fa_levels=fa,
+                                column_split=split,
+                            )
+                        )
+    return tuple(points)
 
 
 def test_default_architecture_is_valid():
@@ -106,8 +134,3 @@ def test_architecture_space_points_all_valid():
     )
     for point in architecture_space(spec):
         point.validate_against(spec)
-
-
-def test_default_architecture_helper():
-    spec = MacroSpec()
-    assert default_architecture(spec) == MacroArchitecture()

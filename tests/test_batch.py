@@ -40,7 +40,6 @@ from repro.batch.sweep import (
     grid_summary,
     parse_axis,
     parse_format_sets,
-    parse_range,
 )
 from repro.cli import main as cli_main
 from repro.errors import SpecificationError
@@ -48,6 +47,11 @@ from repro.options import PPA_PRESETS, CompileOptions
 from repro.spec import FP8, INT4, INT8, MacroSpec, PPAWeights
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: An INT4-only spec's format fields, as a JSONL spec line spells them.
+_INT4_FORMATS = (
+    '"input_formats": [{"name": "INT4", "kind": "int", "bits": 4}], '
+    '"weight_formats": [{"name": "INT4", "kind": "int", "bits": 4}]'
+)
 
 
 def _small_spec(**overrides) -> MacroSpec:
@@ -124,7 +128,7 @@ class TestSpecSerialization:
         arch = MacroArchitecture(
             memcell="DCIM8T", column_split=2, ofu_csel=True
         )
-        assert MacroArchitecture.from_dict(arch.to_dict()) == arch
+        assert MacroArchitecture(**arch.to_dict()) == arch
 
 
 class TestJobKeys:
@@ -170,16 +174,16 @@ class TestJobKeys:
 
 class TestSweepGrammar:
     def test_single_value(self):
-        assert parse_range("64") == [64]
+        assert parse_axis(["64"]) == [64]
 
     def test_geometric(self):
-        assert parse_range("32:256:x2") == [32, 64, 128, 256]
+        assert parse_axis(["32:256:x2"]) == [32, 64, 128, 256]
 
     def test_geometric_inexact_stop(self):
-        assert parse_range("32:200:x2") == [32, 64, 128]
+        assert parse_axis(["32:200:x2"]) == [32, 64, 128]
 
     def test_arithmetic(self):
-        assert parse_range("400:1000:+200", integer=False) == [
+        assert parse_axis(["400:1000:+200"], integer=False) == [
             400.0,
             600.0,
             800.0,
@@ -187,17 +191,17 @@ class TestSweepGrammar:
         ]
 
     def test_arithmetic_descending(self):
-        assert parse_range("12:4:+-4") == [12, 8, 4]
+        assert parse_axis(["12:4:+-4"]) == [12, 8, 4]
 
     def test_float_axis(self):
-        assert parse_range("0.6:0.9:+0.1", integer=False) == pytest.approx(
+        assert parse_axis(["0.6:0.9:+0.1"], integer=False) == pytest.approx(
             [0.6, 0.7, 0.8, 0.9]
         )
 
     def test_float_axis_no_drift(self):
         """Values must equal hand-typed literals exactly (they feed the
         cache key), not accumulate binary floating-point error."""
-        assert parse_range("0.6:1.2:+0.1", integer=False) == [
+        assert parse_axis(["0.6:1.2:+0.1"], integer=False) == [
             0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2,
         ]
 
@@ -217,7 +221,7 @@ class TestSweepGrammar:
     )
     def test_rejects_malformed(self, token):
         with pytest.raises(SpecificationError):
-            parse_range(token)
+            parse_axis([token])
 
     def test_axis_deduplicates(self):
         assert parse_axis(["32", "32:64:x2"]) == [32, 64]
@@ -228,11 +232,11 @@ class TestSweepGrammar:
         ]
 
     def test_axis_cap(self):
-        assert len(parse_range(f"1:{MAX_AXIS_POINTS}:+1")) == MAX_AXIS_POINTS
+        assert len(parse_axis([f"1:{MAX_AXIS_POINTS}:+1"])) == MAX_AXIS_POINTS
         with pytest.raises(
             SpecificationError, match=f"expands past {MAX_AXIS_POINTS} points"
         ):
-            parse_range(f"1:{MAX_AXIS_POINTS + 1}:+1")
+            parse_axis([f"1:{MAX_AXIS_POINTS + 1}:+1"])
 
     def test_axis_cap_covers_the_whole_axis(self):
         """The cap counts the values of all an axis's tokens, not each
@@ -941,14 +945,21 @@ class TestBatchCLI:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "entry", ['{"h": 64}', "64", '{"height": 48, "width": 8}']
+        "entry",
+        [
+            '{"h": 64}', "64", '{"height": 48, "width": 8}',
+            '{"height": 1e999, "width": 8, %s}' % _INT4_FORMATS,
+            '{"height": 8, "width": 8, %s, "ppa": {"power": NaN}}' % _INT4_FORMATS,
+        ],
     )
     def test_batch_malformed_spec_entry_clean_error(
         self, tmp_path, capsys, entry
     ):
         specs_file = tmp_path / "specs.jsonl"
         specs_file.write_text(entry + "\n")
-        rc = cli_main(["batch", "--specs", str(specs_file)])
+        rc = cli_main(
+            ["batch", "--specs", str(specs_file), "--cache-dir", str(tmp_path / "cache")]
+        )
         assert rc == 1
         err = capsys.readouterr().err
         assert "error:" in err

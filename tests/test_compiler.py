@@ -9,12 +9,30 @@ import pytest
 from repro.arch import MacroArchitecture
 from repro.baselines.arctic import ArcticCompiler
 from repro.baselines.autodcim import AutoDCIMCompiler, template_architecture
-from repro.baselines.manual import SOTA_MACROS, table2_rows
+from repro.baselines.manual import SOTA_MACROS
 from repro.compiler.flow import implement
 from repro.compiler.report import format_pareto_ascii, format_table
 from repro.compiler.syndcim import SynDCIM
 from repro.errors import SearchError
 from repro.spec import INT4, INT8, MacroSpec
+
+
+def table2_rows():
+    """Rows for the Table II comparison: published numbers + normalization."""
+    return [
+        [
+            m.name,
+            f"{m.node_nm}nm",
+            m.array,
+            m.precision,
+            f"{m.supply_v:.2f}V",
+            m.tops_per_watt,
+            m.tops_per_mm2,
+            m.tops_per_watt_1b,
+            m.tops_per_mm2_1b,
+        ]
+        for m in SOTA_MACROS
+    ]
 
 
 @pytest.fixture(scope="module")

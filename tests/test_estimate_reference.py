@@ -15,8 +15,8 @@ from __future__ import annotations
 import pytest
 from golden_search import CASES
 from reference.estimate import estimate_macro as reference_estimate
+from test_arch import architecture_space
 
-from repro.arch import architecture_space
 from repro.search.algorithm import MSOSearcher
 from repro.search.estimate import estimate_macro
 from repro.tech.stdcells import VT_FLAVORS
@@ -89,17 +89,30 @@ def test_architecture_space_matches_reference(spec, scl):
             _assert_same(spec, arch.replace(**KNOBS[(i + j) % len(KNOBS)]), scl, None)
 
 
-def test_searched_architectures_match_reference(scl):
-    """Every architecture a golden search records, priced with the
-    nominal library and, for the corner cases, the signoff library."""
+def test_searched_architectures_match_reference(scl, monkeypatch):
+    """Every architecture a golden search prices, priced with the
+    nominal library and, for the corner cases, the signoff library.
+    The search's pricings are collected by wrapping the module global
+    it calls, as ``tests/test_search_work.py`` counts them."""
     from repro.options import CompileOptions
+    from repro.search import algorithm
     from repro.signoff.corners import worst_corner_scl
     from repro.tech.process import GENERIC_40NM
 
+    priced = set()
+    real = algorithm.estimate_macro
+
+    def recording(spec, arch, library, *args, **kwargs):
+        est = real(spec, arch, library, *args, **kwargs)
+        priced.add(arch)
+        return est
+
+    monkeypatch.setattr(algorithm, "estimate_macro", recording)
     checked = 0
     for _, spec, options in CASES:
-        searcher = MSOSearcher(scl, vt=options.get("vt", "svt"), seed=options.get("seed"))
-        archs = {entry.estimate.arch for entry in searcher.search(spec).trace}
+        priced.clear()
+        MSOSearcher(scl, vt=options.get("vt", "svt"), seed=options.get("seed")).search(spec)
+        archs = set(priced)
         libraries = [scl]
         corners = CompileOptions(**options).corner_set()
         if corners is not None:

@@ -1,10 +1,12 @@
-"""What one ``repro compile`` process imports.
+"""What one ``repro compile`` process, and a thin client, imports.
 
 A compile loads only the code it runs: the simulator behind
 verification, the Liberty reader and writer, the Vt passes and the
 shared-memory transport of the batch workers stay unloaded unless the
 command asks for them (``--verify``, ``--lib-in``/``--lib-out``,
-``--vt``, a pool worker).
+``--vt``, a pool worker).  A client of a remote service
+(``repro batch --server``) and the JSONL summarizer load neither numpy
+nor the compile flow.
 Each check runs in a fresh interpreter, as the end-to-end benchmark's
 ``cli-compile`` does.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import socket
 import subprocess
 import sys
 
@@ -45,6 +48,29 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main({argv!r})
 print(out.getvalue(), end="")
 """
+
+#: Runs the CLI, printing its exit code and stderr as the last line
+#: but one.
+CLIENT = """
+import contextlib, io, json
+from repro.cli import main
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main({argv!r})
+print(json.dumps([code, err.getvalue()]))
+"""
+
+#: What a client of a remote service never runs: the compile flow,
+#: the engine, and the generators, layout and library behind them.
+COMPILER = (
+    "numpy",
+    "repro.compiler.flow",
+    "repro.compiler.syndcim",
+    "repro.batch.engine",
+    "repro.rtl",
+    "repro.layout",
+    "repro.scl",
+)
 
 REPORT = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
 
@@ -89,3 +115,31 @@ def test_verify_loads_the_simulator_and_only_adds_its_report():
     head, _, verdict = verified.rpartition("\n\n")
     assert head == plain
     assert verdict.startswith("verification PASS: 4096 vectors on 16x16")
+
+
+def _compiler(modules):
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in COMPILER)]
+
+
+def _closed_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_remote_batch_client_loads_no_compiler(tmp_path):
+    specs = tmp_path / "specs.jsonl"
+    specs.write_text(json.dumps(repro.MacroSpec().to_dict()) + "\n")
+    argv = ["batch", "--specs", str(specs), "--server", f"http://127.0.0.1:{_closed_port()}"]
+    out, modules = _run(CLIENT.format(argv=argv))
+    code, err = json.loads(out.rpartition("\n")[2])
+    assert code == 1
+    assert [line[:6] for line in err.splitlines()] == ["error:"], err
+    assert "repro.service.client" in modules
+    assert _compiler(modules) == []
+
+
+def test_summarize_loads_no_compile_flow():
+    _, modules = _run("import repro.batch.summarize\n")
+    assert "repro.compiler.report" in modules
+    assert "repro.compiler.flow" not in modules

@@ -5,14 +5,34 @@ import pytest
 from repro.power.activity import (
     GLITCH_DENSITY_CAP,
     NetActivity,
-    propagate_activity,
+    _propagate_arrays,
 )
 from repro.power.estimator import (
     estimate_power,
     sparsity_input_stats,
 )
 from repro.rtl.ir import NetlistBuilder
+from repro.rtl.netview import net_view
 from repro.tech.process import GENERIC_40NM
+
+
+def propagate_activity(module, library, input_stats=None):
+    """Activity per net name of a flat module: the propagation
+    ``estimate_power`` runs, keyed by name instead of net id.
+
+    ``input_stats`` maps primary-input nets (and optionally any net to
+    force) to their statistics; unannotated inputs default to
+    probability/density 0.5.
+    """
+    view = net_view(module, library)
+    prob, dens, known, extra = _propagate_arrays(view, input_stats)
+    stats = {
+        name: NetActivity(prob[i], dens[i])
+        for i, name in enumerate(view.net_names)
+        if known[i]
+    }
+    stats.update(extra)
+    return stats
 
 
 def _and_module():

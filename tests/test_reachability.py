@@ -17,17 +17,24 @@ reference implementations shipped code is pinned against live in
 ``*_reference`` function, method or class, or imports ``tests`` or
 ``reference``.
 
+One import surface: ``repro/__init__.py`` is the only package that
+re-exports.  Every subpackage ``__init__`` holds its docstring alone,
+and an in-package ``from X import n`` names the module that defines
+``n`` (a function, class or assignment there, or a submodule ``X.n``).
+
 Below modules, definitions: every top-level function and class, and
 every method but dunders, under ``src/repro`` must be named in code
 somewhere in the package, a paper benchmark (``benchmarks/test_*.py``)
 or an example (``examples/*.py``).  A method is named by an attribute
 (``x.name``) or a ``getattr``/``hasattr``/``setattr`` string.  A
-top-level definition is named by a bare name in its own module, by an
-import or a module attribute that resolves to it (through re-exports
-if need be), or by a lazy-export string (a module's ``__all__`` or
-``__getattr__``).  So a same-named variable, parameter, dict key or
-docstring elsewhere keeps nothing alive.  A definition only tests call
-is deleted with its tests, or moved beside them.
+top-level definition is named by a bare name in its own module, or by
+an import or a module attribute that resolves to it (an example's
+``from repro import SynDCIM`` resolves through the root's re-export).
+A package ``__init__`` names nothing: a re-export, the root's
+included, and an ``__all__`` or ``__getattr__`` string keep nothing
+alive.  Nor does a same-named variable, parameter, dict key or
+docstring elsewhere.  A definition only tests call is deleted with its
+tests, or moved beside them.
 ``ALLOWED_DEFINITIONS`` lists the few kept anyway, each with its
 reason.
 """
@@ -90,6 +97,16 @@ ALLOWED_DEFINITIONS = {
     "repro.batch.engine:BatchCompiler.map": (
         "the shm probes in benchmarks/perf/run_perf.py drive it; it "
         "goes with the shm SCL (ROADMAP item 3, part B)"
+    ),
+    "repro.scl.library:default_scl_source": (
+        "the shm probes in benchmarks/perf/run_perf.py and the SCL tests "
+        "read it; it goes with the shm SCL (ROADMAP item 3, part B)"
+    ),
+    "repro.spec:spec_from_strings": (
+        "the sweep set-up in e2ebench/workloads.py imports it"
+    ),
+    "repro.batch.cache:cache_corruption_count": (
+        "the chaos tests count quarantined result-log lines with it"
     ),
 }
 
@@ -187,31 +204,6 @@ def test_no_reference_implementation_ships():
     assert shipped == [], f"scalar oracles belong in tests/reference/: {shipped}"
 
 
-def _docstrings(tree):
-    """ids of the docstring constants in ``tree``."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            body = node.body
-            if (
-                body
-                and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)
-            ):
-                found.add(id(body[0].value))
-    return found
-
-
-def _is_lazy_export(node):
-    """A module's ``__all__`` or its ``__getattr__``."""
-    if isinstance(node, ast.FunctionDef):
-        return node.name == "__getattr__"
-    return isinstance(node, ast.Assign) and any(
-        getattr(target, "id", None) == "__all__" for target in node.targets
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _names_in(tree, module="", is_package=False):
     """What the code of ``tree`` (module ``module``, if in the package)
@@ -220,12 +212,11 @@ def _names_in(tree, module="", is_package=False):
     A method is named by ``attributes``: every ``x.name`` and every
     ``getattr``/``hasattr``/``setattr`` string.  A top-level definition
     is named by ``bindings``, ``(module, name)`` pairs: the bare names
-    in its own module, every ``from X import name``, every ``m.name``
-    where ``m`` is an imported module, and the identifier strings of a
-    module's ``__all__`` and ``__getattr__`` (lazy exports).
-    ``imported`` maps each name a ``from`` import binds to its
-    ``(module, name)``, which resolves a re-export.  Docstrings and
-    comments name nothing."""
+    in its own module, every ``from X import name`` and every
+    ``m.name`` where ``m`` is an imported module.  ``imported`` maps
+    each name a ``from`` import binds to its ``(module, name)``, which
+    resolves a use through the root's re-export.  Other strings,
+    docstrings and comments name nothing."""
     attributes, bindings, imported, modules = set(), set(), {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -271,17 +262,6 @@ def _names_in(tree, module="", is_package=False):
             base = resolve(owner)
             if base:
                 bindings.add((base, name))
-    for node in tree.body if module else ():
-        if _is_lazy_export(node):
-            docs = _docstrings(node)
-            bindings.update(
-                (module, c.value)
-                for c in ast.walk(node)
-                if isinstance(c, ast.Constant)
-                and isinstance(c.value, str)
-                and c.value.isidentifier()
-                and id(c) not in docs
-            )
     return frozenset(attributes), frozenset(bindings), imported
 
 
@@ -324,16 +304,18 @@ def _unnamed(trees):
     """``module:qualname`` of every definition in ``trees`` that no code
     in ``trees``, the paper benchmarks or the examples names: a method
     by an attribute or a ``getattr`` string, a top-level definition by
-    a binding that resolves to it, through re-exports if need be."""
+    a binding that resolves to it.  A package ``__init__`` names
+    nothing; its imports only resolve a use made elsewhere."""
     attributes, bindings = map(set, _outside_names())
     packages = {name: is_package for name, (_, is_package) in _modules().items()}
     imported, defined = {}, {}
     for module, tree in trees.items():
         found = _names_in(tree, module, packages.get(module, False))
-        attributes |= found[0]
-        bindings |= found[1]
         imported[module] = found[2]
         defined[module] = {name for _, name, method in _definitions(tree) if not method}
+        if not packages.get(module, False):
+            attributes |= found[0]
+            bindings |= found[1]
     todo = list(bindings)
     while todo:
         module, name = todo.pop()
@@ -359,9 +341,9 @@ def test_every_definition_is_named():
 
 def test_definition_check_reports_an_orphan():
     """A function nothing calls is reported, also when a docstring
-    mentions it or another module has a variable of its name; a method
-    is reported when a dict key spells its name.  Naming each in code
-    clears it."""
+    mentions it, another module has a variable of its name or a package
+    re-exports it; a method is reported when a dict key spells its
+    name.  Naming each in code clears it."""
     trees = dict(_package_trees())
     source = _modules()["repro.errors"][0].read_text()
     trees["repro.rtl.orphan"] = ast.parse(
@@ -373,8 +355,13 @@ def test_definition_check_reports_an_orphan():
         "orphan_helper = 2\n"
         'TABLE = {"orphan_method": orphan_helper}\n'
     )
+    trees["repro.rtl"] = ast.parse(
+        "from .orphan import Orphan, orphan_helper\n"
+        '__all__ = ["Orphan", "orphan_helper"]\n'
+    )
     unnamed = _unnamed(trees)
     assert "repro.rtl.orphan:orphan_helper" in unnamed
+    assert "repro.rtl.orphan:Orphan" in unnamed
     assert "repro.rtl.orphan:Orphan.orphan_method" in unnamed
     trees["repro.rtl.mention"] = ast.parse(
         "from .orphan import Orphan, orphan_helper\n"
@@ -391,4 +378,82 @@ def test_allowed_definitions_are_current():
     names: an entry that outlives its reason goes."""
     assert sorted(ALLOWED_DEFINITIONS) == [
         d for d in _unnamed(_package_trees()) if d in ALLOWED_DEFINITIONS
+    ]
+
+
+def _defines(tree):
+    """The names a module binds itself at top level: its functions,
+    classes and assignments, not its imports."""
+    names, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, DEFINITIONS):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                n.id for target in targets for n in ast.walk(target)
+                if isinstance(n, ast.Name)
+            )
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            todo.extend(
+                child for child in ast.iter_child_nodes(node)
+                if isinstance(child, (ast.stmt, ast.excepthandler))
+            )
+    return names
+
+
+def test_subpackages_are_bare_namespaces():
+    """The root is the one re-export surface: every other package
+    ``__init__`` is its docstring alone."""
+    busy = []
+    for name, (path, is_package) in sorted(_modules().items()):
+        tree = _parse(path)
+        if is_package and name != "repro" and not (
+            len(tree.body) == 1 and ast.get_docstring(tree) is not None
+        ):
+            busy.append(name)
+    assert busy == [], f"subpackage __init__s with code: {busy}"
+
+
+def _indirect_imports(modules, trees):
+    """``module: from X import n`` for every in-package ``from`` import
+    whose ``X`` neither defines ``n`` nor has a submodule ``n``."""
+    wrong = []
+    for name, tree in sorted(trees.items()):
+        is_package = modules[name][1] if name in modules else False
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = _module_of(node.module, name, node.level, is_package)
+            if source not in trees:
+                continue
+            defined = _defines(trees[source])
+            wrong += [
+                f"{name}: from {source} import {alias.name}"
+                for alias in node.names
+                if alias.name not in defined and f"{source}.{alias.name}" not in modules
+            ]
+    return wrong
+
+
+def test_imports_name_the_defining_module():
+    wrong = _indirect_imports(_modules(), _package_trees())
+    assert wrong == [], f"imports through a module that does not define the name: {wrong}"
+
+
+def test_indirect_import_is_reported():
+    """An import through a module that itself imports the name is
+    reported; the defining module's own, or a submodule, is not."""
+    trees = dict(_package_trees())
+    trees["repro.rtl.orphan"] = ast.parse(
+        "from ..errors import SynDCIMError\n"
+        "from .ir import Module\n"
+        "from . import verilog\n"
+    )
+    trees["repro.rtl.mention"] = ast.parse("from .orphan import Module, SynDCIMError\n")
+    wrong = _indirect_imports(_modules(), trees)
+    assert [w for w in wrong if w.startswith(("repro.rtl.orphan", "repro.rtl.mention"))] == [
+        "repro.rtl.mention: from repro.rtl.orphan import Module",
+        "repro.rtl.mention: from repro.rtl.orphan import SynDCIMError",
     ]

@@ -239,10 +239,11 @@ class TestAlgorithm:
         )
 
     def test_trace_records_moves(self, paper_spec, scl):
+        """The search counts each repair move it applies."""
         result = MSOSearcher(scl).search(paper_spec)
-        moves = {t.move for t in result.trace}
-        assert "seed" in moves
-        assert moves & {
+        assert all(n > 0 for n in result.fix_counts.values())
+        assert "seed" not in result.fix_counts
+        assert set(result.fix_counts) & {
             "faster_adder",
             "ofu_retime",
             "ofu_faster_adder",

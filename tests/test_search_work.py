@@ -88,13 +88,14 @@ def test_memo_lives_for_one_search(priced, scl):
 
 
 def test_phase_called_directly_prices_afresh(priced, scl):
-    """Outside a search there is no memo: each call prices."""
+    """A phase prices through the memo it is given and keeps none of
+    its own: a fresh memo per call prices each time."""
     spec = CASES[0][1]
     searcher = MSOSearcher(scl)
     arch = searcher.search(spec).frontier[0].arch
     priced.clear()
-    searcher._estimate(spec, arch)
-    searcher._estimate(spec, arch)
+    searcher._estimate(spec, arch, {})
+    searcher._estimate(spec, arch, {})
     assert len(priced) == 2
 
 

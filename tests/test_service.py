@@ -122,7 +122,7 @@ class TestCompileOptions:
             CompileOptions(input_sparsity=1.5)
         with pytest.raises(SpecificationError, match="weight_sparsity"):
             CompileOptions(weight_sparsity=float("nan"))
-        for timeout in (float("nan"), float("inf"), float("-inf")):
+        for timeout in (float("nan"), float("inf"), float("-inf"), 10**400):
             with pytest.raises(SpecificationError, match="job_timeout_s"):
                 CompileOptions(job_timeout_s=timeout)
 
@@ -551,14 +551,25 @@ class TestServiceHTTP:
         import urllib.request
 
         url = service["base_url"] + "/v1/jobs"
-        for body in (b"{notjson", b'{"no_spec": 1}',
-                     b'{"spec": {"height": "tall"}}'):
+        spec = '"height": 8, "width": 8, "formats": ["INT4"]'
+        submitted = service["client"].stats()["submitted"]
+        for body in (
+            "{notjson", '{"no_spec": 1}', '{"spec": {"height": "tall"}}',
+            # Numbers no float holds, and non-finite PPA weights.
+            '{"spec": {%s, "mac_frequency_mhz": 1%s}}' % (spec, "0" * 400),
+            '{"spec": {"height": 1e999, "width": 8, "formats": ["INT4"]}}',
+            '{"spec": {"height": 8, "width": 8, "formats": ["INT4"], "input_formats":'
+            ' [{"name": "INT4", "kind": "int", "bits": Infinity}]}}',
+            '{"spec": {%s, "ppa": {"power": NaN}}}' % spec,
+            '{"spec": {%s, "ppa": {"area": 1e999}}}' % spec,
+        ):
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(
-                    urllib.request.Request(url, data=body, method="POST")
+                    urllib.request.Request(url, data=body.encode(), method="POST")
                 )
             assert err.value.code == 400
             assert "error" in json.loads(err.value.read())
+        assert service["client"].stats()["submitted"] == submitted
 
     @pytest.mark.parametrize(
         "options",
@@ -610,25 +621,27 @@ class TestServiceHTTP:
         assert service["client"].stats()["submitted"] == submitted
 
     def test_infinite_timeout_is_400_and_dispatch_goes_on(self, service):
-        """``1e999`` reads as infinity: refused where it enters, so it
+        """``1e999`` reads as infinity, and an integer of 401 digits
+        does not fit a float: each is refused where it enters, so it
         never reaches (and stops) the dispatch loop."""
         import urllib.error
         import urllib.request
 
-        body = (
-            '{"spec": %s, "options": {"job_timeout_s": 1e999}}'
-            % json.dumps(SPEC_PAYLOAD)
-        )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(
-                urllib.request.Request(
-                    service["base_url"] + "/v1/jobs",
-                    data=body.encode(),
-                    method="POST",
-                )
+        for literal in ("1e999", "1" + "0" * 400):
+            body = (
+                '{"spec": %s, "options": {"job_timeout_s": %s}}'
+                % (json.dumps(SPEC_PAYLOAD), literal)
             )
-        assert err.value.code == 400
-        assert "job_timeout_s" in json.loads(err.value.read())["error"]
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(
+                    urllib.request.Request(
+                        service["base_url"] + "/v1/jobs",
+                        data=body.encode(),
+                        method="POST",
+                    )
+                )
+            assert err.value.code == 400
+            assert "job_timeout_s" in json.loads(err.value.read())["error"]
         client = service["client"]
         snap = client.submit(dict(SPEC_PAYLOAD, mac_frequency_mhz=410.0), options=FAST)
         assert client.wait(snap["id"], timeout=300)["status"] == "ok"
@@ -1182,14 +1195,6 @@ class TestStableSurface:
             assert getattr(repro, name) is not None
         with pytest.raises(AttributeError):
             repro.NotAThing
-
-    def test_service_exports_are_lazy(self):
-        import repro.service as service
-
-        assert service.__all__ == [
-            "JobQueue", "ServiceClient", "ServiceServer", "create_server",
-        ]
-        assert service.JobQueue is JobQueue
 
     def test_cache_schema_unchanged_by_this_layer(self):
         # The service shares cache entries with local runs only while

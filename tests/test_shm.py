@@ -234,7 +234,8 @@ def _assert_clean(child: subprocess.CompletedProcess) -> None:
 _BATCH_PROLOGUE = """
 import os, sys
 from repro import CompileOptions
-from repro.batch import BatchCompiler, CompileJob
+from repro.batch.engine import BatchCompiler
+from repro.batch.jobs import CompileJob
 from repro.spec import INT4, MacroSpec
 specs = [
     MacroSpec(height=8, width=8, mcr=2, input_formats=(INT4,),

@@ -87,6 +87,11 @@ class TestPPAWeights:
     def test_rejects_negative(self):
         with pytest.raises(SpecificationError):
             PPAWeights(-1.0, 1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(SpecificationError, match="finite"):
+                PPAWeights(1.0, 1.0, bad)
+            with pytest.raises(SpecificationError, match="finite"):
+                MacroSpec.from_dict(dict(MacroSpec().to_dict(), ppa={"power": bad}))
 
 
 class TestMacroSpec:

@@ -10,8 +10,8 @@ import random
 
 from reference.gatesim import GateSimulator
 from reference.optimize import net_loads
+from test_arch import architecture_space
 
-from repro.arch import architecture_space
 from repro.rtl.gen.macro import generate_macro, generate_macro_with_array
 from repro.rtl.ir import NetlistBuilder
 from repro.spec import FP4, INT4, INT8, MacroSpec

@@ -27,10 +27,11 @@ from reference.sta import (
 )
 from reference.sta import instance_slacks as instance_slacks_reference
 
+from test_power import propagate_activity
 from test_result_log import _deadline
 
 from repro.errors import SimulationError, TimingError
-from repro.power.activity import NetActivity, _kernel, propagate_activity
+from repro.power.activity import NetActivity, _kernel
 from repro.rtl.gen.addertree import generate_adder_tree
 from repro.rtl.gen.drivers import generate_wl_driver
 from repro.rtl.gen.multiplier import generate_mult_mux
@@ -457,7 +458,7 @@ class TestSearchRepairFallback:
         )
         trace = []
         out = searcher._repair_timing(
-            spec, est, "seed", lambda *args: trace.append(args)
+            spec, est, "seed", lambda *args: trace.append(args), {}
         )
         assert out is None  # infeasible, but no exception escaped
         assert any(entry[1] == "infeasible" for entry in trace)
